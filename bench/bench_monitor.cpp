@@ -100,7 +100,6 @@ int main() {
       .Key("theta").Double(config.theta)
       .Key("support").Double(config.apriori_support)
       .Key("per_group_patterns").Bool(false)
-      .Key("num_threads").Uint(1)
       .Key("emit_summaries").Bool(true);
   spec.Key("window").BeginObject()
       .Key("kind").String("sliding")
@@ -112,7 +111,7 @@ int main() {
   std::printf("dataset: %zu rows; window %zu, slide %zu, %d boundaries\n",
               gen.num_rows, window_rows, slide_rows, kRounds + 1);
 
-  StreamMonitor monitor("m-bench", spec.str(), ds.table,
+  StreamMonitor monitor("m-bench", MonitorSpec::Parse(spec.str()), ds.table,
                         /*mining_pool=*/nullptr);
 
   // Warm-up: the first window assembles and evaluates cold — the steady

@@ -109,31 +109,31 @@ HttpResponse HandleTables(ExplanationService& service) {
 HttpResponse HandleExplain(ExplanationService& service,
                            const HttpRequest& http_request,
                            const BatchOptions& batch_options) {
-  std::shared_ptr<const JsonValue> request;
+  std::string id = "1";
+  ExplainSpec spec;
   try {
-    request = std::make_shared<const JsonValue>(
-        JsonValue::Parse(http_request.body));
+    const JsonValue request = JsonValue::Parse(http_request.body);
+    const std::string op = request.GetString("op", "query");
+    if (op != "query") {
+      return HttpResponse::Error(
+          400, "POST /v1/explain only runs queries; use "
+               "/v1/tables/{name}/append or /v1/batch for op \"" + op + "\"");
+    }
+    id = request.GetString("id", id);
+    spec = ParseQueryRequest(request);
   } catch (const std::exception& e) {
     return HttpResponse::Error(400, e.what());
-  }
-  const std::string op = request->GetString("op", "query");
-  if (op != "query") {
-    return HttpResponse::Error(
-        400, "POST /v1/explain only runs queries; use "
-             "/v1/tables/{name}/append or /v1/batch for op \"" + op + "\"");
   }
 
   // Typed 404 before execution: a query naming an unregistered table
   // (with no "csv" to load it from) can never succeed.
-  std::string table = request->GetString("table");
-  const std::string csv = request->GetString("csv");
-  if (table.empty() && csv.empty()) table = batch_options.default_table;
-  if (csv.empty() && !service.HasTable(table)) {
+  const std::string table = spec.TableName(batch_options.default_table);
+  if (spec.csv.empty() && !service.HasTable(table)) {
     return HttpResponse::Error(404, "unknown table '" + table + "'");
   }
 
   const RequestResult result =
-      ExecuteQueryRequest(service, *request, "1", batch_options);
+      ExecuteQueryRequest(service, spec, id, batch_options);
   return HttpResponse::Json(result.ok ? 200 : 400, result.json_line);
 }
 
@@ -292,8 +292,6 @@ HttpServer::Handler MakeHandler(ExplanationService& service,
                                 RestApiOptions options) {
   BatchOptions batch_options;
   batch_options.default_table = options.default_table;
-  batch_options.emit_cache_stats = options.emit_cache_stats;
-  batch_options.default_query_threads = options.default_query_threads;
   const int64_t max_poll_ms = options.max_event_poll_ms;
 
   return [&service, monitors, batch_options,

@@ -53,11 +53,6 @@ class MonitorRegistry;
 struct RestApiOptions {
   /// Table used by explain/batch requests that name none.
   std::string default_table = "default";
-  /// Echo engine/estimator cache counters into each explain result.
-  bool emit_cache_stats = false;
-  /// Per-query mining threads when a request doesn't say (1 leaves
-  /// request-level concurrency as the parallelism source).
-  size_t default_query_threads = 1;
   /// Hard cap on ?timeout_ms= for the events long-poll; larger requests
   /// are clamped (a worker thread is parked for the duration).
   int64_t max_event_poll_ms = 30000;

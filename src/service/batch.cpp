@@ -1,16 +1,12 @@
 #include "service/batch.h"
 
 #include <cmath>
-#include <cstring>
 #include <fstream>
 #include <future>
 #include <iostream>
-#include <sstream>
 #include <stdexcept>
 #include <vector>
 
-#include "causal/dag_io.h"
-#include "causal/discovery.h"
 #include "core/json_export.h"
 #include "storage/storage_error.h"
 #include "util/json.h"
@@ -19,65 +15,7 @@
 
 namespace causumx {
 
-SimplePredicate ParseWherePredicate(const std::string& expr,
-                                    const Table& table) {
-  static const std::pair<const char*, CompareOp> kOps[] = {
-      {">=", CompareOp::kGe}, {"<=", CompareOp::kLe}, {"=", CompareOp::kEq},
-      {"<", CompareOp::kLt},  {">", CompareOp::kGt},
-  };
-  for (const auto& [symbol, op] : kOps) {
-    const size_t pos = expr.find(symbol);
-    if (pos == std::string::npos) continue;
-    const std::string attr = Trim(expr.substr(0, pos));
-    const std::string value = Trim(expr.substr(pos + std::strlen(symbol)));
-    auto idx = table.ColumnIndex(attr);
-    if (!idx) throw std::runtime_error("where: unknown attribute " + attr);
-    if (table.column(*idx).type() == ColumnType::kCategorical) {
-      return SimplePredicate(attr, op, Value(value));
-    }
-    return SimplePredicate(attr, op, Value(std::stod(value)));
-  }
-  throw std::runtime_error("where: no operator found in '" + expr + "'");
-}
-
 namespace {
-
-std::vector<std::string> ParseGroupBy(const JsonValue& request) {
-  const JsonValue* gb = request.Find("group_by");
-  if (gb == nullptr) {
-    throw std::runtime_error("request is missing \"group_by\"");
-  }
-  std::vector<std::string> out;
-  if (gb->kind() == JsonValue::Kind::kArray) {
-    for (const auto& v : gb->AsArray()) out.push_back(v.AsString());
-  } else {
-    for (auto& part : Split(gb->AsString(), ',')) {
-      out.push_back(Trim(part));
-    }
-  }
-  if (out.empty()) throw std::runtime_error("\"group_by\" is empty");
-  return out;
-}
-
-CausalDag ResolveDag(const JsonValue& request, const Table& table,
-                     const std::string& outcome) {
-  const std::string dag_path = request.GetString("dag");
-  if (!dag_path.empty()) return ReadDagFile(dag_path);
-  const std::string discover = ToLower(request.GetString("discover"));
-  if (discover.empty() || discover == "nodag") {
-    return MakeNoDag(table, outcome);
-  }
-  if (discover == "pc") {
-    return DiscoverDag(table, DiscoveryAlgorithm::kPc, outcome);
-  }
-  if (discover == "fci") {
-    return DiscoverDag(table, DiscoveryAlgorithm::kFci, outcome);
-  }
-  if (discover == "lingam") {
-    return DiscoverDag(table, DiscoveryAlgorithm::kLingam, outcome);
-  }
-  throw std::runtime_error("unknown \"discover\" algorithm: " + discover);
-}
 
 // Coerces a JSON array-of-arrays into schema-ordered append rows:
 // numbers into numeric columns, strings into categorical ones, null
@@ -128,26 +66,14 @@ std::vector<std::vector<Value>> ParseJsonRows(const JsonValue& rows_json,
   return rows;
 }
 
-// Optional list-of-strings field: a JSON array or an "A,B" comma string.
-std::vector<std::string> ParseAttrList(const JsonValue& request,
-                                       const std::string& key) {
-  const JsonValue* v = request.Find(key);
-  if (v == nullptr) return {};
-  std::vector<std::string> out;
-  if (v->kind() == JsonValue::Kind::kArray) {
-    for (const auto& item : v->AsArray()) out.push_back(item.AsString());
-  } else {
-    for (auto& part : Split(v->AsString(), ',')) out.push_back(Trim(part));
-  }
-  return out;
-}
-
 RequestResult ErrorLine(const std::string& id, const std::string& what) {
-  RequestResult result;
-  result.json_line =
-      StrFormat("{\"id\":\"%s\",\"ok\":false,\"error\":\"%s\"}",
-                JsonEscape(id).c_str(), JsonEscape(what).c_str());
-  return result;
+  JsonWriter w;
+  w.BeginObject()
+      .Key("id").String(id)
+      .Key("ok").Bool(false)
+      .Key("error").String(what)
+      .EndObject();
+  return RequestResult{false, w.str()};
 }
 
 // `parsed` carries the line's pre-parsed JSON when RunBatch already has
@@ -171,7 +97,8 @@ RequestResult ExecuteRequest(ExplanationService& service,
       return ExecuteAppendRequest(service, request, "", id, options);
     }
     if (op != "query") throw std::runtime_error("unknown op \"" + op + "\"");
-    return ExecuteQueryRequest(service, request, id, options);
+    return ExecuteQueryRequest(service, ParseQueryRequest(request), id,
+                               options);
   } catch (const std::exception& e) {
     return ErrorLine(id, e.what());
   }
@@ -179,25 +106,21 @@ RequestResult ExecuteRequest(ExplanationService& service,
 
 }  // namespace
 
-RequestResult ExecuteQueryRequest(ExplanationService& service,
-                                  const JsonValue& request,
-                                  const std::string& default_id,
-                                  const BatchOptions& options) {
-  RequestResult result;
-  std::string id = default_id;
-  try {
-    id = request.GetString("id", id);
+ExplainSpec ParseQueryRequest(const JsonValue& request) {
+  return ExplainSpec::Parse(request, {"id", "op"});
+}
 
-    std::string table_name = request.GetString("table");
-    const std::string csv_path = request.GetString("csv");
-    if (table_name.empty()) {
-      table_name = csv_path.empty() ? options.default_table : csv_path;
-    }
+RequestResult ExecuteQueryRequest(ExplanationService& service,
+                                  const ExplainSpec& spec,
+                                  const std::string& id,
+                                  const BatchOptions& options) {
+  try {
+    const std::string table_name = spec.TableName(options.default_table);
     std::shared_ptr<const Table> table;
-    if (!csv_path.empty()) {
+    if (!spec.csv.empty()) {
       // Race-free: concurrent requests naming the same CSV share the
       // first registration instead of clobbering each other's caches.
-      table = service.EnsureCsv(table_name, csv_path);
+      table = service.EnsureCsv(table_name, spec.csv);
     } else if (service.HasTable(table_name)) {
       table = service.GetTable(table_name);
     } else {
@@ -205,60 +128,39 @@ RequestResult ExecuteQueryRequest(ExplanationService& service,
                                "' and no \"csv\" to load");
     }
 
-    GroupByAvgQuery query;
-    query.group_by = ParseGroupBy(request);
-    query.avg_attribute = request.GetString("avg");
-    if (query.avg_attribute.empty()) {
-      throw std::runtime_error("request is missing \"avg\"");
-    }
-    const std::string where = request.GetString("where");
-    if (!where.empty()) {
-      query.where = Pattern({ParseWherePredicate(where, *table)});
-    }
-
-    const CausalDag dag = ResolveDag(request, *table, query.avg_attribute);
-
-    CauSumXConfig config;
-    config.k = static_cast<size_t>(request.GetNumber("k", 5));
-    config.theta = request.GetNumber("theta", 0.75);
-    config.apriori_support = request.GetNumber("support", 0.1);
-    config.treatment.alpha = request.GetNumber("alpha", 0.05);
-    config.grouping_attribute_allowlist =
-        ParseAttrList(request, "grouping_attrs");
-    config.treatment_attribute_allowlist =
-        ParseAttrList(request, "treatment_attrs");
-    config.grouping.include_per_group_patterns = request.GetBool(
-        "per_group_patterns", config.grouping.include_per_group_patterns);
-    config.num_threads = static_cast<size_t>(request.GetNumber(
-        "num_threads",
-        static_cast<double>(options.default_query_threads)));
+    BoundExplain bound = spec.Bind(*table);
+    bound.config.num_threads = 1;  // serial within the request
 
     Timer timer;
-    const CauSumXResult run = service.Explain(table_name, query, dag, config);
+    const CauSumXResult run =
+        service.Explain(table_name, bound.query, bound.dag, bound.config);
     const double elapsed_ms = timer.Seconds() * 1000.0;
 
-    std::ostringstream oss;
-    oss << "{\"id\":\"" << JsonEscape(id) << "\",\"table\":\""
-        << JsonEscape(table_name) << "\",\"ok\":true,\"elapsed_ms\":"
-        << FormatDouble(elapsed_ms, 3)
-        << ",\"summary\":" << SummaryToJson(run.summary, &query);
+    // "summary" stays the last member unless cache stats follow it.
+    JsonWriter w;
+    w.BeginObject()
+        .Key("id").String(id)
+        .Key("table").String(table_name)
+        .Key("ok").Bool(true)
+        .Key("elapsed_ms").Raw(JsonNumberToken(elapsed_ms, 3))
+        .Key("summary").Raw(SummaryToJson(run.summary, &bound.query));
     if (options.emit_cache_stats) {
       const EvalEngineStats& e = run.cache_stats.eval;
       const EstimatorCacheStats& m = run.cache_stats.estimator;
-      oss << ",\"cache\":{\"bitset_hits\":" << e.bitset_hits
-          << ",\"bitsets_materialized\":" << e.bitsets_materialized
-          << ",\"bitset_bytes\":" << e.bitset_bytes
-          << ",\"memo_hits\":" << m.memo_hits
-          << ",\"memo_misses\":" << m.memo_misses
-          << ",\"memo_bytes\":" << m.memo_bytes << "}";
+      w.Key("cache").BeginObject()
+          .Key("bitset_hits").Uint(e.bitset_hits)
+          .Key("bitsets_materialized").Uint(e.bitsets_materialized)
+          .Key("bitset_bytes").Uint(e.bitset_bytes)
+          .Key("memo_hits").Uint(m.memo_hits)
+          .Key("memo_misses").Uint(m.memo_misses)
+          .Key("memo_bytes").Uint(m.memo_bytes)
+          .EndObject();
     }
-    oss << "}";
-    result.ok = true;
-    result.json_line = oss.str();
+    w.EndObject();
+    return RequestResult{true, w.str()};
   } catch (const std::exception& e) {
     return ErrorLine(id, e.what());
   }
-  return result;
 }
 
 RequestResult ExecuteAppendRequest(ExplanationService& service,
@@ -266,7 +168,6 @@ RequestResult ExecuteAppendRequest(ExplanationService& service,
                                    const std::string& table_name,
                                    const std::string& default_id,
                                    const BatchOptions& options) {
-  RequestResult result;
   std::string id = default_id;
   try {
     id = request.GetString("id", id);
@@ -294,18 +195,21 @@ RequestResult ExecuteAppendRequest(ExplanationService& service,
     } else {
       throw std::runtime_error("append needs \"csv\" or \"rows\"");
     }
-    result.ok = true;
-    result.json_line = StrFormat(
-        "{\"id\":\"%s\",\"table\":\"%s\",\"ok\":true,\"op\":\"append\","
-        "\"rows_appended\":%zu,\"rows_total\":%zu,\"version\":%llu,"
-        "\"elapsed_ms\":%s}",
-        JsonEscape(id).c_str(), JsonEscape(table).c_str(), rows_appended,
-        grown->NumRows(), (unsigned long long)grown->version(),
-        FormatDouble(timer.Seconds() * 1000.0, 3).c_str());
+    JsonWriter w;
+    w.BeginObject()
+        .Key("id").String(id)
+        .Key("table").String(table)
+        .Key("ok").Bool(true)
+        .Key("op").String("append")
+        .Key("rows_appended").Uint(rows_appended)
+        .Key("rows_total").Uint(grown->NumRows())
+        .Key("version").Uint(grown->version())
+        .Key("elapsed_ms").Raw(JsonNumberToken(timer.Seconds() * 1000.0, 3))
+        .EndObject();
+    return RequestResult{true, w.str()};
   } catch (const std::exception& e) {
     return ErrorLine(id, e.what());
   }
-  return result;
 }
 
 BatchSummary RunBatch(ExplanationService& service, std::istream& in,

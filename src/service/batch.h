@@ -2,20 +2,12 @@
 //
 // Each input line is one JSON request object; each output line is one
 // JSON result object (input order preserved; requests execute
-// concurrently on the service pool). Request fields:
+// concurrently on the service pool). A query line is an ExplainSpec
+// request (field reference in service/explain_spec.h) plus an optional
+// "id", echoed back (default: the line number):
 //
-//   {"id": "q1",                     // echoed back (default: line number)
-//    "table": "sales",               // registry name (default: options)
-//    "csv": "path/to.csv",           // load + register if table absent
-//    "group_by": ["Country"],        // or a "A,B" comma string
-//    "avg": "Salary",
-//    "where": "Role=Engineer",       // optional filter predicate
-//    "dag": "graph.txt",             // or "discover": "pc|fci|lingam|nodag"
-//    "k": 5, "theta": 0.75, "support": 0.1, "alpha": 0.05,
-//    "grouping_attrs": ["Country"],  // optional attribute allowlists
-//    "treatment_attrs": ["Role"],
-//    "per_group_patterns": true,     // mine per-group grouping patterns
-//    "num_threads": 1}               // per-query mining threads
+//   {"id": "q1", "table": "sales", "group_by": ["Country"],
+//    "avg": "Salary", "dag": "graph.txt", "k": 5}
 //
 // The same request shape is served over HTTP by POST /v1/explain
 // (server/rest_api.h), which funnels into the same executor — a query
@@ -49,28 +41,17 @@
 #include <iosfwd>
 #include <string>
 
-#include "dataset/predicate.h"
-#include "dataset/table.h"
+#include "service/explain_spec.h"
 #include "service/explanation_service.h"
 #include "util/json.h"
 
 namespace causumx {
-
-/// Parses "Attr=value" / "Attr<value" / "Attr>=value" into a predicate
-/// against the table's schema (categorical columns compare as strings,
-/// numeric ones as doubles). Throws std::runtime_error on an unknown
-/// attribute or missing operator.
-SimplePredicate ParseWherePredicate(const std::string& expr,
-                                    const Table& table);
 
 /// Execution knobs shared by RunBatch and the REST endpoints that
 /// funnel into the same executor.
 struct BatchOptions {
   /// Table used by requests that name neither "table" nor "csv".
   std::string default_table = "default";
-  /// Per-query mining threads when a request doesn't say (1 keeps the
-  /// pool-level concurrency as the parallelism source).
-  size_t default_query_threads = 1;
   /// Echo engine/estimator cache counters into each result line.
   bool emit_cache_stats = false;
 };
@@ -90,15 +71,21 @@ struct RequestResult {
   std::string json_line;   ///< the complete JSON result document
 };
 
-/// Executes one parsed query request (the JSONL line shape above, op
-/// "query") against the service. Never throws: every failure — unknown
-/// table, bad parameters, a mining error — is reported as
-/// {"id", "ok": false, "error"}. `default_id` is echoed when the request
-/// carries no "id". Shared by RunBatch and POST /v1/explain, which is
-/// what keeps network answers bit-identical to batch/CLI output.
+/// Parses a query request line: an ExplainSpec plus the executor's own
+/// "id" and "op" members. Throws std::runtime_error naming the field at
+/// fault.
+ExplainSpec ParseQueryRequest(const JsonValue& request);
+
+/// Executes one parsed query request against the service, echoing `id`.
+/// The query mines serially: concurrency across requests comes from the
+/// service and server pools. Never throws: every failure — unknown
+/// table, bad where/DAG, a mining error — is reported as
+/// {"id", "ok": false, "error"}. Shared by RunBatch and POST
+/// /v1/explain, which is what keeps network answers bit-identical to
+/// batch/CLI output.
 RequestResult ExecuteQueryRequest(ExplanationService& service,
-                                  const JsonValue& request,
-                                  const std::string& default_id,
+                                  const ExplainSpec& spec,
+                                  const std::string& id,
                                   const BatchOptions& options = {});
 
 /// Executes one append request ({"csv": path} or {"rows": [[...]]})

@@ -7,11 +7,8 @@
 #include <stdexcept>
 #include <utility>
 
-#include "causal/dag_io.h"
-#include "causal/discovery.h"
 #include "core/json_export.h"
 #include "dataset/table_io.h"
-#include "service/batch.h"
 #include "storage/bytes.h"
 #include "storage/file_io.h"
 #include "storage/snapshot.h"
@@ -30,183 +27,105 @@ constexpr char kMonitorSnapshotKind[] = "causumx-monitors";
 constexpr uint32_t kMonitorSnapshotVersion = 1;
 constexpr char kMonitorSnapshotFile[] = "causumx-monitors.monsnap";
 
-// "group_by": JSON array of attribute names or an "A,B" comma string
-// (the same shapes the batch executor accepts).
-std::vector<std::string> ParseGroupBy(const JsonValue& spec) {
-  const JsonValue* gb = spec.Find("group_by");
-  if (gb == nullptr) {
-    throw std::runtime_error("monitor spec is missing \"group_by\"");
-  }
-  std::vector<std::string> out;
-  if (gb->kind() == JsonValue::Kind::kArray) {
-    for (const auto& v : gb->AsArray()) out.push_back(v.AsString());
-  } else {
-    for (auto& part : Split(gb->AsString(), ',')) out.push_back(Trim(part));
-  }
-  if (out.empty()) throw std::runtime_error("monitor \"group_by\" is empty");
-  return out;
-}
-
-// Optional list-of-strings field, array or comma-string shaped.
-std::vector<std::string> ParseAttrList(const JsonValue& spec,
-                                       const std::string& key) {
-  const JsonValue* v = spec.Find(key);
-  if (v == nullptr) return {};
-  std::vector<std::string> out;
-  if (v->kind() == JsonValue::Kind::kArray) {
-    for (const auto& item : v->AsArray()) out.push_back(item.AsString());
-  } else {
-    for (auto& part : Split(v->AsString(), ',')) out.push_back(Trim(part));
-  }
-  return out;
-}
-
-// The monitor's DAG sources, in priority order: inline "dag_text", a
-// "dag" file path, a "discover" algorithm run over the creation-time
-// table (the window is empty at creation, so discovery needs the bound
-// table's data), or the no-DAG default.
-CausalDag ResolveMonitorDag(const JsonValue& spec, const Table& table,
-                            const std::string& outcome) {
-  const std::string dag_text = spec.GetString("dag_text");
-  if (!dag_text.empty()) return ParseDagText(dag_text);
-  const std::string dag_path = spec.GetString("dag");
-  if (!dag_path.empty()) return ReadDagFile(dag_path);
-  const std::string discover = ToLower(spec.GetString("discover"));
-  if (discover.empty() || discover == "nodag") {
-    return MakeNoDag(table, outcome);
-  }
-  if (discover == "pc") {
-    return DiscoverDag(table, DiscoveryAlgorithm::kPc, outcome);
-  }
-  if (discover == "fci") {
-    return DiscoverDag(table, DiscoveryAlgorithm::kFci, outcome);
-  }
-  if (discover == "lingam") {
-    return DiscoverDag(table, DiscoveryAlgorithm::kLingam, outcome);
-  }
-  throw std::runtime_error("monitor: unknown \"discover\" algorithm: " +
-                           discover);
-}
-
-// A spec integer >= `min`; throws naming the field on anything else.
-size_t ParseSpecCount(const JsonValue& holder, const std::string& key,
-                      double fallback, double min) {
-  const double v = holder.GetNumber(key, fallback);
-  if (v < min || v != std::floor(v)) {
-    throw std::runtime_error("monitor: \"" + key + "\" must be an integer >= " +
-                             std::to_string(static_cast<long long>(min)));
-  }
-  return static_cast<size_t>(v);
-}
-
 }  // namespace
 
-StreamMonitor::StreamMonitor(std::string id, std::string spec_json,
-                             const Table& bound_table,
-                             ThreadPool* mining_pool)
-    : id_(std::move(id)), spec_json_(std::move(spec_json)) {
-  const JsonValue spec = JsonValue::Parse(spec_json_);
-
-  table_name_ = spec.GetString("table");
-  if (table_name_.empty()) {
+MonitorSpec MonitorSpec::Parse(std::string json) {
+  MonitorSpec spec;
+  const JsonValue doc = JsonValue::Parse(json);
+  // The members a monitor spec adds to its explain request.
+  spec.explain =
+      ExplainSpec::Parse(doc, {"window", "thresholds", "emit_summaries",
+                               "max_events", "compression", "num_shards"});
+  if (spec.explain.table.empty()) {
     throw std::runtime_error("monitor spec is missing \"table\"");
   }
-
-  query_.group_by = ParseGroupBy(spec);
-  query_.avg_attribute = spec.GetString("avg");
-  if (query_.avg_attribute.empty()) {
-    throw std::runtime_error("monitor spec is missing \"avg\"");
-  }
-  const std::string where = spec.GetString("where");
-  if (!where.empty()) {
-    query_.where = Pattern({ParseWherePredicate(where, bound_table)});
+  if (!spec.explain.csv.empty()) {
+    throw std::runtime_error("monitor spec: \"csv\" is not supported");
   }
 
-  dag_ = ResolveMonitorDag(spec, bound_table, query_.avg_attribute);
-
-  config_.k = ParseSpecCount(spec, "k", 5, 1);
-  config_.theta = spec.GetNumber("theta", 0.75);
-  config_.apriori_support = spec.GetNumber("support", 0.1);
-  config_.treatment.alpha = spec.GetNumber("alpha", 0.05);
-  config_.grouping_attribute_allowlist = ParseAttrList(spec, "grouping_attrs");
-  config_.treatment_attribute_allowlist =
-      ParseAttrList(spec, "treatment_attrs");
-  config_.grouping.include_per_group_patterns = spec.GetBool(
-      "per_group_patterns", config_.grouping.include_per_group_patterns);
-  config_.num_threads = ParseSpecCount(spec, "num_threads", 0, 0);
-  config_.num_shards = ParseSpecCount(spec, "num_shards", 0, 0);
-  config_.estimator.min_group_size = ParseSpecCount(
-      spec, "min_group_size",
-      static_cast<double>(config_.estimator.min_group_size), 1);
-
-  const JsonValue* win = spec.Find("window");
+  const JsonValue* win = doc.Find("window");
   if (win == nullptr) {
     throw std::runtime_error("monitor spec is missing \"window\"");
   }
   const std::string kind = ToLower(win->GetString("kind", "tumbling"));
   if (kind == "tumbling") {
-    window_.kind = WindowSpec::Kind::kTumbling;
+    spec.window.kind = WindowSpec::Kind::kTumbling;
   } else if (kind == "sliding") {
-    window_.kind = WindowSpec::Kind::kSliding;
+    spec.window.kind = WindowSpec::Kind::kSliding;
   } else {
     throw std::runtime_error("monitor window: unknown kind \"" + kind + "\"");
   }
-  window_.size_rows = ParseSpecCount(*win, "size_rows", 0, 1);
-  if (window_.kind == WindowSpec::Kind::kTumbling) {
-    window_.slide_rows = window_.size_rows;
+  spec.window.size_rows = JsonCountField(*win, "size_rows", 0, 1);
+  if (spec.window.kind == WindowSpec::Kind::kTumbling) {
+    spec.window.slide_rows = spec.window.size_rows;
   } else {
-    window_.slide_rows = ParseSpecCount(*win, "slide_rows", 0, 1);
-    if (window_.slide_rows > window_.size_rows) {
+    spec.window.slide_rows = JsonCountField(*win, "slide_rows", 0, 1);
+    if (spec.window.slide_rows > spec.window.size_rows) {
       throw std::runtime_error(
           "monitor window: \"slide_rows\" must not exceed \"size_rows\" "
           "(rows would never expire cleanly)");
     }
   }
 
-  if (const JsonValue* th = spec.Find("thresholds")) {
-    thresholds_.cate_delta = th->GetNumber("cate_delta", 0.0);
-    thresholds_.topk_churn = th->GetNumber("topk_churn", 0.0);
-    if (thresholds_.cate_delta < 0.0 || thresholds_.topk_churn < 0.0 ||
-        thresholds_.topk_churn > 1.0) {
+  if (const JsonValue* th = doc.Find("thresholds")) {
+    spec.thresholds.cate_delta = th->GetNumber("cate_delta", 0.0);
+    spec.thresholds.topk_churn = th->GetNumber("topk_churn", 0.0);
+    if (spec.thresholds.cate_delta < 0.0 || spec.thresholds.topk_churn < 0.0 ||
+        spec.thresholds.topk_churn > 1.0) {
       throw std::runtime_error(
           "monitor thresholds: \"cate_delta\" must be >= 0 and "
           "\"topk_churn\" in [0, 1]");
     }
   }
-  emit_summaries_ = spec.GetBool("emit_summaries", false);
-  max_events_ = ParseSpecCount(spec, "max_events", 4096, 1);
+  spec.emit_summaries = doc.GetBool("emit_summaries", false);
+  spec.max_events = JsonCountField(doc, "max_events", spec.max_events, 1);
+  spec.num_shards = JsonCountField(doc, "num_shards", 0, 0);
 
-  const std::string compression = ToLower(spec.GetString("compression"));
+  const std::string compression = ToLower(doc.GetString("compression"));
   if (compression.empty() || compression == "auto") {
-    compression_ = SegmentCompression::kAuto;
+    spec.compression = SegmentCompression::kAuto;
   } else if (compression == "never") {
-    compression_ = SegmentCompression::kNever;
+    spec.compression = SegmentCompression::kNever;
   } else if (compression == "always") {
-    compression_ = SegmentCompression::kAlways;
+    spec.compression = SegmentCompression::kAlways;
   } else {
     throw std::runtime_error("monitor: unknown \"compression\" policy \"" +
                              compression + "\"");
   }
+  spec.json = std::move(json);
+  return spec;
+}
+
+StreamMonitor::StreamMonitor(std::string id, MonitorSpec spec,
+                             const Table& bound_table,
+                             ThreadPool* mining_pool)
+    : id_(std::move(id)),
+      spec_(std::move(spec)),
+      bound_(spec_.explain.Bind(bound_table)),
+      mining_pool_(mining_pool) {
+  bound_.config.num_shards = spec_.num_shards;
+  // Windows mine on mining_pool_ when there is one; a null pool means
+  // serial, never a private per-window pool.
+  bound_.config.num_threads = 1;
 
   schema_.reserve(bound_table.NumColumns());
   for (size_t c = 0; c < bound_table.NumColumns(); ++c) {
     schema_.emplace_back(bound_table.column(c).name(),
                          bound_table.column(c).type());
   }
-  mining_pool_ = config_.num_threads == 0 ? mining_pool : nullptr;
 
   Table empty;
   for (const auto& [name, type] : schema_) empty.AddColumn(name, type);
   window_table_ = std::make_shared<const Table>(std::move(empty));
-  next_boundary_ = window_.size_rows;
+  next_boundary_ = spec_.window.size_rows;
 }
 
 EvalEngineOptions StreamMonitor::EngineOptions() const {
   EvalEngineOptions options;
-  options.cache_enabled = !config_.disable_eval_cache;
-  options.num_shards = config_.num_shards;
+  options.cache_enabled = !bound_.config.disable_eval_cache;
+  options.num_shards = bound_.config.num_shards;
   options.pool = nullptr;  // window shard work runs serial (windows are small)
-  options.compression = compression_;
+  options.compression = spec_.compression;
   return options;
 }
 
@@ -224,7 +143,7 @@ void StreamMonitor::OnAppend(const std::vector<std::vector<Value>>& rows) {
     rows_observed_ += take;
     i += take;
     if (rows_observed_ == next_boundary_) {
-      const uint64_t begin = next_boundary_ - window_.size_rows;
+      const uint64_t begin = next_boundary_ - spec_.window.size_rows;
       const size_t drop = static_cast<size_t>(begin - window_begin_);
       if (drop > 0) CompactLocked(drop);
       // causumx-analyzer: allow(lock-blocking) intentional: mu_ IS the
@@ -233,7 +152,7 @@ void StreamMonitor::OnAppend(const std::vector<std::vector<Value>>& rows) {
       // half-evaluated boundary, so the mining run stays under the lock.
       EvaluateWindowLocked(windows_evaluated_, begin, next_boundary_);
       ++windows_evaluated_;
-      next_boundary_ += window_.slide_rows;
+      next_boundary_ += spec_.window.slide_rows;
     }
   }
 }
@@ -252,8 +171,8 @@ void StreamMonitor::AppendToWindowLocked(
   if (engine_ == nullptr) {
     // First rows of the stream: build the triple cold.
     engine_ = std::make_shared<EvalEngine>(table, EngineOptions());
-    context_ =
-        std::make_shared<EstimatorContext>(engine_, dag_, config_.estimator);
+    context_ = std::make_shared<EstimatorContext>(engine_, bound_.dag,
+                                                  bound_.config.estimator);
   } else {
     // Grow-only migration: cached segments evaluate only the delta rows
     // and memo entries over untouched subpopulations stay warm.
@@ -279,11 +198,12 @@ void StreamMonitor::EvaluateWindowLocked(uint64_t window_index,
                                          uint64_t window_begin,
                                          uint64_t window_end) {
   CandidateMiningResult mined = MineExplanationCandidates(
-      *window_table_, query_, dag_, config_, engine_, context_, mining_pool_);
+      *window_table_, bound_.query, bound_.dag, bound_.config, engine_,
+      context_, mining_pool_);
   ExplanationSummary summary;
   if (mined.view.NumGroups() > 0) {
     summary = SelectExplanations(mined.candidates, mined.view.NumGroups(),
-                                 config_, &mined.timings, mining_pool_);
+                                 bound_.config, &mined.timings, mining_pool_);
   }
 
   // New diff baseline, keyed by the grouping pattern's canonical
@@ -305,18 +225,18 @@ void StreamMonitor::EvaluateWindowLocked(uint64_t window_index,
     }
   }
 
-  if (emit_summaries_) {
+  if (spec_.emit_summaries) {
     JsonWriter w;
     const uint64_t seq =
         BeginEventLocked(w, "summary", window_index, window_begin, window_end);
-    w.Key("summary").Raw(SummaryToJson(summary, &query_));
+    w.Key("summary").Raw(SummaryToJson(summary, &bound_.query));
     PushEventLocked(seq, w);
   }
 
   // Drift detection needs a previous window to compare against; the
   // first evaluated window only installs the baseline.
   if (have_prev_) {
-    if (thresholds_.cate_delta > 0.0) {
+    if (spec_.thresholds.cate_delta > 0.0) {
       for (const auto& [key, side] : effects) {
         auto it = prev_effects_.find(key);
         if (it == prev_effects_.end()) continue;
@@ -335,7 +255,7 @@ void StreamMonitor::EvaluateWindowLocked(uint64_t window_index,
         for (const auto& s : sides) {
           if (!s.both) continue;
           const double delta = std::fabs(s.after - s.before);
-          if (delta < thresholds_.cate_delta) continue;
+          if (delta < spec_.thresholds.cate_delta) continue;
           JsonWriter w;
           const uint64_t seq = BeginEventLocked(w, "cate_drift", window_index,
                                                 window_begin, window_end);
@@ -348,7 +268,7 @@ void StreamMonitor::EvaluateWindowLocked(uint64_t window_index,
         }
       }
     }
-    if (thresholds_.topk_churn > 0.0 && !topk.empty()) {
+    if (spec_.thresholds.topk_churn > 0.0 && !topk.empty()) {
       const std::set<std::string> prev_set(prev_topk_.begin(),
                                            prev_topk_.end());
       std::vector<std::string> entered;
@@ -357,7 +277,7 @@ void StreamMonitor::EvaluateWindowLocked(uint64_t window_index,
       }
       const double churn =
           static_cast<double>(entered.size()) / static_cast<double>(topk.size());
-      if (churn >= thresholds_.topk_churn) {
+      if (churn >= spec_.thresholds.topk_churn) {
         std::vector<std::string> left;
         for (const std::string& key : prev_topk_) {
           if (effects.find(key) == effects.end()) left.push_back(key);
@@ -400,7 +320,7 @@ uint64_t StreamMonitor::BeginEventLocked(JsonWriter& w, const char* type,
 void StreamMonitor::PushEventLocked(uint64_t seq, JsonWriter& w) {
   w.EndObject();
   events_.push_back(MonitorEvent{seq, w.str()});
-  while (events_.size() > max_events_) events_.pop_front();
+  while (events_.size() > spec_.max_events) events_.pop_front();
   events_cv_.NotifyAll();
 }
 
@@ -408,7 +328,7 @@ MonitorStatus StreamMonitor::Status() const {
   util::MutexLock lock(mu_);
   MonitorStatus s;
   s.id = id_;
-  s.table = table_name_;
+  s.table = table();
   s.rows_observed = rows_observed_;
   s.windows_evaluated = windows_evaluated_;
   s.last_seq = next_seq_ - 1;
@@ -453,7 +373,7 @@ std::string StreamMonitor::ExportState() const {
   util::MutexLock lock(mu_);
   ByteWriter w;
   w.PutString(id_);
-  w.PutString(spec_json_);
+  w.PutString(spec_.json);
   w.PutU64(rows_observed_);
   w.PutU64(window_begin_);
   w.PutU64(next_boundary_);
@@ -488,7 +408,7 @@ void StreamMonitor::ImportState(const std::string& bytes) {
   // must throw before any member mutates, leaving the fresh monitor
   // untouched (the registry then discards it).
   ByteReader r(bytes);
-  if (r.GetString() != id_ || r.GetString() != spec_json_) {
+  if (r.GetString() != id_ || r.GetString() != spec_.json) {
     throw StorageError(StorageErrorKind::kStale,
                        "monitor snapshot: id or spec does not match");
   }
@@ -554,8 +474,8 @@ void StreamMonitor::ImportState(const std::string& bytes) {
   context_ = nullptr;
   if (window_table_->NumRows() > 0) {
     engine_ = std::make_shared<EvalEngine>(window_table_, EngineOptions());
-    context_ =
-        std::make_shared<EstimatorContext>(engine_, dag_, config_.estimator);
+    context_ = std::make_shared<EstimatorContext>(engine_, bound_.dag,
+                                                  bound_.config.estimator);
     if (!engine_state.empty()) {
       try {
         engine_->ImportCacheState(engine_state);
@@ -565,8 +485,8 @@ void StreamMonitor::ImportState(const std::string& bytes) {
         // different shard plan): rebuild cold. Summaries stay
         // bit-identical either way — only warmth is lost.
         engine_ = std::make_shared<EvalEngine>(window_table_, EngineOptions());
-        context_ = std::make_shared<EstimatorContext>(engine_, dag_,
-                                                      config_.estimator);
+        context_ = std::make_shared<EstimatorContext>(engine_, bound_.dag,
+                                                      bound_.config.estimator);
       }
     }
   }
@@ -595,18 +515,15 @@ std::shared_ptr<StreamMonitor> MonitorRegistry::Create(
     const std::string& spec_json) {
   // Resolve the watched table first so an unknown table throws before an
   // id is consumed.
-  const std::string table_name =
-      JsonValue::Parse(spec_json).GetString("table");
-  if (table_name.empty()) {
-    throw std::runtime_error("monitor spec is missing \"table\"");
-  }
-  const std::shared_ptr<const Table> bound = service_.GetTable(table_name);
+  MonitorSpec spec = MonitorSpec::Parse(spec_json);
+  const std::shared_ptr<const Table> bound =
+      service_.GetTable(spec.explain.table);
   std::string id;
   {
     util::MutexLock lock(mu_);
     id = "m" + std::to_string(next_id_++);
   }
-  auto monitor = std::make_shared<StreamMonitor>(id, spec_json, *bound,
+  auto monitor = std::make_shared<StreamMonitor>(id, std::move(spec), *bound,
                                                  &service_.pool());
   {
     util::MutexLock lock(mu_);
@@ -719,15 +636,13 @@ size_t MonitorRegistry::RestoreMonitors() {
     try {
       ByteReader r(state);
       const std::string id = r.GetString();
-      const std::string spec = r.GetString();
-      const std::string table_name =
-          JsonValue::Parse(spec).GetString("table");
+      MonitorSpec spec = MonitorSpec::Parse(r.GetString());
       // Throws when the watched table is no longer registered — the
       // monitor is skipped rather than restored against nothing.
       const std::shared_ptr<const Table> bound =
-          service_.GetTable(table_name);
-      auto monitor = std::make_shared<StreamMonitor>(id, spec, *bound,
-                                                     &service_.pool());
+          service_.GetTable(spec.explain.table);
+      auto monitor = std::make_shared<StreamMonitor>(id, std::move(spec),
+                                                     *bound, &service_.pool());
       monitor->ImportState(state);
       {
         util::MutexLock lock(mu_);

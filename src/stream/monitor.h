@@ -51,11 +51,10 @@
 #include <string>
 #include <vector>
 
-#include "causal/dag.h"
 #include "causal/estimator_context.h"
-#include "core/causumx.h"
 #include "dataset/table.h"
 #include "engine/eval_engine.h"
+#include "service/explain_spec.h"
 #include "service/explanation_service.h"
 #include "util/json.h"
 #include "util/thread_annotations.h"
@@ -87,6 +86,26 @@ struct MonitorThresholds {
   double topk_churn = 0.0;
 };
 
+/// A parsed monitor creation spec (the POST /v1/monitors body; see
+/// docs/API.md): the watched explain request plus the fields that
+/// belong to monitors alone.
+struct MonitorSpec {
+  ExplainSpec explain;           ///< the watched view; `table` required
+  WindowSpec window;             ///< "window": {kind, size_rows, slide_rows}
+  MonitorThresholds thresholds;  ///< "thresholds": {cate_delta, topk_churn}
+  bool emit_summaries = false;   ///< a `summary` event per window
+  size_t max_events = 4096;      ///< event buffer capacity; >= 1
+  /// Window cache segment compression: auto, never or always.
+  SegmentCompression compression = SegmentCompression::kAuto;
+  size_t num_shards = 0;  ///< window engine row shards (0 = per thread)
+  std::string json;       ///< the creation document, verbatim
+
+  /// Parses and validates `json`; throws std::runtime_error naming the
+  /// field at fault, including any member that is neither an explain
+  /// field nor one of the monitor fields above.
+  static MonitorSpec Parse(std::string json);
+};
+
 /// One emitted monitor event: the monotone per-monitor sequence number
 /// and the rendered JSON object (which embeds the same `seq`).
 struct MonitorEvent {
@@ -113,18 +132,15 @@ struct MonitorStatus {
 /// may run concurrently.
 class StreamMonitor {
  public:
-  /// Parses and validates `spec_json` (see docs/API.md for the schema:
-  /// table/group_by/avg/where, dag_text|dag|discover, CauSumX knobs,
-  /// window {kind,size_rows,slide_rows}, thresholds
-  /// {cate_delta,topk_churn}, emit_summaries, max_events).
-  /// `bound_table` is the watched table at creation time — it supplies
-  /// the window schema, WHERE-predicate typing, and the data a
-  /// "discover" DAG is learned from; the window itself starts empty and
-  /// fills from appends observed after creation. `mining_pool`
-  /// (optional) runs window evaluation when the spec leaves num_threads
-  /// at 0. Throws std::runtime_error on an invalid spec.
-  StreamMonitor(std::string id, std::string spec_json,
-                const Table& bound_table, ThreadPool* mining_pool);
+  /// Binds `spec` to `bound_table`, the watched table at creation time
+  /// — it supplies the window schema, WHERE-predicate typing, and the
+  /// data a "discover" DAG is learned from; the window itself starts
+  /// empty and fills from appends observed after creation. Windows mine
+  /// on `mining_pool` (the registry passes the service pool), serially
+  /// when it is null. Throws std::runtime_error when the spec does not
+  /// bind (bad where expression or DAG).
+  StreamMonitor(std::string id, MonitorSpec spec, const Table& bound_table,
+                ThreadPool* mining_pool);
 
   StreamMonitor(const StreamMonitor&) = delete;
   StreamMonitor& operator=(const StreamMonitor&) = delete;
@@ -132,9 +148,9 @@ class StreamMonitor {
   /// Registry-assigned identifier ("m1", "m2", ...).
   const std::string& id() const { return id_; }
   /// Name of the watched table.
-  const std::string& table() const { return table_name_; }
+  const std::string& table() const { return spec_.explain.table; }
   /// The creation spec, verbatim.
-  const std::string& spec_json() const { return spec_json_; }
+  const std::string& spec_json() const { return spec_.json; }
 
   /// Feeds one landed append batch. Appends rows to the window in
   /// boundary-sized pieces; each time the stream position reaches a
@@ -150,7 +166,7 @@ class StreamMonitor {
   MonitorStatus Status() const CAUSUMX_EXCLUDES(mu_);
 
   /// Buffered events with seq > `since`, in seq order. The buffer keeps
-  /// the newest `max_events` events (spec knob, default 4096): when a
+  /// the newest `max_events` events (spec field, default 4096): when a
   /// reader falls further behind, the oldest events are dropped and the
   /// first returned seq exceeds `since + 1` — the gap is detectable
   /// from the seq numbers alone.
@@ -222,20 +238,13 @@ class StreamMonitor {
       CAUSUMX_REQUIRES(mu_);
 
   const std::string id_;
-  const std::string spec_json_;
+  const MonitorSpec spec_;
 
-  // Parsed spec (immutable after construction).
-  std::string table_name_;
-  GroupByAvgQuery query_;
-  CausalDag dag_;
-  CauSumXConfig config_;
-  WindowSpec window_;
-  MonitorThresholds thresholds_;
-  bool emit_summaries_ = false;
-  size_t max_events_ = 4096;
-  SegmentCompression compression_ = SegmentCompression::kAuto;
+  /// The spec bound to the creation-time table (immutable after
+  /// construction).
+  BoundExplain bound_;
   std::vector<std::pair<std::string, ColumnType>> schema_;
-  ThreadPool* mining_pool_ = nullptr;
+  ThreadPool* const mining_pool_;
 
   mutable util::Mutex mu_;
   mutable util::CondVar events_cv_;
@@ -288,10 +297,10 @@ class MonitorRegistry {
   MonitorRegistry& operator=(const MonitorRegistry&) = delete;
 
   /// Creates a monitor from `spec_json` (the REST POST /v1/monitors
-  /// body, verbatim — the CLI and tests compose the same document) and
-  /// assigns it the next id. The watched table must be registered.
-  /// Throws std::runtime_error on an invalid spec and
-  /// std::out_of_range on an unknown table.
+  /// body, verbatim — the CLI and tests compose the same document),
+  /// parsed once by MonitorSpec::Parse, and assigns it the next id. The
+  /// watched table must be registered. Throws std::runtime_error on an
+  /// invalid spec and std::out_of_range on an unknown table.
   std::shared_ptr<StreamMonitor> Create(const std::string& spec_json);
 
   /// The monitor with this id, or null when absent.

@@ -165,6 +165,18 @@ TEST(BatchTest, ParseWherePredicateForms) {
 
   EXPECT_THROW(ParseWherePredicate("unknown=1", t), std::runtime_error);
   EXPECT_THROW(ParseWherePredicate("no operator", t), std::runtime_error);
+  // A numeric prefix, a non-finite number, or an empty attribute or
+  // value is rejected, and the error names the expression.
+  for (const std::string bad : {"num>=5abc", "num>=inf", "num=nan",
+                                "num<1e999", "=x", "cat=", "num <= "}) {
+    try {
+      ParseWherePredicate(bad, t);
+      ADD_FAILURE() << "accepted " << bad;
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find(bad), std::string::npos)
+          << e.what();
+    }
+  }
 }
 
 // ---- JsonWriter ------------------------------------------------------------

@@ -60,8 +60,7 @@ std::string ScmSpec(size_t window_rows, const CausalDag& dag,
       .Key("theta").Double(0.3)
       .Key("support").Double(0.05)
       .Key("alpha").Double(0.9)
-      .Key("min_group_size").Uint(5)
-      .Key("num_threads").Uint(1);
+      .Key("min_group_size").Uint(5);
   w.Key("window").BeginObject()
       .Key("kind").String("tumbling")
       .Key("size_rows").Uint(window_rows)
@@ -101,7 +100,8 @@ TEST(MonitorDriftTest, FiresExactlyAtTheShiftedWindow) {
   const size_t n = before.table.NumRows();
   ASSERT_EQ(during.table.NumRows(), n);
 
-  StreamMonitor monitor("m-drift", ScmSpec(n, before.dag, 3.0),
+  StreamMonitor monitor("m-drift",
+                        MonitorSpec::Parse(ScmSpec(n, before.dag, 3.0)),
                         before.table, nullptr);
   monitor.OnAppend(before.table.MaterializeRows(0, n));   // window 0
   ASSERT_TRUE(DriftEvents(monitor).empty()) << "baseline window alerted";
@@ -146,8 +146,9 @@ TEST(MonitorDriftTest, NeverFiresOnStationaryStream) {
   const size_t n = options.num_rows;
   const GeneratedDataset first = MakeLinearScmDataset(options);
 
-  StreamMonitor monitor("m-flat", ScmSpec(n, first.dag, 3.0), first.table,
-                        nullptr);
+  StreamMonitor monitor("m-flat",
+                        MonitorSpec::Parse(ScmSpec(n, first.dag, 3.0)),
+                        first.table, nullptr);
   monitor.OnAppend(first.table.MaterializeRows(0, n));
   for (uint64_t seed : {101u, 202u, 303u}) {
     LinearScmOptions next = options;
@@ -202,7 +203,8 @@ TEST(MonitorChurnTest, FiresOnGroupTurnover) {
       .EndObject()
       .EndObject();
 
-  StreamMonitor monitor("m-churn", w.str(), schema, nullptr);
+  StreamMonitor monitor("m-churn", MonitorSpec::Parse(w.str()), schema,
+                        nullptr);
   monitor.OnAppend(make_rows({"a", "b", "c"}, 40));  // window 0
   monitor.OnAppend(make_rows({"d", "e", "f"}, 40));  // window 1: turnover
   monitor.OnAppend(make_rows({"d", "e", "f"}, 40));  // window 2: stable
@@ -234,7 +236,8 @@ TEST(MonitorResourceTest, ResidentBytesBoundedAcrossWindowCycling) {
   const size_t n = ds.table.NumRows();
   const auto rows = ds.table.MaterializeRows(0, n);
 
-  StreamMonitor monitor("m-bytes", ScmSpec(n, ds.dag, 0.0), ds.table,
+  StreamMonitor monitor("m-bytes",
+                        MonitorSpec::Parse(ScmSpec(n, ds.dag, 0.0)), ds.table,
                         nullptr);
   monitor.OnAppend(rows);
   const size_t after_first = monitor.Status().cache_bytes;
@@ -304,37 +307,44 @@ TEST(MonitorSpecTest, RejectsMalformedSpecs) {
   };
   // Missing window, zero-size window, sliding further than the window,
   // unknown kind, bad thresholds.
-  EXPECT_THROW(StreamMonitor("m", "{\"table\":\"t\"}", schema, nullptr),
+  EXPECT_THROW(StreamMonitor("m", MonitorSpec::Parse("{\"table\":\"t\"}"),
+                             schema, nullptr),
                std::runtime_error);
   EXPECT_THROW(StreamMonitor("m",
-                             "{\"group_by\":[\"g\"],\"avg\":\"y\","
-                             "\"window\":{\"size_rows\":5}}",
+                             MonitorSpec::Parse(
+                                 "{\"group_by\":[\"g\"],\"avg\":\"y\","
+                                 "\"window\":{\"size_rows\":5}}"),
                              schema, nullptr),
                std::runtime_error);
   EXPECT_THROW(
-      StreamMonitor("m", spec("\"window\":{\"size_rows\":0}"), schema,
-                    nullptr),
-      std::runtime_error);
-  EXPECT_THROW(
       StreamMonitor("m",
-                    spec("\"window\":{\"kind\":\"sliding\",\"size_rows\":4,"
-                         "\"slide_rows\":9}"),
-                    schema, nullptr),
-      std::runtime_error);
-  EXPECT_THROW(
-      StreamMonitor("m", spec("\"window\":{\"kind\":\"hopping\","
-                              "\"size_rows\":4}"),
+                    MonitorSpec::Parse(spec("\"window\":{\"size_rows\":0}")),
                     schema, nullptr),
       std::runtime_error);
   EXPECT_THROW(
       StreamMonitor("m",
-                    spec("\"window\":{\"size_rows\":4},"
-                         "\"thresholds\":{\"topk_churn\":1.5}"),
+                    MonitorSpec::Parse(spec(
+                        "\"window\":{\"kind\":\"sliding\",\"size_rows\":4,"
+                        "\"slide_rows\":9}")),
+                    schema, nullptr),
+      std::runtime_error);
+  EXPECT_THROW(
+      StreamMonitor("m",
+                    MonitorSpec::Parse(spec("\"window\":{\"kind\":\"hopping\","
+                                            "\"size_rows\":4}")),
+                    schema, nullptr),
+      std::runtime_error);
+  EXPECT_THROW(
+      StreamMonitor("m",
+                    MonitorSpec::Parse(spec(
+                        "\"window\":{\"size_rows\":4},"
+                        "\"thresholds\":{\"topk_churn\":1.5}")),
                     schema, nullptr),
       std::runtime_error);
   // A valid spec constructs.
-  StreamMonitor ok("m", spec("\"window\":{\"size_rows\":4}"), schema,
-                   nullptr);
+  StreamMonitor ok("m",
+                   MonitorSpec::Parse(spec("\"window\":{\"size_rows\":4}")),
+                   schema, nullptr);
   EXPECT_EQ(ok.Status().rows_observed, 0u);
 }
 
@@ -354,7 +364,7 @@ TEST(MonitorSnapshotTest, RestoredMonitorContinuesBitIdentically) {
   const std::string spec = ScmSpec(n, a.dag, 3.0);
 
   // Reference: one uninterrupted life over windows [a, a, b].
-  StreamMonitor reference("m1", spec, a.table, nullptr);
+  StreamMonitor reference("m1", MonitorSpec::Parse(spec), a.table, nullptr);
   reference.OnAppend(a.table.MaterializeRows(0, n));
   reference.OnAppend(a.table.MaterializeRows(0, n));
   reference.OnAppend(b.table.MaterializeRows(0, n));
@@ -422,11 +432,12 @@ TEST(MonitorEventsTest, SinceFilteringAndWait) {
   schema.AddColumn("val", ColumnType::kDouble);
   StreamMonitor monitor(
       "m-ev",
-      "{\"table\":\"t\",\"group_by\":[\"grp\"],\"avg\":\"val\","
-      "\"dag_text\":\"trt -> val\\n\",\"grouping_attrs\":[\"grp\"],"
-      "\"treatment_attrs\":[\"trt\"],\"alpha\":0.99,\"min_group_size\":3,"
-      "\"support\":0.1,\"emit_summaries\":true,"
-      "\"window\":{\"size_rows\":60}}",
+      MonitorSpec::Parse(
+          "{\"table\":\"t\",\"group_by\":[\"grp\"],\"avg\":\"val\","
+          "\"dag_text\":\"trt -> val\\n\",\"grouping_attrs\":[\"grp\"],"
+          "\"treatment_attrs\":[\"trt\"],\"alpha\":0.99,\"min_group_size\":3,"
+          "\"support\":0.1,\"emit_summaries\":true,"
+          "\"window\":{\"size_rows\":60}}"),
       schema, nullptr);
 
   // No events yet: a zero-timeout wait returns immediately and empty.

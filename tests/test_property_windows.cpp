@@ -86,7 +86,6 @@ std::string MakeSpec(WindowSpec::Kind kind, size_t window_rows,
       .Key("support").Double(0.05)
       .Key("alpha").Double(0.9)
       .Key("min_group_size").Uint(3)
-      .Key("num_threads").Uint(1)
       .Key("num_shards").Uint(shards)
       .Key("compression").String(compress ? "always" : "never")
       .Key("emit_summaries").Bool(true);
@@ -164,8 +163,9 @@ void RunSchedule(uint64_t seed, WindowSpec::Kind kind, bool compress) {
 
   StreamMonitor monitor(
       "m-test",
-      MakeSpec(kind, window_rows, slide_rows, shards, compress), *w.table,
-      /*mining_pool=*/nullptr);
+      MonitorSpec::Parse(
+          MakeSpec(kind, window_rows, slide_rows, shards, compress)),
+      *w.table, /*mining_pool=*/nullptr);
 
   // Random append schedule: batch sizes from 1 to ~1.5 windows, so some
   // appends cross several boundaries in one call and some windows are

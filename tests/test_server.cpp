@@ -378,6 +378,16 @@ TEST(RestApiTest, TypedErrorResponses) {
                          "{\"table\":\"synthetic\",\"avg\":\"O\"}")
                 .status,
             400);
+  for (const std::string bad :
+       {"\"k\":-1", "\"k\":1.5", "\"k\":1e30", "\"num_threads\":8"}) {
+    EXPECT_EQ(client
+                  .Request("POST", "/v1/explain",
+                           "{\"table\":\"synthetic\",\"group_by\":[\"G1\"],"
+                           "\"avg\":\"O\"," + bad + "}")
+                  .status,
+              400)
+        << bad;
+  }
   EXPECT_EQ(client.Request("GET", "/v1/nope").status, 404);
   EXPECT_EQ(client.Request("POST", "/healthz", "{}").status, 405);
   EXPECT_EQ(client
@@ -547,7 +557,7 @@ struct MonitorServerWorld {
     return "{\"table\":\"t\",\"group_by\":[\"grp\"],\"avg\":\"val\","
            "\"dag_text\":\"trt -> val\\n\",\"grouping_attrs\":[\"grp\"],"
            "\"treatment_attrs\":[\"trt\"],\"alpha\":0.99,"
-           "\"min_group_size\":3,\"support\":0.1,\"num_threads\":1,"
+           "\"min_group_size\":3,\"support\":0.1,"
            "\"emit_summaries\":true,"
            "\"window\":{\"kind\":\"tumbling\",\"size_rows\":20}}";
   }
@@ -600,6 +610,15 @@ TEST(RestApiMonitorTest, CreateListGetDeleteLifecycle) {
                 .status,
             404);
   EXPECT_EQ(client.Request("POST", "/v1/monitors", "{no spec").status, 400);
+  for (const std::string bad :
+       {"\"k\":-1,", "\"k\":1.5,", "\"k\":1e30,", "\"num_threads\":8,"}) {
+    EXPECT_EQ(client
+                  .Request("POST", "/v1/monitors",
+                           "{" + bad + MonitorServerWorld::Spec().substr(1))
+                  .status,
+              400)
+        << bad;
+  }
   EXPECT_EQ(client.Request("PUT", "/v1/monitors").status, 405);
 
   EXPECT_EQ(client.Request("DELETE", "/v1/monitors/m1").status, 200);

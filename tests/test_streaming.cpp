@@ -565,7 +565,7 @@ TEST(BatchAppendTest, AppendOpIsABarrierBetweenQueries) {
   const std::string query_line =
       std::string("{\"table\":\"sales\",\"group_by\":\"") +
       ds.default_query.group_by[0] + "\",\"avg\":\"" +
-      ds.default_query.avg_attribute + "\",\"num_threads\":1}";
+      ds.default_query.avg_attribute + "\"}";
   std::istringstream in(
       query_line + "\n" +
       "{\"op\":\"append\",\"table\":\"sales\",\"rows\":" + rows_json.str() +

@@ -76,18 +76,21 @@
 // Without --dag/--discover, the No-DAG strawman is used (and a warning
 // printed): supply domain knowledge for trustworthy effects.
 
+#include <algorithm>
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
+#include <cstdlib>
+#include <cstring>
+#include <functional>
 #include <iostream>
 #include <map>
 #include <memory>
 #include <string>
+#include <vector>
 
 #include <unistd.h>
 
-#include "causal/dag_io.h"
-#include "causal/discovery.h"
 #include "core/exploration.h"
 #include "core/json_export.h"
 #include "core/renderer.h"
@@ -95,36 +98,46 @@
 #include "server/http_server.h"
 #include "server/rest_api.h"
 #include "service/batch.h"
+#include "service/explain_spec.h"
 #include "service/explanation_service.h"
 #include "storage/file_io.h"
 #include "stream/monitor.h"
 #include "util/json.h"
-#include "util/string_utils.h"
 
 using namespace causumx;
 
 namespace {
 
+// Every command-line setting; each mode reads the ones its flags set.
 struct CliOptions {
   std::string csv_path;
-  std::vector<std::string> group_by;
-  std::string avg_attribute;
-  std::string dag_path;
-  std::string discover;
-  size_t k = 5;
-  double theta = 0.75;
-  double support = 0.1;
-  double alpha = 0.05;
-  std::string where;
+  /// serve/snapshot: the CSV's registry name ("default" when unset);
+  /// monitor: overrides the spec's "table".
+  std::string table_name;
+  std::string data_dir;
+  // Explain and batch modes: the explain flags' request fields (for
+  // ExplainSpec::FromText) and the output switches.
+  std::map<std::string, std::string> spec_fields;
   bool json = false;
   size_t top_treatments = 0;
   bool stats = false;
-  bool no_cache = false;
   std::string append_path;
   std::string batch_path;
-  size_t budget_mb = 0;
+  // Serve mode.
+  uint16_t port = 8080;
+  std::string host = "127.0.0.1";
+  size_t max_body_mb = 8;
+  size_t queue = 0;
+  // Monitor mode.
+  std::string spec_path;
+  std::string replay_path;
+  size_t seed_rows = 0;
+  size_t batch_rows = 1;
+  // Operator settings.
   size_t threads = 0;
   size_t shards = 0;  // 0 = one shard per worker thread
+  size_t budget_mb = 0;
+  bool no_cache = false;
 };
 
 void PrintUsage() {
@@ -152,75 +165,129 @@ void PrintUsage() {
                "see docs/CLI.md for the full reference\n");
 }
 
-// ---- serve mode ------------------------------------------------------------
-
-struct ServeOptions {
-  uint16_t port = 8080;
-  std::string host = "127.0.0.1";
-  std::string csv_path;
-  std::string table_name = "default";
-  size_t threads = 0;
-  size_t shards = 0;
-  size_t budget_mb = 0;
-  size_t max_body_mb = 8;
-  size_t queue = 0;
-  bool no_cache = false;
-  std::string data_dir;
+// One command-line flag: the modes accepting it ('e' explain/batch,
+// 's' serve/snapshot, 'm' monitor) and what its value sets (null for a
+// switch, which takes none).
+struct Flag {
+  const char* name;
+  const char* modes;
+  std::function<void(CliOptions*, const char*)> set;
+  bool is_switch = false;
 };
 
-bool ParseServeArgs(int argc, char** argv, ServeOptions* opt) {
-  for (int i = 2; i < argc; ++i) {
+size_t Count(const char* v) { return static_cast<size_t>(std::atoi(v)); }
+
+// An explain flag: its value is the text of request field `field`.
+Flag SpecFlag(const char* name, const std::string& field) {
+  return {name, "e", [field](CliOptions* o, const char* v) {
+            o->spec_fields[field] = v;
+          }};
+}
+
+const std::vector<Flag>& Flags() {
+  static const std::vector<Flag> kFlags = {
+      {"--csv", "es", [](CliOptions* o, const char* v) { o->csv_path = v; }},
+      {"--table", "sm",
+       [](CliOptions* o, const char* v) { o->table_name = v; }},
+      {"--data-dir", "sm",
+       [](CliOptions* o, const char* v) { o->data_dir = v; }},
+      SpecFlag("--group-by", "group_by"),
+      SpecFlag("--avg", "avg"),
+      SpecFlag("--where", "where"),
+      SpecFlag("--dag", "dag"),
+      SpecFlag("--discover", "discover"),
+      SpecFlag("--k", "k"),
+      SpecFlag("--theta", "theta"),
+      SpecFlag("--support", "support"),
+      SpecFlag("--alpha", "alpha"),
+      {"--json", "e", [](CliOptions* o, const char*) { o->json = true; }, true},
+      {"--stats", "e", [](CliOptions* o, const char*) { o->stats = true; },
+       true},
+      {"--top-treatments", "e",
+       [](CliOptions* o, const char* v) { o->top_treatments = Count(v); }},
+      {"--append", "e",
+       [](CliOptions* o, const char* v) { o->append_path = v; }},
+      {"--batch", "e", [](CliOptions* o, const char* v) { o->batch_path = v; }},
+      {"--port", "s",
+       [](CliOptions* o, const char* v) {
+         o->port = static_cast<uint16_t>(Count(v));
+       }},
+      {"--host", "s", [](CliOptions* o, const char* v) { o->host = v; }},
+      {"--max-body-mb", "s",
+       [](CliOptions* o, const char* v) { o->max_body_mb = Count(v); }},
+      {"--queue", "s",
+       [](CliOptions* o, const char* v) { o->queue = Count(v); }},
+      {"--spec", "m", [](CliOptions* o, const char* v) { o->spec_path = v; }},
+      {"--replay", "m",
+       [](CliOptions* o, const char* v) { o->replay_path = v; }},
+      {"--seed-rows", "m",
+       [](CliOptions* o, const char* v) { o->seed_rows = Count(v); }},
+      {"--batch-rows", "m",
+       [](CliOptions* o, const char* v) { o->batch_rows = Count(v); }},
+      {"--threads", "esm",
+       [](CliOptions* o, const char* v) { o->threads = Count(v); }},
+      {"--shards", "esm",
+       [](CliOptions* o, const char* v) { o->shards = Count(v); }},
+      {"--budget-mb", "es",
+       [](CliOptions* o, const char* v) { o->budget_mb = Count(v); }},
+      {"--no-cache", "es",
+       [](CliOptions* o, const char*) { o->no_cache = true; }, true},
+  };
+  return kFlags;
+}
+
+// Applies argv[first, argc) to `opt` for `mode` (see Flag) and checks
+// that mode's required flags. Returns false, after saying why, on
+// --help, an unknown flag, or a missing value.
+bool ParseArgs(int argc, char** argv, int first, char mode,
+               CliOptions* opt) {
+  for (int i = first; i < argc; ++i) {
     const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    const char* v = nullptr;
-    if (arg == "--port") {
-      if (!(v = next())) return false;
-      opt->port = static_cast<uint16_t>(std::atoi(v));
-    } else if (arg == "--host") {
-      if (!(v = next())) return false;
-      opt->host = v;
-    } else if (arg == "--csv") {
-      if (!(v = next())) return false;
-      opt->csv_path = v;
-    } else if (arg == "--table") {
-      if (!(v = next())) return false;
-      opt->table_name = v;
-    } else if (arg == "--threads") {
-      if (!(v = next())) return false;
-      opt->threads = static_cast<size_t>(std::atoi(v));
-    } else if (arg == "--shards") {
-      if (!(v = next())) return false;
-      opt->shards = static_cast<size_t>(std::atoi(v));
-    } else if (arg == "--budget-mb") {
-      if (!(v = next())) return false;
-      opt->budget_mb = static_cast<size_t>(std::atoi(v));
-    } else if (arg == "--max-body-mb") {
-      if (!(v = next())) return false;
-      opt->max_body_mb = static_cast<size_t>(std::atoi(v));
-    } else if (arg == "--queue") {
-      if (!(v = next())) return false;
-      opt->queue = static_cast<size_t>(std::atoi(v));
-    } else if (arg == "--no-cache") {
-      opt->no_cache = true;
-    } else if (arg == "--data-dir") {
-      if (!(v = next())) return false;
-      opt->data_dir = v;
-    } else if (arg == "--help" || arg == "-h") {
+    if (arg == "--help" || arg == "-h") {
       PrintUsage();
       return false;
-    } else {
-      std::fprintf(stderr, "unknown serve argument: %s\n", arg.c_str());
+    }
+    const auto flag = std::find_if(
+        Flags().begin(), Flags().end(), [&](const Flag& f) {
+          return arg == f.name && std::strchr(f.modes, mode) != nullptr;
+        });
+    if (flag == Flags().end()) {
+      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
       return false;
     }
+    if (!flag->is_switch && i + 1 >= argc) {
+      std::fprintf(stderr, "missing value for %s\n", arg.c_str());
+      return false;
+    }
+    flag->set(opt, flag->is_switch ? nullptr : argv[++i]);
+  }
+  if (mode == 's' && opt->table_name.empty()) opt->table_name = "default";
+  if (mode == 'm' && (opt->spec_path.empty() || opt->replay_path.empty())) {
+    std::fprintf(stderr,
+                 "monitor mode requires --spec FILE and --replay FILE.csv\n");
+    return false;
+  }
+  if (mode == 'm' && opt->batch_rows == 0) opt->batch_rows = 1;
+  if (mode == 'e' && opt->batch_path.empty() &&
+      (opt->csv_path.empty() || opt->spec_fields.empty())) {
+    PrintUsage();
+    return false;
   }
   return true;
 }
+
+// The service the operator settings describe.
+ServiceOptions MakeServiceOptions(const CliOptions& opt) {
+  ServiceOptions options;
+  options.memory_budget_bytes = opt.budget_mb * (1 << 20);
+  options.num_threads = opt.threads;
+  options.num_shards = opt.shards;
+  options.cache_enabled = !opt.no_cache;
+  options.data_dir = opt.data_dir;
+  return options;
+}
+
+// ---- serve mode ------------------------------------------------------------
 
 // Self-pipe for signal-driven shutdown: the handler only writes a byte
 // (async-signal-safe); the main thread blocks on the read end and runs
@@ -232,14 +299,8 @@ void OnShutdownSignal(int) {
   [[maybe_unused]] ssize_t n = ::write(g_shutdown_pipe[1], &byte, 1);
 }
 
-int RunServeMode(const ServeOptions& opt) {
-  ServiceOptions service_options;
-  service_options.memory_budget_bytes = opt.budget_mb * (1 << 20);
-  service_options.num_threads = opt.threads;
-  service_options.num_shards = opt.shards;
-  service_options.cache_enabled = !opt.no_cache;
-  service_options.data_dir = opt.data_dir;
-  ExplanationService service(service_options);
+int RunServeMode(const CliOptions& opt) {
+  ExplanationService service(MakeServiceOptions(opt));
 
   if (!opt.csv_path.empty()) {
     // With --data-dir, LoadCsv restores the warm caches from the table's
@@ -374,70 +435,7 @@ void DumpJson(const JsonValue& v, JsonWriter& w) {
   }
 }
 
-struct MonitorCliOptions {
-  std::string spec_path;
-  std::string replay_path;
-  size_t seed_rows = 0;
-  size_t batch_rows = 1;
-  std::string table_name;  // overrides the spec's "table" when set
-  size_t threads = 0;
-  size_t shards = 0;
-  std::string data_dir;
-};
-
-bool ParseMonitorArgs(int argc, char** argv, MonitorCliOptions* opt) {
-  for (int i = 2; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    const char* v = nullptr;
-    if (arg == "--spec") {
-      if (!(v = next())) return false;
-      opt->spec_path = v;
-    } else if (arg == "--replay") {
-      if (!(v = next())) return false;
-      opt->replay_path = v;
-    } else if (arg == "--seed-rows") {
-      if (!(v = next())) return false;
-      opt->seed_rows = static_cast<size_t>(std::atoi(v));
-    } else if (arg == "--batch-rows") {
-      if (!(v = next())) return false;
-      opt->batch_rows = static_cast<size_t>(std::atoi(v));
-    } else if (arg == "--table") {
-      if (!(v = next())) return false;
-      opt->table_name = v;
-    } else if (arg == "--threads") {
-      if (!(v = next())) return false;
-      opt->threads = static_cast<size_t>(std::atoi(v));
-    } else if (arg == "--shards") {
-      if (!(v = next())) return false;
-      opt->shards = static_cast<size_t>(std::atoi(v));
-    } else if (arg == "--data-dir") {
-      if (!(v = next())) return false;
-      opt->data_dir = v;
-    } else if (arg == "--help" || arg == "-h") {
-      PrintUsage();
-      return false;
-    } else {
-      std::fprintf(stderr, "unknown monitor argument: %s\n", arg.c_str());
-      return false;
-    }
-  }
-  if (opt->spec_path.empty() || opt->replay_path.empty()) {
-    std::fprintf(stderr, "monitor mode requires --spec FILE and --replay "
-                         "FILE.csv\n");
-    return false;
-  }
-  if (opt->batch_rows == 0) opt->batch_rows = 1;
-  return true;
-}
-
-int RunMonitorMode(const MonitorCliOptions& opt) {
+int RunMonitorMode(const CliOptions& opt) {
   std::string spec_json = ReadFileBytes(opt.spec_path);
   const std::string table_name =
       !opt.table_name.empty()
@@ -464,11 +462,7 @@ int RunMonitorMode(const MonitorCliOptions& opt) {
     spec_json = w.str();
   }
 
-  ServiceOptions service_options;
-  service_options.num_threads = opt.threads;
-  service_options.num_shards = opt.shards;
-  service_options.data_dir = opt.data_dir;
-  ExplanationService service(service_options);
+  ExplanationService service(MakeServiceOptions(opt));
   MonitorRegistry monitors(service);
 
   const Table full = ReadCsvFile(opt.replay_path);
@@ -522,21 +516,15 @@ int RunMonitorMode(const MonitorCliOptions& opt) {
 
 // ---- snapshot mode ---------------------------------------------------------
 
-// `causumx snapshot` reuses the serve-mode flag set (csv/table/shards/
-// threads/no-cache/data-dir); unrelated serve flags are accepted and
-// ignored rather than maintaining a second parser.
-int RunSnapshotMode(const ServeOptions& opt) {
+// `causumx snapshot` accepts the serve-mode flags (csv/table/shards/
+// threads/no-cache/data-dir); the serve-only ones are ignored.
+int RunSnapshotMode(const CliOptions& opt) {
   if (opt.csv_path.empty() || opt.data_dir.empty()) {
     std::fprintf(stderr,
                  "snapshot mode requires --csv FILE and --data-dir DIR\n");
     return 2;
   }
-  ServiceOptions service_options;
-  service_options.num_threads = opt.threads;
-  service_options.num_shards = opt.shards;
-  service_options.cache_enabled = !opt.no_cache;
-  service_options.data_dir = opt.data_dir;
-  ExplanationService service(service_options);
+  ExplanationService service(MakeServiceOptions(opt));
   // LoadCsv warm-restores from an existing matching snapshot, so
   // re-snapshotting unchanged data preserves the warm caches instead of
   // flattening them to a cold table image.
@@ -551,112 +539,8 @@ int RunSnapshotMode(const ServeOptions& opt) {
   return 0;
 }
 
-bool ParseArgs(int argc, char** argv, CliOptions* opt) {
-  for (int i = 1; i < argc; ++i) {
-    const std::string arg = argv[i];
-    auto next = [&]() -> const char* {
-      if (i + 1 >= argc) {
-        std::fprintf(stderr, "missing value for %s\n", arg.c_str());
-        return nullptr;
-      }
-      return argv[++i];
-    };
-    if (arg == "--csv") {
-      const char* v = next();
-      if (!v) return false;
-      opt->csv_path = v;
-    } else if (arg == "--group-by") {
-      const char* v = next();
-      if (!v) return false;
-      for (auto& part : Split(v, ',')) {
-        opt->group_by.push_back(Trim(part));
-      }
-    } else if (arg == "--avg") {
-      const char* v = next();
-      if (!v) return false;
-      opt->avg_attribute = v;
-    } else if (arg == "--dag") {
-      const char* v = next();
-      if (!v) return false;
-      opt->dag_path = v;
-    } else if (arg == "--discover") {
-      const char* v = next();
-      if (!v) return false;
-      opt->discover = ToLower(v);
-    } else if (arg == "--k") {
-      const char* v = next();
-      if (!v) return false;
-      opt->k = static_cast<size_t>(std::atoi(v));
-    } else if (arg == "--theta") {
-      const char* v = next();
-      if (!v) return false;
-      opt->theta = std::atof(v);
-    } else if (arg == "--support") {
-      const char* v = next();
-      if (!v) return false;
-      opt->support = std::atof(v);
-    } else if (arg == "--alpha") {
-      const char* v = next();
-      if (!v) return false;
-      opt->alpha = std::atof(v);
-    } else if (arg == "--where") {
-      const char* v = next();
-      if (!v) return false;
-      opt->where = v;
-    } else if (arg == "--json") {
-      opt->json = true;
-    } else if (arg == "--stats") {
-      opt->stats = true;
-    } else if (arg == "--no-cache") {
-      opt->no_cache = true;
-    } else if (arg == "--top-treatments") {
-      const char* v = next();
-      if (!v) return false;
-      opt->top_treatments = static_cast<size_t>(std::atoi(v));
-    } else if (arg == "--append") {
-      const char* v = next();
-      if (!v) return false;
-      opt->append_path = v;
-    } else if (arg == "--batch") {
-      const char* v = next();
-      if (!v) return false;
-      opt->batch_path = v;
-    } else if (arg == "--budget-mb") {
-      const char* v = next();
-      if (!v) return false;
-      opt->budget_mb = static_cast<size_t>(std::atoi(v));
-    } else if (arg == "--threads") {
-      const char* v = next();
-      if (!v) return false;
-      opt->threads = static_cast<size_t>(std::atoi(v));
-    } else if (arg == "--shards") {
-      const char* v = next();
-      if (!v) return false;
-      opt->shards = static_cast<size_t>(std::atoi(v));
-    } else if (arg == "--help" || arg == "-h") {
-      PrintUsage();
-      return false;
-    } else {
-      std::fprintf(stderr, "unknown argument: %s\n", arg.c_str());
-      return false;
-    }
-  }
-  if (!opt->batch_path.empty()) return true;
-  if (opt->csv_path.empty() || opt->group_by.empty() ||
-      opt->avg_attribute.empty()) {
-    PrintUsage();
-    return false;
-  }
-  return true;
-}
-
 int RunBatchMode(const CliOptions& opt) {
-  ServiceOptions service_options;
-  service_options.memory_budget_bytes = opt.budget_mb * (1 << 20);
-  service_options.num_threads = opt.threads;
-  service_options.num_shards = opt.shards;
-  service_options.cache_enabled = !opt.no_cache;
-  ExplanationService service(service_options);
+  ExplanationService service(MakeServiceOptions(opt));
   if (!opt.csv_path.empty()) {
     service.LoadCsv("default", opt.csv_path);
     const auto table = service.GetTable("default");
@@ -682,27 +566,23 @@ int RunBatchMode(const CliOptions& opt) {
 // delta-aware caches, query again. Returns the after-append exit status.
 int RunAppendMode(const CliOptions& opt,
                   std::shared_ptr<const Table> table,
-                  const GroupByAvgQuery& query, const CausalDag& dag,
-                  const CauSumXConfig& config) {
+                  const BoundExplain& bound) {
   if (opt.top_treatments > 0) {
     std::fprintf(stderr,
                  "warning: --top-treatments is ignored with --append\n");
   }
-  ServiceOptions service_options;
-  service_options.cache_enabled = !opt.no_cache;
-  service_options.num_threads = opt.threads;
-  service_options.num_shards = opt.shards;
-  ExplanationService service(service_options);
+  ExplanationService service(MakeServiceOptions(opt));
   const size_t base_rows = table->NumRows();
   service.RegisterTable("default", std::move(table));
 
   auto run_phase = [&](const char* label) {
-    const CauSumXResult r = service.Explain("default", query, dag, config);
+    const CauSumXResult r =
+        service.Explain("default", bound.query, bound.dag, bound.config);
     if (opt.json) {
-      std::cout << SummaryToJson(r.summary, &query) << "\n";
+      std::cout << SummaryToJson(r.summary, &bound.query) << "\n";
     } else {
       RenderStyle style;
-      style.outcome_noun = opt.avg_attribute;
+      style.outcome_noun = bound.query.avg_attribute;
       std::cout << "\n== " << label << " ==\n"
                 << RenderSummary(r.summary, style);
     }
@@ -739,106 +619,57 @@ int RunAppendMode(const CliOptions& opt,
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc > 1 && std::string(argv[1]) == "serve") {
-    ServeOptions serve_opt;
-    if (!ParseServeArgs(argc, argv, &serve_opt)) return 2;
-    try {
-      return RunServeMode(serve_opt);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 2;
-    }
-  }
-  if (argc > 1 && std::string(argv[1]) == "monitor") {
-    MonitorCliOptions monitor_opt;
-    if (!ParseMonitorArgs(argc, argv, &monitor_opt)) return 2;
-    try {
-      return RunMonitorMode(monitor_opt);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 2;
-    }
-  }
-  if (argc > 1 && std::string(argv[1]) == "snapshot") {
-    ServeOptions snap_opt;
-    if (!ParseServeArgs(argc, argv, &snap_opt)) return 2;
-    try {
-      return RunSnapshotMode(snap_opt);
-    } catch (const std::exception& e) {
-      std::fprintf(stderr, "error: %s\n", e.what());
-      return 2;
-    }
-  }
-
-  CliOptions opt;
-  if (!ParseArgs(argc, argv, &opt)) return 2;
-
+  const std::string mode = argc > 1 ? argv[1] : "";
   try {
+    CliOptions opt;
+    if (mode == "serve" || mode == "snapshot") {
+      if (!ParseArgs(argc, argv, 2, 's', &opt)) return 2;
+      return mode == "serve" ? RunServeMode(opt) : RunSnapshotMode(opt);
+    }
+    if (mode == "monitor") {
+      if (!ParseArgs(argc, argv, 2, 'm', &opt)) return 2;
+      return RunMonitorMode(opt);
+    }
+    if (!ParseArgs(argc, argv, 1, 'e', &opt)) return 2;
     if (!opt.batch_path.empty()) return RunBatchMode(opt);
 
+    const ExplainSpec spec = ExplainSpec::FromText(opt.spec_fields);
     const auto table =
         std::make_shared<const Table>(ReadCsvFile(opt.csv_path));
     std::fprintf(stderr, "loaded %zu rows x %zu columns from %s\n",
                  table->NumRows(), table->NumColumns(), opt.csv_path.c_str());
 
-    GroupByAvgQuery query;
-    query.group_by = opt.group_by;
-    query.avg_attribute = opt.avg_attribute;
-    if (!opt.where.empty()) {
-      query.where = Pattern({ParseWherePredicate(opt.where, *table)});
-    }
-
-    CausalDag dag;
-    if (!opt.dag_path.empty()) {
-      dag = ReadDagFile(opt.dag_path);
+    BoundExplain bound = spec.Bind(*table);
+    if (!spec.dag.empty()) {
       std::fprintf(stderr, "dag: %zu nodes, %zu edges from %s\n",
-                   dag.NumNodes(), dag.NumEdges(), opt.dag_path.c_str());
-    } else if (!opt.discover.empty()) {
-      const std::map<std::string, DiscoveryAlgorithm> algos = {
-          {"pc", DiscoveryAlgorithm::kPc},
-          {"fci", DiscoveryAlgorithm::kFci},
-          {"lingam", DiscoveryAlgorithm::kLingam},
-          {"nodag", DiscoveryAlgorithm::kNoDag},
-      };
-      auto it = algos.find(opt.discover);
-      if (it == algos.end()) {
-        std::fprintf(stderr, "unknown --discover algorithm: %s\n",
-                     opt.discover.c_str());
-        return 2;
-      }
-      dag = DiscoverDag(*table, it->second, opt.avg_attribute);
+                   bound.dag.NumNodes(), bound.dag.NumEdges(),
+                   spec.dag.c_str());
+    } else if (!spec.discover.empty()) {
       std::fprintf(stderr, "dag: discovered by %s — %zu edges\n",
-                   opt.discover.c_str(), dag.NumEdges());
+                   spec.discover.c_str(), bound.dag.NumEdges());
     } else {
-      dag = MakeNoDag(*table, opt.avg_attribute);
       std::fprintf(stderr,
                    "warning: no --dag/--discover given; using the No-DAG "
                    "strawman (all attributes -> outcome). Effects are\n"
                    "unadjusted for confounding — supply a DAG for "
                    "trustworthy estimates.\n");
     }
+    // Operator settings, applied over the spec's binding.
+    bound.config.disable_eval_cache = opt.no_cache;
+    bound.config.num_threads = opt.threads;
+    bound.config.num_shards = opt.shards;
+    const GroupByAvgQuery& query = bound.query;
 
-    CauSumXConfig config;
-    config.k = opt.k;
-    config.theta = opt.theta;
-    config.apriori_support = opt.support;
-    config.treatment.alpha = opt.alpha;
-    config.disable_eval_cache = opt.no_cache;
-    config.num_threads = opt.threads;
-    config.num_shards = opt.shards;
+    if (!opt.append_path.empty()) return RunAppendMode(opt, table, bound);
 
-    if (!opt.append_path.empty()) {
-      return RunAppendMode(opt, table, query, dag, config);
-    }
-
-    ExplorationSession session(table, query, dag, config);
+    ExplorationSession session(table, query, bound.dag, bound.config);
     const ExplanationSummary summary = session.Solve();
 
     if (opt.json) {
       std::cout << SummaryToJson(summary, &query) << "\n";
     } else {
       RenderStyle style;
-      style.outcome_noun = opt.avg_attribute;
+      style.outcome_noun = query.avg_attribute;
       std::cout << "\n" << query.ToSql(opt.csv_path) << "\n\n"
                 << RenderSummary(summary, style);
       if (opt.top_treatments > 0) {
