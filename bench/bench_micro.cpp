@@ -83,8 +83,8 @@ BENCHMARK(BM_CateEstimation);
 // to cost before the engine existed).
 void BM_CateEstimationUncached(benchmark::State& state) {
   const GeneratedDataset& ds = SoDataset();
-  auto engine = std::make_shared<EvalEngine>(ds.table,
-                                             /*cache_enabled=*/false);
+  auto engine = std::make_shared<EvalEngine>(
+      ds.table, EvalEngineOptions{.cache_enabled = false});
   EffectEstimator est(engine, ds.dag, {});
   const Pattern treatment({SimplePredicate("Education", CompareOp::kEq,
                                            Value("Masters degree"))});

@@ -16,6 +16,15 @@
 //      a forged key must never produce a silently-wrong table.
 //   4. SegmentBits::Deserialize on arbitrary bytes round-trips through
 //      Serialize, or throws — never crashes, never mis-sizes.
+//   5. EvalEngine::ImportCacheState over a fixed 300-row table either
+//      throws StorageError or accepts under every importing shard plan
+//      alike, keeps the payload's predicate ids, and re-slices exactly:
+//      a restored shard holds the payload's bits and a shard that needed
+//      an evicted payload segment holds a fresh evaluation. For a payload
+//      ExportCacheState wrote over this table — the checked-in engine
+//      seeds — every restored predicate therefore evaluates identically
+//      to a fresh engine. (The payload carries no checksum of its own;
+//      the snapshot container's CRC is what catches flipped bits in it.)
 //
 // Links against libFuzzer under clang (-DCAUSUMX_FUZZERS=ON); under GCC
 // the same TU builds as a standalone corpus replayer (see
@@ -27,8 +36,14 @@
 #include <stdexcept>
 #include <string>
 
+#include <memory>
+#include <vector>
+
+#include "dataset/pattern.h"
 #include "dataset/table.h"
 #include "dataset/table_io.h"
+#include "engine/eval_engine.h"
+#include "storage/bytes.h"
 #include "storage/snapshot.h"
 #include "storage/storage_error.h"
 #include "util/compressed_bitset.h"
@@ -123,6 +138,131 @@ void CheckSegment(const std::string& bytes) {
   }
 }
 
+// The table every engine payload imports over: 300 rows (not a whole
+// number of 64-row blocks), one column of each type, some nulls.
+const std::shared_ptr<const causumx::Table>& FuzzTable() {
+  static const std::shared_ptr<const causumx::Table> table = [] {
+    auto t = std::make_shared<causumx::Table>();
+    t->AddColumn("c", causumx::ColumnType::kCategorical);
+    t->AddColumn("i", causumx::ColumnType::kInt64);
+    t->AddColumn("d", causumx::ColumnType::kDouble);
+    const char* cats[] = {"x", "y", "z"};
+    for (size_t r = 0; r < 300; ++r) {
+      t->AddRow({r % 7 == 0 ? causumx::Value() : causumx::Value(cats[r % 3]),
+                 causumx::Value(static_cast<int64_t>(r % 10)),
+                 r % 11 == 0 ? causumx::Value()
+                             : causumx::Value(static_cast<double>(r % 13) -
+                                              6.0)});
+    }
+    return std::shared_ptr<const causumx::Table>(std::move(t));
+  }();
+  return table;
+}
+
+// One predicate of an accepted payload: its definition, its bits on the
+// payload's own plan, and which source shards were resident.
+struct PayloadPredicate {
+  causumx::SimplePredicate pred;
+  causumx::Bitset bits;
+  std::vector<bool> resident;
+};
+
+// Decodes a payload ImportCacheState accepted (so decoding cannot fail).
+std::vector<PayloadPredicate> DecodeAccepted(const std::string& bytes,
+                                             size_t* shard_rows) {
+  causumx::ByteReader r(bytes);
+  const size_t rows = r.GetU64();
+  const size_t num_shards = r.GetVarint();
+  *shard_rows = r.GetVarint();
+  r.GetU8();
+  r.GetU8();
+  std::vector<PayloadPredicate> out(r.GetVarint());
+  for (PayloadPredicate& p : out) {
+    p.pred.attribute = r.GetString();
+    p.pred.op = static_cast<causumx::CompareOp>(r.GetU8());
+    switch (r.GetU8()) {
+      case 1: p.pred.value = causumx::Value(r.GetVarintSigned()); break;
+      case 2: p.pred.value = causumx::Value(r.GetDouble()); break;
+      case 3: p.pred.value = causumx::Value(r.GetString()); break;
+      default: break;
+    }
+    p.bits = causumx::Bitset(rows);
+    p.resident.assign(r.GetVarint(), false);
+    for (size_t s = 0; s < num_shards; ++s) {
+      if (r.GetU8() == 0) continue;
+      const std::string seg_bytes = r.GetString();
+      size_t pos = 0;
+      causumx::SegmentBits::Deserialize(seg_bytes, &pos)
+          .AssignIntoRange(&p.bits, s * *shard_rows);
+      p.resident[s] = true;
+    }
+  }
+  return out;
+}
+
+void CheckEngineImport(const std::string& bytes) {
+  const std::shared_ptr<const causumx::Table>& table = FuzzTable();
+  // One whole-table shard and five 64-row shards: every payload plan
+  // gets merged into the first and split (or shared) into the second.
+  int accepted = 0;
+  for (size_t shards : {size_t{1}, size_t{5}}) {
+    causumx::EvalEngineOptions options;
+    options.num_shards = shards;
+    causumx::EvalEngine engine(table, options);
+    try {
+      engine.ImportCacheState(bytes);
+    } catch (const causumx::StorageError&) {
+      continue;  // typed rejection is correct
+    }
+    ++accepted;
+    size_t src_shard_rows = 0;
+    const std::vector<PayloadPredicate> payload =
+        DecodeAccepted(bytes, &src_shard_rows);
+    if (engine.NumInterned() != payload.size()) {
+      Die("import changed the predicate count", "");
+    }
+    const causumx::ShardPlan& plan = engine.plan();
+    for (size_t id = 0; id < payload.size(); ++id) {
+      const PayloadPredicate& p = payload[id];
+      if (engine.Intern(p.pred) != id) {
+        Die("import changed a predicate id", p.pred.ToString());
+      }
+      // Each target shard carries the payload's bits iff every source
+      // segment covering it was resident; the others evaluate fresh.
+      std::vector<bool> carried(plan.NumShards(), true);
+      bool needs_fresh = false;
+      for (size_t t = 0; t < plan.NumShards(); ++t) {
+        for (size_t s = plan.ShardBegin(t) / src_shard_rows;
+             s * src_shard_rows < plan.ShardEnd(t) && s < p.resident.size();
+             ++s) {
+          carried[t] = carried[t] && p.resident[s];
+        }
+        needs_fresh = needs_fresh || !carried[t];
+      }
+      causumx::Bitset fresh;
+      if (needs_fresh) {
+        try {
+          fresh = causumx::Pattern({p.pred}).Evaluate(*table);
+        } catch (const std::exception&) {
+          continue;  // names no column of this table: nothing to compare
+        }
+      }
+      causumx::Bitset expected(table->NumRows());
+      for (size_t t = 0; t < plan.NumShards(); ++t) {
+        const size_t begin = plan.ShardBegin(t);
+        const size_t end = plan.ShardEnd(t);
+        expected.AssignRange(
+            begin, (carried[t] ? p.bits : fresh).ExtractRange(begin, end));
+      }
+      if (!(*engine.PredicateBits(static_cast<causumx::PredicateId>(id)) ==
+            expected)) {
+        Die("imported predicate evaluates wrongly", p.pred.ToString());
+      }
+    }
+  }
+  if (accepted == 1) Die("import acceptance depends on the shard plan", "");
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
@@ -133,11 +273,12 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   const std::string bytes(reinterpret_cast<const char*>(data + 1), size - 1);
 
   // The first byte routes to one deserializer, so one corpus exercises
-  // all three entry points and the fuzzer can mutate across them.
-  switch (data[0] % 3) {
+  // all four entry points and the fuzzer can mutate across them.
+  switch (data[0] % 4) {
     case 0: CheckContainer(bytes); break;
     case 1: CheckTable(bytes); break;
     case 2: CheckSegment(bytes); break;
+    case 3: CheckEngineImport(bytes); break;
   }
   return 0;
 }

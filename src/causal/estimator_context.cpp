@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
 #include <vector>
 
 #include "causal/ols.h"
@@ -19,66 +20,29 @@ EstimatorContext::EstimatorContext(std::shared_ptr<EvalEngine> engine,
     : engine_(std::move(engine)), dag_(dag), options_(options) {}
 
 EstimatorContext::EstimatorContext(std::shared_ptr<EvalEngine> engine,
-                                   const EstimatorContext& base)
-    : engine_(std::move(engine)), dag_(base.dag_), options_(base.options_) {
-  const size_t new_rows = engine_->table().NumRows();
-  // Memo keys are only meaningful for predicate ids the new engine
-  // inherited. The engine's intern table was snapshotted (in the
-  // delta-extension ctor) before this memo is, so a query racing the
-  // append may have interned further predicates into the base engine and
-  // memoized under ids >= `known` — ids the new engine will hand out to
-  // whatever predicates arrive first. Carrying such an entry could
-  // silently serve one treatment's CATE for another; drop them instead.
-  const size_t known = engine_->NumInterned();
-  // Snapshot phase: base.memo_mu_ is held only to copy the raw state —
-  // queries still running on the pre-append snapshot contend with the
-  // copy, not with the O(subpops x rows) zero-extension below (the same
-  // lock-minimizing split the EvalEngine delta ctor uses).
-  std::vector<std::pair<Bitset, uint32_t>> subpops;
-  std::vector<std::pair<MemoKey, MemoEntry>> entries;  // LRU, oldest first
-  {
-    util::MutexLock lock(base.memo_mu_);
-    next_subpop_id_ = base.next_subpop_id_;
-    for (const auto& [hash, bucket] : base.subpop_ids_) {
-      for (const auto& [bits, id] : bucket) subpops.emplace_back(bits, id);
-    }
-    entries.reserve(base.memo_.size());
-    for (auto it = base.lru_.rbegin(); it != base.lru_.rend(); ++it) {
-      entries.emplace_back(*it, base.memo_.find(*it)->second);
-    }
-  }
-  // Zero-extend each interned subpopulation to the new universe and
-  // re-bucket it under its new hash (Hash() covers the appended zero
-  // words and the size). Ids are preserved — the carried memo keys
-  // reference them.
-  for (auto& [bits, id] : subpops) {
-    bits.Resize(new_rows);
-    const uint64_t h = bits.Hash();
-    subpop_bytes_ += SubpopEntryBytes(bits.size());
-    subpop_ids_[h].emplace_back(std::move(bits), id);
-  }
-  // Carry the memo, preserving LRU order (`entries` runs least to most
-  // recent; each push_front leaves the most recent at the front). Keys
-  // are sorted, so the back is the maximum predicate id.
-  for (auto& [key, src] : entries) {
-    if (!key.treatment.empty() && key.treatment.back() >= known) continue;
-    lru_.push_front(key);
-    MemoEntry entry{std::move(src.est), lru_.begin(), src.bytes};
-    memo_bytes_ += entry.bytes;
-    memo_.emplace(std::move(key), std::move(entry));
-  }
-  n_migrated_.store(memo_.size(), std::memory_order_relaxed);
-}
-
-EstimatorContext::EstimatorContext(std::shared_ptr<EvalEngine> engine,
                                    const EstimatorContext& base,
                                    size_t dropped_prefix_rows)
     : engine_(std::move(engine)), dag_(base.dag_), options_(base.options_) {
-  const size_t new_rows = engine_->table().NumRows();
   const size_t dropped = dropped_prefix_rows;
-  // Same id-race guard as the append migration: entries memoized under
-  // predicate ids the new engine did not inherit are dropped.
+  const size_t base_rows = base.engine_->table().NumRows();
+  const size_t rows = engine_->table().NumRows();
+  if (dropped > base_rows || rows < base_rows - dropped) {
+    throw std::invalid_argument(
+        "EstimatorContext derivation: engine table is not the base table "
+        "minus a dropped prefix plus appended rows");
+  }
+  // Memo keys are only meaningful for predicate ids the new engine
+  // inherited. The engine's intern table was snapshotted (in its
+  // derivation constructor) before this memo is, so a query racing the
+  // derivation may have interned further predicates into the base
+  // engine and memoized under ids >= `known` — ids the new engine will
+  // hand out to whatever predicates arrive first. Carrying such an entry
+  // could silently serve one treatment's CATE for another; drop them.
   const size_t known = engine_->NumInterned();
+  // Snapshot phase: base.memo_mu_ is held only to copy the raw state —
+  // queries still running on the base contend with the copy, not with
+  // the O(subpops x rows) bit work below (the same lock-minimizing split
+  // the EvalEngine derivation uses).
   std::vector<std::pair<Bitset, uint32_t>> subpops;
   std::vector<std::pair<MemoKey, MemoEntry>> entries;  // LRU, oldest first
   {
@@ -93,20 +57,30 @@ EstimatorContext::EstimatorContext(std::shared_ptr<EvalEngine> engine,
     }
   }
   // Carry exactly the subpopulations that lost no row: their bits shift
-  // down by the dropped prefix (preserving ids) and re-bucket under the
-  // shifted hash. Two distinct carried subpopulations stay distinct —
+  // down by the dropped prefix, zero-extend over the appended rows, and
+  // re-bucket under the new hash, keeping their ids. A carried entry
+  // stays bit-identical to a from-scratch estimate (same rows, gather
+  // order and summation blocking), and a post-derivation query whose
+  // subpopulation gained no appended row produces exactly the carried
+  // bit pattern and hits it. Two carried subpopulations stay distinct —
   // both prefixes were empty, so they already differed in the surviving
-  // range. Subpopulations with any expired member are invalidated.
+  // range. A subpopulation that lost rows is invalidated with its memo
+  // entries; one that grew interns a fresh id, and its stale
+  // predecessor ages out through the LRU.
   std::vector<bool> id_carried(static_cast<size_t>(next_subpop_id_), false);
   for (auto& [bits, id] : subpops) {
-    if (bits.size() != new_rows + dropped) continue;  // stale universe
-    if (bits.CountRange(0, dropped) != 0) continue;   // lost rows
+    if (bits.size() != base_rows) continue;          // stale universe
+    if (bits.CountRange(0, dropped) != 0) continue;  // lost rows
     bits.DropPrefix(dropped);
+    bits.Resize(rows);
     const uint64_t h = bits.Hash();
     subpop_bytes_ += SubpopEntryBytes(bits.size());
     if (id < id_carried.size()) id_carried[id] = true;
     subpop_ids_[h].emplace_back(std::move(bits), id);
   }
+  // Carry the memo, preserving LRU order (`entries` runs least to most
+  // recent; each push_front leaves the most recent at the front). Keys
+  // are sorted, so the back is the maximum predicate id.
   for (auto& [key, src] : entries) {
     if (!key.treatment.empty() && key.treatment.back() >= known) continue;
     if (key.subpop_id >= id_carried.size() || !id_carried[key.subpop_id]) {
@@ -546,7 +520,7 @@ Bitset GetBitset(ByteReader* r) {
 
 std::string EstimatorContext::ExportMemoState() const {
   // Copy under the lock, serialize outside it (the same lock-minimizing
-  // split as the append-migration constructor).
+  // split as the derivation constructor).
   std::vector<std::pair<uint32_t, Bitset>> subpops;
   std::vector<std::pair<MemoKey, EffectEstimate>> entries;  // oldest first
   uint32_t next_id = 0;

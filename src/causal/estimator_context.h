@@ -41,7 +41,7 @@ struct EstimatorCacheStats {
   uint64_t memo_hits = 0;
   uint64_t memo_misses = 0;
   uint64_t memo_evicted = 0;
-  uint64_t memo_migrated = 0;  ///< entries carried across an append
+  uint64_t memo_migrated = 0;  ///< entries carried by a derivation
   size_t memo_entries = 0;
   size_t memo_bytes = 0;
 };
@@ -59,35 +59,27 @@ class EstimatorContext {
   EstimatorContext(std::shared_ptr<EvalEngine> engine, const CausalDag& dag,
                    EstimatorOptions options);
 
-  /// Streaming-append migration: binds to `engine` (which must be a
-  /// delta-extension of `base`'s engine, so interned predicate ids are
-  /// preserved) and carries the CATE memo over with `base`'s DAG and
-  /// options. Each interned subpopulation bitset is zero-extended to the
-  /// new row count; invalidation is thereby per-epoch and exact — a
-  /// post-append query whose subpopulation gained no delta row produces
-  /// the zero-extended bit pattern and hits the carried memo (the same
-  /// rows yield the same estimate bit-for-bit), while a subpopulation
-  /// that actually grew interns a fresh id and recomputes; its stale
-  /// predecessor ages out through the LRU. Safe while `base` serves
-  /// concurrent queries.
+  /// Derivation: binds to `engine`, which must be derived from `base`'s
+  /// engine with the same `dropped_prefix_rows` (so interned predicate
+  /// ids are preserved), and carries over, with `base`'s DAG and
+  /// options, exactly the memo state that is still valid. A
+  /// subpopulation with no set bit in the dropped prefix lost no rows:
+  /// its bitset shifts down, zero-extends over the appended rows, and
+  /// keeps its dense id, so every memo entry over it stays bit-identical
+  /// to a from-scratch estimate (row values, gather order, and summation
+  /// blocking are unchanged). A later query whose subpopulation gained
+  /// no appended row reproduces that bit pattern and hits the carried
+  /// memo; one that grew interns a fresh id and recomputes, and its
+  /// stale predecessor ages out through the LRU. A subpopulation that
+  /// lost rows is dropped together with its memo entries — exact
+  /// invalidation. Byte accounting restarts from the carried state, so
+  /// expiry shrinks resident bytes. Safe while `base` serves concurrent
+  /// queries. Throws std::invalid_argument when `dropped_prefix_rows`
+  /// exceeds the base rows or `engine`'s table has fewer rows than the
+  /// base keeps.
   EstimatorContext(std::shared_ptr<EvalEngine> engine,
-                   const EstimatorContext& base);
-
-  /// Windowed-retention migration: binds to `engine` (which must be a
-  /// retraction of `base`'s engine by `dropped_prefix_rows`, so interned
-  /// predicate ids are preserved) and carries over exactly the memo
-  /// state that is still valid. A subpopulation with no set bit in the
-  /// dropped prefix lost no rows: its bitset shifts down, keeps its
-  /// dense id, and every memo entry over it stays bit-identical to a
-  /// from-scratch estimate over the surviving rows (row values, gather
-  /// order, and summation blocking are unchanged). A subpopulation that
-  /// did lose rows is dropped together with its memo entries — exact
-  /// invalidation, the grow-only delta logic in reverse. Byte accounting
-  /// restarts from the carried (strictly smaller) state, so expiry
-  /// shrinks resident bytes. Safe while `base` serves concurrent
-  /// queries.
-  EstimatorContext(std::shared_ptr<EvalEngine> engine,
-                   const EstimatorContext& base, size_t dropped_prefix_rows);
+                   const EstimatorContext& base,
+                   size_t dropped_prefix_rows = 0);
 
   EstimatorContext(const EstimatorContext&) = delete;
   EstimatorContext& operator=(const EstimatorContext&) = delete;
@@ -170,7 +162,7 @@ class EstimatorContext {
   static size_t EntryBytes(const MemoKey& key);
 
   /// Accounted bytes of one subpop intern entry over a `bitset_size`-bit
-  /// universe (used by both InternSubpopLocked and the append-migration
+  /// universe (used by both InternSubpopLocked and the derivation
   /// ctor; EvictLru credits subpop_bytes_ wholesale, so the two must
   /// agree).
   static size_t SubpopEntryBytes(size_t bitset_size);

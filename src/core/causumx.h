@@ -62,7 +62,11 @@ struct CauSumXConfig {
   std::vector<std::string> grouping_attribute_allowlist;
   /// Bypass the evaluation engine's predicate-bitset cache and the
   /// estimator's CATE memo (verification/benchmark mode). Results are
-  /// bit-identical either way; only the work done differs.
+  /// bit-identical either way; only the work done differs. Only
+  /// run-private engines honour it (RunCauSumX, MineExplanationCandidates
+  /// without a caller engine, ExplorationSession over its own engine); a
+  /// shared engine keeps its own cache mode — for ExplanationService that
+  /// is ServiceOptions::cache_enabled.
   bool disable_eval_cache = false;
 
   CauSumXConfig() { grouping.apriori.min_support = apriori_support; }

@@ -10,6 +10,7 @@
 
 #include "storage/bytes.h"
 #include "storage/storage_error.h"
+#include "util/stats.h"
 #include "util/thread_pool.h"
 
 namespace causumx {
@@ -53,9 +54,6 @@ ShardPlan PlanFor(const Table& table, const EvalEngineOptions& options) {
 
 }  // namespace
 
-EvalEngine::EvalEngine(const Table& table, bool cache_enabled)
-    : EvalEngine(table, EvalEngineOptions{cache_enabled, 1, nullptr}) {}
-
 EvalEngine::EvalEngine(const Table& table, EvalEngineOptions options)
     : keepalive_(nullptr),
       table_(table),
@@ -67,10 +65,6 @@ EvalEngine::EvalEngine(const Table& table, EvalEngineOptions options)
     column_slots_.emplace_back();
   }
 }
-
-EvalEngine::EvalEngine(std::shared_ptr<const Table> table, bool cache_enabled)
-    : EvalEngine(std::move(table),
-                 EvalEngineOptions{cache_enabled, 1, nullptr}) {}
 
 EvalEngine::EvalEngine(std::shared_ptr<const Table> table,
                        EvalEngineOptions options)
@@ -86,135 +80,6 @@ EvalEngine::EvalEngine(std::shared_ptr<const Table> table,
 }
 
 EvalEngine::EvalEngine(std::shared_ptr<const Table> table,
-                       const EvalEngine& base)
-    : keepalive_(std::move(table)),
-      table_(*keepalive_),
-      cache_enabled_(base.cache_enabled_),
-      compression_(base.compression_),
-      plan_(base.plan_.Extended(keepalive_->NumRows())),
-      pool_(base.pool_) {
-  const size_t old_rows = base.table_.NumRows();
-  const size_t new_rows = table_.NumRows();
-  if (new_rows < old_rows ||
-      table_.NumColumns() != base.table_.NumColumns()) {
-    throw std::invalid_argument(
-        "EvalEngine delta extension: table does not extend the base table");
-  }
-
-  // Inherit the intern table (ids must survive so EstimatorContext memo
-  // keys stay valid across the append) and carry over every materialized
-  // segment. The base may be serving queries concurrently, so the
-  // snapshot phase under its shared intern lock only copies pointers —
-  // the O(predicates x delta) re-evaluation of the dirty shards happens
-  // after the lock is released, so a query that needs to intern a new
-  // predicate into the base never waits on the append. This engine is
-  // still private to the constructor, so its own members need no locks.
-  struct SlotSnapshot {
-    SimplePredicate pred;
-    std::vector<std::shared_ptr<const SegmentBits>> segs;
-    std::vector<uint64_t> seg_used;
-  };
-  std::vector<SlotSnapshot> snapshot;
-  {
-    util::ReaderMutexLock base_lock(base.intern_mu_);
-    ids_ = base.ids_;
-    clock_.store(base.clock_.load(std::memory_order_relaxed),
-                 std::memory_order_relaxed);
-    snapshot.reserve(base.slots_.size());
-    for (size_t id = 0; id < base.slots_.size(); ++id) {
-      const PredicateSlot& src = base.slots_[id];
-      SlotSnapshot snap;
-      snap.pred = src.pred;
-      {
-        util::MutexLock lk(src.mu);
-        snap.segs = src.segs;
-        snap.seg_used = src.seg_used;
-      }
-      snapshot.push_back(std::move(snap));
-    }
-  }
-  const size_t num_shards = plan_.NumShards();
-  for (SlotSnapshot& snap : snapshot) {
-    slots_.emplace_back();
-    PredicateSlot& dst = slots_.back();
-    dst.pred = std::move(snap.pred);
-    dst.segs.resize(num_shards);
-    dst.seg_used.assign(num_shards, 0);
-    bool carried_any = false;
-    for (size_t s = 0; s < num_shards; ++s) {
-      const size_t begin = plan_.ShardBegin(s);
-      const size_t end = plan_.ShardEnd(s);
-      const bool existed = s < snap.segs.size();
-      const std::shared_ptr<const SegmentBits> old_seg =
-          existed ? snap.segs[s] : nullptr;
-      if (existed && old_seg == nullptr) continue;  // evicted: stays evicted
-      if (!existed && !carried_any) continue;  // predicate was never cached
-      if (old_seg != nullptr && old_seg->size() == end - begin) {
-        // Clean shard, untouched by the append: share the base's segment.
-        dst.segs[s] = old_seg;
-        dst.seg_used[s] = snap.seg_used[s];
-        carried_any = true;
-        continue;
-      }
-      // Dirty shard (spans the append point) or brand-new tail shard:
-      // evaluate only the rows the base segment did not cover.
-      // Row-at-a-time Matches agrees bit-for-bit with Pattern::Evaluate
-      // (see the engine property tests), including the absent-dictionary-
-      // constant case: old rows keep their old codes, so a constant that
-      // only entered the dictionary with the delta still matches no old
-      // row. The extended bits re-enter Choose, so the representation
-      // tracks the shard's post-append density.
-      const size_t covered =
-          old_seg != nullptr ? begin + old_seg->size() : begin;
-      Bitset ext = old_seg != nullptr ? old_seg->Materialize() : Bitset();
-      ext.Resize(end - begin);
-      for (size_t r = covered; r < end; ++r) {
-        if (dst.pred.Matches(table_, r)) ext.Set(r - begin);
-      }
-      dst.segs[s] = std::make_shared<const SegmentBits>(
-          SegmentBits::Choose(std::move(ext), compression_));
-      dst.seg_used[s] = existed ? snap.seg_used[s] : 0;
-      carried_any = true;
-    }
-    for (const auto& seg : dst.segs) {
-      if (seg != nullptr) {
-        bitset_bytes_.fetch_add(seg->bytes(), std::memory_order_relaxed);
-        if (seg->compressed()) {
-          n_compressed_.fetch_add(1, std::memory_order_relaxed);
-        }
-      }
-    }
-    if (carried_any) n_extended_.fetch_add(1, std::memory_order_relaxed);
-  }
-  n_interned_.store(slots_.size(), std::memory_order_relaxed);
-
-  for (size_t c = 0; c < table_.NumColumns(); ++c) {
-    column_slots_.emplace_back();
-    ColumnSlot& dst = column_slots_.back();
-    const ColumnSlot& src = base.column_slots_[c];
-    if (!src.ready.load(std::memory_order_acquire)) continue;
-    const Column& col = table_.column(c);
-    dst.view.values = src.view.values;
-    dst.view.valid = src.view.valid;
-    dst.view.values.resize(new_rows);
-    dst.view.valid.Resize(new_rows);
-    for (size_t r = old_rows; r < new_rows; ++r) {
-      if (col.IsNull(r)) {
-        dst.view.values[r] = std::nan("");
-      } else {
-        dst.view.values[r] = col.GetNumeric(r);
-        dst.view.valid.Set(r);
-      }
-    }
-    view_bytes_.fetch_add(
-        new_rows * sizeof(double) + BitsetBytes(dst.view.valid),
-        std::memory_order_relaxed);
-    n_views_extended_.fetch_add(1, std::memory_order_relaxed);
-    dst.ready.store(true, std::memory_order_release);
-  }
-}
-
-EvalEngine::EvalEngine(std::shared_ptr<const Table> table,
                        const EvalEngine& base, size_t dropped_prefix_rows)
     : keepalive_(std::move(table)),
       table_(*keepalive_),
@@ -222,113 +87,178 @@ EvalEngine::EvalEngine(std::shared_ptr<const Table> table,
       compression_(base.compression_),
       plan_(keepalive_->NumRows(), base.plan_.shard_rows()),
       pool_(base.pool_) {
-  const size_t old_rows = base.table_.NumRows();
-  const size_t new_rows = table_.NumRows();
   const size_t dropped = dropped_prefix_rows;
-  if (dropped > old_rows || new_rows != old_rows - dropped ||
+  const size_t base_rows = base.table_.NumRows();
+  const size_t rows = table_.NumRows();
+  if (dropped > base_rows || rows < base_rows - dropped ||
       table_.NumColumns() != base.table_.NumColumns()) {
     throw std::invalid_argument(
-        "EvalEngine retraction: table is not the base table minus its "
-        "dropped prefix");
+        "EvalEngine derivation: table is not the base table minus a "
+        "dropped prefix plus appended rows");
   }
 
-  // Same two-phase structure as the delta-extension constructor: the
-  // snapshot under the base's shared intern lock copies only pointers,
-  // and all bit work happens after release, so the base keeps serving
-  // queries. Every predicate keeps its id; its bits shift down by the
-  // dropped prefix and re-slice at the new shard boundaries.
-  struct SlotSnapshot {
-    SimplePredicate pred;
-    std::vector<std::shared_ptr<const SegmentBits>> segs;
-    std::vector<uint64_t> seg_used;
-  };
-  std::vector<SlotSnapshot> snapshot;
+  // Inherit the intern table (ids must survive so EstimatorContext memo
+  // keys stay valid) and snapshot every slot. The base may be serving
+  // queries concurrently, so the phase under its shared intern lock only
+  // copies pointers; the bit work of the row map happens after release,
+  // so a query that needs to intern a new predicate into the base never
+  // waits on the derivation.
+  std::vector<SlotState> states;
   {
     util::ReaderMutexLock base_lock(base.intern_mu_);
     ids_ = base.ids_;
     clock_.store(base.clock_.load(std::memory_order_relaxed),
                  std::memory_order_relaxed);
-    snapshot.reserve(base.slots_.size());
-    for (size_t id = 0; id < base.slots_.size(); ++id) {
-      const PredicateSlot& src = base.slots_[id];
-      SlotSnapshot snap;
-      snap.pred = src.pred;
-      {
-        util::MutexLock lk(src.mu);
-        snap.segs = src.segs;
-        snap.seg_used = src.seg_used;
-      }
-      snapshot.push_back(std::move(snap));
+    states = base.SnapshotSlotsLocked();
+  }
+  std::atomic<uint64_t>& carried_counter =
+      dropped == 0 ? n_extended_ : n_retracted_;
+  for (SlotState& state : states) {
+    if (MapRows(base.plan_, dropped, &state)) {
+      carried_counter.fetch_add(1, std::memory_order_relaxed);
     }
   }
-  const size_t num_shards = plan_.NumShards();
-  for (SlotSnapshot& snap : snapshot) {
-    slots_.emplace_back();
-    PredicateSlot& dst = slots_.back();
-    dst.pred = std::move(snap.pred);
-    dst.segs.resize(num_shards);
-    dst.seg_used.assign(num_shards, 0);
-    // All-or-nothing carry: the shifted bits must equal a from-scratch
-    // evaluation over the survivors, so every base segment overlapping a
-    // surviving row must be resident (survivor values — though not
-    // dictionary codes — are unchanged, and predicates match by value).
-    // Shards ending inside the dropped prefix contribute no surviving
-    // bits and may be missing or evicted. A predicate with a hole
-    // carries nothing and rematerializes on demand, like an evictee.
-    bool all_resident = true;
-    bool any_surviving = false;
-    for (size_t s = 0; s < base.plan_.NumShards(); ++s) {
-      if (base.plan_.ShardEnd(s) <= dropped) continue;
-      if (s < snap.segs.size() && snap.segs[s] != nullptr) {
-        any_surviving = true;
-      } else {
-        all_resident = false;
-      }
-    }
-    if (!all_resident || !any_surviving) continue;
-    Bitset whole(old_rows);
-    uint64_t carried_stamp = 0;
-    for (size_t s = 0; s < base.plan_.NumShards(); ++s) {
-      if (base.plan_.ShardEnd(s) <= dropped) continue;
-      snap.segs[s]->AssignIntoRange(&whole, base.plan_.ShardBegin(s));
-      carried_stamp = std::max(carried_stamp, snap.seg_used[s]);
-    }
-    whole.DropPrefix(dropped);
-    for (size_t s = 0; s < num_shards; ++s) {
-      Bitset seg_bits =
-          whole.ExtractRange(plan_.ShardBegin(s), plan_.ShardEnd(s));
-      dst.segs[s] = std::make_shared<const SegmentBits>(
-          SegmentBits::Choose(std::move(seg_bits), compression_));
-      dst.seg_used[s] = carried_stamp;
-      bitset_bytes_.fetch_add(dst.segs[s]->bytes(),
-                              std::memory_order_relaxed);
-      if (dst.segs[s]->compressed()) {
-        n_compressed_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    n_retracted_.fetch_add(1, std::memory_order_relaxed);
+  {
+    // Uncontended: this engine is still private to the constructor.
+    util::WriterMutexLock lock(intern_mu_);
+    for (SlotState& state : states) AdoptSlotLocked(std::move(state));
   }
-  n_interned_.store(slots_.size(), std::memory_order_relaxed);
+  n_interned_.store(states.size(), std::memory_order_relaxed);
 
+  // Numeric column views follow the same row map: shift down by the
+  // dropped prefix, then extend over the appended rows. A categorical
+  // view holds dictionary codes, and Table::Tail re-codes dictionaries
+  // in survivor first-appearance order, so after a drop those views
+  // rebuild on demand.
+  const size_t kept = base_rows - dropped;
+  std::atomic<uint64_t>& view_counter =
+      dropped == 0 ? n_views_extended_ : n_views_retracted_;
   for (size_t c = 0; c < table_.NumColumns(); ++c) {
     column_slots_.emplace_back();
     ColumnSlot& dst = column_slots_.back();
     const ColumnSlot& src = base.column_slots_[c];
     if (!src.ready.load(std::memory_order_acquire)) continue;
-    // A categorical column's numeric view holds dictionary codes, and
-    // the compacted table re-codes its dictionaries in survivor
-    // first-appearance order — those views rebuild on demand.
-    if (table_.column(c).type() == ColumnType::kCategorical) continue;
+    const Column& col = table_.column(c);
+    if (dropped > 0 && col.type() == ColumnType::kCategorical) continue;
     dst.view.values.assign(
         src.view.values.begin() + static_cast<ptrdiff_t>(dropped),
         src.view.values.end());
     dst.view.valid = src.view.valid;
     dst.view.valid.DropPrefix(dropped);
-    view_bytes_.fetch_add(
-        new_rows * sizeof(double) + BitsetBytes(dst.view.valid),
-        std::memory_order_relaxed);
-    n_views_retracted_.fetch_add(1, std::memory_order_relaxed);
+    dst.view.values.resize(rows);
+    dst.view.valid.Resize(rows);
+    for (size_t r = kept; r < rows; ++r) {
+      if (col.IsNull(r)) {
+        dst.view.values[r] = std::nan("");
+      } else {
+        dst.view.values[r] = col.GetNumeric(r);
+        dst.view.valid.Set(r);
+      }
+    }
+    view_bytes_.fetch_add(rows * sizeof(double) + BitsetBytes(dst.view.valid),
+                          std::memory_order_relaxed);
+    view_counter.fetch_add(1, std::memory_order_relaxed);
     dst.ready.store(true, std::memory_order_release);
+  }
+}
+
+std::vector<EvalEngine::SlotState> EvalEngine::SnapshotSlotsLocked() const {
+  std::vector<SlotState> states;
+  states.reserve(slots_.size());
+  for (const PredicateSlot& src : slots_) {
+    SlotState state;
+    state.pred = src.pred;
+    {
+      util::MutexLock lk(src.mu);
+      state.segs = src.segs;
+      state.seg_used = src.seg_used;
+    }
+    states.push_back(std::move(state));
+  }
+  return states;
+}
+
+bool EvalEngine::MapRows(const ShardPlan& src_plan, size_t dropped,
+                         SlotState* state) const {
+  // Target rows [0, kept) are source rows [dropped, src rows); target
+  // rows from `kept` on were appended.
+  const size_t kept = src_plan.num_rows() - dropped;
+  const size_t num_shards = plan_.NumShards();
+  std::vector<std::shared_ptr<const SegmentBits>> segs(num_shards);
+  std::vector<uint64_t> used(num_shards, 0);
+  bool carried = false;
+  for (size_t t = 0; t < num_shards; ++t) {
+    const size_t begin = plan_.ShardBegin(t);
+    const size_t end = plan_.ShardEnd(t);
+    Bitset bits;
+    if (begin < kept) {
+      // Surviving rows: every source segment covering them must be
+      // resident, else the shard rematerializes on demand.
+      const size_t src_begin = begin + dropped;
+      const size_t src_end = std::min(end, kept) + dropped;
+      const size_t lo = src_plan.ShardOfRow(src_begin);
+      const size_t hi = src_plan.ShardOfRow(src_end - 1);
+      bool resident = true;
+      uint64_t stamp = 0;
+      for (size_t s = lo; s <= hi && resident; ++s) {
+        resident = state->segs[s] != nullptr;
+        stamp = std::max(stamp, state->seg_used[s]);
+      }
+      if (!resident) continue;
+      carried = true;
+      used[t] = stamp;
+      if (lo == hi && src_plan.ShardBegin(lo) == src_begin &&
+          src_plan.ShardEnd(lo) == end + dropped) {
+        segs[t] = state->segs[lo];  // exactly this shard's rows: share
+        continue;
+      }
+      // Assemble the covering segments (word-aligned), shift them to
+      // this shard's first row, and cut or zero-extend to its size.
+      const size_t span_begin = src_plan.ShardBegin(lo);
+      bits = Bitset(src_plan.ShardEnd(hi) - span_begin);
+      for (size_t s = lo; s <= hi; ++s) {
+        state->segs[s]->AssignIntoRange(&bits,
+                                        src_plan.ShardBegin(s) - span_begin);
+      }
+      bits.DropPrefix(src_begin - span_begin);
+      bits.Resize(end - begin);
+    } else {
+      // Appended rows only. Shards run in row order, so `carried` is
+      // final here: a predicate that carried nothing was never cached.
+      if (!carried) continue;
+      bits = Bitset(end - begin);
+    }
+    // Evaluate only the appended rows. Row-at-a-time Matches agrees
+    // bit-for-bit with Pattern::Evaluate (see the engine property
+    // tests), including the absent-dictionary-constant case: surviving
+    // rows keep their values, so a constant that only entered the
+    // dictionary with the appended rows still matches no older row. The
+    // bits re-enter Choose, so the representation tracks the shard's
+    // new density.
+    for (size_t r = std::max(begin, kept); r < end; ++r) {
+      if (state->pred.Matches(table_, r)) bits.Set(r - begin);
+    }
+    segs[t] = std::make_shared<const SegmentBits>(
+        SegmentBits::Choose(std::move(bits), compression_));
+  }
+  state->segs = std::move(segs);
+  state->seg_used = std::move(used);
+  return carried;
+}
+
+void EvalEngine::AdoptSlotLocked(SlotState state) {
+  slots_.emplace_back();
+  PredicateSlot& dst = slots_.back();
+  dst.pred = std::move(state.pred);
+  util::MutexLock lk(dst.mu);
+  dst.segs = std::move(state.segs);
+  dst.seg_used = std::move(state.seg_used);
+  for (const auto& seg : dst.segs) {
+    if (seg == nullptr) continue;
+    bitset_bytes_.fetch_add(seg->bytes(), std::memory_order_relaxed);
+    if (seg->compressed()) {
+      n_compressed_.fetch_add(1, std::memory_order_relaxed);
+    }
   }
 }
 
@@ -623,27 +553,13 @@ Value GetValue(ByteReader* r) {
 }  // namespace
 
 std::string EvalEngine::ExportCacheState() const {
-  // Snapshot phase mirrors the delta-extension constructor: copy the
+  // Snapshot phase mirrors the derivation constructor: copy the
   // predicates and segment pointers under the locks, serialize after
   // releasing them so concurrent queries are never blocked on encoding.
-  struct SlotSnapshot {
-    SimplePredicate pred;
-    std::vector<std::shared_ptr<const SegmentBits>> segs;
-  };
-  std::vector<SlotSnapshot> snapshot;
+  std::vector<SlotState> states;
   {
     util::ReaderMutexLock lock(intern_mu_);
-    snapshot.reserve(slots_.size());
-    for (size_t id = 0; id < slots_.size(); ++id) {
-      const PredicateSlot& src = slots_[id];
-      SlotSnapshot snap;
-      snap.pred = src.pred;
-      {
-        util::MutexLock lk(src.mu);
-        snap.segs = src.segs;
-      }
-      snapshot.push_back(std::move(snap));
-    }
+    states = SnapshotSlotsLocked();
   }
 
   ByteWriter w;
@@ -652,13 +568,13 @@ std::string EvalEngine::ExportCacheState() const {
   w.PutVarint(plan_.shard_rows());
   w.PutU8(static_cast<uint8_t>(compression_));
   w.PutU8(cache_enabled_ ? 1 : 0);
-  w.PutVarint(snapshot.size());
-  for (const SlotSnapshot& snap : snapshot) {
-    w.PutString(snap.pred.attribute);
-    w.PutU8(static_cast<uint8_t>(snap.pred.op));
-    PutValue(&w, snap.pred.value);
-    w.PutVarint(snap.segs.size());
-    for (const auto& seg : snap.segs) {
+  w.PutVarint(states.size());
+  for (const SlotState& state : states) {
+    w.PutString(state.pred.attribute);
+    w.PutU8(static_cast<uint8_t>(state.pred.op));
+    PutValue(&w, state.pred.value);
+    w.PutVarint(state.segs.size());
+    for (const auto& seg : state.segs) {
       if (seg == nullptr) {
         w.PutU8(0);
       } else {
@@ -674,19 +590,32 @@ std::string EvalEngine::ExportCacheState() const {
 
 size_t EvalEngine::ImportCacheState(const std::string& bytes) {
   ByteReader r(bytes);
-  if (r.GetU64() != table_.NumRows()) {
+  const uint64_t rows = r.GetU64();
+  if (rows != table_.NumRows()) {
     throw StorageError(StorageErrorKind::kStale,
                        "engine cache: row count mismatch");
   }
-  if (r.GetVarint() != plan_.NumShards() ||
-      r.GetVarint() != plan_.shard_rows()) {
-    throw StorageError(StorageErrorKind::kStale,
-                       "engine cache: shard plan mismatch");
-  }
+  const uint64_t src_shards = r.GetVarint();
+  const uint64_t src_shard_rows = r.GetVarint();
   if (r.GetU8() != static_cast<uint8_t>(compression_) ||
       (r.GetU8() != 0) != cache_enabled_) {
     throw StorageError(StorageErrorKind::kStale,
                        "engine cache: options mismatch");
+  }
+  // The source plan is untrusted input: a writer only ever emits
+  // block-aligned shard sizes. A size at or beyond the row count
+  // describes the single-shard partition.
+  if (src_shard_rows == 0 || src_shard_rows % kSummationBlockRows != 0) {
+    throw StorageError(StorageErrorKind::kCorrupt,
+                       "engine cache: invalid shard size");
+  }
+  const ShardPlan src_plan = src_shard_rows >= rows
+                                 ? ShardPlan(rows)
+                                 : ShardPlan(rows, src_shard_rows);
+  const size_t num_src_shards = src_plan.NumShards();
+  if (src_shards != num_src_shards) {
+    throw StorageError(StorageErrorKind::kCorrupt,
+                       "engine cache: shard count does not match its plan");
   }
   const uint64_t n_preds = r.GetVarint();
   if (n_preds > bytes.size()) {
@@ -694,43 +623,33 @@ size_t EvalEngine::ImportCacheState(const std::string& bytes) {
                        "engine cache: implausible predicate count");
   }
 
-  util::WriterMutexLock lock(intern_mu_);
-  if (!slots_.empty()) {
-    throw std::logic_error(
-        "EvalEngine::ImportCacheState requires a fresh engine");
-  }
-  size_t restored = 0;
-  const size_t num_shards = plan_.NumShards();
-  for (uint64_t id = 0; id < n_preds; ++id) {
-    SimplePredicate pred;
-    pred.attribute = r.GetString();
+  // Decode every predicate on the source plan, then re-slice it onto
+  // this engine's plan through the derivation row map (nothing dropped,
+  // nothing appended: a matching plan shares every segment outright).
+  std::vector<SlotState> states;
+  std::unordered_map<std::string, PredicateId> ids;
+  while (states.size() < n_preds) {
+    const auto id = static_cast<PredicateId>(states.size());
+    SlotState& state = states.emplace_back();
+    state.pred.attribute = r.GetString();
     const uint8_t op = r.GetU8();
     if (op > static_cast<uint8_t>(CompareOp::kGe)) {
       throw StorageError(StorageErrorKind::kCorrupt,
                          "engine cache: unknown compare op");
     }
-    pred.op = static_cast<CompareOp>(op);
-    pred.value = GetValue(&r);
-
-    const std::string key = PredicateKey(pred);
-    if (!ids_.emplace(key, static_cast<PredicateId>(slots_.size())).second) {
+    state.pred.op = static_cast<CompareOp>(op);
+    state.pred.value = GetValue(&r);
+    if (!ids.emplace(PredicateKey(state.pred), id).second) {
       throw StorageError(StorageErrorKind::kCorrupt,
                          "engine cache: duplicate predicate");
     }
-    slots_.emplace_back();
-    PredicateSlot& dst = slots_.back();
-    dst.pred = std::move(pred);
-    util::MutexLock slot_lock(dst.mu);
-    dst.segs.resize(num_shards);
-    dst.seg_used.assign(num_shards, 0);
-
-    const uint64_t n_segs = r.GetVarint();
-    if (n_segs != num_shards) {
+    if (r.GetVarint() != num_src_shards) {
       throw StorageError(StorageErrorKind::kCorrupt,
                          "engine cache: segment count mismatch");
     }
-    bool carried_any = false;
-    for (size_t s = 0; s < num_shards; ++s) {
+    state.segs.resize(num_src_shards);
+    state.seg_used.assign(num_src_shards, 0);
+    for (size_t s = 0; s < num_src_shards; ++s) {
       if (r.GetU8() == 0) continue;
       const std::string seg_bytes = r.GetString();
       size_t pos = 0;
@@ -747,28 +666,37 @@ size_t EvalEngine::ImportCacheState(const std::string& bytes) {
         throw StorageError(StorageErrorKind::kCorrupt,
                            "engine cache: trailing segment bytes");
       }
-      if (seg.size() != plan_.ShardEnd(s) - plan_.ShardBegin(s)) {
+      if (seg.size() != src_plan.ShardEnd(s) - src_plan.ShardBegin(s)) {
         throw StorageError(StorageErrorKind::kCorrupt,
                            "engine cache: segment size does not match shard");
       }
-      auto shared = std::make_shared<const SegmentBits>(std::move(seg));
-      bitset_bytes_.fetch_add(shared->bytes(), std::memory_order_relaxed);
-      if (shared->compressed()) {
-        n_compressed_.fetch_add(1, std::memory_order_relaxed);
-      }
-      dst.segs[s] = std::move(shared);
-      carried_any = true;
-      ++restored;
+      state.segs[s] = std::make_shared<const SegmentBits>(std::move(seg));
     }
-    // Restored predicates count as inherited, like delta extension —
-    // they were carried into this engine, not materialized by it.
-    if (carried_any) n_extended_.fetch_add(1, std::memory_order_relaxed);
   }
   if (!r.AtEnd()) {
     throw StorageError(StorageErrorKind::kCorrupt,
                        "engine cache: trailing bytes");
   }
-  n_interned_.store(slots_.size(), std::memory_order_relaxed);
+
+  size_t restored = 0;
+  uint64_t carried = 0;
+  for (SlotState& state : states) {
+    if (MapRows(src_plan, 0, &state)) ++carried;
+    for (const auto& seg : state.segs) restored += seg != nullptr ? 1 : 0;
+  }
+  {
+    util::WriterMutexLock lock(intern_mu_);
+    if (!slots_.empty()) {
+      throw std::logic_error(
+          "EvalEngine::ImportCacheState requires a fresh engine");
+    }
+    ids_ = std::move(ids);
+    for (SlotState& state : states) AdoptSlotLocked(std::move(state));
+  }
+  n_interned_.store(states.size(), std::memory_order_relaxed);
+  // Restored predicates count as inherited, like an append derivation —
+  // they were carried into this engine, not materialized by it.
+  n_extended_.fetch_add(carried, std::memory_order_relaxed);
   return restored;
 }
 

@@ -28,6 +28,12 @@
 // granularity is one (predicate, shard) segment, so a tight budget
 // sheds cold shards before cold predicates.
 //
+// A new table version (rows appended, an expired prefix dropped, or
+// both) gets a derived engine: one row map carries the interned ids and
+// every still-valid segment over, sharing untouched shards outright and
+// re-evaluating only appended rows. Warm-state import re-slices an
+// exported cache onto the engine's own shard plan through the same map.
+//
 // A cache-bypass mode (cache_enabled = false) routes Evaluate through
 // the reference Pattern::Evaluate path so tests can verify the cached
 // path bit-for-bit and benchmarks can quantify the caches.
@@ -71,13 +77,17 @@ struct EvalEngineStats {
   uint64_t bitsets_materialized = 0;  ///< segments built (alias, see above)
   uint64_t bitset_hits = 0;
   uint64_t bitsets_evicted = 0;  ///< segments evicted
-  uint64_t bitsets_extended = 0;  ///< predicates inherited via delta extension
-  uint64_t bitsets_retracted = 0;  ///< predicates carried through retraction
+  /// Predicates that carried a segment into this engine through a
+  /// derivation without a dropped prefix (or a cache import).
+  uint64_t bitsets_extended = 0;
+  /// Predicates that carried a segment through a derivation that dropped
+  /// a prefix.
+  uint64_t bitsets_retracted = 0;
   uint64_t pattern_evals = 0;
   uint64_t bypass_evals = 0;
   uint64_t column_views_built = 0;
-  uint64_t column_views_extended = 0;  ///< inherited via delta extension
-  uint64_t column_views_retracted = 0;  ///< carried through retraction
+  uint64_t column_views_extended = 0;  ///< derived, no dropped prefix
+  uint64_t column_views_retracted = 0;  ///< derived, prefix dropped
   size_t bitset_bytes = 0;
   size_t view_bytes = 0;
   size_t num_shards = 1;  ///< shards in the engine's plan
@@ -106,7 +116,7 @@ struct EvalEngineOptions {
   /// Worker pool for shard-parallel builds and evaluations. May be
   /// null (serial execution over the same shard plan). The engine keeps
   /// the pool alive.
-  std::shared_ptr<ThreadPool> pool;
+  std::shared_ptr<ThreadPool> pool = nullptr;
   /// Storage policy for cached predicate segments: kAuto compresses a
   /// segment when that at least halves its resident bytes, kNever keeps
   /// every segment as a plain bitset, kAlways compresses all of them
@@ -123,54 +133,45 @@ struct EvalEngineOptions {
 /// the engine (use the shared_ptr constructor to guarantee it).
 class EvalEngine {
  public:
-  explicit EvalEngine(const Table& table, bool cache_enabled = true);
-  EvalEngine(const Table& table, EvalEngineOptions options);
+  explicit EvalEngine(const Table& table, EvalEngineOptions options = {});
 
   /// Shared-ownership binding: the engine keeps the table alive, so
   /// registry-style owners (ExplanationService, ExplorationSession) can
   /// hand out the engine without lifetime coupling to the table holder.
   explicit EvalEngine(std::shared_ptr<const Table> table,
-                      bool cache_enabled = true);
-  EvalEngine(std::shared_ptr<const Table> table, EvalEngineOptions options);
+                      EvalEngineOptions options = {});
 
-  /// Delta-aware rebinding for the streaming append path: a new engine
-  /// over `table`, which must be `base`'s table extended by appended rows
-  /// (same schema; rows [0, base rows) bit-identical). Every interned
-  /// predicate keeps its id, and each cached segment is carried over:
-  /// shards fully below the old row count share the base's segment
-  /// objects outright (zero copy — their rows are untouched), the shard
-  /// containing the append point extends by evaluating only the delta
-  /// rows, and brand-new tail shards materialize for predicates that
-  /// were cached. Only the dirty shards are re-evaluated — O(delta) per
-  /// cache entry instead of a full-table rebuild. Evicted segments stay
-  /// evicted (they rematerialize on next use). The shard size and pool
-  /// are inherited, so shard boundaries stay stable across appends.
-  /// Safe while `base` is serving concurrent queries; `base` itself is
-  /// never modified. Throws std::invalid_argument when `table` does not
-  /// extend the base table.
-  EvalEngine(std::shared_ptr<const Table> table, const EvalEngine& base);
-
-  /// Retract-aware rebinding for the windowed-retention path: a new
-  /// engine over `table`, which must be `base`'s table with its first
-  /// `dropped_prefix_rows` rows removed — row r of `table` holds the
-  /// values of base row `dropped_prefix_rows + r` (Table::Tail builds
-  /// exactly this; its dictionaries may be re-coded, which is fine
-  /// because predicates match by value, not code). Every interned
-  /// predicate keeps its dense id, so EstimatorContext memo keys stay
-  /// valid across the retraction. A predicate whose surviving-row
-  /// segments are all resident carries its bits over, shifted down by
-  /// the dropped prefix and re-sliced at the new shard boundaries; a
-  /// predicate with any needed segment evicted carries nothing and
-  /// rematerializes on demand. Numeric column views of int/double
-  /// columns shift down likewise; categorical views (whose numeric
-  /// values are dictionary codes) and distinct-value caches rebuild on
-  /// demand. Byte accounting restarts from the carried state — the
-  /// expiry path is exactly how resident bytes shrink. The shard size
-  /// and pool are inherited. Safe while `base` serves concurrent
-  /// queries; `base` is never modified. Throws std::invalid_argument on
-  /// a row-count/schema mismatch.
+  /// Derivation: a new engine over `table`, which must be `base`'s table
+  /// with its first `dropped_prefix_rows` rows removed, followed by any
+  /// appended rows — row r of `table` holds the values of base row
+  /// `dropped_prefix_rows + r` up to the base's last row, and appended
+  /// rows after that. The streaming append path is the case with no
+  /// dropped prefix; windowed retention (Table::Tail, whose dictionaries
+  /// may be re-coded — harmless, predicates match by value) is the case
+  /// with no appended rows.
+  ///
+  /// Every interned predicate keeps its dense id, so EstimatorContext
+  /// memo keys stay valid. Cached segments carry over shard by shard
+  /// through one row map: a target shard whose rows are exactly one
+  /// resident base segment shares it outright (zero copy — an append
+  /// leaves every clean shard untouched); any other shard is rebuilt
+  /// from the resident base segments covering its surviving rows plus
+  /// an evaluation of its appended rows only; a shard that needs an
+  /// evicted base segment stays empty and rematerializes on demand.
+  /// Shards of appended rows alone are built only for predicates that
+  /// carried some shard. Numeric column views follow the same map,
+  /// except categorical views when a prefix is dropped (their values are
+  /// dictionary codes). Byte accounting restarts from the carried state,
+  /// so expiry is how resident bytes shrink.
+  ///
+  /// The shard size, pool, compression and cache mode are inherited, so
+  /// shard boundaries stay stable across appends. Safe while `base` is
+  /// serving concurrent queries: only pointers are copied under its
+  /// locks, and `base` is never modified. Throws std::invalid_argument
+  /// when `dropped_prefix_rows` exceeds the base rows, `table` has fewer
+  /// rows than the base keeps, or the column counts differ.
   EvalEngine(std::shared_ptr<const Table> table, const EvalEngine& base,
-             size_t dropped_prefix_rows);
+             size_t dropped_prefix_rows = 0);
 
   EvalEngine(const EvalEngine&) = delete;
   EvalEngine& operator=(const EvalEngine&) = delete;
@@ -178,7 +179,7 @@ class EvalEngine {
   const Table& table() const { return table_; }
   bool cache_enabled() const { return cache_enabled_; }
 
-  /// The engine's row partition. Single-shard for the bool constructors.
+  /// The engine's row partition (single-shard by default).
   const ShardPlan& plan() const { return plan_; }
 
   /// The engine's worker pool (null = serial execution).
@@ -242,14 +243,19 @@ class EvalEngine {
   std::string ExportCacheState() const;
 
   /// Seeds a freshly constructed engine (nothing interned yet) with
-  /// state exported from an engine over identical table content and an
-  /// identical (rows, shard plan, compression, cache mode)
-  /// configuration. Predicates intern in export order, so the dense ids
-  /// — and every CATE memo keyed on them — are preserved. Returns the
-  /// number of segments restored. Throws StorageError: kStale when the
-  /// configuration does not match, kCorrupt when the payload is
-  /// malformed; the engine is unusable after a throw mid-import and
-  /// must be discarded (the caller rebuilds cold).
+  /// state exported from an engine over identical table content and the
+  /// same compression and cache mode. The exported segments are
+  /// re-sliced onto this engine's shard plan through the derivation row
+  /// map (no rows dropped or appended), so a shard size that differs —
+  /// e.g. an auto-sized plan after appends — still restores warm.
+  /// Predicates intern in export order, so the dense ids — and every
+  /// CATE memo keyed on them — are preserved. Returns the number of
+  /// segments restored. Throws StorageError: kStale on a row-count,
+  /// compression or cache-mode mismatch, kCorrupt when the payload is
+  /// malformed (including a source plan whose shard size is zero or not
+  /// a multiple of 64, or whose segment counts or sizes disagree with
+  /// it); the engine is unusable after a throw and must be discarded
+  /// (the caller rebuilds cold).
   size_t ImportCacheState(const std::string& bytes);
 
  private:
@@ -264,9 +270,9 @@ class EvalEngine {
     std::vector<uint64_t> seg_used CAUSUMX_GUARDED_BY(mu);
   };
   /// Double-checked build: `ready` (acquire/release) publishes `view`
-  /// after it is built under `mu` — or seeded by the delta-extension
+  /// after it is built under `mu` — or seeded by the derivation
   /// constructor. (A once_flag cannot express "already built": the
-  /// extension ctor pre-fills inherited views.) `view` / `distinct` are
+  /// derivation pre-fills carried views.) `view` / `distinct` are
   /// deliberately NOT GUARDED_BY: after publication they are immutable
   /// and read lock-free; the mutex only serializes the one-time build.
   struct ColumnSlot {
@@ -278,7 +284,32 @@ class EvalEngine {
     std::shared_ptr<const std::vector<Value>> distinct;
   };
 
+  /// One predicate's cached state detached from any engine: what a
+  /// derivation snapshots from its base and what a cache import decodes.
+  struct SlotState {
+    SimplePredicate pred;
+    std::vector<std::shared_ptr<const SegmentBits>> segs;
+    std::vector<uint64_t> seg_used;
+  };
+
   static size_t BitsetBytes(const Bitset& bits);
+
+  /// Copies every slot's predicate and segment pointers (no bit work).
+  std::vector<SlotState> SnapshotSlotsLocked() const
+      CAUSUMX_REQUIRES_SHARED(intern_mu_);
+
+  /// The row map shared by derivation and cache import. Re-slices
+  /// `state`'s segments from `src_plan` onto this engine's plan, where
+  /// target row r holds source row r + `dropped` while that exists and
+  /// an appended row of this engine's table after it (see the
+  /// derivation constructor for the per-shard rules). Returns whether
+  /// any shard carried.
+  bool MapRows(const ShardPlan& src_plan, size_t dropped,
+               SlotState* state) const;
+
+  /// Appends `state` (already on this engine's plan) as the next slot
+  /// and byte-accounts its resident segments.
+  void AdoptSlotLocked(SlotState state) CAUSUMX_REQUIRES(intern_mu_);
 
   /// Runs fn(shard) for every shard, pool-parallel when a pool is set.
   void RunSharded(size_t n, const std::function<void(size_t)>& fn) const;

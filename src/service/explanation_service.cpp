@@ -526,14 +526,6 @@ CauSumXResult ExplanationService::Explain(const std::string& table_name,
                                           const CausalDag& dag,
                                           const CauSumXConfig& config) {
   Resolved entry = Resolve(table_name, dag, config.estimator);
-  // A bypass request cannot run through the shared cached engine; give it
-  // a private bypass engine instead (same results, no cache reuse).
-  std::shared_ptr<EvalEngine> engine = entry.engine;
-  std::shared_ptr<EstimatorContext> ctx = entry.context;
-  if (config.disable_eval_cache && engine->cache_enabled()) {
-    engine = std::make_shared<EvalEngine>(entry.table, false);
-    ctx = std::make_shared<EstimatorContext>(engine, dag, config.estimator);
-  }
 
   CauSumXResult result;
   // With the default thread count the query mines on the service pool
@@ -542,7 +534,8 @@ CauSumXResult ExplanationService::Explain(const std::string& table_name,
   // private pool of that size.
   ThreadPool* mining_pool = config.num_threads == 0 ? pool_.get() : nullptr;
   CandidateMiningResult mined = MineExplanationCandidates(
-      *entry.table, query, dag, config, engine, ctx, mining_pool);
+      *entry.table, query, dag, config, entry.engine, entry.context,
+      mining_pool);
   result.view = std::move(mined.view);
   result.partition = std::move(mined.partition);
   result.num_grouping_candidates = mined.num_grouping_candidates;

@@ -176,10 +176,11 @@ class ExplanationService {
   /// Appends `rows` to a registered table under copy-on-write snapshot
   /// semantics: the current snapshot is cloned, the delta appended to the
   /// clone (bumping the table version), and a new registry entry
-  /// installed whose EvalEngine extends every cached predicate bitset by
-  /// evaluating only the delta rows and whose EstimatorContexts carry
-  /// their CATE memos across (entries whose subpopulation gained delta
-  /// rows re-intern and recompute; the rest stay warm hits). In-flight
+  /// installed whose EvalEngine is derived from the previous one (every
+  /// cached predicate segment carries over, evaluating only the delta
+  /// rows) and whose EstimatorContexts carry their CATE memos across
+  /// (entries whose subpopulation gained delta rows re-intern and
+  /// recompute; the rest stay warm hits). In-flight
   /// queries keep the snapshot they resolved — they see a consistent
   /// version while the append lands; queries starting afterwards see the
   /// new one. Appends serialize against each other; results are
@@ -260,7 +261,9 @@ class ExplanationService {
 
   /// Cold-starts `name` from its durable snapshot alone — no CSV: the
   /// embedded columnar table is decoded and self-verified against the
-  /// snapshot's content-hash key, then the warm caches import on top.
+  /// snapshot's content-hash key, then the warm caches import on top
+  /// (re-sliced onto this service's shard plan, so a snapshot written
+  /// after appends restores warm too).
   /// Returns false (counting a rejection where a file existed) when the
   /// snapshot is missing, damaged, or built under a different engine
   /// configuration — the caller falls back to a cold load; a snapshot
@@ -277,7 +280,9 @@ class ExplanationService {
 
   /// Runs CauSumX over a registered table through the table's shared
   /// caches, then enforces the memory budget. Equivalent to RunCauSumX
-  /// (bit-identical results), but repeat queries are served warm.
+  /// (bit-identical results), but repeat queries are served warm. The
+  /// cache mode is the service's (ServiceOptions::cache_enabled);
+  /// config.disable_eval_cache is not consulted.
   CauSumXResult Explain(const std::string& table_name,
                         const GroupByAvgQuery& query, const CausalDag& dag,
                         const CauSumXConfig& config = {});

@@ -122,7 +122,6 @@ StreamMonitor::StreamMonitor(std::string id, MonitorSpec spec,
 
 EvalEngineOptions StreamMonitor::EngineOptions() const {
   EvalEngineOptions options;
-  options.cache_enabled = !bound_.config.disable_eval_cache;
   options.num_shards = bound_.config.num_shards;
   options.pool = nullptr;  // window shard work runs serial (windows are small)
   options.compression = spec_.compression;
@@ -185,8 +184,8 @@ void StreamMonitor::AppendToWindowLocked(
 void StreamMonitor::CompactLocked(size_t drop) {
   // Table::Tail rebuilds the surviving rows exactly as a from-scratch
   // load would (fresh dictionaries in first-appearance order), and the
-  // retraction constructors carry over precisely the cache/memo state
-  // that is still valid — the grow-only delta logic in reverse.
+  // derivation constructors carry over precisely the cache/memo state
+  // that is still valid.
   auto tail = std::make_shared<const Table>(window_table_->Tail(drop));
   engine_ = std::make_shared<EvalEngine>(tail, *engine_, drop);
   context_ = std::make_shared<EstimatorContext>(engine_, *context_, drop);

@@ -7,19 +7,18 @@
 // its own window Table / EvalEngine / EstimatorContext triple and walks
 // it incrementally:
 //
-//   * Appends extend the triple through the engine's delta-extension
-//     constructor and the context's append-migration constructor (PR 3's
-//     grow-only path): cached predicate segments evaluate only the delta
-//     rows and carried CATE memo entries stay warm.
+//   * Appends derive the triple through the EvalEngine and
+//     EstimatorContext derivation constructors with no dropped prefix:
+//     cached predicate segments evaluate only the delta rows and carried
+//     CATE memo entries stay warm.
 //   * At each window boundary the expired prefix is retracted:
-//     Table::Tail rebuilds the surviving rows, and the new retraction
-//     constructors (EvalEngine / EstimatorContext with a
-//     dropped_prefix_rows argument) carry over exactly the cache and
-//     memo state that is still valid — a subpopulation that lost rows is
-//     invalidated precisely, everything else shifts down and stays a
-//     memo hit. Expiry also *shrinks* the accounted resident bytes: the
-//     retraction constructors restart byte accounting from the carried
-//     (strictly smaller) state.
+//     Table::Tail rebuilds the surviving rows, and the same derivation
+//     constructors, given the dropped_prefix_rows, carry over exactly
+//     the cache and memo state that is still valid — a subpopulation
+//     that lost rows is invalidated precisely, everything else shifts
+//     down and stays a memo hit. Expiry also *shrinks* the accounted
+//     resident bytes: a derivation restarts byte accounting from the
+//     carried (strictly smaller) state.
 //   * The summary is then re-mined over the window through the warm
 //     caches. Only dirty groups — grouping patterns whose subpopulation
 //     actually gained or lost rows — recompute their CATEs; the rest are
@@ -206,14 +205,14 @@ class StreamMonitor {
   /// Fresh (cold) engine options over the current window.
   EvalEngineOptions EngineOptions() const;
 
-  /// Appends `rows[begin, end)` to the window table, migrating the
-  /// engine and context through the grow-only delta constructors (or
-  /// building them fresh on the first non-empty window).
+  /// Appends `rows[begin, end)` to the window table, deriving the
+  /// engine and context from the previous ones (or building them fresh
+  /// on the first non-empty window).
   void AppendToWindowLocked(const std::vector<std::vector<Value>>& rows,
                             size_t begin, size_t end) CAUSUMX_REQUIRES(mu_);
 
-  /// Expires the first `drop` window rows through Table::Tail and the
-  /// retraction constructors.
+  /// Expires the first `drop` window rows through Table::Tail and a
+  /// derivation that drops them.
   void CompactLocked(size_t drop) CAUSUMX_REQUIRES(mu_);
 
   /// Mines the current window, diffs against the previous summary, and

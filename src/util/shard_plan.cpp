@@ -49,10 +49,4 @@ size_t ShardPlan::ShardEnd(size_t shard) const {
   return std::min((shard + 1) * shard_rows_, num_rows_);
 }
 
-ShardPlan ShardPlan::Extended(size_t new_num_rows) const {
-  ShardPlan plan = *this;
-  plan.num_rows_ = new_num_rows;
-  return plan;
-}
-
 }  // namespace causumx

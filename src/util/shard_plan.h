@@ -17,11 +17,14 @@
 //     function of the data alone — any shard count, thread count, or
 //     scheduling produces bit-identical output.
 //
-//  2. The shard size is fixed at plan creation and survives appends: a
-//     delta extends the tail shard up to the shard size and then opens
-//     new shards, so shards fully below the old row count keep their
-//     exact boundaries (and their cached artifacts; see the EvalEngine
-//     delta-extension constructor).
+//  2. The shard size is fixed at plan creation and survives new table
+//     versions: a derived engine plans its rows with its base's shard
+//     size, so after an append the tail shard fills up to the shard size
+//     and then new shards open, while shards fully below the old row
+//     count keep their exact boundaries — and their cached segments,
+//     shared outright (see the EvalEngine derivation constructor). A
+//     dropped prefix that is a whole number of shards shifts boundaries
+//     by exactly that many shards, so surviving segments are shared too.
 //
 // The `--shards N` knob resolves to a shard size of ceil(rows / N)
 // rounded up to a block multiple; N = 0 means one shard per available
@@ -71,10 +74,6 @@ class ShardPlan {
 
   /// Shard containing row `row` (row < num_rows).
   size_t ShardOfRow(size_t row) const { return row / shard_rows_; }
-
-  /// A plan with the same shard size over a grown row count — the
-  /// append path's plan: shards below the old row count are unchanged.
-  ShardPlan Extended(size_t new_num_rows) const;
 
   bool operator==(const ShardPlan& other) const {
     return num_rows_ == other.num_rows_ && shard_rows_ == other.shard_rows_;

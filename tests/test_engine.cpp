@@ -178,8 +178,8 @@ class EnginePropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(EnginePropertyTest, AllEvaluationPathsAgree) {
   const RandomWorld w = MakeWorld(GetParam());
-  EvalEngine cached(w.table, /*cache_enabled=*/true);
-  EvalEngine bypass(w.table, /*cache_enabled=*/false);
+  EvalEngine cached(w.table, EvalEngineOptions{.cache_enabled = true});
+  EvalEngine bypass(w.table, EvalEngineOptions{.cache_enabled = false});
   Rng rng(GetParam() * 131 + 5);
   const size_t n = w.table.NumRows();
   for (int trial = 0; trial < 25; ++trial) {
@@ -283,8 +283,10 @@ TEST(EstimatorContextTest, CachedAndBypassEstimatesAreBitIdentical) {
   SyntheticOptions opt;
   opt.num_rows = 1500;
   const GeneratedDataset ds = MakeSyntheticDataset(opt);
-  auto cached_engine = std::make_shared<EvalEngine>(ds.table, true);
-  auto bypass_engine = std::make_shared<EvalEngine>(ds.table, false);
+  auto cached_engine = std::make_shared<EvalEngine>(
+      ds.table, EvalEngineOptions{.cache_enabled = true});
+  auto bypass_engine = std::make_shared<EvalEngine>(
+      ds.table, EvalEngineOptions{.cache_enabled = false});
   EffectEstimator cached(cached_engine, ds.dag);
   EffectEstimator bypass(bypass_engine, ds.dag);
 

@@ -549,12 +549,23 @@ TEST(EngineCacheSerdeTest, RestoredEngineEvaluatesIdentically) {
   // Import into a non-fresh engine is a programming error.
   EXPECT_THROW(b.ImportCacheState(state), std::logic_error);
 
-  // Import under a different configuration is stale, not silently wrong.
+  // A different shard plan re-slices the exported segments onto the
+  // importing engine's shards: bit-identical, and nothing rebuilds.
+  EvalEngineOptions resharded = opts;
+  resharded.num_shards = 2;
+  EvalEngine c(table, resharded);
+  ASSERT_NE(c.plan().shard_rows(), a.plan().shard_rows());
+  EXPECT_GT(c.ImportCacheState(state), 0u);
+  EXPECT_EQ(c.NumInterned(), a.NumInterned());
+  EXPECT_TRUE(c.Evaluate(pattern) == expected);
+  EXPECT_EQ(c.Stats().bitsets_materialized, 0u);
+
+  // A different compression policy is stale, not silently wrong.
   EvalEngineOptions other = opts;
-  other.num_shards = 2;
-  EvalEngine c(table, other);
+  other.compression = SegmentCompression::kNever;
+  EvalEngine d(table, other);
   try {
-    c.ImportCacheState(state);
+    d.ImportCacheState(state);
     FAIL() << "config mismatch accepted";
   } catch (const StorageError& e) {
     EXPECT_EQ(e.kind(), StorageErrorKind::kStale);
@@ -625,6 +636,53 @@ TEST(ServicePersistenceTest, WarmRestartIsBitIdenticalAndServedFromMemo) {
   EXPECT_EQ(restarted.Stats().snapshots_rejected, 0u);
   const CauSumXResult warm =
       restarted.Explain("t", ds.default_query, ds.dag, config);
+  EXPECT_EQ(SummaryToJson(warm.summary), cold_json);
+  EXPECT_GT(warm.cache_stats.estimator.memo_hits, 0u);
+  EXPECT_EQ(warm.cache_stats.estimator.memo_misses, 0u);
+}
+
+// A snapshot written after appends is taken over a table whose engine
+// kept its registration-time shard size, while a restart plans the
+// grown table afresh. The restore re-slices the cache onto the new plan
+// and stays warm and bit-identical.
+TEST(ServicePersistenceTest, RestoreAfterAppendIsWarmAndBitIdentical) {
+  TempDir dir;
+  GeneratedDataset ds = MakeData();
+  const CauSumXConfig config = MakeConfig(ds);
+  const size_t total = ds.table.NumRows();
+  const size_t base_rows = total - 300;
+
+  ExplanationService reference;
+  reference.RegisterTable("t", ds.table.Head(total));
+  const std::string cold_json = SummaryToJson(
+      reference.Explain("t", ds.default_query, ds.dag, config).summary);
+
+  // Any fixed shard count (like the default one-per-worker 0) plans the
+  // grown table with a different shard size than its derived engine.
+  ServiceOptions options = PersistentOptions(dir.path);
+  options.num_shards = 4;
+  size_t written_shard_rows = 0;
+  {
+    ExplanationService service(options);
+    service.RegisterTable("t", ds.table.Head(base_rows));
+    service.Explain("t", ds.default_query, ds.dag, config);
+    service.Append("t", ds.table.MaterializeRows(base_rows, total));
+    EXPECT_EQ(SummaryToJson(service.Explain("t", ds.default_query, ds.dag,
+                                            config)
+                                .summary),
+              cold_json);
+    service.SaveSnapshot("t");
+    written_shard_rows = service.Engine("t")->plan().shard_rows();
+  }
+
+  ExplanationService restored(options);
+  ASSERT_TRUE(restored.RestoreTable("t"));
+  EXPECT_EQ(restored.Stats().snapshots_restored, 1u);
+  EXPECT_EQ(restored.Stats().snapshots_rejected, 0u);
+  ASSERT_NE(restored.Engine("t")->plan().shard_rows(), written_shard_rows);
+  EXPECT_GT(restored.Engine("t")->CacheBytes(), 0u);
+  const CauSumXResult warm =
+      restored.Explain("t", ds.default_query, ds.dag, config);
   EXPECT_EQ(SummaryToJson(warm.summary), cold_json);
   EXPECT_GT(warm.cache_stats.estimator.memo_hits, 0u);
   EXPECT_EQ(warm.cache_stats.estimator.memo_misses, 0u);

@@ -247,6 +247,106 @@ TEST(EngineExtensionTest, RejectsNonExtension) {
   auto smaller = std::make_shared<const Table>(
       w.table->SelectRows({0, 1, 2}));
   EXPECT_THROW(EvalEngine(smaller, *engine), std::invalid_argument);
+  // More rows dropped than the base has.
+  const auto same = std::shared_ptr<const Table>(w.table);
+  EXPECT_THROW(EvalEngine(same, *engine, 101), std::invalid_argument);
+  // Fewer rows than the base keeps after the drop.
+  auto short_tail = std::make_shared<const Table>(w.table->Tail(10));
+  EXPECT_THROW(EvalEngine(short_tail, *engine, 5), std::invalid_argument);
+}
+
+// Checks a derived engine against a fresh one over the same table:
+// every atom, one conjunction, and every column's numeric view.
+void ExpectMatchesFreshEngine(EvalEngine& derived, const EngineWorld& w,
+                              const std::shared_ptr<const Table>& table) {
+  EvalEngine fresh(table);
+  for (const auto& a : w.atoms) {
+    const Pattern p({a});
+    EXPECT_TRUE(derived.Evaluate(p) == fresh.Evaluate(p)) << a.ToString();
+  }
+  const Pattern conj({w.atoms[0], w.atoms[3]});
+  EXPECT_TRUE(derived.Evaluate(conj) == fresh.Evaluate(conj));
+  for (size_t col = 0; col < table->NumColumns(); ++col) {
+    const NumericColumnView& got = derived.Numeric(col);
+    const NumericColumnView& want = fresh.Numeric(col);
+    ASSERT_EQ(got.values.size(), want.values.size());
+    EXPECT_TRUE(got.valid == want.valid) << "column " << col;
+    for (size_t r = 0; r < got.values.size(); ++r) {
+      if (want.valid.Test(r)) {
+        EXPECT_EQ(got.values[r], want.values[r]) << "column " << col;
+      }
+    }
+  }
+}
+
+std::shared_ptr<EvalEngine> WarmShardedEngine(const EngineWorld& w,
+                                              size_t shards) {
+  EvalEngineOptions options;
+  options.num_shards = shards;
+  auto engine = std::make_shared<EvalEngine>(
+      std::shared_ptr<const Table>(w.table), options);
+  for (const auto& a : w.atoms) engine->Evaluate(Pattern({a}));
+  for (size_t col = 0; col < w.table->NumColumns(); ++col) {
+    engine->Numeric(col);
+  }
+  return engine;
+}
+
+TEST(EngineExtensionTest, DropAndAppendInOneDerivation) {
+  EngineWorld w = MakeEngineWorld(41, 512);
+  auto base = WarmShardedEngine(w, 4);  // four 128-row shards
+  Table g = w.table->Tail(37);  // unaligned drop
+  g.AppendRows(MakeDelta(42, 90));
+  auto derived_table = std::make_shared<const Table>(std::move(g));
+  EvalEngine derived(derived_table, *base, 37);
+
+  // A dropped prefix counts as retraction, even with rows appended.
+  EXPECT_EQ(derived.Stats().bitsets_retracted, w.atoms.size());
+  EXPECT_EQ(derived.Stats().bitsets_extended, 0u);
+  // Int and double views carry; the categorical one (re-coded by Tail)
+  // rebuilds on demand.
+  EXPECT_EQ(derived.Stats().column_views_retracted, 2u);
+  EXPECT_EQ(derived.Stats().column_views_extended, 0u);
+  EXPECT_EQ(derived.NumInterned(), w.atoms.size());
+  ExpectMatchesFreshEngine(derived, w, derived_table);
+  EXPECT_EQ(derived.Stats().bitsets_materialized, 0u);
+  EXPECT_EQ(derived.Stats().column_views_built, 1u);
+}
+
+TEST(EngineExtensionTest, RetractionCarriesAroundAnEvictedSegment) {
+  EngineWorld w = MakeEngineWorld(43, 512);
+  auto base = WarmShardedEngine(w, 4);
+  // Evicts exactly the oldest segment: shard 0 of the first atom, which
+  // holds surviving rows 40..127.
+  ASSERT_GT(base->EvictLru(1), 0u);
+  ASSERT_EQ(base->Stats().bitsets_evicted, 1u);
+  auto tail = std::make_shared<const Table>(w.table->Tail(40));
+  EvalEngine derived(tail, *base, 40);
+
+  // Per-shard carry: the first atom still carries its other shards.
+  EXPECT_EQ(derived.Stats().bitsets_retracted, w.atoms.size());
+  ExpectMatchesFreshEngine(derived, w, tail);
+  // Only the target shard that needed the evicted segment rebuilt.
+  EXPECT_EQ(derived.Stats().bitsets_materialized, 1u);
+}
+
+TEST(EngineExtensionTest, WholeShardDropKeepsSurvivingSegments) {
+  EngineWorld w = MakeEngineWorld(47, 512);
+  EvalEngineOptions options;
+  options.num_shards = 4;
+  options.compression = SegmentCompression::kNever;  // fixed segment bytes
+  auto base = std::make_shared<EvalEngine>(
+      std::shared_ptr<const Table>(w.table), options);
+  for (const auto& a : w.atoms) base->Evaluate(Pattern({a}));
+  auto tail = std::make_shared<const Table>(w.table->Tail(256));
+  EvalEngine derived(tail, *base, 256);
+
+  EXPECT_EQ(derived.plan().NumShards(), 2u);
+  EXPECT_EQ(derived.Stats().bitsets_retracted, w.atoms.size());
+  // Two of the four equal-size segments of every atom survive.
+  EXPECT_EQ(derived.CacheBytes() * 2, base->CacheBytes());
+  ExpectMatchesFreshEngine(derived, w, tail);
+  EXPECT_EQ(derived.Stats().bitsets_materialized, 0u);
 }
 
 // ---- Estimator-context migration -------------------------------------------
@@ -314,6 +414,78 @@ TEST(ContextMigrationTest, UntouchedSubpopulationsHitTheMemo) {
       cold.EstimateCate(treatment, "Y", engine2->Evaluate(in_b));
   EXPECT_EQ(b_after.cate, b_cold.cate);
   EXPECT_EQ(b_after.n_used, b_cold.n_used);
+}
+
+TEST(ContextMigrationTest, DropAndAppendCarriesUntouchedSubpopulations) {
+  // The first 40 rows are all G=b, so dropping them leaves G=a intact
+  // while G=b loses rows; the appended rows are all G=b too. After one
+  // derivation, G=a must be a memo hit and G=b must recompute, both
+  // bit-identical to a fresh context over the derived table.
+  Rng rng(59);
+  auto table = std::make_shared<Table>();
+  table->AddColumn("G", ColumnType::kCategorical);
+  table->AddColumn("T", ColumnType::kInt64);
+  table->AddColumn("Y", ColumnType::kDouble);
+  auto make_row = [&rng](const char* group) {
+    const int64_t treat = rng.NextBool(0.5) ? 1 : 0;
+    return std::vector<Value>{Value(group), Value(treat),
+                              Value(2.0 * treat + rng.NextGaussian())};
+  };
+  for (size_t r = 0; r < 280; ++r) {
+    table->AddRow(make_row(r < 40 || rng.NextBool(0.5) ? "b" : "a"));
+  }
+  CausalDag dag;
+  dag.AddEdge("T", "Y");
+
+  EvalEngineOptions options;
+  options.num_shards = 3;
+  auto engine = std::make_shared<EvalEngine>(
+      std::shared_ptr<const Table>(table), options);
+  auto ctx = std::make_shared<EstimatorContext>(engine, dag,
+                                                EstimatorOptions{});
+  const Pattern treatment(
+      {SimplePredicate("T", CompareOp::kEq, Value(int64_t{1}))});
+  const Pattern in_a({SimplePredicate("G", CompareOp::kEq, Value("a"))});
+  const Pattern in_b({SimplePredicate("G", CompareOp::kEq, Value("b"))});
+  ctx->EstimateCate(treatment, "Y", engine->Evaluate(in_a));
+  ctx->EstimateCate(treatment, "Y", engine->Evaluate(in_b));
+
+  Table g = table->Tail(40);
+  std::vector<std::vector<Value>> delta;
+  for (size_t r = 0; r < 50; ++r) delta.push_back(make_row("b"));
+  g.AppendRows(delta);
+  auto derived_table = std::make_shared<const Table>(std::move(g));
+  auto engine2 = std::make_shared<EvalEngine>(derived_table, *engine, 40);
+  EstimatorContext ctx2(engine2, *ctx, 40);
+  EXPECT_EQ(ctx2.Stats().memo_migrated, 1u);  // G=b lost rows
+
+  auto fresh_engine = std::make_shared<EvalEngine>(derived_table);
+  EstimatorContext fresh(fresh_engine, dag, EstimatorOptions{});
+  for (const Pattern* group : {&in_a, &in_b}) {
+    const EffectEstimate got =
+        ctx2.EstimateCate(treatment, "Y", engine2->Evaluate(*group));
+    const EffectEstimate want =
+        fresh.EstimateCate(treatment, "Y", fresh_engine->Evaluate(*group));
+    EXPECT_EQ(got.valid, want.valid);
+    EXPECT_EQ(got.cate, want.cate);
+    EXPECT_EQ(got.std_error, want.std_error);
+    EXPECT_EQ(got.n_used, want.n_used);
+  }
+  EXPECT_EQ(ctx2.Stats().memo_hits, 1u);    // G=a served warm
+  EXPECT_EQ(ctx2.Stats().memo_misses, 1u);  // G=b recomputed
+}
+
+TEST(ContextMigrationTest, RejectsInvalidDerivation) {
+  EngineWorld w = MakeEngineWorld(61, 100);
+  auto engine =
+      std::make_shared<EvalEngine>(std::shared_ptr<const Table>(w.table));
+  CausalDag dag;
+  dag.AddEdge("i", "d");
+  EstimatorContext ctx(engine, dag, EstimatorOptions{});
+  EXPECT_THROW(EstimatorContext(engine, ctx, 101), std::invalid_argument);
+  auto short_engine = std::make_shared<EvalEngine>(
+      std::make_shared<const Table>(w.table->Tail(10)));
+  EXPECT_THROW(EstimatorContext(short_engine, ctx, 5), std::invalid_argument);
 }
 
 // ---- Service layer ---------------------------------------------------------
