@@ -90,7 +90,8 @@ int main() {
     const auto grouping = MineGroupingPatterns(
         ds.table, view, ds.grouping_attribute_hint, gopt);
 
-    EffectEstimator estimator(ds.table, ds.dag, {});
+    EstimatorContext estimator(
+        std::make_shared<EvalEngine>(BorrowTable(ds.table)), ds.dag, {});
     const auto atoms = GenerateAtomicTreatments(
         ds.table, ds.treatment_attribute_hint, {});
 

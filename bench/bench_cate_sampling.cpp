@@ -34,7 +34,8 @@ int main() {
   // Full-data reference CATEs.
   EstimatorOptions full_opt;
   full_opt.sample_cap = 0;
-  EffectEstimator full(ds.table, ds.dag, full_opt);
+  EstimatorContext full(
+      std::make_shared<EvalEngine>(BorrowTable(ds.table)), ds.dag, full_opt);
   std::vector<double> reference;
   reference.reserve(treatments.size());
   for (const auto& tr : treatments) {
@@ -56,7 +57,8 @@ int main() {
     if (n > ds.table.NumRows()) continue;
     EstimatorOptions opt;
     opt.sample_cap = n;
-    EffectEstimator sampled(ds.table, ds.dag, opt);
+    EstimatorContext sampled(
+        std::make_shared<EvalEngine>(BorrowTable(ds.table)), ds.dag, opt);
     std::printf("%10zu", n);
     double max_rel = 0;
     std::vector<double> estimates;
@@ -86,7 +88,8 @@ int main() {
     if (n > ds.table.NumRows()) continue;
     EstimatorOptions opt;
     opt.sample_cap = n;
-    EffectEstimator sampled(ds.table, ds.dag, opt);
+    EstimatorContext sampled(
+        std::make_shared<EvalEngine>(BorrowTable(ds.table)), ds.dag, opt);
     std::vector<double> estimates;
     for (const auto& tr : treatments) {
       estimates.push_back(

@@ -25,7 +25,8 @@ std::vector<double> TreatmentCates(const GeneratedDataset& ds,
   all.SetAll();
   EstimatorOptions opt;
   opt.min_group_size = 5;
-  EffectEstimator est(ds.table, dag, opt);
+  EstimatorContext est(
+      std::make_shared<EvalEngine>(BorrowTable(ds.table)), dag, opt);
   std::vector<double> cates;
   for (size_t i = 0; i < atoms.size() && cates.size() < 20; ++i) {
     cates.push_back(

@@ -10,7 +10,7 @@
 
 #include <benchmark/benchmark.h>
 
-#include "causal/estimator.h"
+#include "causal/estimator_context.h"
 #include "datagen/stackoverflow.h"
 #include "engine/eval_engine.h"
 #include "lp/rounding.h"
@@ -47,7 +47,7 @@ BENCHMARK(BM_PatternEvaluate);
 // two atom bitsets are cached, so evaluation is a word-wise AND.
 void BM_EnginePatternEvaluate(benchmark::State& state) {
   const GeneratedDataset& ds = SoDataset();
-  EvalEngine engine(ds.table);
+  EvalEngine engine(BorrowTable(ds.table));
   const Pattern p({SimplePredicate("Education", CompareOp::kEq,
                                    Value("Masters degree")),
                    SimplePredicate("Age", CompareOp::kLt,
@@ -60,12 +60,13 @@ void BM_EnginePatternEvaluate(benchmark::State& state) {
 }
 BENCHMARK(BM_EnginePatternEvaluate);
 
-// Note: EffectEstimator now memoizes per (treatment, outcome,
+// Note: EstimatorContext memoizes per (treatment, outcome,
 // subpopulation), so steady state here measures a memo hit. Compare
 // against BM_CateEstimationUncached for the full-regression cost.
 void BM_CateEstimation(benchmark::State& state) {
   const GeneratedDataset& ds = SoDataset();
-  EffectEstimator est(ds.table, ds.dag, {});
+  EstimatorContext est(std::make_shared<EvalEngine>(BorrowTable(ds.table)),
+                       ds.dag, {});
   const Pattern treatment({SimplePredicate("Education", CompareOp::kEq,
                                            Value("Masters degree"))});
   Bitset all(ds.table.NumRows());
@@ -84,8 +85,8 @@ BENCHMARK(BM_CateEstimation);
 void BM_CateEstimationUncached(benchmark::State& state) {
   const GeneratedDataset& ds = SoDataset();
   auto engine = std::make_shared<EvalEngine>(
-      ds.table, EvalEngineOptions{.cache_enabled = false});
-  EffectEstimator est(engine, ds.dag, {});
+      BorrowTable(ds.table), EvalEngineOptions{.cache_enabled = false});
+  EstimatorContext est(engine, ds.dag, {});
   const Pattern treatment({SimplePredicate("Education", CompareOp::kEq,
                                            Value("Masters degree"))});
   Bitset all(ds.table.NumRows());

@@ -59,7 +59,9 @@ BruteForceResult RunBruteForce(const Table& table,
                                const BruteForceConfig& config,
                                std::shared_ptr<EvalEngine> engine,
                                std::shared_ptr<EstimatorContext> estimator_ctx) {
-  if (engine == nullptr) engine = std::make_shared<EvalEngine>(table);
+  if (engine == nullptr) {
+    engine = std::make_shared<EvalEngine>(BorrowTable(table));
+  }
   if (estimator_ctx == nullptr) {
     estimator_ctx =
         std::make_shared<EstimatorContext>(engine, dag, config.estimator);
@@ -150,7 +152,6 @@ BruteForceResult RunBruteForce(const Table& table,
   result.treatment_patterns_enumerated = tpatterns.size();
 
   // --- Evaluate every (grouping, treatment) CATE. --------------------------
-  EffectEstimator estimator(estimator_ctx);
   std::vector<Explanation> candidates(grouping.size());
   std::atomic<size_t> evals{0};
   std::atomic<bool> capped{false};
@@ -170,7 +171,7 @@ BruteForceResult RunBruteForce(const Table& table,
       }
       evals.fetch_add(1);
       const EffectEstimate est =
-          estimator.EstimateCate(tp, query.avg_attribute, gc.rows);
+          estimator_ctx->EstimateCate(tp, query.avg_attribute, gc.rows);
       if (!est.Significant(config.treatment.alpha)) continue;
       if (est.cate > 0 &&
           (!best_pos || est.cate > best_pos->effect.cate)) {
@@ -222,7 +223,7 @@ BruteForceResult RunBruteForce(const Table& table,
   result.summary.coverage_satisfied =
       result.summary.covered_groups >= problem.RequiredCoverage();
   result.cache_stats.eval = engine->Stats();
-  result.cache_stats.estimator = estimator.cache_stats();
+  result.cache_stats.estimator = estimator_ctx->Stats();
   return result;
 }
 

@@ -13,7 +13,8 @@ XInsightResult RunXInsight(const Table& table, const AggregateView& view,
   const size_t m = view.NumGroups();
   result.pairs_total = m * (m - 1) / 2;
 
-  EffectEstimator estimator(table, dag, config.estimator);
+  EstimatorContext estimator(std::make_shared<EvalEngine>(BorrowTable(table)),
+                             dag, config.estimator);
   const std::string& outcome = view.query().avg_attribute;
 
   // Shared atom set; per-pair we compare each atom's CATE in both groups.

@@ -1,17 +1,29 @@
-// Engine-bound effect-estimation context.
+// Engine-bound effect estimation: ATE / CATE by linear-regression
+// adjustment (Section 3 and Definition 4.3 of the paper).
 //
-// Holds everything EstimateCate needs that is shareable across calls:
-// the EvalEngine (interned predicate bitsets, cached numeric column
-// views), the causal DAG, the estimator options, and a memo table
-// mapping (treatment, outcome, subpopulation) to the finished
-// EffectEstimate. The lattice walk of Algorithm 2 re-estimates the same
-// triples many times — the incumbent's final re-estimate, every atom
-// shared between the positive and negative walks, and duplicate
-// children pruned across grouping patterns all become memo hits.
+// Given a treatment pattern P_t (binary treatment indicator), an outcome
+// attribute Y, a subpopulation (the rows of a grouping pattern P_g, or
+// every row for the ATE), and a causal DAG, the context regresses
+//     Y ~ 1 + T + Z
+// inside the subpopulation, where Z is the backdoor adjustment set
+// derived from the DAG (parents of the treatment attributes). The
+// coefficient on T is the (C)ATE; its t-test gives the p-value an
+// explanation reports. EstimationMethod::kIpw swaps in propensity
+// weighting over the same adjustment set.
+//
+// The context holds everything EstimateCate needs that is shareable
+// across calls: the EvalEngine (interned predicate bitsets, cached
+// numeric column views), the causal DAG, the estimator options, and a
+// memo table mapping (treatment, outcome, subpopulation) to the
+// finished EffectEstimate. The lattice walk of Algorithm 2 re-estimates
+// the same triples many times — the incumbent's final re-estimate,
+// every atom shared between the positive and negative walks, and
+// duplicate children pruned across grouping patterns all become memo
+// hits.
 //
 // Thread-safe for concurrent EstimateCate calls; contexts are shared by
-// shared_ptr between EffectEstimator facades, exploration sessions, and
-// baselines so they all populate one cache.
+// shared_ptr between the miners, exploration sessions, baselines and
+// the service, so they all populate one cache.
 
 #ifndef CAUSUMX_CAUSAL_ESTIMATOR_CONTEXT_H_
 #define CAUSUMX_CAUSAL_ESTIMATOR_CONTEXT_H_
@@ -38,12 +50,12 @@ namespace causumx {
 /// Cumulative memoization counters of one context. `memo_entries` /
 /// `memo_bytes` are current (not cumulative) accounted sizes.
 struct EstimatorCacheStats {
-  uint64_t memo_hits = 0;
-  uint64_t memo_misses = 0;
-  uint64_t memo_evicted = 0;
+  uint64_t memo_hits = 0;  ///< EstimateCate calls served from the memo
+  uint64_t memo_misses = 0;  ///< EstimateCate calls that computed
+  uint64_t memo_evicted = 0;  ///< entries dropped by EvictLru
   uint64_t memo_migrated = 0;  ///< entries carried by a derivation
-  size_t memo_entries = 0;
-  size_t memo_bytes = 0;
+  size_t memo_entries = 0;  ///< entries resident now
+  size_t memo_bytes = 0;  ///< accounted bytes resident now
 };
 
 /// Minimum table rows before EstimateCate dispatches its per-shard /
@@ -52,10 +64,12 @@ struct EstimatorCacheStats {
 /// path of small tables).
 inline constexpr size_t kParallelEstimateRowThreshold = 1u << 17;
 
+/// The effect estimator: one engine, one DAG, one set of options and the
+/// CATE memo over them (see the file comment).
 class EstimatorContext {
  public:
-  /// Binds to a shared engine. The engine's cache_enabled flag also
-  /// gates the CATE memo (bypass mode recomputes every estimate).
+  /// Binds to a shared engine. A cache-bypass oracle engine also
+  /// bypasses the CATE memo (every estimate recomputes).
   EstimatorContext(std::shared_ptr<EvalEngine> engine, const CausalDag& dag,
                    EstimatorOptions options);
 
@@ -84,7 +98,9 @@ class EstimatorContext {
   EstimatorContext(const EstimatorContext&) = delete;
   EstimatorContext& operator=(const EstimatorContext&) = delete;
 
-  /// Memoized CATE of `treatment` on `outcome` within `subpopulation`.
+  /// Memoized CATE of `treatment` on `outcome` within `subpopulation`
+  /// (a full mask gives the ATE). Sampling (optimization (d)) seeds
+  /// deterministically from the options and the pattern.
   EffectEstimate EstimateCate(const Pattern& treatment,
                               const std::string& outcome,
                               const Bitset& subpopulation);
@@ -93,9 +109,13 @@ class EstimatorContext {
   std::set<std::string> AdjustmentSet(const Pattern& treatment,
                                       const std::string& outcome) const;
 
+  /// The engine's table.
   const Table& table() const { return engine_->table(); }
+  /// The context's own copy of the DAG.
   const CausalDag& dag() const { return dag_; }
+  /// The options every estimate of this context uses.
   const EstimatorOptions& options() const { return options_; }
+  /// The engine the context is bound to.
   const std::shared_ptr<EvalEngine>& engine() const { return engine_; }
 
   /// Accounted bytes of the CATE memo (the evictable cache).
@@ -107,6 +127,7 @@ class EstimatorContext {
   /// next request, bit-identically.
   size_t EvictLru(size_t bytes_to_free);
 
+  /// Snapshot of the memo counters.
   EstimatorCacheStats Stats() const;
 
   /// Serializes the CATE memo — the interned subpopulation bitsets and

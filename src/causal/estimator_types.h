@@ -1,6 +1,7 @@
-// Option and result types of the effect estimator, split out so the
-// engine-bound EstimatorContext and the EffectEstimator facade can share
-// them without an include cycle.
+// Option and result types of effect estimation, kept apart from
+// EstimatorContext (causal/estimator_context.h) so headers that only
+// carry an estimate — explanations, renderers, baselines' configs — do
+// not pull in the engine.
 
 #ifndef CAUSUMX_CAUSAL_ESTIMATOR_TYPES_H_
 #define CAUSUMX_CAUSAL_ESTIMATOR_TYPES_H_
@@ -8,6 +9,8 @@
 #include <cstddef>
 #include <cstdint>
 #include <utility>
+
+#include "util/stats.h"
 
 namespace causumx {
 
@@ -57,7 +60,13 @@ struct EffectEstimate {
 
   /// Two-sided confidence interval at the given level (default 95%):
   /// cate +- z * std_error. Returns {cate, cate} when invalid.
-  std::pair<double, double> ConfidenceInterval(double level = 0.95) const;
+  std::pair<double, double> ConfidenceInterval(double level = 0.95) const {
+    if (!valid || std_error <= 0.0 || level <= 0.0 || level >= 1.0) {
+      return {cate, cate};
+    }
+    const double z = NormalQuantile(0.5 + level / 2.0);
+    return {cate - z * std_error, cate + z * std_error};
+  }
 };
 
 }  // namespace causumx

@@ -38,10 +38,10 @@ CandidateMiningResult MineExplanationCandidates(
   }
   if (engine == nullptr) {
     EvalEngineOptions eopt;
-    eopt.cache_enabled = !config.disable_eval_cache;
     eopt.num_shards = config.num_shards;
     eopt.pool = private_pool;
-    engine = std::make_shared<EvalEngine>(table, std::move(eopt));
+    engine =
+        std::make_shared<EvalEngine>(BorrowTable(table), std::move(eopt));
   }
   if (estimator_ctx == nullptr) {
     estimator_ctx = std::make_shared<EstimatorContext>(engine, dag,
@@ -97,7 +97,6 @@ CandidateMiningResult MineExplanationCandidates(
 
   // ---- Phase 2: treatment patterns (Section 5.2, Algorithm 2). ------------
   timer.Reset();
-  EffectEstimator estimator(estimator_ctx);
   const std::vector<std::string>& treatment_attrs =
       config.treatment_attribute_allowlist.empty()
           ? result.partition.treatment_attributes
@@ -113,12 +112,12 @@ CandidateMiningResult MineExplanationCandidates(
 
     TreatmentMiningStats stats;
     auto pos = MineTopTreatmentWithStats(
-        estimator, gp.rows, query.avg_attribute, treatment_attrs,
+        *estimator_ctx, gp.rows, query.avg_attribute, treatment_attrs,
         TreatmentSign::kPositive, config.treatment, &stats);
     if (pos) exp.positive = TreatmentSide{pos->pattern, pos->effect};
     if (config.mine_negative) {
       auto neg = MineTopTreatmentWithStats(
-          estimator, gp.rows, query.avg_attribute, treatment_attrs,
+          *estimator_ctx, gp.rows, query.avg_attribute, treatment_attrs,
           TreatmentSign::kNegative, config.treatment, &stats);
       if (neg) exp.negative = TreatmentSide{neg->pattern, neg->effect};
     }
@@ -141,7 +140,7 @@ CandidateMiningResult MineExplanationCandidates(
   }
   result.timings.Add("treatment", timer.Seconds());
   result.cache_stats.eval = engine->Stats();
-  result.cache_stats.estimator = estimator.cache_stats();
+  result.cache_stats.estimator = estimator_ctx->Stats();
   return result;
 }
 

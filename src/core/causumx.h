@@ -60,14 +60,6 @@ struct CauSumXConfig {
   /// mandatory when the group-by key is unique per tuple, where the FD
   /// test is vacuous.
   std::vector<std::string> grouping_attribute_allowlist;
-  /// Bypass the evaluation engine's predicate-bitset cache and the
-  /// estimator's CATE memo (verification/benchmark mode). Results are
-  /// bit-identical either way; only the work done differs. Only
-  /// run-private engines honour it (RunCauSumX, MineExplanationCandidates
-  /// without a caller engine, ExplorationSession over its own engine); a
-  /// shared engine keeps its own cache mode — for ExplanationService that
-  /// is ServiceOptions::cache_enabled.
-  bool disable_eval_cache = false;
 
   CauSumXConfig() { grouping.apriori.min_support = apriori_support; }
 };
@@ -108,7 +100,7 @@ struct CandidateMiningResult {
 
 /// Phases 1 + 2 of Algorithm 1: mine grouping patterns and their top
 /// treatments. Phase-3 parameters (k, theta, solver) are ignored here.
-/// Creates a run-private EvalEngine (honoring config.disable_eval_cache).
+/// Creates a run-private EvalEngine that borrows `table` (BorrowTable).
 CandidateMiningResult MineExplanationCandidates(const Table& table,
                                                 const GroupByAvgQuery& query,
                                                 const CausalDag& dag,
@@ -117,6 +109,8 @@ CandidateMiningResult MineExplanationCandidates(const Table& table,
 /// As above but over a caller-provided engine (must be bound to `table`),
 /// so repeated runs — exploration sessions, baseline comparisons — share
 /// one predicate-bitset cache. Pass nullptr to create a private engine.
+/// A cache-bypass engine (EvalEngineOptions::cache_enabled = false) is how
+/// tests and benches run the uncached oracle.
 /// `estimator_ctx` (optional, must be bound to the same engine) likewise
 /// shares a CATE memo with the caller. `pool` (optional) runs phase 2 on
 /// a caller-owned thread pool — the ExplanationService lends its worker

@@ -12,7 +12,6 @@ namespace {
 std::shared_ptr<EvalEngine> MakeSessionEngine(
     const std::shared_ptr<const Table>& table, const CauSumXConfig& config) {
   EvalEngineOptions options;
-  options.cache_enabled = !config.disable_eval_cache;
   options.num_shards = config.num_shards;
   const size_t threads = config.num_threads == 0
                              ? ThreadPool::DefaultThreads()
@@ -34,21 +33,20 @@ ExplorationSession::ExplorationSession(
       engine_(engine != nullptr ? std::move(engine)
                                 : MakeSessionEngine(table_, config_)),
       estimator_(context != nullptr
-                     ? EffectEstimator(std::move(context))
-                     : EffectEstimator(engine_, dag_, config_.estimator)) {}
+                     ? std::move(context)
+                     : std::make_shared<EstimatorContext>(
+                           engine_, dag_, config_.estimator)) {}
 
 ExplorationSession::ExplorationSession(const Table& table,
                                        GroupByAvgQuery query, CausalDag dag,
                                        CauSumXConfig config)
-    : ExplorationSession(
-          std::shared_ptr<const Table>(std::shared_ptr<const Table>(),
-                                       &table),
-          std::move(query), std::move(dag), std::move(config)) {}
+    : ExplorationSession(BorrowTable(table), std::move(query),
+                         std::move(dag), std::move(config)) {}
 
 void ExplorationSession::EnsureMined() {
   if (!mined_) {
     mined_ = MineExplanationCandidates(*table_, query_, dag_, config_,
-                                       engine_, estimator_.context());
+                                       engine_, estimator_);
   }
 }
 
@@ -82,7 +80,7 @@ std::vector<ScoredTreatment> ExplorationSession::TopTreatments(
       config_.treatment_attribute_allowlist.empty()
           ? mined_->partition.treatment_attributes
           : config_.treatment_attribute_allowlist;
-  return MineTopKTreatments(estimator_, rows, query_.avg_attribute,
+  return MineTopKTreatments(*estimator_, rows, query_.avg_attribute,
                             treatment_attrs, sign, k, config_.treatment);
 }
 
@@ -104,7 +102,7 @@ const CandidateMiningResult& ExplorationSession::MiningResult() {
 EngineCacheStats ExplorationSession::CacheStats() const {
   EngineCacheStats stats;
   stats.eval = engine_->Stats();
-  stats.estimator = estimator_.cache_stats();
+  stats.estimator = estimator_->Stats();
   return stats;
 }
 

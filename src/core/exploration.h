@@ -43,8 +43,8 @@ class ExplorationSession {
                      std::shared_ptr<EvalEngine> engine = nullptr,
                      std::shared_ptr<EstimatorContext> context = nullptr);
 
-  /// Convenience binding to a caller-owned table (non-owning; the caller
-  /// guarantees the table outlives the session).
+  /// Convenience binding to a caller-owned table through BorrowTable
+  /// (no copy; the caller guarantees the table outlives the session).
   ExplorationSession(const Table& table, GroupByAvgQuery query,
                      CausalDag dag, CauSumXConfig config = {});
 
@@ -92,7 +92,7 @@ class ExplorationSession {
   CausalDag dag_;
   CauSumXConfig config_;
   std::shared_ptr<EvalEngine> engine_;
-  EffectEstimator estimator_;  // bound to engine_; shared memo.
+  std::shared_ptr<EstimatorContext> estimator_;  // bound to engine_
   std::optional<CandidateMiningResult> mined_;
 };
 

@@ -106,6 +106,16 @@ class Table {
   uint64_t version_ = 0;
 };
 
+/// Non-owning handle to a caller's table, for the entry points that take
+/// `const Table&` but build a run-private engine (which holds its table
+/// by shared_ptr). Aliasing constructor with an empty owner: no copy, no
+/// control block, no refcount. The caller keeps `table` alive for as
+/// long as anything built from the handle is in use.
+inline std::shared_ptr<const Table> BorrowTable(const Table& table) {
+  return std::shared_ptr<const Table>(std::shared_ptr<const Table>(),
+                                      &table);
+}
+
 }  // namespace causumx
 
 #endif  // CAUSUMX_DATASET_TABLE_H_

@@ -54,44 +54,30 @@ ShardPlan PlanFor(const Table& table, const EvalEngineOptions& options) {
 
 }  // namespace
 
-EvalEngine::EvalEngine(const Table& table, EvalEngineOptions options)
-    : keepalive_(nullptr),
-      table_(table),
-      cache_enabled_(options.cache_enabled),
-      compression_(options.compression),
-      plan_(PlanFor(table, options)),
-      pool_(std::move(options.pool)) {
-  for (size_t c = 0; c < table_.NumColumns(); ++c) {
-    column_slots_.emplace_back();
-  }
-}
-
 EvalEngine::EvalEngine(std::shared_ptr<const Table> table,
                        EvalEngineOptions options)
-    : keepalive_(std::move(table)),
-      table_(*keepalive_),
+    : table_(std::move(table)),
       cache_enabled_(options.cache_enabled),
       compression_(options.compression),
-      plan_(PlanFor(*keepalive_, options)),
+      plan_(PlanFor(*table_, options)),
       pool_(std::move(options.pool)) {
-  for (size_t c = 0; c < table_.NumColumns(); ++c) {
+  for (size_t c = 0; c < table_->NumColumns(); ++c) {
     column_slots_.emplace_back();
   }
 }
 
 EvalEngine::EvalEngine(std::shared_ptr<const Table> table,
                        const EvalEngine& base, size_t dropped_prefix_rows)
-    : keepalive_(std::move(table)),
-      table_(*keepalive_),
+    : table_(std::move(table)),
       cache_enabled_(base.cache_enabled_),
       compression_(base.compression_),
-      plan_(keepalive_->NumRows(), base.plan_.shard_rows()),
+      plan_(table_->NumRows(), base.plan_.shard_rows()),
       pool_(base.pool_) {
   const size_t dropped = dropped_prefix_rows;
-  const size_t base_rows = base.table_.NumRows();
-  const size_t rows = table_.NumRows();
+  const size_t base_rows = base.table_->NumRows();
+  const size_t rows = table_->NumRows();
   if (dropped > base_rows || rows < base_rows - dropped ||
-      table_.NumColumns() != base.table_.NumColumns()) {
+      table_->NumColumns() != base.table_->NumColumns()) {
     throw std::invalid_argument(
         "EvalEngine derivation: table is not the base table minus a "
         "dropped prefix plus appended rows");
@@ -133,12 +119,12 @@ EvalEngine::EvalEngine(std::shared_ptr<const Table> table,
   const size_t kept = base_rows - dropped;
   std::atomic<uint64_t>& view_counter =
       dropped == 0 ? n_views_extended_ : n_views_retracted_;
-  for (size_t c = 0; c < table_.NumColumns(); ++c) {
+  for (size_t c = 0; c < table_->NumColumns(); ++c) {
     column_slots_.emplace_back();
     ColumnSlot& dst = column_slots_.back();
     const ColumnSlot& src = base.column_slots_[c];
     if (!src.ready.load(std::memory_order_acquire)) continue;
-    const Column& col = table_.column(c);
+    const Column& col = table_->column(c);
     if (dropped > 0 && col.type() == ColumnType::kCategorical) continue;
     dst.view.values.assign(
         src.view.values.begin() + static_cast<ptrdiff_t>(dropped),
@@ -236,7 +222,7 @@ bool EvalEngine::MapRows(const ShardPlan& src_plan, size_t dropped,
     // bits re-enter Choose, so the representation tracks the shard's
     // new density.
     for (size_t r = std::max(begin, kept); r < end; ++r) {
-      if (state->pred.Matches(table_, r)) bits.Set(r - begin);
+      if (state->pred.Matches(*table_, r)) bits.Set(r - begin);
     }
     segs[t] = std::make_shared<const SegmentBits>(
         SegmentBits::Choose(std::move(bits), compression_));
@@ -321,7 +307,7 @@ std::vector<std::shared_ptr<const SegmentBits>> EvalEngine::SegmentsOf(
     RunSharded(missing.size(), [&](size_t i) {
       const size_t s = missing[i];
       built[i] = std::make_shared<const SegmentBits>(SegmentBits::Choose(
-          EvaluatePredicateRange(table_, pred, plan_.ShardBegin(s),
+          EvaluatePredicateRange(*table_, pred, plan_.ShardBegin(s),
                                  plan_.ShardEnd(s)),
           compression_));
     });
@@ -348,7 +334,7 @@ std::shared_ptr<const Bitset> EvalEngine::PredicateBits(PredicateId id) {
     }
     return std::make_shared<const Bitset>(segs[0]->Materialize());
   }
-  Bitset whole(table_.NumRows());
+  Bitset whole(table_->NumRows());
   for (size_t s = 0; s < segs.size(); ++s) {
     segs[s]->AssignIntoRange(&whole, plan_.ShardBegin(s));
   }
@@ -358,10 +344,10 @@ std::shared_ptr<const Bitset> EvalEngine::PredicateBits(PredicateId id) {
 Bitset EvalEngine::Evaluate(const Pattern& pattern) {
   if (!cache_enabled_) {
     n_bypass_evals_.fetch_add(1, std::memory_order_relaxed);
-    return pattern.Evaluate(table_);
+    return pattern.Evaluate(*table_);
   }
   n_pattern_evals_.fetch_add(1, std::memory_order_relaxed);
-  Bitset out(table_.NumRows());
+  Bitset out(table_->NumRows());
   out.SetAll();
   std::vector<std::vector<std::shared_ptr<const SegmentBits>>> atoms;
   atoms.reserve(pattern.predicates().size());
@@ -394,8 +380,8 @@ const NumericColumnView& EvalEngine::Numeric(size_t col) {
   if (slot.ready.load(std::memory_order_acquire)) return slot.view;
   util::MutexLock lk(slot.mu);
   if (slot.ready.load(std::memory_order_relaxed)) return slot.view;
-  const Column& c = table_.column(col);
-  const size_t n = table_.NumRows();
+  const Column& c = table_->column(col);
+  const size_t n = table_->NumRows();
   slot.view.values.resize(n);
   slot.view.valid = Bitset(n);
   // Shards write disjoint index ranges of `values` and disjoint
@@ -426,7 +412,7 @@ std::shared_ptr<const std::vector<Value>> EvalEngine::DistinctValues(
     size_t col) {
   if (!cache_enabled_) {
     return std::make_shared<const std::vector<Value>>(
-        table_.column(col).DistinctValues());
+        table_->column(col).DistinctValues());
   }
   ColumnSlot& slot = column_slots_[col];
   if (slot.distinct_ready.load(std::memory_order_acquire)) {
@@ -435,7 +421,7 @@ std::shared_ptr<const std::vector<Value>> EvalEngine::DistinctValues(
   util::MutexLock lk(slot.distinct_mu);
   if (!slot.distinct_ready.load(std::memory_order_relaxed)) {
     slot.distinct = std::make_shared<const std::vector<Value>>(
-        table_.column(col).DistinctValues());
+        table_->column(col).DistinctValues());
     slot.distinct_ready.store(true, std::memory_order_release);
   }
   return slot.distinct;
@@ -563,7 +549,7 @@ std::string EvalEngine::ExportCacheState() const {
   }
 
   ByteWriter w;
-  w.PutU64(table_.NumRows());
+  w.PutU64(table_->NumRows());
   w.PutVarint(plan_.NumShards());
   w.PutVarint(plan_.shard_rows());
   w.PutU8(static_cast<uint8_t>(compression_));
@@ -591,7 +577,7 @@ std::string EvalEngine::ExportCacheState() const {
 size_t EvalEngine::ImportCacheState(const std::string& bytes) {
   ByteReader r(bytes);
   const uint64_t rows = r.GetU64();
-  if (rows != table_.NumRows()) {
+  if (rows != table_->NumRows()) {
     throw StorageError(StorageErrorKind::kStale,
                        "engine cache: row count mismatch");
   }

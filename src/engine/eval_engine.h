@@ -34,9 +34,11 @@
 // re-evaluating only appended rows. Warm-state import re-slices an
 // exported cache onto the engine's own shard plan through the same map.
 //
-// A cache-bypass mode (cache_enabled = false) routes Evaluate through
-// the reference Pattern::Evaluate path so tests can verify the cached
-// path bit-for-bit and benchmarks can quantify the caches.
+// One binding chain: a shared_ptr<const Table> owns the rows, the engine
+// holds it, and an EstimatorContext holds the engine. A cache-bypass
+// engine (cache_enabled = false) routes Evaluate through the reference
+// Pattern::Evaluate path; it is an oracle that tests and benches build
+// explicitly to check the cached path bit-for-bit, not a product mode.
 
 #ifndef CAUSUMX_ENGINE_EVAL_ENGINE_H_
 #define CAUSUMX_ENGINE_EVAL_ENGINE_H_
@@ -60,7 +62,7 @@
 
 namespace causumx {
 
-class ThreadPool;
+class ThreadPool;  // util/thread_pool.h; engines only hold a pointer.
 
 /// Dense id of an interned atomic predicate (valid for one engine).
 using PredicateId = uint32_t;
@@ -73,9 +75,9 @@ using PredicateId = uint32_t;
 /// sizes. With a single-shard plan a segment is the whole bitset, so the
 /// segment counters coincide with the historical per-bitset ones.
 struct EvalEngineStats {
-  uint64_t predicates_interned = 0;
+  uint64_t predicates_interned = 0;  ///< distinct predicates interned
   uint64_t bitsets_materialized = 0;  ///< segments built (alias, see above)
-  uint64_t bitset_hits = 0;
+  uint64_t bitset_hits = 0;  ///< segment lookups served from the cache
   uint64_t bitsets_evicted = 0;  ///< segments evicted
   /// Predicates that carried a segment into this engine through a
   /// derivation without a dropped prefix (or a cache import).
@@ -83,13 +85,13 @@ struct EvalEngineStats {
   /// Predicates that carried a segment through a derivation that dropped
   /// a prefix.
   uint64_t bitsets_retracted = 0;
-  uint64_t pattern_evals = 0;
-  uint64_t bypass_evals = 0;
-  uint64_t column_views_built = 0;
+  uint64_t pattern_evals = 0;  ///< Evaluate/EvaluateOn on the cached path
+  uint64_t bypass_evals = 0;  ///< Evaluate/EvaluateOn on the bypass path
+  uint64_t column_views_built = 0;  ///< numeric column views built
   uint64_t column_views_extended = 0;  ///< derived, no dropped prefix
   uint64_t column_views_retracted = 0;  ///< derived, prefix dropped
-  size_t bitset_bytes = 0;
-  size_t view_bytes = 0;
+  size_t bitset_bytes = 0;  ///< resident predicate segment bytes
+  size_t view_bytes = 0;  ///< resident numeric column view bytes
   size_t num_shards = 1;  ///< shards in the engine's plan
   /// Currently resident segments stored in compressed (Roaring-style)
   /// form; the remainder of the resident segments are plain bitsets.
@@ -99,14 +101,16 @@ struct EvalEngineStats {
 /// Cached numeric view of one column: GetNumeric for every row (NaN on
 /// null) plus the non-null mask, as flat arrays for hot loops.
 struct NumericColumnView {
-  std::vector<double> values;
-  Bitset valid;
+  std::vector<double> values;  ///< GetNumeric per row (NaN on null)
+  Bitset valid;  ///< set where the row's value is non-null
 };
 
 /// Execution configuration of an engine.
 struct EvalEngineOptions {
   /// When false, Evaluate routes through the reference
-  /// Pattern::Evaluate path and nothing is cached.
+  /// Pattern::Evaluate path and nothing is cached (nor memoized by an
+  /// EstimatorContext over the engine). A test and bench oracle only:
+  /// no product path builds a bypass engine.
   bool cache_enabled = true;
   /// Row shards for the table partition: 0 = one shard per pool worker
   /// (or 1 without a pool), otherwise the requested count clamped to
@@ -129,15 +133,14 @@ struct EvalEngineOptions {
 ///
 /// Thread-safe: Intern/PredicateBits/Evaluate/EvaluateOn/Numeric/EvictLru
 /// may be called concurrently; each predicate segment and column view is
-/// materialized at most once between evictions. The table must outlive
-/// the engine (use the shared_ptr constructor to guarantee it).
+/// materialized at most once between evictions.
 class EvalEngine {
  public:
-  explicit EvalEngine(const Table& table, EvalEngineOptions options = {});
-
-  /// Shared-ownership binding: the engine keeps the table alive, so
-  /// registry-style owners (ExplanationService, ExplorationSession) can
-  /// hand out the engine without lifetime coupling to the table holder.
+  /// Binds a fresh engine to `table`, which it keeps alive, so owners
+  /// (ExplanationService, ExplorationSession) can hand the engine out
+  /// without lifetime coupling to the table holder. A caller that only
+  /// has a `const Table&` passes BorrowTable(table) and keeps the table
+  /// alive itself.
   explicit EvalEngine(std::shared_ptr<const Table> table,
                       EvalEngineOptions options = {});
 
@@ -176,7 +179,10 @@ class EvalEngine {
   EvalEngine(const EvalEngine&) = delete;
   EvalEngine& operator=(const EvalEngine&) = delete;
 
-  const Table& table() const { return table_; }
+  /// The bound table.
+  const Table& table() const { return *table_; }
+
+  /// False for a cache-bypass oracle engine (see EvalEngineOptions).
   bool cache_enabled() const { return cache_enabled_; }
 
   /// The engine's row partition (single-shard by default).
@@ -320,8 +326,7 @@ class EvalEngine {
   /// eviction.
   std::vector<std::shared_ptr<const SegmentBits>> SegmentsOf(PredicateId id);
 
-  const std::shared_ptr<const Table> keepalive_;  // may be null (ref ctor)
-  const Table& table_;  // not owned; must outlive the engine.
+  const std::shared_ptr<const Table> table_;  // never null
   const bool cache_enabled_;
   const SegmentCompression compression_;
   const ShardPlan plan_;

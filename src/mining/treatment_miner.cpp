@@ -125,7 +125,7 @@ namespace {
 // `survivors` is non-null, every sign-consistent significant node that
 // was materialized is appended to it.
 std::optional<ScoredTreatment> RunLatticeWalk(
-    const EffectEstimator& estimator, const Bitset& subpopulation,
+    EstimatorContext& estimator, const Bitset& subpopulation,
     const std::string& outcome,
     const std::vector<std::string>& treatment_attributes, TreatmentSign sign,
     const TreatmentMinerOptions& opt, TreatmentMiningStats* stats,
@@ -134,7 +134,7 @@ std::optional<ScoredTreatment> RunLatticeWalk(
 }  // namespace
 
 std::optional<ScoredTreatment> MineTopTreatmentWithStats(
-    const EffectEstimator& estimator, const Bitset& subpopulation,
+    EstimatorContext& estimator, const Bitset& subpopulation,
     const std::string& outcome,
     const std::vector<std::string>& treatment_attributes, TreatmentSign sign,
     const TreatmentMinerOptions& opt, TreatmentMiningStats* stats) {
@@ -148,7 +148,7 @@ bool InsertUniqueTreatedSet(TreatedSetDedup* seen, uint64_t hash,
 }
 
 std::vector<ScoredTreatment> MineTopKTreatments(
-    const EffectEstimator& estimator, const Bitset& subpopulation,
+    EstimatorContext& estimator, const Bitset& subpopulation,
     const std::string& outcome,
     const std::vector<std::string>& treatment_attributes, TreatmentSign sign,
     size_t k, const TreatmentMinerOptions& opt) {
@@ -177,7 +177,7 @@ std::vector<ScoredTreatment> MineTopKTreatments(
 namespace {
 
 std::optional<ScoredTreatment> RunLatticeWalk(
-    const EffectEstimator& estimator, const Bitset& subpopulation,
+    EstimatorContext& estimator, const Bitset& subpopulation,
     const std::string& outcome,
     const std::vector<std::string>& treatment_attributes, TreatmentSign sign,
     const TreatmentMinerOptions& opt, TreatmentMiningStats* stats,
@@ -223,11 +223,8 @@ std::optional<ScoredTreatment> RunLatticeWalk(
     // raw treated count costs a few word-wise ANDs. The raw count upper
     // bounds est.n_treated (which is further shrunk by the null-outcome
     // filter and sampling), so every pattern skipped here would have
-    // been rejected by the est.n_treated check below anyway. In bypass
-    // mode the pre-check would be a full table scan, not a cache hit, so
-    // it is skipped there (same results, pre-engine work profile).
-    if (engine.cache_enabled() &&
-        engine.EvaluateOn(p, subpopulation).Count() < min_treated) {
+    // been rejected by the est.n_treated check below anyway.
+    if (engine.EvaluateOn(p, subpopulation).Count() < min_treated) {
       return node;
     }
     const EffectEstimate est =
@@ -347,7 +344,7 @@ std::optional<ScoredTreatment> RunLatticeWalk(
 }  // namespace
 
 std::optional<ScoredTreatment> MineTopTreatment(
-    const EffectEstimator& estimator, const Bitset& subpopulation,
+    EstimatorContext& estimator, const Bitset& subpopulation,
     const std::string& outcome,
     const std::vector<std::string>& treatment_attributes, TreatmentSign sign,
     const TreatmentMinerOptions& options) {

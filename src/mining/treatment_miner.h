@@ -14,7 +14,7 @@
 //      `level_keep_fraction` of each level expands;
 //  (c) parallelism — handled by the caller (one task per grouping
 //      pattern; see core/causumx.cpp);
-//  (d) sampling — handled inside EffectEstimator (sample_cap).
+//  (d) sampling — handled inside EstimatorContext (sample_cap).
 
 #ifndef CAUSUMX_MINING_TREATMENT_MINER_H_
 #define CAUSUMX_MINING_TREATMENT_MINER_H_
@@ -25,7 +25,7 @@
 #include <unordered_map>
 #include <vector>
 
-#include "causal/estimator.h"
+#include "causal/estimator_context.h"
 #include "dataset/pattern.h"
 #include "dataset/table.h"
 #include "util/bitset.h"
@@ -87,7 +87,7 @@ std::vector<SimplePredicate> GenerateAtomicTreatments(
 /// subpopulation (Algorithm 2). Returns nullopt when nothing valid and
 /// significant exists.
 std::optional<ScoredTreatment> MineTopTreatment(
-    const EffectEstimator& estimator, const Bitset& subpopulation,
+    EstimatorContext& estimator, const Bitset& subpopulation,
     const std::string& outcome,
     const std::vector<std::string>& treatment_attributes, TreatmentSign sign,
     const TreatmentMinerOptions& options = {});
@@ -100,7 +100,7 @@ struct TreatmentMiningStats {
 
 /// As MineTopTreatment but also reports search statistics.
 std::optional<ScoredTreatment> MineTopTreatmentWithStats(
-    const EffectEstimator& estimator, const Bitset& subpopulation,
+    EstimatorContext& estimator, const Bitset& subpopulation,
     const std::string& outcome,
     const std::vector<std::string>& treatment_attributes, TreatmentSign sign,
     const TreatmentMinerOptions& options, TreatmentMiningStats* stats);
@@ -111,7 +111,7 @@ std::optional<ScoredTreatment> MineTopTreatmentWithStats(
 /// coincide with a stronger pattern are dropped. Returns at most k
 /// entries, possibly fewer, in descending effect magnitude.
 std::vector<ScoredTreatment> MineTopKTreatments(
-    const EffectEstimator& estimator, const Bitset& subpopulation,
+    EstimatorContext& estimator, const Bitset& subpopulation,
     const std::string& outcome,
     const std::vector<std::string>& treatment_attributes, TreatmentSign sign,
     size_t k, const TreatmentMinerOptions& options = {});

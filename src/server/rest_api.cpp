@@ -48,12 +48,14 @@ HttpResponse HandleStats(ExplanationService& service) {
       .Key("rows_appended").Uint(s.rows_appended)
       .Key("budget_enforcements").Uint(s.budget_enforcements)
       .Key("cache_bytes").Uint(s.cache_bytes)
+      .Key("append_observer_failures").Uint(s.append_observer_failures)
       .EndObject();
   w.Key("snapshots").BeginObject()
       .Key("enabled").Bool(!service.options().data_dir.empty())
       .Key("written").Uint(s.snapshots_written)
       .Key("restored").Uint(s.snapshots_restored)
-      .Key("rejected").Uint(s.snapshots_rejected);
+      .Key("rejected").Uint(s.snapshots_rejected)
+      .Key("write_failures").Uint(s.snapshot_write_failures);
   // Age of the newest snapshot written by this process; null before the
   // first write (or with persistence off).
   if (s.last_snapshot_unix_ms > 0) {
@@ -73,7 +75,6 @@ HttpResponse HandleStats(ExplanationService& service) {
       .Key("num_threads").Uint(service.pool().NumThreads())
       .Key("num_shards").Uint(service.options().num_shards)
       .Key("memory_budget_bytes").Uint(service.options().memory_budget_bytes)
-      .Key("cache_enabled").Bool(service.options().cache_enabled)
       .EndObject();
   w.Key("tables").BeginArray();
   for (const TableDescription& d : service.DescribeTables()) {

@@ -91,7 +91,6 @@ ExplanationService::ExplanationService(ServiceOptions options)
 
 EvalEngineOptions ExplanationService::EngineOptions() const {
   EvalEngineOptions options;
-  options.cache_enabled = options_.cache_enabled;
   options.num_shards = options_.num_shards;
   options.pool = pool_;
   options.compression = options_.segment_compression;
@@ -297,6 +296,7 @@ std::shared_ptr<const Table> ExplanationService::AppendLocked(
     try {
       observer(name, rows, new_table);
     } catch (...) {
+      n_observer_failures_.fetch_add(1, std::memory_order_relaxed);
     }
   }
   EnforceBudget();
@@ -308,6 +308,7 @@ std::shared_ptr<const Table> ExplanationService::AppendLocked(
     try {
       SaveSnapshot(name);
     } catch (const StorageError&) {
+      n_snapshot_write_failures_.fetch_add(1, std::memory_order_relaxed);
     }
   }
   return new_table;
@@ -344,10 +345,11 @@ std::string ExplanationService::SnapshotPath(const std::string& name) const {
 }
 
 std::string ExplanationService::WarmSnapshotKey(const Table& table) const {
-  return StrFormat("h%016llx|v%llu|s%zu|c%d|z%d",
+  // "c1" is the cache mode of every service engine; it stays in the
+  // key so snapshots written while a bypass mode existed still match.
+  return StrFormat("h%016llx|v%llu|s%zu|c1|z%d",
                    (unsigned long long)TableContentHash(table),
                    (unsigned long long)table.version(), options_.num_shards,
-                   options_.cache_enabled ? 1 : 0,
                    static_cast<int>(options_.segment_compression));
 }
 
@@ -469,8 +471,7 @@ bool ExplanationService::RestoreTable(const std::string& name) {
     const std::string hash_part = StrFormat(
         "h%016llx", (unsigned long long)TableContentHash(*entry.table));
     const std::string config_part =
-        StrFormat("|s%zu|c%d|z%d", options_.num_shards,
-                  options_.cache_enabled ? 1 : 0,
+        StrFormat("|s%zu|c1|z%d", options_.num_shards,
                   static_cast<int>(options_.segment_compression));
     if (snap.key().compare(0, hash_part.size(), hash_part) != 0) {
       throw StorageError(StorageErrorKind::kCorrupt,
@@ -666,6 +667,10 @@ ServiceStats ExplanationService::Stats() const {
   s.snapshots_written = n_snapshots_written_.load(std::memory_order_relaxed);
   s.snapshots_restored = n_snapshots_restored_.load(std::memory_order_relaxed);
   s.snapshots_rejected = n_snapshots_rejected_.load(std::memory_order_relaxed);
+  s.snapshot_write_failures =
+      n_snapshot_write_failures_.load(std::memory_order_relaxed);
+  s.append_observer_failures =
+      n_observer_failures_.load(std::memory_order_relaxed);
   s.last_snapshot_unix_ms =
       last_snapshot_unix_ms_.load(std::memory_order_relaxed);
   return s;

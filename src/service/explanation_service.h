@@ -53,9 +53,6 @@ struct ServiceOptions {
   /// bit-identical results; only the parallelism granularity changes.
   /// The shard size is fixed at registration and survives appends.
   size_t num_shards = 0;
-  /// When false, every table's engine runs in cache-bypass mode
-  /// (debugging; results are bit-identical, just slower).
-  bool cache_enabled = true;
   /// Storage policy for cached predicate segments in every table's
   /// engine (see SegmentCompression): kAuto trades AND-path decompression
   /// for resident bytes on sparse predicates, which stretches
@@ -88,6 +85,12 @@ struct ServiceStats {
   uint64_t snapshots_written = 0;    ///< durable snapshots written
   uint64_t snapshots_restored = 0;   ///< warm restores accepted
   uint64_t snapshots_rejected = 0;   ///< stale/corrupt snapshots ignored
+  /// Snapshot writes after an append that failed (the append stands;
+  /// the previous snapshot stays durable but no longer restores warm).
+  uint64_t snapshot_write_failures = 0;
+  /// Append observers that threw (the append stands, later observers
+  /// still run).
+  uint64_t append_observer_failures = 0;
   /// Wall-clock time (unix milliseconds) of the last snapshot written;
   /// 0 = none this process. The REST stats endpoint derives snapshot
   /// age from this.
@@ -225,8 +228,9 @@ class ExplanationService {
   /// no two deliveries ever overlap (the stream layer's windowed
   /// monitors depend on both properties). An observer must not call
   /// Append/AppendCsv (self-deadlock on the append lock) and must treat
-  /// the rows as read-only. Exceptions thrown by an observer are
-  /// swallowed: a landed append is never unwound by observation.
+  /// the rows as read-only. An exception thrown by an observer is
+  /// counted (ServiceStats::append_observer_failures), never rethrown: a
+  /// landed append is never unwound by observation.
   using AppendObserver = std::function<void(
       const std::string& name, const std::vector<std::vector<Value>>& rows,
       const std::shared_ptr<const Table>& snapshot)>;
@@ -280,9 +284,7 @@ class ExplanationService {
 
   /// Runs CauSumX over a registered table through the table's shared
   /// caches, then enforces the memory budget. Equivalent to RunCauSumX
-  /// (bit-identical results), but repeat queries are served warm. The
-  /// cache mode is the service's (ServiceOptions::cache_enabled);
-  /// config.disable_eval_cache is not consulted.
+  /// (bit-identical results), but repeat queries are served warm.
   CauSumXResult Explain(const std::string& table_name,
                         const GroupByAvgQuery& query, const CausalDag& dag,
                         const CauSumXConfig& config = {});
@@ -341,13 +343,13 @@ class ExplanationService {
   /// Resolves the entry or throws std::out_of_range. Caller holds no lock.
   TableEntry Snapshot(const std::string& name) const CAUSUMX_EXCLUDES(mu_);
 
-  /// Engine configuration for a newly registered table (cache mode,
-  /// shard count, the shared pool).
+  /// Engine configuration for a newly registered table (shard count,
+  /// compression, the shared pool).
   EvalEngineOptions EngineOptions() const;
 
   /// Staleness fingerprint of a warm snapshot for `table` under this
-  /// service's engine configuration (content hash, data version, shard /
-  /// cache / compression knobs). A restore is accepted only on an exact
+  /// service's engine configuration (content hash, data version, shard
+  /// and compression knobs). A restore is accepted only on an exact
   /// match.
   std::string WarmSnapshotKey(const Table& table) const;
 
@@ -404,6 +406,8 @@ class ExplanationService {
   std::atomic<uint64_t> n_snapshots_written_{0};
   std::atomic<uint64_t> n_snapshots_restored_{0};
   std::atomic<uint64_t> n_snapshots_rejected_{0};
+  std::atomic<uint64_t> n_snapshot_write_failures_{0};
+  std::atomic<uint64_t> n_observer_failures_{0};
   std::atomic<uint64_t> last_snapshot_unix_ms_{0};
 };
 

@@ -210,10 +210,20 @@ TEST(CauSumXTest, CachedAndBypassRunsAreBitIdentical) {
   CauSumXConfig config = SyntheticConfig(ds);
   config.num_threads = 2;
 
-  config.disable_eval_cache = false;
   const auto cached = RunCauSumX(ds.table, ds.default_query, ds.dag, config);
-  config.disable_eval_cache = true;
-  const auto bypass = RunCauSumX(ds.table, ds.default_query, ds.dag, config);
+  // The reference run: phases 1-2 over a caller-built cache-bypass
+  // engine, then phase 3, composed as RunCauSumX composes them.
+  CauSumXResult bypass;
+  {
+    auto engine = std::make_shared<EvalEngine>(
+        BorrowTable(ds.table), EvalEngineOptions{.cache_enabled = false});
+    const CandidateMiningResult mined = MineExplanationCandidates(
+        ds.table, ds.default_query, ds.dag, config, engine);
+    bypass.summary = SelectExplanations(mined.candidates,
+                                        mined.view.NumGroups(), config);
+    bypass.treatment_patterns_evaluated = mined.treatment_patterns_evaluated;
+    bypass.cache_stats = mined.cache_stats;
+  }
 
   ASSERT_EQ(cached.summary.explanations.size(),
             bypass.summary.explanations.size());

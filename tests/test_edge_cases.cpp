@@ -17,6 +17,14 @@
 namespace causumx {
 namespace {
 
+// The estimator under test over a private engine that borrows `t`
+// (which outlives it).
+EstimatorContext MakeEstimator(const Table& t, const CausalDag& g,
+                               EstimatorOptions opt = {}) {
+  return EstimatorContext(std::make_shared<EvalEngine>(BorrowTable(t)), g,
+                          opt);
+}
+
 TEST(EdgeCaseTest, ConstantOutcomeYieldsNoExplanations) {
   Table t;
   t.AddColumn("g", ColumnType::kCategorical);
@@ -97,7 +105,7 @@ TEST(EdgeCaseTest, TreatmentMinerEmptyAttributeList) {
   for (int i = 0; i < 100; ++i) t.AddRow({Value(rng.NextGaussian())});
   CausalDag dag;
   dag.AddNode("y");
-  EffectEstimator est(t, dag);
+  EstimatorContext est = MakeEstimator(t, dag);
   Bitset all(t.NumRows());
   all.SetAll();
   EXPECT_FALSE(
@@ -116,7 +124,7 @@ TEST(EdgeCaseTest, TreatmentMinerEmptySubpopulation) {
   }
   CausalDag dag;
   dag.AddEdge("x", "y");
-  EffectEstimator est(t, dag);
+  EstimatorContext est = MakeEstimator(t, dag);
   const Bitset empty(t.NumRows());
   EXPECT_FALSE(
       MineTopTreatment(est, empty, "y", {"x"}, TreatmentSign::kPositive)

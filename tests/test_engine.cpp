@@ -8,7 +8,7 @@
 
 #include <vector>
 
-#include "causal/estimator.h"
+#include "causal/estimator_context.h"
 #include "datagen/synthetic.h"
 #include "engine/eval_engine.h"
 #include "util/rng.h"
@@ -67,7 +67,7 @@ Pattern RandomPattern(const RandomWorld& w, Rng* rng, size_t max_size) {
 
 TEST(EvalEngineTest, InterningIsIdempotent) {
   const RandomWorld w = MakeWorld(7);
-  EvalEngine engine(w.table);
+  EvalEngine engine(BorrowTable(w.table));
   const PredicateId a = engine.Intern(w.atoms[0]);
   const PredicateId b = engine.Intern(w.atoms[1]);
   EXPECT_NE(a, b);
@@ -82,7 +82,7 @@ TEST(EvalEngineTest, InterningDistinguishesStructure) {
   t.AddColumn("AB", ColumnType::kCategorical);
   t.AddColumn("A", ColumnType::kCategorical);
   t.AddRow({Value("c"), Value("Bc")});
-  EvalEngine engine(t);
+  EvalEngine engine(BorrowTable(t));
   // Same concatenated text, different (attribute, value) split.
   const PredicateId a =
       engine.Intern(SimplePredicate("AB", CompareOp::kEq, Value("c")));
@@ -102,7 +102,7 @@ TEST(EvalEngineTest, InterningDistinguishesNearbyDoubleThresholds) {
   Table t;
   t.AddColumn("d1", ColumnType::kDouble);
   t.AddRow({Value(1234562.0)});
-  EvalEngine engine(t);
+  EvalEngine engine(BorrowTable(t));
   const SimplePredicate lo("d1", CompareOp::kLt, Value(1234561.0));
   const SimplePredicate hi("d1", CompareOp::kLt, Value(1234563.0));
   EXPECT_NE(engine.Intern(lo), engine.Intern(hi));
@@ -112,7 +112,7 @@ TEST(EvalEngineTest, InterningDistinguishesNearbyDoubleThresholds) {
 
 TEST(EvalEngineTest, BitsetMaterializedOnceAndCounted) {
   const RandomWorld w = MakeWorld(11);
-  EvalEngine engine(w.table);
+  EvalEngine engine(BorrowTable(w.table));
   const PredicateId id = engine.Intern(w.atoms[0]);
   const std::shared_ptr<const Bitset> first = engine.PredicateBits(id);
   const std::shared_ptr<const Bitset> again = engine.PredicateBits(id);
@@ -126,7 +126,7 @@ TEST(EvalEngineTest, BitsetMaterializedOnceAndCounted) {
 
 TEST(EvalEngineTest, EvictLruFreesBytesAndRebuildsIdentically) {
   const RandomWorld w = MakeWorld(21);
-  EvalEngine engine(w.table);
+  EvalEngine engine(BorrowTable(w.table));
   std::vector<Bitset> before;
   for (const auto& atom : w.atoms) {
     before.push_back(engine.Evaluate(Pattern({atom})));
@@ -153,7 +153,7 @@ TEST(EvalEngineTest, EvictLruFreesBytesAndRebuildsIdentically) {
 
 TEST(EvalEngineTest, EvictionPrefersLeastRecentlyUsed) {
   const RandomWorld w = MakeWorld(23);
-  EvalEngine engine(w.table);
+  EvalEngine engine(BorrowTable(w.table));
   const PredicateId cold = engine.Intern(w.atoms[0]);
   const PredicateId hot = engine.Intern(w.atoms[1]);
   engine.PredicateBits(cold);
@@ -178,8 +178,10 @@ class EnginePropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(EnginePropertyTest, AllEvaluationPathsAgree) {
   const RandomWorld w = MakeWorld(GetParam());
-  EvalEngine cached(w.table, EvalEngineOptions{.cache_enabled = true});
-  EvalEngine bypass(w.table, EvalEngineOptions{.cache_enabled = false});
+  EvalEngine cached(BorrowTable(w.table),
+                    EvalEngineOptions{.cache_enabled = true});
+  EvalEngine bypass(BorrowTable(w.table),
+                    EvalEngineOptions{.cache_enabled = false});
   Rng rng(GetParam() * 131 + 5);
   const size_t n = w.table.NumRows();
   for (int trial = 0; trial < 25; ++trial) {
@@ -210,14 +212,14 @@ INSTANTIATE_TEST_SUITE_P(Seeds, EnginePropertyTest,
 
 TEST(EvalEngineTest, EmptyPatternMatchesEverything) {
   const RandomWorld w = MakeWorld(3);
-  EvalEngine engine(w.table);
+  EvalEngine engine(BorrowTable(w.table));
   const Bitset all = engine.Evaluate(Pattern());
   EXPECT_EQ(all.Count(), w.table.NumRows());
 }
 
 TEST(EvalEngineTest, NumericViewMatchesColumnAccessors) {
   const RandomWorld w = MakeWorld(13);
-  EvalEngine engine(w.table);
+  EvalEngine engine(BorrowTable(w.table));
   for (size_t c = 0; c < w.table.NumColumns(); ++c) {
     const NumericColumnView& view = engine.Numeric(c);
     const Column& col = w.table.column(c);
@@ -242,7 +244,7 @@ TEST(EvalEngineTest, ConcurrentEvaluationMatchesSerial) {
   std::vector<Bitset> serial;
   for (const auto& p : patterns) serial.push_back(p.Evaluate(w.table));
 
-  EvalEngine engine(w.table);
+  EvalEngine engine(BorrowTable(w.table));
   std::vector<Bitset> concurrent(patterns.size());
   ThreadPool pool(4);
   pool.ParallelFor(patterns.size(), [&](size_t i) {
@@ -259,8 +261,8 @@ TEST(EstimatorContextTest, MemoHitsReturnIdenticalEstimates) {
   SyntheticOptions opt;
   opt.num_rows = 1200;
   const GeneratedDataset ds = MakeSyntheticDataset(opt);
-  auto engine = std::make_shared<EvalEngine>(ds.table);
-  EffectEstimator est(engine, ds.dag);
+  auto engine = std::make_shared<EvalEngine>(BorrowTable(ds.table));
+  EstimatorContext est(engine, ds.dag, {});
 
   const Pattern treatment(
       {SimplePredicate("T1", CompareOp::kEq, Value(int64_t{5}))});
@@ -274,7 +276,7 @@ TEST(EstimatorContextTest, MemoHitsReturnIdenticalEstimates) {
   EXPECT_EQ(first.cate, second.cate);
   EXPECT_EQ(first.std_error, second.std_error);
   EXPECT_EQ(first.p_value, second.p_value);
-  const EstimatorCacheStats stats = est.cache_stats();
+  const EstimatorCacheStats stats = est.Stats();
   EXPECT_EQ(stats.memo_misses, 1u);
   EXPECT_EQ(stats.memo_hits, 1u);
 }
@@ -284,11 +286,11 @@ TEST(EstimatorContextTest, CachedAndBypassEstimatesAreBitIdentical) {
   opt.num_rows = 1500;
   const GeneratedDataset ds = MakeSyntheticDataset(opt);
   auto cached_engine = std::make_shared<EvalEngine>(
-      ds.table, EvalEngineOptions{.cache_enabled = true});
+      BorrowTable(ds.table), EvalEngineOptions{.cache_enabled = true});
   auto bypass_engine = std::make_shared<EvalEngine>(
-      ds.table, EvalEngineOptions{.cache_enabled = false});
-  EffectEstimator cached(cached_engine, ds.dag);
-  EffectEstimator bypass(bypass_engine, ds.dag);
+      BorrowTable(ds.table), EvalEngineOptions{.cache_enabled = false});
+  EstimatorContext cached(cached_engine, ds.dag, {});
+  EstimatorContext bypass(bypass_engine, ds.dag, {});
 
   Bitset all(ds.table.NumRows());
   all.SetAll();
@@ -317,8 +319,8 @@ TEST(EstimatorContextTest, SubpopulationsKeyTheMemoSeparately) {
   SyntheticOptions opt;
   opt.num_rows = 1200;
   const GeneratedDataset ds = MakeSyntheticDataset(opt);
-  auto engine = std::make_shared<EvalEngine>(ds.table);
-  EffectEstimator est(engine, ds.dag);
+  auto engine = std::make_shared<EvalEngine>(BorrowTable(ds.table));
+  EstimatorContext est(engine, ds.dag, {});
 
   const Pattern treatment(
       {SimplePredicate("T1", CompareOp::kEq, Value(int64_t{5}))});
@@ -331,7 +333,7 @@ TEST(EstimatorContextTest, SubpopulationsKeyTheMemoSeparately) {
       est.EstimateCate(treatment, ds.default_query.avg_attribute, all);
   const EffectEstimate on_half =
       est.EstimateCate(treatment, ds.default_query.avg_attribute, half);
-  EXPECT_EQ(est.cache_stats().memo_misses, 2u);
+  EXPECT_EQ(est.Stats().memo_misses, 2u);
   EXPECT_NE(on_all.n_used, on_half.n_used);
 }
 

@@ -7,7 +7,7 @@
 
 #include <cmath>
 
-#include "causal/estimator.h"
+#include "causal/estimator_context.h"
 #include "util/rng.h"
 
 namespace causumx {
@@ -40,6 +40,22 @@ CausalDag MakeConfoundedDag() {
   return g;
 }
 
+// The estimator under test over a private engine that borrows `t`
+// (which outlives it).
+EstimatorContext MakeEstimator(const Table& t, const CausalDag& g,
+                               EstimatorOptions opt = {}) {
+  return EstimatorContext(std::make_shared<EvalEngine>(BorrowTable(t)), g,
+                          opt);
+}
+
+// ATE over the whole table.
+EffectEstimate Ate(EstimatorContext& est, const Pattern& treatment,
+                   const std::string& outcome) {
+  Bitset all(est.table().NumRows());
+  all.SetAll();
+  return est.EstimateCate(treatment, outcome, all);
+}
+
 Pattern TreatYes() {
   return Pattern({SimplePredicate("T", CompareOp::kEq, Value("yes"))});
 }
@@ -56,8 +72,8 @@ TEST(EstimatorTest, RandomizedTreatmentAteRecovered) {
   }
   CausalDag g;
   g.AddEdge("T", "Y");
-  EffectEstimator est(t, g);
-  const EffectEstimate e = est.EstimateAte(TreatYes(), "Y");
+  EstimatorContext est = MakeEstimator(t, g);
+  const EffectEstimate e = Ate(est, TreatYes(), "Y");
   ASSERT_TRUE(e.valid);
   EXPECT_NEAR(e.cate, 3.0, 0.15);
   EXPECT_LT(e.p_value, 1e-6);
@@ -66,8 +82,8 @@ TEST(EstimatorTest, RandomizedTreatmentAteRecovered) {
 TEST(EstimatorTest, ConfoundingBiasRemovedByAdjustment) {
   const Table t = MakeConfoundedTable(2.0, 6000, 5);
   // With the correct DAG: adjusted estimate ~ 2.0.
-  EffectEstimator adjusted(t, MakeConfoundedDag());
-  const EffectEstimate good = adjusted.EstimateAte(TreatYes(), "Y");
+  EstimatorContext adjusted = MakeEstimator(t, MakeConfoundedDag());
+  const EffectEstimate good = Ate(adjusted, TreatYes(), "Y");
   ASSERT_TRUE(good.valid);
   EXPECT_NEAR(good.cate, 2.0, 0.25);
 
@@ -75,15 +91,15 @@ TEST(EstimatorTest, ConfoundingBiasRemovedByAdjustment) {
   // biased by the +10 Z effect concentrated among the treated.
   CausalDag empty;
   empty.AddEdge("T", "Y");
-  EffectEstimator naive(t, empty);
-  const EffectEstimate biased = naive.EstimateAte(TreatYes(), "Y");
+  EstimatorContext naive = MakeEstimator(t, empty);
+  const EffectEstimate biased = Ate(naive, TreatYes(), "Y");
   ASSERT_TRUE(biased.valid);
   EXPECT_GT(biased.cate, 5.0);  // ~2 + 6 of confounding bias
 }
 
 TEST(EstimatorTest, AdjustmentSetComesFromDag) {
   const Table t = MakeConfoundedTable(1.0, 100, 7);
-  EffectEstimator est(t, MakeConfoundedDag());
+  EstimatorContext est = MakeEstimator(t, MakeConfoundedDag());
   const auto z = est.AdjustmentSet(TreatYes(), "Y");
   ASSERT_EQ(z.size(), 1u);
   EXPECT_TRUE(z.count("Z"));
@@ -105,11 +121,13 @@ TEST(EstimatorTest, CateDiffersAcrossSubpopulations) {
   }
   CausalDag g;
   g.AddEdge("T", "Y");
-  EffectEstimator est(t, g);
+  EstimatorContext est = MakeEstimator(t, g);
   const Pattern in_a({SimplePredicate("grp", CompareOp::kEq, Value("A"))});
   const Pattern in_b({SimplePredicate("grp", CompareOp::kEq, Value("B"))});
-  const EffectEstimate ea = est.EstimateCate(TreatYes(), "Y", in_a);
-  const EffectEstimate eb = est.EstimateCate(TreatYes(), "Y", in_b);
+  const EffectEstimate ea =
+      est.EstimateCate(TreatYes(), "Y", est.engine()->Evaluate(in_a));
+  const EffectEstimate eb =
+      est.EstimateCate(TreatYes(), "Y", est.engine()->Evaluate(in_b));
   ASSERT_TRUE(ea.valid && eb.valid);
   EXPECT_NEAR(ea.cate, 4.0, 0.2);
   EXPECT_NEAR(eb.cate, -4.0, 0.2);
@@ -125,14 +143,14 @@ TEST(EstimatorTest, OverlapViolationInvalidates) {
   }
   CausalDag g;
   g.AddEdge("T", "Y");
-  EffectEstimator est(t, g);
-  const EffectEstimate e = est.EstimateAte(TreatYes(), "Y");
+  EstimatorContext est = MakeEstimator(t, g);
+  const EffectEstimate e = Ate(est, TreatYes(), "Y");
   EXPECT_FALSE(e.valid);
 }
 
 TEST(EstimatorTest, TinySubpopulationInvalid) {
   const Table t = MakeConfoundedTable(1.0, 1000, 11);
-  EffectEstimator est(t, MakeConfoundedDag());
+  EstimatorContext est = MakeEstimator(t, MakeConfoundedDag());
   Bitset tiny(t.NumRows());
   for (size_t i = 0; i < 5; ++i) tiny.Set(i);
   const EffectEstimate e = est.EstimateCate(TreatYes(), "Y", tiny);
@@ -141,8 +159,8 @@ TEST(EstimatorTest, TinySubpopulationInvalid) {
 
 TEST(EstimatorTest, EmptyTreatmentInvalid) {
   const Table t = MakeConfoundedTable(1.0, 200, 13);
-  EffectEstimator est(t, MakeConfoundedDag());
-  EXPECT_FALSE(est.EstimateAte(Pattern(), "Y").valid);
+  EstimatorContext est = MakeEstimator(t, MakeConfoundedDag());
+  EXPECT_FALSE(Ate(est, Pattern(), "Y").valid);
 }
 
 TEST(EstimatorTest, SamplingApproximatesFullEstimate) {
@@ -151,10 +169,10 @@ TEST(EstimatorTest, SamplingApproximatesFullEstimate) {
   full_opt.sample_cap = 0;
   EstimatorOptions sampled_opt;
   sampled_opt.sample_cap = 4000;
-  EffectEstimator full(t, MakeConfoundedDag(), full_opt);
-  EffectEstimator sampled(t, MakeConfoundedDag(), sampled_opt);
-  const EffectEstimate ef = full.EstimateAte(TreatYes(), "Y");
-  const EffectEstimate es = sampled.EstimateAte(TreatYes(), "Y");
+  EstimatorContext full = MakeEstimator(t, MakeConfoundedDag(), full_opt);
+  EstimatorContext sampled = MakeEstimator(t, MakeConfoundedDag(), sampled_opt);
+  const EffectEstimate ef = Ate(full, TreatYes(), "Y");
+  const EffectEstimate es = Ate(sampled, TreatYes(), "Y");
   ASSERT_TRUE(ef.valid && es.valid);
   EXPECT_LE(es.n_used, 4000u);
   EXPECT_NEAR(ef.cate, es.cate, 0.3);
@@ -176,10 +194,10 @@ TEST(EstimatorTest, MultiPredicateTreatment) {
   CausalDag g;
   g.AddEdge("A", "Y");
   g.AddEdge("B", "Y");
-  EffectEstimator est(t, g);
+  EstimatorContext est = MakeEstimator(t, g);
   const Pattern both({SimplePredicate("A", CompareOp::kEq, Value("1")),
                       SimplePredicate("B", CompareOp::kEq, Value("1"))});
-  const EffectEstimate e = est.EstimateAte(both, "Y");
+  const EffectEstimate e = Ate(est, both, "Y");
   ASSERT_TRUE(e.valid);
   EXPECT_NEAR(e.cate, 5.0, 0.3);
 }
@@ -191,8 +209,8 @@ class EffectGridSweep : public ::testing::TestWithParam<double> {};
 TEST_P(EffectGridSweep, RecoversEffectWithinThreeSigma) {
   const double truth = GetParam();
   const Table t = MakeConfoundedTable(truth, 5000, 21);
-  EffectEstimator est(t, MakeConfoundedDag());
-  const EffectEstimate e = est.EstimateAte(TreatYes(), "Y");
+  EstimatorContext est = MakeEstimator(t, MakeConfoundedDag());
+  const EffectEstimate e = Ate(est, TreatYes(), "Y");
   ASSERT_TRUE(e.valid);
   EXPECT_NEAR(e.cate, truth, 3.0 * e.std_error + 1e-9);
   if (std::fabs(truth) >= 1.0) {
@@ -208,9 +226,9 @@ TEST(EstimatorTest, DeterministicAcrossRuns) {
   const Table t = MakeConfoundedTable(2.0, 5000, 19);
   EstimatorOptions opt;
   opt.sample_cap = 1000;
-  EffectEstimator est(t, MakeConfoundedDag(), opt);
-  const EffectEstimate e1 = est.EstimateAte(TreatYes(), "Y");
-  const EffectEstimate e2 = est.EstimateAte(TreatYes(), "Y");
+  EstimatorContext est = MakeEstimator(t, MakeConfoundedDag(), opt);
+  const EffectEstimate e1 = Ate(est, TreatYes(), "Y");
+  const EffectEstimate e2 = Ate(est, TreatYes(), "Y");
   ASSERT_TRUE(e1.valid && e2.valid);
   EXPECT_DOUBLE_EQ(e1.cate, e2.cate);
   EXPECT_DOUBLE_EQ(e1.p_value, e2.p_value);

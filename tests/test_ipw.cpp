@@ -5,7 +5,7 @@
 
 #include <cmath>
 
-#include "causal/estimator.h"
+#include "causal/estimator_context.h"
 #include "util/rng.h"
 
 namespace causumx {
@@ -37,6 +37,22 @@ CausalDag MakeConfoundedDag() {
   return g;
 }
 
+// The estimator under test over a private engine that borrows `t`
+// (which outlives it).
+EstimatorContext MakeEstimator(const Table& t, const CausalDag& g,
+                               EstimatorOptions opt = {}) {
+  return EstimatorContext(std::make_shared<EvalEngine>(BorrowTable(t)), g,
+                          opt);
+}
+
+// ATE over the whole table.
+EffectEstimate Ate(EstimatorContext& est, const Pattern& treatment,
+                   const std::string& outcome) {
+  Bitset all(est.table().NumRows());
+  all.SetAll();
+  return est.EstimateCate(treatment, outcome, all);
+}
+
 Pattern TreatYes() {
   return Pattern({SimplePredicate("T", CompareOp::kEq, Value("yes"))});
 }
@@ -45,8 +61,8 @@ TEST(IpwTest, RemovesConfoundingBias) {
   const Table t = MakeConfoundedTable(2.0, 8000, 3);
   EstimatorOptions opt;
   opt.method = EstimationMethod::kIpw;
-  EffectEstimator est(t, MakeConfoundedDag(), opt);
-  const EffectEstimate e = est.EstimateAte(TreatYes(), "Y");
+  EstimatorContext est = MakeEstimator(t, MakeConfoundedDag(), opt);
+  const EffectEstimate e = Ate(est, TreatYes(), "Y");
   ASSERT_TRUE(e.valid);
   EXPECT_NEAR(e.cate, 2.0, 0.35);
   EXPECT_LT(e.p_value, 1e-4);
@@ -69,10 +85,10 @@ TEST(IpwTest, AgreesWithRegressionOnRandomizedData) {
   EstimatorOptions reg_opt;
   EstimatorOptions ipw_opt;
   ipw_opt.method = EstimationMethod::kIpw;
-  const EffectEstimate reg =
-      EffectEstimator(t, g, reg_opt).EstimateAte(TreatYes(), "Y");
-  const EffectEstimate ipw =
-      EffectEstimator(t, g, ipw_opt).EstimateAte(TreatYes(), "Y");
+  EstimatorContext reg_est = MakeEstimator(t, g, reg_opt);
+  EstimatorContext ipw_est = MakeEstimator(t, g, ipw_opt);
+  const EffectEstimate reg = Ate(reg_est, TreatYes(), "Y");
+  const EffectEstimate ipw = Ate(ipw_est, TreatYes(), "Y");
   ASSERT_TRUE(reg.valid && ipw.valid);
   EXPECT_NEAR(reg.cate, ipw.cate, 0.15);
   EXPECT_NEAR(ipw.cate, 4.0, 0.15);
@@ -89,8 +105,8 @@ TEST(IpwTest, RespectsOverlapGuards) {
   g.AddEdge("T", "Y");
   EstimatorOptions opt;
   opt.method = EstimationMethod::kIpw;
-  EffectEstimator est(t, g, opt);
-  EXPECT_FALSE(est.EstimateAte(TreatYes(), "Y").valid);
+  EstimatorContext est = MakeEstimator(t, g, opt);
+  EXPECT_FALSE(Ate(est, TreatYes(), "Y").valid);
 }
 
 TEST(IpwTest, NullEffectNotSignificant) {
@@ -106,8 +122,8 @@ TEST(IpwTest, NullEffectNotSignificant) {
   g.AddEdge("T", "Y");
   EstimatorOptions opt;
   opt.method = EstimationMethod::kIpw;
-  const EffectEstimate e =
-      EffectEstimator(t, g, opt).EstimateAte(TreatYes(), "Y");
+  EstimatorContext est = MakeEstimator(t, g, opt);
+  const EffectEstimate e = Ate(est, TreatYes(), "Y");
   ASSERT_TRUE(e.valid);
   EXPECT_GT(e.p_value, 0.01);
   EXPECT_NEAR(e.cate, 0.0, 0.15);
@@ -117,19 +133,20 @@ TEST(IpwTest, SubpopulationCate) {
   const Table t = MakeConfoundedTable(3.0, 8000, 9);
   EstimatorOptions opt;
   opt.method = EstimationMethod::kIpw;
-  EffectEstimator est(t, MakeConfoundedDag(), opt);
+  EstimatorContext est = MakeEstimator(t, MakeConfoundedDag(), opt);
   // Restrict to the Z=1 stratum: within it there is no confounding left,
   // so the IPW CATE is the plain stratum effect.
   const Pattern z1({SimplePredicate("Z", CompareOp::kEq, Value("1"))});
-  const EffectEstimate e = est.EstimateCate(TreatYes(), "Y", z1);
+  const EffectEstimate e = est.EstimateCate(TreatYes(), "Y",
+                                           est.engine()->Evaluate(z1));
   ASSERT_TRUE(e.valid);
   EXPECT_NEAR(e.cate, 3.0, 0.35);
 }
 
 TEST(ConfidenceIntervalTest, CoversPointEstimate) {
   const Table t = MakeConfoundedTable(2.0, 4000, 11);
-  EffectEstimator est(t, MakeConfoundedDag());
-  const EffectEstimate e = est.EstimateAte(TreatYes(), "Y");
+  EstimatorContext est = MakeEstimator(t, MakeConfoundedDag());
+  const EffectEstimate e = Ate(est, TreatYes(), "Y");
   ASSERT_TRUE(e.valid);
   const auto [lo, hi] = e.ConfidenceInterval();
   EXPECT_LT(lo, e.cate);
@@ -156,8 +173,8 @@ TEST_P(CiCoverageSweep, IntervalUsuallyCoversTruth) {
   const double truth = 1.5;
   const Table t = MakeConfoundedTable(truth, 3000,
                                       static_cast<uint64_t>(GetParam()));
-  EffectEstimator est(t, MakeConfoundedDag());
-  const EffectEstimate e = est.EstimateAte(TreatYes(), "Y");
+  EstimatorContext est = MakeEstimator(t, MakeConfoundedDag());
+  const EffectEstimate e = Ate(est, TreatYes(), "Y");
   ASSERT_TRUE(e.valid);
   const auto [lo, hi] = e.ConfidenceInterval(0.999);  // generous level
   EXPECT_LE(lo, truth);

@@ -133,7 +133,7 @@ TEST_P(ShardedPropertyTest, BitsetsMatchReferenceAcrossShardCounts) {
   const RandomWorld w = MakeWorld(GetParam() * 101 + 11);
   Rng rng(GetParam() * 13 + 1);
   auto pool = std::make_shared<ThreadPool>(3);
-  EvalEngine bypass(*w.table, EvalEngineOptions{.cache_enabled = false});
+  EvalEngine bypass(w.table, EvalEngineOptions{.cache_enabled = false});
   for (int trial = 0; trial < 5; ++trial) {
     const size_t shards = 1 + rng.NextBounded(16);
     auto engine = MakeShardedEngine(w.table, shards, pool);
@@ -151,7 +151,7 @@ TEST_P(ShardedPropertyTest, BitsetsMatchReferenceAcrossShardCounts) {
     // Numeric views are exact regardless of the plan.
     const auto d1 = w.table->ColumnIndex("d1");
     const NumericColumnView& view = engine->Numeric(*d1);
-    EvalEngine serial(*w.table, EvalEngineOptions{.cache_enabled = true});
+    EvalEngine serial(w.table, EvalEngineOptions{.cache_enabled = true});
     const NumericColumnView& ref = serial.Numeric(*d1);
     ASSERT_TRUE(view.valid == ref.valid);
     for (size_t r = 0; r < w.table->NumRows(); ++r) {
@@ -323,7 +323,7 @@ TEST_P(ShardedPropertyTest, AppendsPreserveShardedEquivalence) {
     at = next;
   }
 
-  EvalEngine bypass(*current, EvalEngineOptions{.cache_enabled = false});
+  EvalEngine bypass(current, EvalEngineOptions{.cache_enabled = false});
   auto fresh_sharded = MakeShardedEngine(
       std::make_shared<Table>(current->Clone()), shards, pool);
   for (int i = 0; i < 8; ++i) {
@@ -369,7 +369,7 @@ TEST_P(ShardedPropertyTest, TiersAndCompressionAreBitIdentical) {
   subpop.SetAll();
 
   // References, computed at whatever tier the process started with.
-  EvalEngine bypass(*w.table, EvalEngineOptions{.cache_enabled = false});
+  EvalEngine bypass(w.table, EvalEngineOptions{.cache_enabled = false});
   std::vector<Bitset> expected_bits;
   for (const Pattern& p : patterns) expected_bits.push_back(bypass.Evaluate(p));
   const AggregateView expected_view = AggregateView::Evaluate(*w.table, q);

@@ -259,7 +259,7 @@ TEST_P(RetractPropertyTest, RetractedEngineMatchesColdTail) {
   EXPECT_LE(retracted->CacheBytes(), warm_bytes)
       << "retraction grew resident bytes (drop=" << drop << ")";
 
-  EvalEngine bypass(*tail, EvalEngineOptions{.cache_enabled = false});
+  EvalEngine bypass(tail, EvalEngineOptions{.cache_enabled = false});
   for (const auto& atom : w.atoms) {
     const Pattern p({atom});
     ASSERT_TRUE(retracted->Evaluate(p) == bypass.Evaluate(p))

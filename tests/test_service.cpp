@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <future>
+#include <stdexcept>
 #include <vector>
 
 #include "core/json_export.h"
@@ -220,6 +221,29 @@ TEST(ServiceTest, SessionBorrowsServiceCaches) {
   EXPECT_EQ(session.engine()->Stats().bitsets_materialized,
             warm_stats.bitsets_materialized);
   EXPECT_GT(session.CacheStats().estimator.memo_hits, 0u);
+}
+
+// An append observer that throws is counted, never rethrown: the append
+// lands and the observers registered after it still run.
+TEST(ServiceTest, ThrowingAppendObserverIsCounted) {
+  ServiceWorld w;
+  const std::shared_ptr<const Table> base = w.service.GetTable("synthetic");
+  size_t delivered = 0;
+  w.service.AddAppendObserver(
+      [](const std::string&, const auto&, const auto&) {
+        throw std::runtime_error("observer failed");
+      });
+  w.service.AddAppendObserver(
+      [&](const std::string&, const std::vector<std::vector<Value>>& rows,
+          const std::shared_ptr<const Table>&) { delivered += rows.size(); });
+
+  const std::shared_ptr<const Table> grown =
+      w.service.Append("synthetic", base->MaterializeRows(0, 10));
+  EXPECT_EQ(grown->NumRows(), base->NumRows() + 10);
+  EXPECT_EQ(w.service.GetTable("synthetic"), grown);
+  EXPECT_EQ(delivered, 10u);
+  EXPECT_EQ(w.service.Stats().appends_executed, 1u);
+  EXPECT_EQ(w.service.Stats().append_observer_failures, 1u);
 }
 
 TEST(ServiceTest, ContextsKeyedByDagAndOptions) {

@@ -688,6 +688,37 @@ TEST(ServicePersistenceTest, RestoreAfterAppendIsWarmAndBitIdentical) {
   EXPECT_EQ(warm.cache_stats.estimator.memo_misses, 0u);
 }
 
+// A snapshot write that fails after an append is counted, never
+// rethrown: the append has landed in memory. Removing data_dir makes the
+// write fail (permission bits would not stop a root test run).
+TEST(ServicePersistenceTest, FailedSnapshotWriteAfterAppendIsCounted) {
+  TempDir dir;
+  const std::string data_dir = dir.path + "/data";
+  ASSERT_EQ(::mkdir(data_dir.c_str(), 0755), 0);
+  GeneratedDataset ds = MakeData();
+  const size_t total = ds.table.NumRows();
+  ExplanationService service(PersistentOptions(data_dir));
+  service.RegisterTable("t", ds.table.Head(total - 100));
+  ASSERT_EQ(::rmdir(data_dir.c_str()), 0);
+
+  EXPECT_NO_THROW(
+      service.Append("t", ds.table.MaterializeRows(total - 100, total)));
+  EXPECT_EQ(service.GetTable("t")->NumRows(), total);
+  EXPECT_EQ(service.Stats().appends_executed, 1u);
+  EXPECT_EQ(service.Stats().snapshots_written, 0u);
+  EXPECT_EQ(service.Stats().snapshot_write_failures, 1u);
+
+  // /v1/stats serves both swallowed-failure counters.
+  HttpRequest req;
+  req.method = "GET";
+  req.path = "/v1/stats";
+  const JsonValue stats =
+      JsonValue::Parse(MakeRestHandler(service)(req).body);
+  EXPECT_EQ(stats.Find("snapshots")->GetNumber("write_failures", -1), 1.0);
+  EXPECT_EQ(
+      stats.Find("service")->GetNumber("append_observer_failures", -1), 0.0);
+}
+
 TEST(ServicePersistenceTest, SnapshotBytesAreDeterministic) {
   TempDir dir;
   GeneratedDataset ds = MakeData();

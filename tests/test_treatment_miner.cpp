@@ -41,6 +41,14 @@ CausalDag MakeDag() {
   return g;
 }
 
+// The estimator under test over a private engine that borrows `t`
+// (which outlives it).
+EstimatorContext MakeEstimator(const Table& t, const CausalDag& g,
+                               EstimatorOptions opt = {}) {
+  return EstimatorContext(std::make_shared<EvalEngine>(BorrowTable(t)), g,
+                          opt);
+}
+
 Bitset AllRows(const Table& t) {
   Bitset b(t.NumRows());
   b.SetAll();
@@ -81,7 +89,7 @@ TEST(TreatmentMinerTest, ConstantAttributeSkipped) {
 
 TEST(TreatmentMinerTest, FindsPlantedPositiveInteraction) {
   const Table t = MakePlantedTable(6000, 3);
-  EffectEstimator est(t, MakeDag());
+  EstimatorContext est = MakeEstimator(t, MakeDag());
   TreatmentMinerOptions opt;
   opt.level_keep_fraction = 1.0;  // explore the full lattice in the test
   const auto result = MineTopTreatment(
@@ -96,7 +104,7 @@ TEST(TreatmentMinerTest, FindsPlantedPositiveInteraction) {
 
 TEST(TreatmentMinerTest, FindsPlantedNegative) {
   const Table t = MakePlantedTable(6000, 4);
-  EffectEstimator est(t, MakeDag());
+  EstimatorContext est = MakeEstimator(t, MakeDag());
   TreatmentMinerOptions opt;
   opt.level_keep_fraction = 1.0;
   const auto result = MineTopTreatment(
@@ -122,7 +130,7 @@ TEST(TreatmentMinerTest, RespectsSubpopulation) {
   }
   CausalDag g;
   g.AddEdge("A", "Y");
-  EffectEstimator est(t, g);
+  EstimatorContext est = MakeEstimator(t, g);
   Bitset first_half(t.NumRows());
   for (size_t i = 0; i < 2000; ++i) first_half.Set(i);
   Bitset second_half(t.NumRows());
@@ -158,7 +166,7 @@ TEST(TreatmentMinerTest, DagPrunesCausallyInertAttributes) {
   }
   CausalDag g = MakeDag();
   g.AddNode("D");  // in the DAG but with no edge to Y
-  EffectEstimator est(t2, g);
+  EstimatorContext est = MakeEstimator(t2, g);
   const auto result = MineTopTreatment(est, AllRows(t2), "Y",
                                        {"A", "B", "C", "D"},
                                        TreatmentSign::kPositive);
@@ -178,7 +186,7 @@ TEST(TreatmentMinerTest, NoSignificantTreatmentReturnsNull) {
   }
   CausalDag g;
   g.AddEdge("A", "Y");
-  EffectEstimator est(t, g);
+  EstimatorContext est = MakeEstimator(t, g);
   TreatmentMinerOptions opt;
   opt.alpha = 0.001;  // strict bar to keep the test deterministic
   const auto result = MineTopTreatment(est, AllRows(t), "Y", {"A"},
@@ -188,7 +196,7 @@ TEST(TreatmentMinerTest, NoSignificantTreatmentReturnsNull) {
 
 TEST(TreatmentMinerTest, StatsReportEvaluations) {
   const Table t = MakePlantedTable(2000, 9);
-  EffectEstimator est(t, MakeDag());
+  EstimatorContext est = MakeEstimator(t, MakeDag());
   TreatmentMiningStats stats;
   const auto result = MineTopTreatmentWithStats(
       est, AllRows(t), "Y", {"A", "B", "C"}, TreatmentSign::kPositive, {},
@@ -200,7 +208,7 @@ TEST(TreatmentMinerTest, StatsReportEvaluations) {
 
 TEST(TreatmentMinerTest, MaxDepthOneStopsAtAtoms) {
   const Table t = MakePlantedTable(4000, 10);
-  EffectEstimator est(t, MakeDag());
+  EstimatorContext est = MakeEstimator(t, MakeDag());
   TreatmentMinerOptions opt;
   opt.max_depth = 1;
   const auto result = MineTopTreatment(est, AllRows(t), "Y",

@@ -6,7 +6,7 @@
 //           [--dag graph.txt | --discover pc|fci|lingam|nodag]
 //           [--k 5] [--theta 0.75] [--support 0.1] [--alpha 0.05]
 //           [--where "Attr=value"] [--json] [--top-treatments N]
-//           [--stats] [--no-cache] [--append rows.csv]
+//           [--stats] [--append rows.csv]
 //           [--threads N] [--shards N]
 //
 // --shards N partitions the table into N row shards executed in
@@ -34,8 +34,7 @@
 //
 // --stats prints the evaluation-engine cache counters (interned
 // predicates, materialized bitsets, estimator memo hits/misses) after
-// the summary; --no-cache runs with the caches bypassed (debugging /
-// benchmarking the uncached path).
+// the summary.
 //
 // Serve mode runs the embedded HTTP server (src/server/) over one
 // long-lived ExplanationService, so a fleet of clients shares the warm
@@ -44,7 +43,7 @@
 //   causumx serve --port 8080 [--host 0.0.0.0] [--csv data.csv]
 //                 [--table NAME] [--threads N] [--shards N]
 //                 [--budget-mb N] [--max-body-mb N] [--queue N]
-//                 [--no-cache] [--data-dir DIR]
+//                 [--data-dir DIR]
 //
 // The process listens until SIGINT/SIGTERM, then drains in-flight
 // requests and exits 0.
@@ -57,7 +56,7 @@
 // Snapshot mode writes a durable snapshot of a CSV without serving:
 //
 //   causumx snapshot --csv data.csv --data-dir DIR [--table NAME]
-//                    [--shards N] [--threads N] [--no-cache]
+//                    [--shards N] [--threads N]
 //
 // Monitor mode replays a CSV through the windowed continuous-monitoring
 // subsystem (src/stream/) and prints the monitor's drift/summary events
@@ -137,7 +136,6 @@ struct CliOptions {
   size_t threads = 0;
   size_t shards = 0;  // 0 = one shard per worker thread
   size_t budget_mb = 0;
-  bool no_cache = false;
 };
 
 void PrintUsage() {
@@ -146,7 +144,7 @@ void PrintUsage() {
                "               [--dag FILE | --discover pc|fci|lingam|nodag]\n"
                "               [--k N] [--theta F] [--support F] [--alpha F]\n"
                "               [--where \"Attr=value\"] [--json]\n"
-               "               [--top-treatments N] [--stats] [--no-cache]\n"
+               "               [--top-treatments N] [--stats]\n"
                "               [--append rows.csv] [--threads N] [--shards N]\n"
                "   or: causumx --batch FILE.jsonl [--csv FILE]\n"
                "               [--budget-mb N] [--threads N] [--shards N]\n"
@@ -154,10 +152,9 @@ void PrintUsage() {
                "   or: causumx serve [--port N] [--host ADDR] [--csv FILE]\n"
                "               [--table NAME] [--threads N] [--shards N]\n"
                "               [--budget-mb N] [--max-body-mb N] [--queue N]\n"
-               "               [--no-cache] [--data-dir DIR]\n"
+               "               [--data-dir DIR]\n"
                "   or: causumx snapshot --csv FILE --data-dir DIR\n"
                "               [--table NAME] [--shards N] [--threads N]\n"
-               "               [--no-cache]\n"
                "   or: causumx monitor --spec FILE --replay FILE.csv\n"
                "               [--seed-rows N] [--batch-rows M]\n"
                "               [--table NAME] [--threads N] [--shards N]\n"
@@ -230,8 +227,6 @@ const std::vector<Flag>& Flags() {
        [](CliOptions* o, const char* v) { o->shards = Count(v); }},
       {"--budget-mb", "es",
        [](CliOptions* o, const char* v) { o->budget_mb = Count(v); }},
-      {"--no-cache", "es",
-       [](CliOptions* o, const char*) { o->no_cache = true; }, true},
   };
   return kFlags;
 }
@@ -282,7 +277,6 @@ ServiceOptions MakeServiceOptions(const CliOptions& opt) {
   options.memory_budget_bytes = opt.budget_mb * (1 << 20);
   options.num_threads = opt.threads;
   options.num_shards = opt.shards;
-  options.cache_enabled = !opt.no_cache;
   options.data_dir = opt.data_dir;
   return options;
 }
@@ -517,7 +511,7 @@ int RunMonitorMode(const CliOptions& opt) {
 // ---- snapshot mode ---------------------------------------------------------
 
 // `causumx snapshot` accepts the serve-mode flags (csv/table/shards/
-// threads/no-cache/data-dir); the serve-only ones are ignored.
+// threads/data-dir); the serve-only ones are ignored.
 int RunSnapshotMode(const CliOptions& opt) {
   if (opt.csv_path.empty() || opt.data_dir.empty()) {
     std::fprintf(stderr,
@@ -655,7 +649,6 @@ int main(int argc, char** argv) {
                    "trustworthy estimates.\n");
     }
     // Operator settings, applied over the spec's binding.
-    bound.config.disable_eval_cache = opt.no_cache;
     bound.config.num_threads = opt.threads;
     bound.config.num_shards = opt.shards;
     const GroupByAvgQuery& query = bound.query;
@@ -691,16 +684,14 @@ int main(int argc, char** argv) {
     if (opt.stats) {
       const EngineCacheStats stats = session.CacheStats();
       const PhaseTimer& timings = session.MiningResult().timings;
-      std::printf("\nengine cache stats%s:\n",
-                  opt.no_cache ? " (cache bypassed)" : "");
+      std::printf("\nengine cache stats:\n");
       std::printf("  atomic predicates interned   %llu\n",
                   (unsigned long long)stats.eval.predicates_interned);
       std::printf("  predicate bitsets built      %llu (served %llu hits)\n",
                   (unsigned long long)stats.eval.bitsets_materialized,
                   (unsigned long long)stats.eval.bitset_hits);
-      std::printf("  pattern evals cached/bypass  %llu / %llu\n",
-                  (unsigned long long)stats.eval.pattern_evals,
-                  (unsigned long long)stats.eval.bypass_evals);
+      std::printf("  pattern evals                %llu\n",
+                  (unsigned long long)stats.eval.pattern_evals);
       std::printf("  numeric column views built   %llu\n",
                   (unsigned long long)stats.eval.column_views_built);
       std::printf("  cache bytes (bitsets/views)  %zu / %zu\n",
