@@ -93,7 +93,7 @@ int main() {
     EstimatorContext estimator(
         std::make_shared<EvalEngine>(BorrowTable(ds.table)), ds.dag, {});
     const auto atoms = GenerateAtomicTreatments(
-        ds.table, ds.treatment_attribute_hint, {});
+        *estimator.engine(), ds.treatment_attribute_hint, {});
 
     double precision_sum = 0, recall_sum = 0;
     size_t measured = 0;

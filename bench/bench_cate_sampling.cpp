@@ -20,8 +20,9 @@ int main() {
       ds.table, ds.default_query.group_by, ds.default_query.avg_attribute);
 
   TreatmentMinerOptions topt;
+  EvalEngine atom_engine(BorrowTable(ds.table));
   const auto atoms =
-      GenerateAtomicTreatments(ds.table, part.treatment_attributes, topt);
+      GenerateAtomicTreatments(atom_engine, part.treatment_attributes, topt);
   // 20 treatments for the ranking, 5 highlighted, as in the paper.
   std::vector<Pattern> treatments;
   for (size_t i = 0; i < atoms.size() && treatments.size() < 20; ++i) {

@@ -19,14 +19,14 @@ std::vector<double> TreatmentCates(const GeneratedDataset& ds,
                                    const CausalDag& dag) {
   const AttributePartition part = PartitionAttributes(
       ds.table, ds.default_query.group_by, ds.default_query.avg_attribute);
-  const auto atoms =
-      GenerateAtomicTreatments(ds.table, part.treatment_attributes, {});
   Bitset all(ds.table.NumRows());
   all.SetAll();
   EstimatorOptions opt;
   opt.min_group_size = 5;
   EstimatorContext est(
       std::make_shared<EvalEngine>(BorrowTable(ds.table)), dag, opt);
+  const auto atoms = GenerateAtomicTreatments(
+      *est.engine(), part.treatment_attributes, {});
   std::vector<double> cates;
   for (size_t i = 0; i < atoms.size() && cates.size() < 20; ++i) {
     cates.push_back(

@@ -29,8 +29,9 @@ int main() {
       const AttributePartition part = PartitionAttributes(
           ds.table, ds.default_query.group_by,
           ds.default_query.avg_attribute);
+      EvalEngine engine(BorrowTable(ds.table));
       const auto atoms = GenerateAtomicTreatments(
-          ds.table, part.treatment_attributes, config.treatment);
+          engine, part.treatment_attributes, config.treatment);
 
       Timer timer;
       RunCauSumX(ds.table, ds.default_query, ds.dag, config);

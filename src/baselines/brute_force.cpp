@@ -123,7 +123,7 @@ BruteForceResult RunBruteForce(const Table& table,
   // --- All treatment patterns (atoms from the shared generator, expanded
   // exhaustively to the depth cap). ----------------------------------------
   const std::vector<SimplePredicate> atoms = GenerateAtomicTreatments(
-      table, partition.treatment_attributes, config.treatment);
+      *engine, partition.treatment_attributes, config.treatment);
   std::vector<Pattern> tpatterns;
   {
     std::vector<SimplePredicate> current;

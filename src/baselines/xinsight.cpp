@@ -19,7 +19,8 @@ XInsightResult RunXInsight(const Table& table, const AggregateView& view,
 
   // Shared atom set; per-pair we compare each atom's CATE in both groups.
   const std::vector<SimplePredicate> atoms =
-      GenerateAtomicTreatments(table, treatment_attrs, config.treatment);
+      GenerateAtomicTreatments(*estimator.engine(), treatment_attrs,
+                               config.treatment);
 
   // Row masks per group.
   std::vector<Bitset> group_rows(m, Bitset(table.NumRows()));

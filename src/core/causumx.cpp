@@ -2,18 +2,12 @@
 
 #include <algorithm>
 #include <atomic>
+#include <utility>
 
 #include "lp/rounding.h"
 #include "util/thread_pool.h"
 
 namespace causumx {
-
-CandidateMiningResult MineExplanationCandidates(const Table& table,
-                                                const GroupByAvgQuery& query,
-                                                const CausalDag& dag,
-                                                const CauSumXConfig& config) {
-  return MineExplanationCandidates(table, query, dag, config, nullptr);
-}
 
 CandidateMiningResult MineExplanationCandidates(
     const Table& table, const GroupByAvgQuery& query, const CausalDag& dag,
@@ -111,12 +105,12 @@ CandidateMiningResult MineExplanationCandidates(
     exp.group_coverage = gp.group_coverage;
 
     TreatmentMiningStats stats;
-    auto pos = MineTopTreatmentWithStats(
+    auto pos = MineTopTreatment(
         *estimator_ctx, gp.rows, query.avg_attribute, treatment_attrs,
         TreatmentSign::kPositive, config.treatment, &stats);
     if (pos) exp.positive = TreatmentSide{pos->pattern, pos->effect};
     if (config.mine_negative) {
-      auto neg = MineTopTreatmentWithStats(
+      auto neg = MineTopTreatment(
           *estimator_ctx, gp.rows, query.avg_attribute, treatment_attrs,
           TreatmentSign::kNegative, config.treatment, &stats);
       if (neg) exp.negative = TreatmentSide{neg->pattern, neg->effect};
@@ -200,10 +194,14 @@ ExplanationSummary SelectExplanations(
 }
 
 CauSumXResult RunCauSumX(const Table& table, const GroupByAvgQuery& query,
-                         const CausalDag& dag, const CauSumXConfig& config) {
+                         const CausalDag& dag, const CauSumXConfig& config,
+                         std::shared_ptr<EvalEngine> engine,
+                         std::shared_ptr<EstimatorContext> estimator_ctx,
+                         ThreadPool* pool) {
   CauSumXResult result;
   CandidateMiningResult mined =
-      MineExplanationCandidates(table, query, dag, config);
+      MineExplanationCandidates(table, query, dag, config, std::move(engine),
+                                std::move(estimator_ctx), pool);
   result.view = std::move(mined.view);
   result.partition = std::move(mined.partition);
   result.num_grouping_candidates = mined.num_grouping_candidates;
@@ -215,15 +213,8 @@ CauSumXResult RunCauSumX(const Table& table, const GroupByAvgQuery& query,
 
   result.summary = SelectExplanations(mined.candidates,
                                       result.view.NumGroups(), config,
-                                      &result.timings);
+                                      &result.timings, pool);
   return result;
-}
-
-ExplanationSummary ExplainView(const Table& table,
-                               const GroupByAvgQuery& query,
-                               const CausalDag& dag,
-                               const CauSumXConfig& config) {
-  return RunCauSumX(table, query, dag, config).summary;
 }
 
 }  // namespace causumx

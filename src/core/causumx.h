@@ -28,6 +28,7 @@
 
 namespace causumx {
 
+/// Worker pool (util/thread_pool.h) lent to phases 2 and 3.
 class ThreadPool;
 
 /// Which solver phase 3 uses (the ablation of Section 6.4).
@@ -38,12 +39,12 @@ struct CauSumXConfig {
   size_t k = 5;          ///< max explanation patterns (size constraint).
   double theta = 0.75;   ///< min fraction of groups covered.
   double apriori_support = 0.1;  ///< tau for grouping-pattern mining.
-  GroupingMinerOptions grouping;
-  TreatmentMinerOptions treatment;
-  EstimatorOptions estimator;
-  FinalStepSolver solver = FinalStepSolver::kLpRounding;
-  size_t rounding_rounds = 64;
-  uint64_t seed = 1234;
+  GroupingMinerOptions grouping;     ///< phase 1 (Apriori) knobs.
+  TreatmentMinerOptions treatment;   ///< phase 2 (lattice walk) knobs.
+  EstimatorOptions estimator;        ///< CATE estimation knobs.
+  FinalStepSolver solver = FinalStepSolver::kLpRounding;  ///< phase 3.
+  size_t rounding_rounds = 64;  ///< randomized-rounding trials (phase 3).
+  uint64_t seed = 1234;         ///< seed of the rounding trials.
   size_t num_threads = 0;  ///< 0 = hardware concurrency.
   /// Row shards for the parallel execution engine: 0 = one shard per
   /// worker thread, N >= 1 = that many shards (clamped to one per 64-row
@@ -61,6 +62,7 @@ struct CauSumXConfig {
   /// test is vacuous.
   std::vector<std::string> grouping_attribute_allowlist;
 
+  /// Seeds grouping.apriori.min_support from apriori_support.
   CauSumXConfig() { grouping.apriori.min_support = apriori_support; }
 };
 
@@ -68,57 +70,54 @@ struct CauSumXConfig {
 /// context (cumulative when an engine is reused across runs, as in
 /// ExplorationSession).
 struct EngineCacheStats {
-  EvalEngineStats eval;
-  EstimatorCacheStats estimator;
+  EvalEngineStats eval;           ///< predicate bitset and view caches.
+  EstimatorCacheStats estimator;  ///< CATE memo.
 };
 
 /// Instrumented result (phase timings feed Fig. 14/20).
 struct CauSumXResult {
-  ExplanationSummary summary;
-  AggregateView view;
-  AttributePartition partition;
-  size_t num_grouping_candidates = 0;
-  size_t num_candidates_with_treatment = 0;
-  size_t treatment_patterns_evaluated = 0;
+  ExplanationSummary summary;     ///< the selected explanations.
+  AggregateView view;             ///< Q(D), the explained view.
+  AttributePartition partition;   ///< grouping vs treatment attributes.
+  size_t num_grouping_candidates = 0;        ///< phase-1 patterns mined.
+  size_t num_candidates_with_treatment = 0;  ///< those with a treatment.
+  size_t treatment_patterns_evaluated = 0;   ///< phase-2 lattice nodes.
   PhaseTimer timings;  ///< phases: "grouping", "treatment", "selection".
-  EngineCacheStats cache_stats;
+  EngineCacheStats cache_stats;   ///< caches after the run.
 };
 
 /// Output of phases 1 + 2 (mining), reusable across phase-3 parameter
 /// changes — see ExplorationSession in core/exploration.h.
 struct CandidateMiningResult {
-  AggregateView view;
-  AttributePartition partition;
+  AggregateView view;            ///< Q(D), the explained view.
+  AttributePartition partition;  ///< grouping vs treatment attributes.
   /// One candidate per surviving grouping pattern, with its top positive
   /// and/or negative treatment already attached.
   std::vector<Explanation> candidates;
-  size_t num_grouping_candidates = 0;
-  size_t treatment_patterns_evaluated = 0;
+  size_t num_grouping_candidates = 0;       ///< phase-1 patterns mined.
+  size_t treatment_patterns_evaluated = 0;  ///< phase-2 lattice nodes.
   PhaseTimer timings;  ///< phases "grouping" and "treatment".
-  EngineCacheStats cache_stats;
+  EngineCacheStats cache_stats;  ///< caches after the run.
 };
 
 /// Phases 1 + 2 of Algorithm 1: mine grouping patterns and their top
 /// treatments. Phase-3 parameters (k, theta, solver) are ignored here.
-/// Creates a run-private EvalEngine that borrows `table` (BorrowTable).
-CandidateMiningResult MineExplanationCandidates(const Table& table,
-                                                const GroupByAvgQuery& query,
-                                                const CausalDag& dag,
-                                                const CauSumXConfig& config);
-
-/// As above but over a caller-provided engine (must be bound to `table`),
-/// so repeated runs — exploration sessions, baseline comparisons — share
-/// one predicate-bitset cache. Pass nullptr to create a private engine.
-/// A cache-bypass engine (EvalEngineOptions::cache_enabled = false) is how
-/// tests and benches run the uncached oracle.
-/// `estimator_ctx` (optional, must be bound to the same engine) likewise
-/// shares a CATE memo with the caller. `pool` (optional) runs phase 2 on
-/// a caller-owned thread pool — the ExplanationService lends its worker
-/// pool so per-query thread spawning disappears from the warm path;
-/// when null, a private pool of config.num_threads is created.
+/// Every evaluation goes through an EvalEngine:
+///  - `engine` (optional, bound to `table`) shares a predicate-bitset
+///    cache across runs (exploration sessions, the service, monitors,
+///    baseline comparisons). When null, a run-private engine borrows
+///    `table` (BorrowTable). A cache-bypass engine
+///    (EvalEngineOptions::cache_enabled = false) is how tests and benches
+///    run the uncached oracle.
+///  - `estimator_ctx` (optional, bound to the same engine) shares a CATE
+///    memo with the caller.
+///  - `pool` (optional) runs phase 2 on a caller-owned thread pool, so
+///    the service and monitors spawn no threads per query. When null,
+///    the engine's pool is used if config.num_threads is 0; otherwise a
+///    private pool of config.num_threads is created (none when 1).
 CandidateMiningResult MineExplanationCandidates(
     const Table& table, const GroupByAvgQuery& query, const CausalDag& dag,
-    const CauSumXConfig& config, std::shared_ptr<EvalEngine> engine,
+    const CauSumXConfig& config, std::shared_ptr<EvalEngine> engine = nullptr,
     std::shared_ptr<EstimatorContext> estimator_ctx = nullptr,
     ThreadPool* pool = nullptr);
 
@@ -131,16 +130,18 @@ ExplanationSummary SelectExplanations(
     const CauSumXConfig& config, PhaseTimer* timings = nullptr,
     ThreadPool* pool = nullptr);
 
-/// Runs CauSumX over the table for the given query and causal DAG.
+/// Runs CauSumX (Algorithm 1) over the table for the given query and
+/// causal DAG: MineExplanationCandidates, then SelectExplanations. Every
+/// run, whatever its surface (library, CLI, service, monitor), goes
+/// through here. `engine`, `estimator_ctx` and `pool` are those of
+/// MineExplanationCandidates; `pool` is passed unchanged to both phases.
 CauSumXResult RunCauSumX(const Table& table, const GroupByAvgQuery& query,
                          const CausalDag& dag,
-                         const CauSumXConfig& config = {});
-
-/// Convenience wrapper returning just the summary.
-ExplanationSummary ExplainView(const Table& table,
-                               const GroupByAvgQuery& query,
-                               const CausalDag& dag,
-                               const CauSumXConfig& config = {});
+                         const CauSumXConfig& config = {},
+                         std::shared_ptr<EvalEngine> engine = nullptr,
+                         std::shared_ptr<EstimatorContext> estimator_ctx =
+                             nullptr,
+                         ThreadPool* pool = nullptr);
 
 }  // namespace causumx
 

@@ -1,7 +1,7 @@
 #include "mining/apriori.h"
 
 #include <algorithm>
-#include <map>
+#include <memory>
 #include <unordered_set>
 
 namespace causumx {
@@ -34,12 +34,17 @@ struct Itemset {
 std::vector<FrequentPattern> MineFrequentPatterns(
     const Table& table, const std::vector<std::string>& attributes,
     const AprioriOptions& opt, EvalEngine* engine) {
-  const size_t n = table.NumRows();
-  const size_t min_count = static_cast<size_t>(opt.min_support * n);
+  const size_t min_count =
+      static_cast<size_t>(opt.min_support * table.NumRows());
+  std::unique_ptr<EvalEngine> private_engine;
+  if (engine == nullptr) {
+    private_engine = std::make_unique<EvalEngine>(BorrowTable(table));
+    engine = private_engine.get();
+  }
 
-  // Level 1: single items with support counting. With an engine, item
-  // bitsets come from the shared predicate cache (materialized once per
-  // table and reused by every other engine client).
+  // Level 1: single items with support counting. Item bitsets come from
+  // the engine's predicate cache (materialized once per table and reused
+  // by every other engine client).
   std::vector<Itemset> level;
   for (const auto& attr_name : attributes) {
     auto idx = table.ColumnIndex(attr_name);
@@ -48,20 +53,8 @@ std::vector<FrequentPattern> MineFrequentPatterns(
     if (col.NumDistinct() > opt.max_values_per_attribute) continue;
     for (const Value& v : col.DistinctValues()) {
       Item item{*idx, v, v.ToString()};
-      Bitset rows(n);
-      if (engine != nullptr) {
-        rows = engine->Evaluate(
-            Pattern({SimplePredicate(attr_name, CompareOp::kEq, v)}));
-      } else if (col.type() == ColumnType::kCategorical) {
-        const int32_t code = col.CodeOf(v.AsString());
-        for (size_t r = 0; r < n; ++r) {
-          if (col.GetCode(r) == code) rows.Set(r);
-        }
-      } else {
-        for (size_t r = 0; r < n; ++r) {
-          if (!col.IsNull(r) && col.GetValue(r).Equals(v)) rows.Set(r);
-        }
-      }
+      Bitset rows = engine->Evaluate(
+          Pattern({SimplePredicate(attr_name, CompareOp::kEq, v)}));
       if (rows.Count() >= min_count) {
         level.push_back(Itemset{{item}, std::move(rows)});
       }

@@ -19,11 +19,12 @@ namespace causumx {
 
 /// A mined pattern with its support bitmap over table rows.
 struct FrequentPattern {
-  Pattern pattern;
-  Bitset rows;      ///< rows matching the pattern.
-  size_t support = 0;
+  Pattern pattern;    ///< conjunction of attribute = value items.
+  Bitset rows;        ///< rows matching the pattern.
+  size_t support = 0; ///< number of matching rows.
 };
 
+/// Knobs of the levelwise search.
 struct AprioriOptions {
   /// Minimum support as a fraction of table rows (the paper's tau; default
   /// 0.1 per Section 6.1).
@@ -41,9 +42,11 @@ struct AprioriOptions {
 /// over FD-determined attributes; treatment mining handles ordered
 /// predicates separately).
 ///
-/// When `engine` is non-null, level-1 item bitsets are served from (and
-/// interned into) its shared predicate cache, so grouping mining, the
-/// rule-mining baselines, and treatment estimation all reuse one copy.
+/// Every item bitset is evaluated through an EvalEngine. A non-null
+/// `engine` (bound to `table`) shares its predicate cache, so grouping
+/// mining, the rule-mining baselines and treatment estimation reuse one
+/// copy; a null `engine` means a serial run-private engine over
+/// BorrowTable(table).
 std::vector<FrequentPattern> MineFrequentPatterns(
     const Table& table, const std::vector<std::string>& attributes,
     const AprioriOptions& options = {}, EvalEngine* engine = nullptr);

@@ -21,15 +21,18 @@ namespace causumx {
 
 /// A grouping pattern with its group coverage.
 struct GroupingPattern {
-  Pattern pattern;
+  Pattern pattern;        ///< conjunction of attribute = value items.
   Bitset group_coverage;  ///< bit per group of Q(D); Cov(P_g).
   Bitset rows;            ///< tuple-level support (rows matching).
   size_t support = 0;     ///< matching tuples.
 
+  /// |Cov(P_g)|: the number of groups the pattern covers.
   size_t NumGroupsCovered() const { return group_coverage.Count(); }
 };
 
+/// Knobs of phase 1.
 struct GroupingMinerOptions {
+  /// The frequent-pattern search (support threshold, depth).
   AprioriOptions apriori;
   /// Also emit the trivial per-group pattern A_gb = value for every group
   /// (ensures full coverage is reachable when FD attributes are scarce,

@@ -47,64 +47,6 @@ bool UseEqualityAtoms(const Column& col, size_t distinct,
          distinct <= std::max<size_t>(opt.numeric_bins * 2, 8);
 }
 
-}  // namespace
-
-std::vector<SimplePredicate> GenerateAtomicTreatments(
-    const Table& table, const std::vector<std::string>& attributes,
-    const TreatmentMinerOptions& opt) {
-  std::vector<SimplePredicate> atoms;
-  for (const auto& name : attributes) {
-    auto idx = table.ColumnIndex(name);
-    if (!idx) continue;
-    const Column& col = table.column(*idx);
-    const size_t distinct = col.NumDistinct();
-    if (distinct < 2) continue;
-
-    if (UseEqualityAtoms(col, distinct, opt)) {
-      EqualityAtoms(name, col.DistinctValues(), &atoms);
-    } else if (col.type() != ColumnType::kCategorical) {
-      std::vector<double> vals;
-      vals.reserve(table.NumRows());
-      for (size_t r = 0; r < table.NumRows(); ++r) {
-        if (!col.IsNull(r)) vals.push_back(col.GetNumeric(r));
-      }
-      QuantileAtoms(name, std::move(vals), opt, &atoms);
-    }
-  }
-  return atoms;
-}
-
-std::vector<SimplePredicate> GenerateAtomicTreatments(
-    EvalEngine& engine, const std::vector<std::string>& attributes,
-    const TreatmentMinerOptions& opt) {
-  const Table& table = engine.table();
-  std::vector<SimplePredicate> atoms;
-  for (const auto& name : attributes) {
-    auto idx = table.ColumnIndex(name);
-    if (!idx) continue;
-    const Column& col = table.column(*idx);
-    const size_t distinct = col.NumDistinct();
-    if (distinct < 2) continue;
-
-    if (UseEqualityAtoms(col, distinct, opt)) {
-      EqualityAtoms(name, *engine.DistinctValues(*idx), &atoms);
-    } else if (col.type() != ColumnType::kCategorical) {
-      // The cached numeric view lists values in row order, exactly as the
-      // table scan does — identical quantile cuts.
-      const NumericColumnView& view = engine.Numeric(*idx);
-      std::vector<double> vals;
-      vals.reserve(view.values.size());
-      for (size_t r = 0; r < view.values.size(); ++r) {
-        if (view.valid.Test(r)) vals.push_back(view.values[r]);
-      }
-      QuantileAtoms(name, std::move(vals), opt, &atoms);
-    }
-  }
-  return atoms;
-}
-
-namespace {
-
 struct Node {
   Pattern pattern;
   double cate = 0.0;
@@ -117,65 +59,9 @@ double SignedValue(TreatmentSign sign, double cate) {
   return sign == TreatmentSign::kPositive ? cate : -cate;
 }
 
-}  // namespace
-
-namespace {
-
 // The lattice walk shared by the top-1 and top-k entry points. When
 // `survivors` is non-null, every sign-consistent significant node that
 // was materialized is appended to it.
-std::optional<ScoredTreatment> RunLatticeWalk(
-    EstimatorContext& estimator, const Bitset& subpopulation,
-    const std::string& outcome,
-    const std::vector<std::string>& treatment_attributes, TreatmentSign sign,
-    const TreatmentMinerOptions& opt, TreatmentMiningStats* stats,
-    std::vector<ScoredTreatment>* survivors);
-
-}  // namespace
-
-std::optional<ScoredTreatment> MineTopTreatmentWithStats(
-    EstimatorContext& estimator, const Bitset& subpopulation,
-    const std::string& outcome,
-    const std::vector<std::string>& treatment_attributes, TreatmentSign sign,
-    const TreatmentMinerOptions& opt, TreatmentMiningStats* stats) {
-  return RunLatticeWalk(estimator, subpopulation, outcome,
-                        treatment_attributes, sign, opt, stats, nullptr);
-}
-
-bool InsertUniqueTreatedSet(TreatedSetDedup* seen, uint64_t hash,
-                            Bitset bits) {
-  return seen->Insert(hash, std::move(bits));
-}
-
-std::vector<ScoredTreatment> MineTopKTreatments(
-    EstimatorContext& estimator, const Bitset& subpopulation,
-    const std::string& outcome,
-    const std::vector<std::string>& treatment_attributes, TreatmentSign sign,
-    size_t k, const TreatmentMinerOptions& opt) {
-  std::vector<ScoredTreatment> survivors;
-  RunLatticeWalk(estimator, subpopulation, outcome, treatment_attributes,
-                 sign, opt, nullptr, &survivors);
-  std::sort(survivors.begin(), survivors.end(),
-            [](const ScoredTreatment& a, const ScoredTreatment& b) {
-              return std::fabs(a.effect.cate) > std::fabs(b.effect.cate);
-            });
-  // Drop patterns whose treated set duplicates a stronger pattern's
-  // (treated sets come from the engine's cached bitsets).
-  std::vector<ScoredTreatment> out;
-  TreatedSetDedup seen_rows;
-  EvalEngine& engine = *estimator.engine();
-  for (auto& st : survivors) {
-    if (out.size() >= k) break;
-    Bitset rows = engine.EvaluateOn(st.pattern, subpopulation);
-    const uint64_t h = rows.Hash();
-    if (!InsertUniqueTreatedSet(&seen_rows, h, std::move(rows))) continue;
-    out.push_back(std::move(st));
-  }
-  return out;
-}
-
-namespace {
-
 std::optional<ScoredTreatment> RunLatticeWalk(
     EstimatorContext& estimator, const Bitset& subpopulation,
     const std::string& outcome,
@@ -343,14 +229,69 @@ std::optional<ScoredTreatment> RunLatticeWalk(
 
 }  // namespace
 
+std::vector<SimplePredicate> GenerateAtomicTreatments(
+    EvalEngine& engine, const std::vector<std::string>& attributes,
+    const TreatmentMinerOptions& opt) {
+  const Table& table = engine.table();
+  std::vector<SimplePredicate> atoms;
+  for (const auto& name : attributes) {
+    auto idx = table.ColumnIndex(name);
+    if (!idx) continue;
+    const Column& col = table.column(*idx);
+    const size_t distinct = col.NumDistinct();
+    if (distinct < 2) continue;
+
+    if (UseEqualityAtoms(col, distinct, opt)) {
+      EqualityAtoms(name, *engine.DistinctValues(*idx), &atoms);
+    } else if (col.type() != ColumnType::kCategorical) {
+      // Quantile cuts over the non-null values of the cached numeric
+      // view, taken in row order.
+      const NumericColumnView& view = engine.Numeric(*idx);
+      std::vector<double> vals;
+      vals.reserve(view.values.size());
+      for (size_t r = 0; r < view.values.size(); ++r) {
+        if (view.valid.Test(r)) vals.push_back(view.values[r]);
+      }
+      QuantileAtoms(name, std::move(vals), opt, &atoms);
+    }
+  }
+  return atoms;
+}
+
 std::optional<ScoredTreatment> MineTopTreatment(
     EstimatorContext& estimator, const Bitset& subpopulation,
     const std::string& outcome,
     const std::vector<std::string>& treatment_attributes, TreatmentSign sign,
-    const TreatmentMinerOptions& options) {
-  return MineTopTreatmentWithStats(estimator, subpopulation, outcome,
-                                   treatment_attributes, sign, options,
-                                   nullptr);
+    const TreatmentMinerOptions& options, TreatmentMiningStats* stats) {
+  return RunLatticeWalk(estimator, subpopulation, outcome,
+                        treatment_attributes, sign, options, stats, nullptr);
+}
+
+std::vector<ScoredTreatment> MineTopKTreatments(
+    EstimatorContext& estimator, const Bitset& subpopulation,
+    const std::string& outcome,
+    const std::vector<std::string>& treatment_attributes, TreatmentSign sign,
+    size_t k, const TreatmentMinerOptions& opt) {
+  std::vector<ScoredTreatment> survivors;
+  RunLatticeWalk(estimator, subpopulation, outcome, treatment_attributes,
+                 sign, opt, nullptr, &survivors);
+  std::sort(survivors.begin(), survivors.end(),
+            [](const ScoredTreatment& a, const ScoredTreatment& b) {
+              return std::fabs(a.effect.cate) > std::fabs(b.effect.cate);
+            });
+  // Drop patterns whose treated set duplicates a stronger pattern's
+  // (treated sets come from the engine's cached bitsets).
+  std::vector<ScoredTreatment> out;
+  BitsetDedup seen_rows;
+  EvalEngine& engine = *estimator.engine();
+  for (auto& st : survivors) {
+    if (out.size() >= k) break;
+    if (!seen_rows.Insert(engine.EvaluateOn(st.pattern, subpopulation))) {
+      continue;
+    }
+    out.push_back(std::move(st));
+  }
+  return out;
 }
 
 }  // namespace causumx

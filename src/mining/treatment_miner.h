@@ -19,15 +19,12 @@
 #ifndef CAUSUMX_MINING_TREATMENT_MINER_H_
 #define CAUSUMX_MINING_TREATMENT_MINER_H_
 
-#include <cstdint>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "causal/estimator_context.h"
 #include "dataset/pattern.h"
-#include "dataset/table.h"
 #include "util/bitset.h"
 
 namespace causumx {
@@ -37,10 +34,11 @@ enum class TreatmentSign { kPositive, kNegative };
 
 /// A treatment pattern with its estimated effect.
 struct ScoredTreatment {
-  Pattern pattern;
-  EffectEstimate effect;
+  Pattern pattern;         ///< the conjunctive treatment pattern.
+  EffectEstimate effect;   ///< its CATE over the mined subpopulation.
 };
 
+/// Knobs of the lattice walk (Algorithm 2 and optimizations (a), (b)).
 struct TreatmentMinerOptions {
   /// Max predicates per treatment pattern (lattice depth).
   size_t max_depth = 3;
@@ -67,43 +65,34 @@ struct TreatmentMinerOptions {
   double min_treated_fraction = 0.01;
 };
 
-/// As GenerateAtomicTreatments below, but served from the engine's
-/// cached distinct-value and numeric views: the lattice walk calls this
-/// once per (grouping pattern, sign), and the uncached variant re-scans
-/// every treatment column each time — a measurable fraction of a fully
-/// warm query. Identical atoms either way.
+/// Generates all atomic treatment predicates for the given attributes:
+/// equality items for categorical and small-domain numeric columns,
+/// quantile thresholds (A < q, A >= q) for the other numeric ones. Served
+/// from the engine's cached distinct-value and numeric views, so the
+/// lattice walk (which calls this once per grouping pattern and sign)
+/// does not re-scan the table.
 std::vector<SimplePredicate> GenerateAtomicTreatments(
     EvalEngine& engine, const std::vector<std::string>& attributes,
     const TreatmentMinerOptions& options);
 
-/// Generates all atomic treatment predicates for the given attributes
-/// (equality items for categorical/small-int, quantile thresholds for
-/// numeric). Exposed for tests and the Brute-Force baseline.
-std::vector<SimplePredicate> GenerateAtomicTreatments(
-    const Table& table, const std::vector<std::string>& attributes,
-    const TreatmentMinerOptions& options);
+/// Statistics from a mining run (for the accuracy experiments, Fig. 10).
+struct TreatmentMiningStats {
+  /// Lattice nodes evaluated, the overlap-rejected ones included.
+  size_t patterns_evaluated = 0;
+  /// Deepest lattice level the walk reached.
+  size_t levels_explored = 0;
+};
 
 /// Mines the best treatment pattern of the requested sign for the
 /// subpopulation (Algorithm 2). Returns nullopt when nothing valid and
-/// significant exists.
+/// significant exists. `stats` (optional) adds this walk's evaluations
+/// to `patterns_evaluated` and records its depth in `levels_explored`.
 std::optional<ScoredTreatment> MineTopTreatment(
     EstimatorContext& estimator, const Bitset& subpopulation,
     const std::string& outcome,
     const std::vector<std::string>& treatment_attributes, TreatmentSign sign,
-    const TreatmentMinerOptions& options = {});
-
-/// Statistics from a mining run (for the accuracy experiments, Fig. 10).
-struct TreatmentMiningStats {
-  size_t patterns_evaluated = 0;
-  size_t levels_explored = 0;
-};
-
-/// As MineTopTreatment but also reports search statistics.
-std::optional<ScoredTreatment> MineTopTreatmentWithStats(
-    EstimatorContext& estimator, const Bitset& subpopulation,
-    const std::string& outcome,
-    const std::vector<std::string>& treatment_attributes, TreatmentSign sign,
-    const TreatmentMinerOptions& options, TreatmentMiningStats* stats);
+    const TreatmentMinerOptions& options = {},
+    TreatmentMiningStats* stats = nullptr);
 
 /// Top-k treatment patterns of the requested sign, ranked by |CATE|
 /// (the paper's UI lets analysts request several positive/negative
@@ -115,19 +104,6 @@ std::vector<ScoredTreatment> MineTopKTreatments(
     const std::string& outcome,
     const std::vector<std::string>& treatment_attributes, TreatmentSign sign,
     size_t k, const TreatmentMinerOptions& options = {});
-
-/// Treated-set dedup: the generic collision-safe BitsetDedup
-/// (util/bitset.h), shared with the greedy solver's incomparability
-/// constraint. Kept under the domain alias for the top-k dedup and its
-/// tests.
-using TreatedSetDedup = BitsetDedup;
-
-/// Records `bits` under `hash` unless an equal bitset is already present
-/// in that bucket; returns true when it was new. Comparing actual bit
-/// content on a bucket hit keeps a 64-bit hash collision from conflating
-/// two distinct treated sets. Exposed for the top-k dedup and its tests.
-bool InsertUniqueTreatedSet(TreatedSetDedup* seen, uint64_t hash,
-                            Bitset bits);
 
 }  // namespace causumx
 

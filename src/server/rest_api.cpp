@@ -37,7 +37,10 @@ void WriteEngineStats(JsonWriter& w, const EvalEngineStats& e) {
       .EndObject();
 }
 
-HttpResponse HandleStats(ExplanationService& service) {
+// `monitors` is null when the monitor surface is not mounted; the
+// "monitors" object is then omitted.
+HttpResponse HandleStats(ExplanationService& service,
+                         const MonitorRegistry* monitors) {
   const ServiceStats s = service.Stats();
   JsonWriter w;
   w.BeginObject();
@@ -71,6 +74,13 @@ HttpResponse HandleStats(ExplanationService& service) {
     w.Key("last_written_age_seconds").Null();
   }
   w.EndObject();
+  if (monitors != nullptr) {
+    const MonitorRegistryStats m = monitors->Stats();
+    w.Key("monitors").BeginObject()
+        .Key("snapshot_write_failures").Uint(m.snapshot_write_failures)
+        .Key("skipped_on_restore").Uint(m.skipped_on_restore)
+        .EndObject();
+  }
   w.Key("options").BeginObject()
       .Key("num_threads").Uint(service.pool().NumThreads())
       .Key("num_shards").Uint(service.options().num_shards)
@@ -307,7 +317,7 @@ HttpServer::Handler MakeHandler(ExplanationService& service,
     }
     if (path == "/v1/stats") {
       if (!get) return HttpResponse::Error(405, "use GET " + path);
-      return HandleStats(service);
+      return HandleStats(service, monitors);
     }
     if (path == "/v1/tables") {
       if (!get) return HttpResponse::Error(405, "use GET " + path);

@@ -42,6 +42,14 @@ std::string ContextKey(const CausalDag& dag, const EstimatorOptions& opt) {
   return key;
 }
 
+// The engine-configuration suffix of a warm-snapshot key. Every service
+// engine caches ("c1") and compresses segments under kAuto ("z0"); both
+// tags stay literal so data dirs written while they were options still
+// restore warm.
+std::string EngineConfigSuffix(size_t num_shards) {
+  return StrFormat("|s%zu|c1|z0", num_shards);
+}
+
 // Warm-state snapshot container identity (storage/snapshot.h).
 constexpr char kWarmSnapshotKind[] = "causumx-snapshot";
 constexpr uint32_t kWarmSnapshotVersion = 1;
@@ -93,7 +101,6 @@ EvalEngineOptions ExplanationService::EngineOptions() const {
   EvalEngineOptions options;
   options.num_shards = options_.num_shards;
   options.pool = pool_;
-  options.compression = options_.segment_compression;
   return options;
 }
 
@@ -345,12 +352,10 @@ std::string ExplanationService::SnapshotPath(const std::string& name) const {
 }
 
 std::string ExplanationService::WarmSnapshotKey(const Table& table) const {
-  // "c1" is the cache mode of every service engine; it stays in the
-  // key so snapshots written while a bypass mode existed still match.
-  return StrFormat("h%016llx|v%llu|s%zu|c1|z%d",
+  return StrFormat("h%016llx|v%llu",
                    (unsigned long long)TableContentHash(table),
-                   (unsigned long long)table.version(), options_.num_shards,
-                   static_cast<int>(options_.segment_compression));
+                   (unsigned long long)table.version()) +
+         EngineConfigSuffix(options_.num_shards);
 }
 
 size_t ExplanationService::SaveSnapshot(const std::string& name) {
@@ -470,9 +475,7 @@ bool ExplanationService::RestoreTable(const std::string& name) {
     // checking here avoids decoding cache state we cannot use).
     const std::string hash_part = StrFormat(
         "h%016llx", (unsigned long long)TableContentHash(*entry.table));
-    const std::string config_part =
-        StrFormat("|s%zu|c1|z%d", options_.num_shards,
-                  static_cast<int>(options_.segment_compression));
+    const std::string config_part = EngineConfigSuffix(options_.num_shards);
     if (snap.key().compare(0, hash_part.size(), hash_part) != 0) {
       throw StorageError(StorageErrorKind::kCorrupt,
                          "snapshot: key does not match embedded table");
@@ -528,27 +531,15 @@ CauSumXResult ExplanationService::Explain(const std::string& table_name,
                                           const CauSumXConfig& config) {
   Resolved entry = Resolve(table_name, dag, config.estimator);
 
-  CauSumXResult result;
-  // With the default thread count the query mines on the service pool
+  // With the default thread count the query runs on the service pool
   // (no per-query thread spawning; nested ParallelFor is deadlock-safe
-  // because callers participate). An explicit num_threads still gets a
-  // private pool of that size.
-  ThreadPool* mining_pool = config.num_threads == 0 ? pool_.get() : nullptr;
-  CandidateMiningResult mined = MineExplanationCandidates(
-      *entry.table, query, dag, config, entry.engine, entry.context,
-      mining_pool);
-  result.view = std::move(mined.view);
-  result.partition = std::move(mined.partition);
-  result.num_grouping_candidates = mined.num_grouping_candidates;
-  result.num_candidates_with_treatment = mined.candidates.size();
-  result.treatment_patterns_evaluated = mined.treatment_patterns_evaluated;
-  result.timings = mined.timings;
-  result.cache_stats = mined.cache_stats;
-  if (result.view.NumGroups() > 0) {
-    result.summary =
-        SelectExplanations(mined.candidates, result.view.NumGroups(), config,
-                           &result.timings, pool_.get());
-  }
+  // because callers participate). An explicit num_threads is a
+  // per-query bound: mining gets a private pool of that size and phase
+  // 3 runs serially.
+  ThreadPool* pool = config.num_threads == 0 ? pool_.get() : nullptr;
+  CauSumXResult result =
+      RunCauSumX(*entry.table, query, dag, config, entry.engine,
+                 entry.context, pool);
   n_queries_.fetch_add(1, std::memory_order_relaxed);
   EnforceBudget();
   return result;

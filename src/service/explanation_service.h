@@ -53,12 +53,6 @@ struct ServiceOptions {
   /// bit-identical results; only the parallelism granularity changes.
   /// The shard size is fixed at registration and survives appends.
   size_t num_shards = 0;
-  /// Storage policy for cached predicate segments in every table's
-  /// engine (see SegmentCompression): kAuto trades AND-path decompression
-  /// for resident bytes on sparse predicates, which stretches
-  /// memory_budget_bytes before the LRU starts evicting. Bit-identical
-  /// results under every policy.
-  SegmentCompression segment_compression = SegmentCompression::kAuto;
   /// Directory for durable snapshots (columnar table + warm caches).
   /// Empty = persistence off (the pre-storage behavior). When set,
   /// RegisterTable/LoadCsv attempt a warm restore from the table's
@@ -282,9 +276,10 @@ class ExplanationService {
 
   // ---- query execution -----------------------------------------------------
 
-  /// Runs CauSumX over a registered table through the table's shared
-  /// caches, then enforces the memory budget. Equivalent to RunCauSumX
-  /// (bit-identical results), but repeat queries are served warm.
+  /// RunCauSumX over a registered table with the table's shared engine
+  /// and estimator context, then enforces the memory budget. Results are
+  /// bit-identical to a plain RunCauSumX, but repeat queries are served
+  /// warm.
   CauSumXResult Explain(const std::string& table_name,
                         const GroupByAvgQuery& query, const CausalDag& dag,
                         const CauSumXConfig& config = {});
@@ -343,14 +338,13 @@ class ExplanationService {
   /// Resolves the entry or throws std::out_of_range. Caller holds no lock.
   TableEntry Snapshot(const std::string& name) const CAUSUMX_EXCLUDES(mu_);
 
-  /// Engine configuration for a newly registered table (shard count,
-  /// compression, the shared pool).
+  /// Engine configuration for a newly registered table (shard count and
+  /// the shared pool).
   EvalEngineOptions EngineOptions() const;
 
   /// Staleness fingerprint of a warm snapshot for `table` under this
   /// service's engine configuration (content hash, data version, shard
-  /// and compression knobs). A restore is accepted only on an exact
-  /// match.
+  /// count). A restore is accepted only on an exact match.
   std::string WarmSnapshotKey(const Table& table) const;
 
   /// Attempts to warm `entry`'s freshly built engine (and contexts) from

@@ -196,14 +196,10 @@ void StreamMonitor::CompactLocked(size_t drop) {
 void StreamMonitor::EvaluateWindowLocked(uint64_t window_index,
                                          uint64_t window_begin,
                                          uint64_t window_end) {
-  CandidateMiningResult mined = MineExplanationCandidates(
-      *window_table_, bound_.query, bound_.dag, bound_.config, engine_,
-      context_, mining_pool_);
-  ExplanationSummary summary;
-  if (mined.view.NumGroups() > 0) {
-    summary = SelectExplanations(mined.candidates, mined.view.NumGroups(),
-                                 bound_.config, &mined.timings, mining_pool_);
-  }
+  const ExplanationSummary summary =
+      RunCauSumX(*window_table_, bound_.query, bound_.dag, bound_.config,
+                 engine_, context_, mining_pool_)
+          .summary;
 
   // New diff baseline, keyed by the grouping pattern's canonical
   // rendering (value-based — survives the dictionary re-coding of
@@ -570,6 +566,7 @@ void MonitorRegistry::OnAppend(const std::string& name,
     try {
       SaveSnapshot();
     } catch (const StorageError&) {
+      n_snapshot_write_failures_.fetch_add(1, std::memory_order_relaxed);
     }
   }
 }
@@ -650,6 +647,7 @@ size_t MonitorRegistry::RestoreMonitors() {
       ++restored;
     } catch (const std::exception&) {
       // Damaged payload, stale spec, or unknown table: skip this monitor.
+      n_skipped_on_restore_.fetch_add(1, std::memory_order_relaxed);
     }
   }
   {
@@ -657,6 +655,14 @@ size_t MonitorRegistry::RestoreMonitors() {
     if (next_id > next_id_) next_id_ = next_id;
   }
   return restored;
+}
+
+MonitorRegistryStats MonitorRegistry::Stats() const {
+  MonitorRegistryStats s;
+  s.snapshot_write_failures =
+      n_snapshot_write_failures_.load(std::memory_order_relaxed);
+  s.skipped_on_restore = n_skipped_on_restore_.load(std::memory_order_relaxed);
+  return s;
 }
 
 }  // namespace causumx

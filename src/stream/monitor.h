@@ -43,6 +43,7 @@
 #ifndef CAUSUMX_STREAM_MONITOR_H_
 #define CAUSUMX_STREAM_MONITOR_H_
 
+#include <atomic>
 #include <cstdint>
 #include <deque>
 #include <map>
@@ -273,9 +274,22 @@ class StreamMonitor {
 /// Options of the monitor registry.
 struct MonitorRegistryOptions {
   /// Persist all monitor state (SaveSnapshot) after every processed
-  /// append batch. Requires the service to have a data_dir; write
-  /// failures are swallowed like the service's own snapshot-on-append.
+  /// append batch. Requires the service to have a data_dir; a write
+  /// failure never unwinds the append and is counted in
+  /// MonitorRegistryStats::snapshot_write_failures.
   bool snapshot_on_append = false;
+};
+
+/// Cumulative counters of the persistence failures the registry absorbs
+/// instead of returning to a caller (served under "monitors" in
+/// /v1/stats).
+struct MonitorRegistryStats {
+  /// Snapshot writes after an append that failed (the append and the
+  /// monitors' processing stand).
+  uint64_t snapshot_write_failures = 0;
+  /// Monitors RestoreMonitors skipped: damaged payload, stale spec, or
+  /// a watched table that is not registered.
+  uint64_t skipped_on_restore = 0;
 };
 
 /// Owns the monitors of one ExplanationService and feeds them from its
@@ -322,10 +336,14 @@ class MonitorRegistry {
 
   /// Restores monitors from the registry snapshot file; returns how
   /// many were restored. Monitors whose table is no longer registered
-  /// or whose payload is damaged are skipped — a snapshot is never
+  /// or whose payload is damaged are skipped and counted
+  /// (MonitorRegistryStats::skipped_on_restore) — a snapshot is never
   /// partially trusted for a monitor. A missing or unreadable file
   /// restores nothing. Throws std::logic_error without a data_dir.
   size_t RestoreMonitors();
+
+  /// The failure counters (relaxed atomic reads).
+  MonitorRegistryStats Stats() const;
 
  private:
   /// The append-observer body: routes the batch to every monitor of the
@@ -344,6 +362,8 @@ class MonitorRegistry {
   uint64_t next_id_ CAUSUMX_GUARDED_BY(mu_) = 1;
   /// Serializes snapshot file writes (one shared .tmp per target).
   util::Mutex snapshot_mu_;
+  std::atomic<uint64_t> n_snapshot_write_failures_{0};
+  std::atomic<uint64_t> n_skipped_on_restore_{0};
 };
 
 }  // namespace causumx

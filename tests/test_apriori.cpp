@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <map>
+#include <memory>
 
 #include "mining/apriori.h"
+#include "mining/grouping_miner.h"
+#include "util/thread_pool.h"
 
 namespace causumx {
 namespace {
@@ -166,6 +169,89 @@ TEST_P(AprioriThresholdSweep, CountMonotoneInThreshold) {
 
 INSTANTIATE_TEST_SUITE_P(Thresholds, AprioriThresholdSweep,
                          ::testing::Values(0.05, 0.1, 0.2, 0.3, 0.5));
+
+// Every column kind the miner itemizes, with nulls in each: group key
+// g; FD-determined categorical, int and double attributes (so grouping
+// patterns cover groups); and a free double attribute.
+Table MakeMixedTable() {
+  Table t;
+  t.AddColumn("g", ColumnType::kCategorical);
+  t.AddColumn("region", ColumnType::kCategorical);
+  t.AddColumn("tier", ColumnType::kInt64);
+  t.AddColumn("score", ColumnType::kDouble);
+  t.AddColumn("d", ColumnType::kDouble);
+  t.AddColumn("y", ColumnType::kDouble);
+  const char* groups[] = {"g0", "g1", "g2", "g3", "g4", "g5"};
+  const char* regions[] = {"north", "south", "north", "east", "south"};
+  const double ds[] = {0.5, 1.25, -2.0};
+  for (int r = 0; r < 700; ++r) {
+    const int g = (r * 7) % 6;
+    t.AddRow({Value(groups[g]),
+              g == 5 ? Value() : Value(regions[g]),
+              g == 4 ? Value() : Value(int64_t{g % 3 - 1}),
+              g == 3 ? Value() : Value((g % 2) * 1.5),
+              r % 11 == 0 ? Value() : Value(ds[r % 3]),
+              Value(static_cast<double>(r % 13))});
+  }
+  return t;
+}
+
+template <typename P>
+void ExpectSamePatterns(const std::vector<P>& expected,
+                        const std::vector<P>& actual) {
+  ASSERT_EQ(expected.size(), actual.size());
+  for (size_t i = 0; i < expected.size(); ++i) {
+    EXPECT_EQ(expected[i].pattern.ToString(), actual[i].pattern.ToString());
+    EXPECT_TRUE(expected[i].rows == actual[i].rows) << i;
+    EXPECT_EQ(expected[i].support, actual[i].support) << i;
+  }
+}
+
+// A null engine, a shared (sharded, pooled, warm on the second call)
+// engine and a cache-bypass reference engine must mine identical
+// patterns, rows and support.
+TEST(AprioriTest, EveryEngineModeMinesTheSamePatterns) {
+  const Table t = MakeMixedTable();
+  EvalEngineOptions bypass_opt;
+  bypass_opt.cache_enabled = false;
+  EvalEngine bypass(BorrowTable(t), bypass_opt);
+  EvalEngineOptions shared_opt;
+  shared_opt.num_shards = 4;
+  shared_opt.pool = std::make_shared<ThreadPool>(2);
+  EvalEngine shared(BorrowTable(t), shared_opt);
+
+  const std::vector<std::string> attrs = {"region", "tier", "score", "d"};
+  AprioriOptions opt;
+  opt.min_support = 0.05;
+  const auto reference = MineFrequentPatterns(t, attrs, opt, &bypass);
+  ASSERT_GT(reference.size(), 10u);
+  size_t mixed = 0;
+  for (const auto& fp : reference) {
+    mixed += fp.pattern.UsesAttribute("tier") &&
+                 fp.pattern.UsesAttribute("score") &&
+                 fp.pattern.UsesAttribute("d");
+  }
+  EXPECT_GT(mixed, 0u);  // int and double items do conjoin
+  ExpectSamePatterns(reference, MineFrequentPatterns(t, attrs, opt));
+  ExpectSamePatterns(reference, MineFrequentPatterns(t, attrs, opt, &shared));
+  ExpectSamePatterns(reference, MineFrequentPatterns(t, attrs, opt, &shared));
+
+  GroupByAvgQuery q;
+  q.group_by = {"g"};
+  q.avg_attribute = "y";
+  const AggregateView view = AggregateView::Evaluate(t, q);
+  GroupingMinerOptions gopt;
+  gopt.apriori = opt;
+  const auto grouping =
+      MineGroupingPatterns(t, view, {"region", "tier", "score"}, gopt,
+                           &bypass);
+  ASSERT_GT(grouping.size(), 6u);
+  ExpectSamePatterns(grouping, MineGroupingPatterns(
+                                   t, view, {"region", "tier", "score"}, gopt));
+  ExpectSamePatterns(grouping,
+                     MineGroupingPatterns(t, view, {"region", "tier", "score"},
+                                          gopt, &shared));
+}
 
 }  // namespace
 }  // namespace causumx

@@ -157,6 +157,7 @@ TEST(BitsetDedupTest, ExactComparisonOnForgedCollision) {
   EXPECT_TRUE(seen.Insert(collided, a));
   EXPECT_TRUE(seen.Insert(collided, b));   // distinct content survives
   EXPECT_FALSE(seen.Insert(collided, a));  // true duplicate rejected
+  EXPECT_TRUE(seen.Insert(43, a));         // distinct hashes never interfere
 }
 
 TEST(BitsetDedupTest, ContainsUsesContentHash) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <type_traits>
 
@@ -161,7 +162,7 @@ TEST(JsonExportTest, SummaryRoundTripStructure) {
   config.k = 2;
   config.theta = 0.25;
   const ExplanationSummary summary =
-      ExplainView(ds.table, ds.default_query, ds.dag, config);
+      RunCauSumX(ds.table, ds.default_query, ds.dag, config).summary;
   const std::string json = SummaryToJson(summary, &ds.default_query);
 
   // Structural sanity: balanced braces/brackets, key fields present.
@@ -192,6 +193,70 @@ TEST(JsonExportTest, EffectCarriesConfidenceInterval) {
   e.p_value = 0.001;
   const std::string json = EffectToJson(e);
   EXPECT_NE(json.find("\"ci95\":[8.04"), std::string::npos);
+}
+
+// A summary exercising every JSON-export branch: an escaped string
+// constant, a null constant, int and double constants, a valid effect
+// and an invalid one whose NaN fields must print as null.
+ExplanationSummary PinnedSummary() {
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EffectEstimate strong;
+  strong.valid = true;
+  strong.cate = 12.3456789012;
+  strong.std_error = 0.5;
+  strong.p_value = 0.000123456789;
+  strong.n_treated = 40;
+  strong.n_control = 60;
+  EffectEstimate invalid;
+  invalid.cate = nan;
+  invalid.std_error = nan;
+  invalid.p_value = nan;
+
+  Explanation first;
+  first.grouping_pattern = Pattern(
+      {SimplePredicate("Coun\"try", CompareOp::kEq, Value("U\\S\n\t"))});
+  first.group_coverage = Bitset(3);
+  first.group_coverage.Set(0);
+  first.group_coverage.Set(2);
+  first.positive = TreatmentSide{
+      Pattern({SimplePredicate("age", CompareOp::kLt, Value(2.5)),
+               SimplePredicate("kids", CompareOp::kGe, Value(int64_t{-7}))}),
+      strong};
+  first.negative = TreatmentSide{
+      Pattern({SimplePredicate("ratio", CompareOp::kGt, Value(1.0 / 3.0))}),
+      invalid};
+
+  Explanation second;
+  second.grouping_pattern =
+      Pattern({SimplePredicate("z", CompareOp::kEq, Value())});
+  second.group_coverage = Bitset(3);
+  second.group_coverage.Set(1);
+  second.negative = TreatmentSide{Pattern(), invalid};
+
+  ExplanationSummary summary;
+  summary.num_groups = 3;
+  summary.covered_groups = 3;
+  summary.coverage_satisfied = true;
+  summary.total_explainability = 12.3456789012;
+  summary.explanations = {first, second};
+  return summary;
+}
+
+TEST(JsonExportTest, SummaryBytesArePinned) {
+  // Monitors, the REST envelope and the benchmark's golden digests all
+  // hash these exact bytes: any change to the serializer shows here.
+  GroupByAvgQuery query;
+  query.group_by = {"Coun\"try"};
+  query.avg_attribute = "Salary";
+  const std::string json = SummaryToJson(PinnedSummary(), &query);
+  EXPECT_EQ(json,
+      R"json({"query":"SELECT Coun\"try, AVG(Salary) FROM D GROUP BY Coun\"try","num_groups":3,"covered_groups":3,"coverage_satisfied":true,"total_explainability":12.345679,"explanations":[)json"
+      R"json({"grouping_pattern":[{"attribute":"Coun\"try","op":"=","value":"U\\S\n\t"}],"groups_covered":[0,2],"weight":12.345679,"positive":{"pattern":[{"attribute":"age","op":"<","value":2.5},{"attribute":"kids","op":">=","value":-7}],"effect":{"valid":true,"cate":12.345679,"std_error":0.5,"p_value":0.00012345679,"ci95":[11.365697,13.325661],"n_treated":40,"n_control":60}},"negative":{"pattern":[{"attribute":"ratio","op":">","value":0.333333}],"effect":{"valid":false,"cate":null,"std_error":null,"p_value":null,"ci95":[null,null],"n_treated":0,"n_control":0}}})json"
+      R"json(,{"grouping_pattern":[{"attribute":"z","op":"=","value":null}],"groups_covered":[1],"weight":0,"negative":{"pattern":[],"effect":{"valid":false,"cate":null,"std_error":null,"p_value":null,"ci95":[null,null],"n_treated":0,"n_control":0}}}]})json");
+  // Without a query the document only drops the leading "query" member.
+  EXPECT_EQ("{\"query\":\"" + JsonEscape(query.ToSql()) + "\"," +
+                SummaryToJson(PinnedSummary()).substr(1),
+            json);
 }
 
 }  // namespace

@@ -6,10 +6,11 @@
 // window cycling (expiry must decrement the LRU byte accounting), the
 // registry's observer wiring through ExplanationService appends, and
 // the snapshot round trip (a restored monitor continues bit-identically
-// to one that never stopped).
+// to one that never stopped), and the counted persistence failures.
 
 #include <gtest/gtest.h>
 
+#include <sys/stat.h>
 #include <unistd.h>
 
 #include <memory>
@@ -412,6 +413,57 @@ TEST(MonitorSnapshotTest, RestoredMonitorContinuesBitIdentically) {
   // A stale snapshot (spec changed) restores nothing but does not throw.
   MonitorRegistry fresh_registry(service);
   EXPECT_EQ(fresh_registry.RestoreMonitors(), 1u);
+}
+
+// A monitor snapshot write that fails after an append is counted, and
+// the append (and the monitor's processing of it) still lands.
+TEST(MonitorSnapshotTest, WriteFailureAfterAppendIsCounted) {
+  TempDir dir;
+  LinearScmOptions options;
+  options.num_rows = 200;
+  const GeneratedDataset ds = MakeLinearScmDataset(options);
+  const size_t n = ds.table.NumRows();
+  ServiceOptions persistent;
+  persistent.data_dir = dir.path + "/data";
+  ASSERT_EQ(::mkdir(persistent.data_dir.c_str(), 0700), 0);
+  ExplanationService service(persistent);
+  service.RegisterTable("t", std::make_shared<const Table>(ds.table.Head(0)));
+  MonitorRegistryOptions registry_options;
+  registry_options.snapshot_on_append = true;
+  MonitorRegistry registry(service, registry_options);
+  const auto monitor = registry.Create(ScmSpec(n, ds.dag, 0.0));
+
+  ASSERT_EQ(::rmdir(persistent.data_dir.c_str()), 0);
+  service.Append("t", ds.table.MaterializeRows(0, n));
+  EXPECT_EQ(service.TableVersion("t"), 1u);
+  EXPECT_EQ(monitor->Status().rows_observed, n);
+  EXPECT_EQ(registry.Stats().snapshot_write_failures, 1u);
+  EXPECT_EQ(registry.Stats().skipped_on_restore, 0u);
+  EXPECT_EQ(service.Stats().append_observer_failures, 0u);
+}
+
+// A monitor whose watched table is not registered at restore time is
+// skipped, and the skip is counted.
+TEST(MonitorSnapshotTest, SkippedOnRestoreIsCounted) {
+  TempDir dir;
+  LinearScmOptions options;
+  options.num_rows = 200;
+  const GeneratedDataset ds = MakeLinearScmDataset(options);
+  ServiceOptions persistent;
+  persistent.data_dir = dir.path;
+  {
+    ExplanationService service(persistent);
+    service.RegisterTable("t",
+                          std::make_shared<const Table>(ds.table.Head(0)));
+    MonitorRegistry registry(service);
+    registry.Create(ScmSpec(ds.table.NumRows(), ds.dag, 0.0));
+    EXPECT_GT(registry.SaveSnapshot(), 0u);
+  }
+  ExplanationService service(persistent);  // "t" is not registered
+  MonitorRegistry registry(service);
+  EXPECT_EQ(registry.RestoreMonitors(), 0u);
+  EXPECT_EQ(registry.Stats().skipped_on_restore, 1u);
+  EXPECT_EQ(registry.Stats().snapshot_write_failures, 0u);
 }
 
 // Events API: seq numbering, since-filtering, and the long-poll wait.

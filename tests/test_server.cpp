@@ -692,5 +692,22 @@ TEST(RestApiMonitorTest, MonitorRoutesAbsentWithoutRegistry) {
             404);
 }
 
+TEST(RestApiMonitorTest, StatsServeMonitorCountersOnlyWhenMounted) {
+  MonitorServerWorld mounted;
+  HttpClient client("127.0.0.1", mounted.server.port());
+  const JsonValue with = JsonValue::Parse(
+      client.Request("GET", "/v1/stats").body);
+  const JsonValue* monitors = with.Find("monitors");
+  ASSERT_NE(monitors, nullptr);
+  EXPECT_EQ(monitors->GetNumber("snapshot_write_failures", -1), 0);
+  EXPECT_EQ(monitors->GetNumber("skipped_on_restore", -1), 0);
+
+  ServerWorld plain;
+  HttpClient plain_client("127.0.0.1", plain.server.port());
+  const JsonValue without = JsonValue::Parse(
+      plain_client.Request("GET", "/v1/stats").body);
+  EXPECT_EQ(without.Find("monitors"), nullptr);
+}
+
 }  // namespace
 }  // namespace causumx

@@ -57,8 +57,9 @@ Bitset AllRows(const Table& t) {
 
 TEST(TreatmentMinerTest, AtomGenerationCategorical) {
   const Table t = MakePlantedTable(100, 1);
+  EvalEngine engine(BorrowTable(t));
   TreatmentMinerOptions opt;
-  const auto atoms = GenerateAtomicTreatments(t, {"A", "B"}, opt);
+  const auto atoms = GenerateAtomicTreatments(engine, {"A", "B"}, opt);
   // Two values per attribute -> 4 equality atoms.
   EXPECT_EQ(atoms.size(), 4u);
   for (const auto& a : atoms) EXPECT_EQ(a.op, CompareOp::kEq);
@@ -69,9 +70,10 @@ TEST(TreatmentMinerTest, AtomGenerationNumericThresholds) {
   t.AddColumn("x", ColumnType::kDouble);
   Rng rng(2);
   for (int i = 0; i < 500; ++i) t.AddRow({Value(rng.NextGaussian())});
+  EvalEngine engine(BorrowTable(t));
   TreatmentMinerOptions opt;
   opt.numeric_bins = 3;
-  const auto atoms = GenerateAtomicTreatments(t, {"x"}, opt);
+  const auto atoms = GenerateAtomicTreatments(engine, {"x"}, opt);
   EXPECT_GE(atoms.size(), 4u);  // pairs of (<, >=) per threshold
   for (const auto& a : atoms) {
     EXPECT_TRUE(a.op == CompareOp::kLt || a.op == CompareOp::kGe);
@@ -83,7 +85,8 @@ TEST(TreatmentMinerTest, ConstantAttributeSkipped) {
   t.AddColumn("x", ColumnType::kCategorical);
   t.AddColumn("y", ColumnType::kDouble);
   for (int i = 0; i < 50; ++i) t.AddRow({Value("same"), Value(1.0)});
-  const auto atoms = GenerateAtomicTreatments(t, {"x"}, {});
+  EvalEngine engine(BorrowTable(t));
+  const auto atoms = GenerateAtomicTreatments(engine, {"x"}, {});
   EXPECT_TRUE(atoms.empty());
 }
 
@@ -198,9 +201,8 @@ TEST(TreatmentMinerTest, StatsReportEvaluations) {
   const Table t = MakePlantedTable(2000, 9);
   EstimatorContext est = MakeEstimator(t, MakeDag());
   TreatmentMiningStats stats;
-  const auto result = MineTopTreatmentWithStats(
-      est, AllRows(t), "Y", {"A", "B", "C"}, TreatmentSign::kPositive, {},
-      &stats);
+  const auto result = MineTopTreatment(est, AllRows(t), "Y", {"A", "B", "C"},
+                                       TreatmentSign::kPositive, {}, &stats);
   ASSERT_TRUE(result.has_value());
   EXPECT_GE(stats.patterns_evaluated, 6u);  // at least the atoms
   EXPECT_GE(stats.levels_explored, 1u);
@@ -217,29 +219,6 @@ TEST(TreatmentMinerTest, MaxDepthOneStopsAtAtoms) {
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->pattern.Size(), 1u);
   EXPECT_TRUE(result->pattern.UsesAttribute("A"));
-}
-
-TEST(TreatmentMinerTest, TreatedSetDedupSurvivesHashCollisions) {
-  // Two distinct treated sets forced into the same hash bucket: the
-  // top-k dedup must keep both (comparing bit content), and only reject
-  // a genuinely identical set.
-  Bitset a(64);
-  a.Set(1);
-  a.Set(7);
-  Bitset b(64);
-  b.Set(2);
-  b.Set(9);
-  Bitset a_again(64);
-  a_again.Set(1);
-  a_again.Set(7);
-
-  const uint64_t collided_hash = 42;  // simulate a 64-bit Hash() collision
-  TreatedSetDedup seen;
-  EXPECT_TRUE(InsertUniqueTreatedSet(&seen, collided_hash, a));
-  EXPECT_TRUE(InsertUniqueTreatedSet(&seen, collided_hash, b));
-  EXPECT_FALSE(InsertUniqueTreatedSet(&seen, collided_hash, a_again));
-  // Distinct hashes never interfere.
-  EXPECT_TRUE(InsertUniqueTreatedSet(&seen, 43, a_again));
 }
 
 }  // namespace
