@@ -1,7 +1,8 @@
 // Fuzz harness for the storage layer's deserializers — the code that
 // reads snapshot bytes a crashed, truncated, or hostile writer may have
 // left on disk (src/storage/snapshot.*, src/dataset/table_io.*,
-// src/util/compressed_bitset.*).
+// src/util/compressed_bitset.*, and the monitor checkpoint in
+// src/stream/monitor.*).
 //
 // Properties checked on every input:
 //   1. SnapshotReader::Parse either returns a container or throws
@@ -25,6 +26,13 @@
 //      seeds — every restored predicate therefore evaluates identically
 //      to a fresh engine. (The payload carries no checksum of its own;
 //      the snapshot container's CRC is what catches flipped bits in it.)
+//   6. StreamMonitor::ImportState of a checkpoint into a fixed monitor
+//      over the same table either throws StorageError (or another
+//      std::runtime_error), or accepts and has caught up: origin +
+//      rows_observed equals the table's row count, and the window holds
+//      at most size_rows + slide_rows rows. The seeds cover a valid
+//      checkpoint, a table behind it, a window hash mismatch and a
+//      next boundary behind the stream position.
 //
 // Links against libFuzzer under clang (-DCAUSUMX_FUZZERS=ON); under GCC
 // the same TU builds as a standalone corpus replayer (see
@@ -46,6 +54,7 @@
 #include "storage/bytes.h"
 #include "storage/snapshot.h"
 #include "storage/storage_error.h"
+#include "stream/monitor.h"
 #include "util/compressed_bitset.h"
 
 #include "fuzz/standalone_main.h"
@@ -263,6 +272,38 @@ void CheckEngineImport(const std::string& bytes) {
   if (accepted == 1) Die("import acceptance depends on the shard plan", "");
 }
 
+// The monitor every checkpoint imports into: a sliding window over the
+// fuzz table's columns, created when the table held its first 100 rows.
+constexpr char kMonitorSpec[] =
+    "{\"table\":\"t\",\"group_by\":[\"c\"],\"avg\":\"d\","
+    "\"dag_text\":\"i -> d\\nc -> d\\n\",\"grouping_attrs\":[\"c\"],"
+    "\"treatment_attrs\":[\"i\"],\"emit_summaries\":true,"
+    "\"window\":{\"kind\":\"sliding\",\"size_rows\":100,"
+    "\"slide_rows\":50}}";
+constexpr size_t kMonitorOrigin = 100;
+constexpr size_t kMonitorMaxWindow = 150;
+
+void CheckMonitorImport(const std::string& bytes) {
+  const causumx::Table& watched = *FuzzTable();
+  causumx::StreamMonitor monitor("m1",
+                                 causumx::MonitorSpec::Parse(kMonitorSpec),
+                                 watched.Head(kMonitorOrigin), nullptr);
+  try {
+    monitor.ImportState(bytes, watched);
+  } catch (const std::runtime_error&) {
+    return;  // typed rejection (StorageError is a runtime_error)
+  }
+  const causumx::MonitorStatus status = monitor.Status();
+  if (kMonitorOrigin + status.rows_observed != watched.NumRows()) {
+    Die("accepted checkpoint did not catch up with the table",
+        std::to_string(status.rows_observed));
+  }
+  if (status.window_rows > kMonitorMaxWindow) {
+    Die("accepted checkpoint holds an oversized window",
+        std::to_string(status.window_rows));
+  }
+}
+
 }  // namespace
 
 extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
@@ -273,12 +314,13 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   const std::string bytes(reinterpret_cast<const char*>(data + 1), size - 1);
 
   // The first byte routes to one deserializer, so one corpus exercises
-  // all four entry points and the fuzzer can mutate across them.
-  switch (data[0] % 4) {
+  // all five entry points and the fuzzer can mutate across them.
+  switch (data[0] % 5) {
     case 0: CheckContainer(bytes); break;
     case 1: CheckTable(bytes); break;
     case 2: CheckSegment(bytes); break;
     case 3: CheckEngineImport(bytes); break;
+    case 4: CheckMonitorImport(bytes); break;
   }
   return 0;
 }

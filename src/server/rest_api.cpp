@@ -77,7 +77,6 @@ HttpResponse HandleStats(ExplanationService& service,
   if (monitors != nullptr) {
     const MonitorRegistryStats m = monitors->Stats();
     w.Key("monitors").BeginObject()
-        .Key("snapshot_write_failures").Uint(m.snapshot_write_failures)
         .Key("skipped_on_restore").Uint(m.skipped_on_restore)
         .EndObject();
   }

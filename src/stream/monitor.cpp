@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <optional>
 #include <set>
 #include <stdexcept>
 #include <utility>
@@ -24,7 +25,8 @@ namespace {
 // files so ExplanationService::RestoreAll never tries to parse it as a
 // table snapshot.
 constexpr char kMonitorSnapshotKind[] = "causumx-monitors";
-constexpr uint32_t kMonitorSnapshotVersion = 1;
+// Version 2 stores the stream origin and a window-row hash, not rows.
+constexpr uint32_t kMonitorSnapshotVersion = 2;
 constexpr char kMonitorSnapshotFile[] = "causumx-monitors.monsnap";
 
 }  // namespace
@@ -101,31 +103,26 @@ StreamMonitor::StreamMonitor(std::string id, MonitorSpec spec,
                              ThreadPool* mining_pool)
     : id_(std::move(id)),
       spec_(std::move(spec)),
+      origin_(bound_table.NumRows()),
       bound_(spec_.explain.Bind(bound_table)),
       mining_pool_(mining_pool) {
   bound_.config.num_shards = spec_.num_shards;
   // Windows mine on mining_pool_ when there is one; a null pool means
   // serial, never a private per-window pool.
   bound_.config.num_threads = 1;
-
-  schema_.reserve(bound_table.NumColumns());
-  for (size_t c = 0; c < bound_table.NumColumns(); ++c) {
-    schema_.emplace_back(bound_table.column(c).name(),
-                         bound_table.column(c).type());
-  }
-
-  Table empty;
-  for (const auto& [name, type] : schema_) empty.AddColumn(name, type);
-  window_table_ = std::make_shared<const Table>(std::move(empty));
+  // Head(0): the bound schema with empty dictionaries.
+  window_table_ = std::make_shared<const Table>(bound_table.Head(0));
   next_boundary_ = spec_.window.size_rows;
 }
 
-EvalEngineOptions StreamMonitor::EngineOptions() const {
+void StreamMonitor::BuildColdCachesLocked() {
   EvalEngineOptions options;
   options.num_shards = bound_.config.num_shards;
   options.pool = nullptr;  // window shard work runs serial (windows are small)
   options.compression = spec_.compression;
-  return options;
+  engine_ = std::make_shared<EvalEngine>(window_table_, options);
+  context_ = std::make_shared<EstimatorContext>(engine_, bound_.dag,
+                                                bound_.config.estimator);
 }
 
 void StreamMonitor::OnAppend(const std::vector<std::vector<Value>>& rows) {
@@ -166,19 +163,15 @@ void StreamMonitor::AppendToWindowLocked(
         rows.begin() + static_cast<ptrdiff_t>(begin),
         rows.begin() + static_cast<ptrdiff_t>(end)));
   }
-  auto table = std::make_shared<const Table>(std::move(grown));
+  window_table_ = std::make_shared<const Table>(std::move(grown));
   if (engine_ == nullptr) {
-    // First rows of the stream: build the triple cold.
-    engine_ = std::make_shared<EvalEngine>(table, EngineOptions());
-    context_ = std::make_shared<EstimatorContext>(engine_, bound_.dag,
-                                                  bound_.config.estimator);
+    BuildColdCachesLocked();  // first rows of the stream
   } else {
     // Grow-only migration: cached segments evaluate only the delta rows
     // and memo entries over untouched subpopulations stay warm.
-    engine_ = std::make_shared<EvalEngine>(table, *engine_);
+    engine_ = std::make_shared<EvalEngine>(window_table_, *engine_);
     context_ = std::make_shared<EstimatorContext>(engine_, *context_);
   }
-  window_table_ = std::move(table);
 }
 
 void StreamMonitor::CompactLocked(size_t drop) {
@@ -369,6 +362,7 @@ std::string StreamMonitor::ExportState() const {
   ByteWriter w;
   w.PutString(id_);
   w.PutString(spec_.json);
+  w.PutU64(origin_);
   w.PutU64(rows_observed_);
   w.PutU64(window_begin_);
   w.PutU64(next_boundary_);
@@ -385,7 +379,7 @@ std::string StreamMonitor::ExportState() const {
   }
   w.PutVarint(prev_topk_.size());
   for (const std::string& key : prev_topk_) w.PutString(key);
-  w.PutString(SerializeTable(*window_table_));
+  w.PutU64(TableContentHash(*window_table_));
   w.PutString(engine_ != nullptr ? engine_->ExportCacheState()
                                  : std::string());
   w.PutString(context_ != nullptr ? context_->ExportMemoState()
@@ -398,7 +392,8 @@ std::string StreamMonitor::ExportState() const {
   return w.TakeBytes();
 }
 
-void StreamMonitor::ImportState(const std::string& bytes) {
+void StreamMonitor::ImportState(const std::string& bytes,
+                                const Table& watched) {
   // Parse and validate everything into locals first: a damaged payload
   // must throw before any member mutates, leaving the fresh monitor
   // untouched (the registry then discards it).
@@ -407,14 +402,26 @@ void StreamMonitor::ImportState(const std::string& bytes) {
     throw StorageError(StorageErrorKind::kStale,
                        "monitor snapshot: id or spec does not match");
   }
+  if (r.GetU64() != origin_) {
+    throw StorageError(StorageErrorKind::kStale,
+                       "monitor snapshot: stream origin does not match");
+  }
   const uint64_t rows_observed = r.GetU64();
   const uint64_t window_begin = r.GetU64();
   const uint64_t next_boundary = r.GetU64();
   const uint64_t windows_evaluated = r.GetU64();
   const uint64_t next_seq = r.GetU64();
-  if (next_seq == 0) {
+  // A live monitor's counters: seqs start at 1, and the next boundary
+  // lies ahead on the W, W+S, ... grid, at most W+S past the window
+  // start (anything else wraps OnAppend's distance to the boundary).
+  const uint64_t size = spec_.window.size_rows;
+  const uint64_t slide = spec_.window.slide_rows;
+  if (next_seq == 0 || window_begin > rows_observed ||
+      rows_observed >= next_boundary ||
+      next_boundary - window_begin > size + slide || next_boundary < size ||
+      (next_boundary - size) % slide != 0) {
     throw StorageError(StorageErrorKind::kCorrupt,
-                       "monitor snapshot: zero next_seq");
+                       "monitor snapshot: inconsistent stream counters");
   }
   const bool have_prev = r.GetU8() != 0;
   std::map<std::string, SideEffects> prev_effects;
@@ -432,16 +439,7 @@ void StreamMonitor::ImportState(const std::string& bytes) {
   std::vector<std::string> prev_topk;
   const uint64_t n_topk = r.GetVarint();
   for (uint64_t i = 0; i < n_topk; ++i) prev_topk.push_back(r.GetString());
-  Table restored = DeserializeTable(r.GetString());
-  if (restored.NumColumns() != schema_.size()) {
-    throw StorageError(StorageErrorKind::kStale,
-                       "monitor snapshot: window schema mismatch");
-  }
-  if (rows_observed - window_begin != restored.NumRows()) {
-    throw StorageError(StorageErrorKind::kCorrupt,
-                       "monitor snapshot: window row count inconsistent "
-                       "with stream counters");
-  }
+  const uint64_t window_hash = r.GetU64();
   const std::string engine_state = r.GetString();
   const std::string memo_state = r.GetString();
   std::deque<MonitorEvent> events;
@@ -462,44 +460,58 @@ void StreamMonitor::ImportState(const std::string& bytes) {
     throw StorageError(StorageErrorKind::kCorrupt,
                        "monitor snapshot: trailing bytes");
   }
+  if (origin_ > watched.NumRows() ||
+      rows_observed > watched.NumRows() - origin_) {
+    throw StorageError(StorageErrorKind::kStale,
+                       "monitor snapshot: watched table is behind the "
+                       "checkpoint");
+  }
 
-  util::MutexLock lock(mu_);
-  window_table_ = std::make_shared<const Table>(std::move(restored));
-  engine_ = nullptr;
-  context_ = nullptr;
-  if (window_table_->NumRows() > 0) {
-    engine_ = std::make_shared<EvalEngine>(window_table_, EngineOptions());
-    context_ = std::make_shared<EstimatorContext>(engine_, bound_.dag,
-                                                  bound_.config.estimator);
-    if (!engine_state.empty()) {
+  {
+    util::MutexLock lock(mu_);
+    // Rebuild the window as the live monitor did, by appending to the
+    // empty window table; the hash binds the checkpoint to these rows.
+    Table window = window_table_->Clone();
+    window.AppendRows(watched.MaterializeRows(
+        static_cast<size_t>(origin_ + window_begin),
+        static_cast<size_t>(origin_ + rows_observed)));
+    if (TableContentHash(window) != window_hash) {
+      throw StorageError(StorageErrorKind::kStale,
+                         "monitor snapshot: window rows differ from the "
+                         "watched table");
+    }
+    window_table_ = std::make_shared<const Table>(std::move(window));
+    if (window_table_->NumRows() > 0) {
+      BuildColdCachesLocked();
       try {
-        engine_->ImportCacheState(engine_state);
+        if (!engine_state.empty()) engine_->ImportCacheState(engine_state);
         if (!memo_state.empty()) context_->ImportMemoState(memo_state);
       } catch (const StorageError&) {
         // Configuration skew (e.g. the cache was exported under a
         // different shard plan): rebuild cold. Summaries stay
         // bit-identical either way — only warmth is lost.
-        engine_ = std::make_shared<EvalEngine>(window_table_, EngineOptions());
-        context_ = std::make_shared<EstimatorContext>(engine_, bound_.dag,
-                                                      bound_.config.estimator);
+        BuildColdCachesLocked();
       }
     }
+    rows_observed_ = rows_observed;
+    window_begin_ = window_begin;
+    next_boundary_ = next_boundary;
+    windows_evaluated_ = windows_evaluated;
+    next_seq_ = next_seq;
+    have_prev_ = have_prev;
+    prev_effects_ = std::move(prev_effects);
+    prev_topk_ = std::move(prev_topk);
+    events_ = std::move(events);
+    events_cv_.NotifyAll();
   }
-  rows_observed_ = rows_observed;
-  window_begin_ = window_begin;
-  next_boundary_ = next_boundary;
-  windows_evaluated_ = windows_evaluated;
-  next_seq_ = next_seq;
-  have_prev_ = have_prev;
-  prev_effects_ = std::move(prev_effects);
-  prev_topk_ = std::move(prev_topk);
-  events_ = std::move(events);
-  events_cv_.NotifyAll();
+
+  // Catch up: replay the table rows appended after the checkpoint.
+  OnAppend(watched.MaterializeRows(
+      static_cast<size_t>(origin_ + rows_observed), watched.NumRows()));
 }
 
-MonitorRegistry::MonitorRegistry(ExplanationService& service,
-                                 MonitorRegistryOptions options)
-    : service_(service), options_(options) {
+MonitorRegistry::MonitorRegistry(ExplanationService& service)
+    : service_(service) {
   service_.AddAppendObserver(
       [this](const std::string& name,
              const std::vector<std::vector<Value>>& rows,
@@ -559,16 +571,6 @@ void MonitorRegistry::OnAppend(const std::string& name,
     }
   }
   for (const auto& monitor : targets) monitor->OnAppend(rows);
-  if (options_.snapshot_on_append && !targets.empty() &&
-      !service_.options().data_dir.empty()) {
-    // Same policy as the service's snapshot-on-append: a persistence
-    // failure never unwinds processing that already happened.
-    try {
-      SaveSnapshot();
-    } catch (const StorageError&) {
-      n_snapshot_write_failures_.fetch_add(1, std::memory_order_relaxed);
-    }
-  }
 }
 
 std::string MonitorRegistry::SnapshotFilePath() const {
@@ -608,59 +610,55 @@ size_t MonitorRegistry::SaveSnapshot() {
 size_t MonitorRegistry::RestoreMonitors() {
   const std::string path = SnapshotFilePath();
   if (!FileExists(path)) return 0;
-  SnapshotReader snap = [&] {
-    try {
-      return SnapshotReader::ReadFile(path, kMonitorSnapshotKind,
-                                      kMonitorSnapshotVersion);
-    } catch (const StorageError&) {
-      // Damaged or foreign file: restore nothing, never partially trust.
-      return SnapshotReader::Parse(
-          SnapshotWriter(kMonitorSnapshotKind, kMonitorSnapshotVersion, "")
-              .Serialize(),
-          kMonitorSnapshotKind, kMonitorSnapshotVersion);
-    }
-  }();
-  uint64_t next_id = 1;
-  if (snap.HasSection("registry")) {
-    ByteReader r(snap.Section("registry"));
-    next_id = r.GetU64();
+  std::optional<SnapshotReader> snap;
+  try {
+    snap.emplace(SnapshotReader::ReadFile(path, kMonitorSnapshotKind,
+                                          kMonitorSnapshotVersion));
+    // Restored ids must never be handed out again.
+    const uint64_t next_id = ByteReader(snap->Section("registry")).GetU64();
+    util::MutexLock lock(mu_);
+    next_id_ = std::max(next_id_, next_id);
+  } catch (const StorageError&) {
+    // Damaged, foreign or older-format file: every monitor in it is
+    // lost. How many it held is unknowable, so the loss counts once.
+    n_skipped_on_restore_.fetch_add(1, std::memory_order_relaxed);
+    return 0;
   }
   size_t restored = 0;
-  for (const std::string& name : snap.SectionNames()) {
+  for (const std::string& name : snap->SectionNames()) {
     if (name.rfind("monitor/", 0) != 0) continue;
-    const std::string& state = snap.Section(name);
+    const std::string& state = snap->Section(name);
     try {
       ByteReader r(state);
       const std::string id = r.GetString();
       MonitorSpec spec = MonitorSpec::Parse(r.GetString());
+      const uint64_t origin = r.GetU64();
       // Throws when the watched table is no longer registered — the
       // monitor is skipped rather than restored against nothing.
-      const std::shared_ptr<const Table> bound =
+      const std::shared_ptr<const Table> watched =
           service_.GetTable(spec.explain.table);
-      auto monitor = std::make_shared<StreamMonitor>(id, std::move(spec),
-                                                     *bound, &service_.pool());
-      monitor->ImportState(state);
+      // Bind to the creation-time rows (a "discover" DAG is learned
+      // from them); a table shorter than `origin` fails ImportState.
+      auto monitor = std::make_shared<StreamMonitor>(
+          id, std::move(spec),
+          watched->Head(static_cast<size_t>(origin)), &service_.pool());
+      monitor->ImportState(state, *watched);
       {
         util::MutexLock lock(mu_);
         monitors_[id] = monitor;
       }
       ++restored;
     } catch (const std::exception&) {
-      // Damaged payload, stale spec, or unknown table: skip this monitor.
+      // Damaged payload, stale spec, unknown table, or a table that does
+      // not hold the checkpoint's rows: skip this monitor.
       n_skipped_on_restore_.fetch_add(1, std::memory_order_relaxed);
     }
-  }
-  {
-    util::MutexLock lock(mu_);
-    if (next_id > next_id_) next_id_ = next_id;
   }
   return restored;
 }
 
 MonitorRegistryStats MonitorRegistry::Stats() const {
   MonitorRegistryStats s;
-  s.snapshot_write_failures =
-      n_snapshot_write_failures_.load(std::memory_order_relaxed);
   s.skipped_on_restore = n_skipped_on_restore_.load(std::memory_order_relaxed);
   return s;
 }

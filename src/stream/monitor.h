@@ -37,8 +37,11 @@
 // MonitorRegistry owns the monitors, feeds them synchronously from the
 // service's append observer hook (deliveries are ordered and never
 // concurrent — see ExplanationService::AddAppendObserver), serves the
-// long-poll event subscription the REST layer exposes, and persists all
-// monitor state into the service data_dir for warm restarts.
+// long-poll event subscription the REST layer exposes, and checkpoints
+// the monitors into the service data_dir for warm restarts. The watched
+// table is the only durable copy of the stream (stream row i is table
+// row origin + i): a checkpoint stores no rows, and restore rebuilds the
+// window from the table and replays the rows the checkpoint missed.
 
 #ifndef CAUSUMX_STREAM_MONITOR_H_
 #define CAUSUMX_STREAM_MONITOR_H_
@@ -133,12 +136,12 @@ struct MonitorStatus {
 class StreamMonitor {
  public:
   /// Binds `spec` to `bound_table`, the watched table at creation time
-  /// — it supplies the window schema, WHERE-predicate typing, and the
-  /// data a "discover" DAG is learned from; the window itself starts
-  /// empty and fills from appends observed after creation. Windows mine
-  /// on `mining_pool` (the registry passes the service pool), serially
-  /// when it is null. Throws std::runtime_error when the spec does not
-  /// bind (bad where expression or DAG).
+  /// — it supplies the window schema, WHERE-predicate typing, the data
+  /// a "discover" DAG is learned from, and the stream origin (its row
+  /// count); the window starts empty and fills from later appends.
+  /// Windows mine on `mining_pool` (the registry passes the service
+  /// pool), serially when it is null. Throws std::runtime_error when
+  /// the spec does not bind (bad where expression or DAG).
   StreamMonitor(std::string id, MonitorSpec spec, const Table& bound_table,
                 ThreadPool* mining_pool);
 
@@ -180,19 +183,21 @@ class StreamMonitor {
                                             int64_t timeout_ms)
       CAUSUMX_EXCLUDES(mu_);
 
-  /// Serializes the full monitor state — id, spec, stream counters,
-  /// window table, warm engine/memo caches, diff baseline, and the
-  /// event buffer — for MonitorRegistry::SaveSnapshot.
+  /// Serializes the checkpoint — id, spec, origin, stream counters, diff
+  /// baseline, window-row hash (not the rows), warm caches, and events —
+  /// for MonitorRegistry::SaveSnapshot.
   std::string ExportState() const CAUSUMX_EXCLUDES(mu_);
 
-  /// Restores state exported by ExportState into a freshly constructed
-  /// monitor (same id and spec; nothing observed yet). The warm caches
-  /// are re-imported when they still match the rebuilt engine
-  /// configuration and silently rebuilt cold otherwise — restored
-  /// monitors produce bit-identical summaries either way. Throws
-  /// StorageError(kCorrupt/kStale) on damage or an id/spec mismatch;
-  /// the monitor must be discarded after a throw.
-  void ImportState(const std::string& bytes) CAUSUMX_EXCLUDES(mu_);
+  /// Restores a checkpoint into a freshly constructed monitor (same id,
+  /// spec and origin), rebuilds the window from `watched` — the watched
+  /// table — and replays its rows the checkpoint missed via OnAppend.
+  /// Warm caches that no longer fit the engine rebuild cold (summaries
+  /// are bit-identical either way). Throws StorageError: kCorrupt on
+  /// damage or impossible counters; kStale on an id/spec/origin
+  /// mismatch, a table behind the checkpoint, or a window-row hash
+  /// mismatch. The monitor must be discarded after a throw.
+  void ImportState(const std::string& bytes, const Table& watched)
+      CAUSUMX_EXCLUDES(mu_);
 
  private:
   /// Per-grouping-pattern CATEs of one summary (the drift baseline).
@@ -203,8 +208,8 @@ class StreamMonitor {
     double negative = 0.0;
   };
 
-  /// Fresh (cold) engine options over the current window.
-  EvalEngineOptions EngineOptions() const;
+  /// Replaces the engine and context with cold ones over window_table_.
+  void BuildColdCachesLocked() CAUSUMX_REQUIRES(mu_);
 
   /// Appends `rows[begin, end)` to the window table, deriving the
   /// engine and context from the previous ones (or building them fresh
@@ -239,11 +244,12 @@ class StreamMonitor {
 
   const std::string id_;
   const MonitorSpec spec_;
+  /// Watched-table rows at creation; stream row i is table row origin_+i.
+  const uint64_t origin_;
 
   /// The spec bound to the creation-time table (immutable after
   /// construction).
   BoundExplain bound_;
-  std::vector<std::pair<std::string, ColumnType>> schema_;
   ThreadPool* const mining_pool_;
 
   mutable util::Mutex mu_;
@@ -271,24 +277,13 @@ class StreamMonitor {
   uint64_t next_seq_ CAUSUMX_GUARDED_BY(mu_) = 1;
 };
 
-/// Options of the monitor registry.
-struct MonitorRegistryOptions {
-  /// Persist all monitor state (SaveSnapshot) after every processed
-  /// append batch. Requires the service to have a data_dir; a write
-  /// failure never unwinds the append and is counted in
-  /// MonitorRegistryStats::snapshot_write_failures.
-  bool snapshot_on_append = false;
-};
-
 /// Cumulative counters of the persistence failures the registry absorbs
 /// instead of returning to a caller (served under "monitors" in
 /// /v1/stats).
 struct MonitorRegistryStats {
-  /// Snapshot writes after an append that failed (the append and the
-  /// monitors' processing stand).
-  uint64_t snapshot_write_failures = 0;
-  /// Monitors RestoreMonitors skipped: damaged payload, stale spec, or
-  /// a watched table that is not registered.
+  /// Monitors RestoreMonitors skipped: damaged payload, stale spec, or a
+  /// watched table that is missing, behind the checkpoint or holding
+  /// other window rows; an unreadable registry file counts once.
   uint64_t skipped_on_restore = 0;
 };
 
@@ -303,8 +298,7 @@ class MonitorRegistry {
  public:
   /// Binds to `service` and registers the append observer that drives
   /// every monitor.
-  explicit MonitorRegistry(ExplanationService& service,
-                           MonitorRegistryOptions options = {});
+  explicit MonitorRegistry(ExplanationService& service);
 
   MonitorRegistry(const MonitorRegistry&) = delete;
   MonitorRegistry& operator=(const MonitorRegistry&) = delete;
@@ -327,19 +321,21 @@ class MonitorRegistry {
   /// All monitors, ordered by id.
   std::vector<std::shared_ptr<StreamMonitor>> List() const;
 
-  /// Persists every monitor's full state into one durable file under
-  /// the service data_dir (`causumx-monitors.monsnap`; crash-safe
-  /// write-to-temp + rename like every snapshot). Returns the bytes
-  /// written. Throws std::logic_error without a data_dir and
-  /// StorageError(kIo) on write failure.
+  /// Checkpoints every monitor into one durable file under the service
+  /// data_dir (`causumx-monitors.monsnap`; crash-safe write-to-temp +
+  /// rename like every snapshot). Returns the bytes written. Write the
+  /// table snapshots first: a checkpoint behind its table catches up on
+  /// restore, one ahead of it is skipped. Throws std::logic_error
+  /// without a data_dir and StorageError(kIo) on write failure.
   size_t SaveSnapshot();
 
   /// Restores monitors from the registry snapshot file; returns how
-  /// many were restored. Monitors whose table is no longer registered
-  /// or whose payload is damaged are skipped and counted
-  /// (MonitorRegistryStats::skipped_on_restore) — a snapshot is never
-  /// partially trusted for a monitor. A missing or unreadable file
-  /// restores nothing. Throws std::logic_error without a data_dir.
+  /// many were restored. Each binds to its table's first `origin` rows,
+  /// as at creation, and catches up with the rest: restore the tables
+  /// first and start no appends before this returns. Monitors that do
+  /// not restore are skipped and counted (skipped_on_restore) — never
+  /// partially trusted. A missing file restores nothing. Throws
+  /// std::logic_error without a data_dir.
   size_t RestoreMonitors();
 
   /// The failure counters (relaxed atomic reads).
@@ -347,7 +343,7 @@ class MonitorRegistry {
 
  private:
   /// The append-observer body: routes the batch to every monitor of the
-  /// table, then optionally persists.
+  /// table.
   void OnAppend(const std::string& name,
                 const std::vector<std::vector<Value>>& rows);
 
@@ -355,14 +351,12 @@ class MonitorRegistry {
   std::string SnapshotFilePath() const;
 
   ExplanationService& service_;
-  const MonitorRegistryOptions options_;
   mutable util::Mutex mu_;
   std::map<std::string, std::shared_ptr<StreamMonitor>> monitors_
       CAUSUMX_GUARDED_BY(mu_);
   uint64_t next_id_ CAUSUMX_GUARDED_BY(mu_) = 1;
   /// Serializes snapshot file writes (one shared .tmp per target).
   util::Mutex snapshot_mu_;
-  std::atomic<uint64_t> n_snapshot_write_failures_{0};
   std::atomic<uint64_t> n_skipped_on_restore_{0};
 };
 

@@ -6,11 +6,12 @@
 // window cycling (expiry must decrement the LRU byte accounting), the
 // registry's observer wiring through ExplanationService appends, and
 // the snapshot round trip (a restored monitor continues bit-identically
-// to one that never stopped), and the counted persistence failures.
+// to one that never stopped, catching up with table rows its checkpoint
+// missed), the checkpoint's binding to the watched table, and the
+// counted restore failures.
 
 #include <gtest/gtest.h>
 
-#include <sys/stat.h>
 #include <unistd.h>
 
 #include <memory>
@@ -21,7 +22,10 @@
 #include "datagen/synthetic.h"
 #include "dataset/table.h"
 #include "service/explanation_service.h"
+#include "storage/bytes.h"
 #include "storage/file_io.h"
+#include "storage/snapshot.h"
+#include "storage/storage_error.h"
 #include "stream/monitor.h"
 #include "util/json.h"
 
@@ -46,16 +50,22 @@ struct TempDir {
 
 // The LinearSCM monitor spec: one window per generated dataset, CATE
 // drift threshold well below the planted effect shift but well above
-// sampling noise at this row count.
+// sampling noise at this row count. A nonzero `slide_rows` makes the
+// window sliding; a `discover` algorithm replaces `dag`.
 std::string ScmSpec(size_t window_rows, const CausalDag& dag,
-                    double cate_delta) {
+                    double cate_delta, size_t slide_rows = 0,
+                    const char* discover = nullptr) {
   JsonWriter w;
   w.BeginObject()
       .Key("table").String("t")
       .Key("group_by").BeginArray().String("G").EndArray()
-      .Key("avg").String("O")
-      .Key("dag_text").String(DagToText(dag))
-      .Key("grouping_attrs").BeginArray().String("G").EndArray()
+      .Key("avg").String("O");
+  if (discover != nullptr) {
+    w.Key("discover").String(discover);
+  } else {
+    w.Key("dag_text").String(DagToText(dag));
+  }
+  w.Key("grouping_attrs").BeginArray().String("G").EndArray()
       .Key("treatment_attrs").BeginArray().String("T").EndArray()
       .Key("k").Uint(4)
       .Key("theta").Double(0.3)
@@ -63,9 +73,10 @@ std::string ScmSpec(size_t window_rows, const CausalDag& dag,
       .Key("alpha").Double(0.9)
       .Key("min_group_size").Uint(5);
   w.Key("window").BeginObject()
-      .Key("kind").String("tumbling")
-      .Key("size_rows").Uint(window_rows)
-      .EndObject();
+      .Key("kind").String(slide_rows > 0 ? "sliding" : "tumbling")
+      .Key("size_rows").Uint(window_rows);
+  if (slide_rows > 0) w.Key("slide_rows").Uint(slide_rows);
+  w.EndObject();
   w.Key("thresholds").BeginObject()
       .Key("cate_delta").Double(cate_delta)
       .EndObject();
@@ -385,10 +396,10 @@ TEST(MonitorSnapshotTest, RestoredMonitorContinuesBitIdentically) {
   }
 
   // Restore into a fresh process image and stream the remainder. The
-  // monitor restore needs its watched table registered (only the schema
-  // binds — the monitor's own window table rides in its snapshot).
+  // monitor restore needs its watched table restored first: the window
+  // rows are rebuilt from it.
   ExplanationService service(persistent);
-  service.RegisterTable("t", std::make_shared<const Table>(a.table.Head(0)));
+  ASSERT_TRUE(service.RestoreTable("t"));
   MonitorRegistry registry(service);
   ASSERT_EQ(registry.RestoreMonitors(), 1u);
   const auto restored = registry.Get("m1");
@@ -415,33 +426,6 @@ TEST(MonitorSnapshotTest, RestoredMonitorContinuesBitIdentically) {
   EXPECT_EQ(fresh_registry.RestoreMonitors(), 1u);
 }
 
-// A monitor snapshot write that fails after an append is counted, and
-// the append (and the monitor's processing of it) still lands.
-TEST(MonitorSnapshotTest, WriteFailureAfterAppendIsCounted) {
-  TempDir dir;
-  LinearScmOptions options;
-  options.num_rows = 200;
-  const GeneratedDataset ds = MakeLinearScmDataset(options);
-  const size_t n = ds.table.NumRows();
-  ServiceOptions persistent;
-  persistent.data_dir = dir.path + "/data";
-  ASSERT_EQ(::mkdir(persistent.data_dir.c_str(), 0700), 0);
-  ExplanationService service(persistent);
-  service.RegisterTable("t", std::make_shared<const Table>(ds.table.Head(0)));
-  MonitorRegistryOptions registry_options;
-  registry_options.snapshot_on_append = true;
-  MonitorRegistry registry(service, registry_options);
-  const auto monitor = registry.Create(ScmSpec(n, ds.dag, 0.0));
-
-  ASSERT_EQ(::rmdir(persistent.data_dir.c_str()), 0);
-  service.Append("t", ds.table.MaterializeRows(0, n));
-  EXPECT_EQ(service.TableVersion("t"), 1u);
-  EXPECT_EQ(monitor->Status().rows_observed, n);
-  EXPECT_EQ(registry.Stats().snapshot_write_failures, 1u);
-  EXPECT_EQ(registry.Stats().skipped_on_restore, 0u);
-  EXPECT_EQ(service.Stats().append_observer_failures, 0u);
-}
-
 // A monitor whose watched table is not registered at restore time is
 // skipped, and the skip is counted.
 TEST(MonitorSnapshotTest, SkippedOnRestoreIsCounted) {
@@ -463,7 +447,268 @@ TEST(MonitorSnapshotTest, SkippedOnRestoreIsCounted) {
   MonitorRegistry registry(service);
   EXPECT_EQ(registry.RestoreMonitors(), 0u);
   EXPECT_EQ(registry.Stats().skipped_on_restore, 1u);
-  EXPECT_EQ(registry.Stats().snapshot_write_failures, 0u);
+}
+
+// `spec` with a summary event per window, so any difference in the
+// mined windows shows in the event stream.
+std::string WithSummaries(const std::string& spec) {
+  return "{\"emit_summaries\":true," + spec.substr(1);
+}
+
+// The restored monitor's whole event stream and status equal the
+// uninterrupted reference's.
+void ExpectSameStream(const StreamMonitor& actual,
+                      const StreamMonitor& expected) {
+  const auto want = expected.EventsSince(0);
+  const auto got = actual.EventsSince(0);
+  ASSERT_EQ(got.size(), want.size());
+  for (size_t i = 0; i < want.size(); ++i) {
+    EXPECT_EQ(got[i].seq, want[i].seq);
+    EXPECT_EQ(got[i].json, want[i].json) << "event " << i;
+  }
+  const MonitorStatus a = actual.Status();
+  const MonitorStatus e = expected.Status();
+  EXPECT_EQ(a.rows_observed, e.rows_observed);
+  EXPECT_EQ(a.windows_evaluated, e.windows_evaluated);
+  EXPECT_EQ(a.last_seq, e.last_seq);
+  EXPECT_EQ(a.window_rows, e.window_rows);
+}
+
+// Streams `checkpointed` into table "t" (registered as `seed`) under one
+// monitor of `spec`, checkpoints the registry, appends `unsaved` without
+// a further checkpoint, and "crashes". The table snapshots written after
+// every append hold all rows.
+void RunUntilCrash(const ServiceOptions& persistent, const Table& seed,
+                   const std::string& spec,
+                   const std::vector<std::vector<std::vector<Value>>>&
+                       checkpointed,
+                   const std::vector<std::vector<std::vector<Value>>>&
+                       unsaved) {
+  ExplanationService service(persistent);
+  service.RegisterTable("t", std::make_shared<const Table>(seed.Clone()));
+  MonitorRegistry registry(service);
+  ASSERT_EQ(registry.Create(spec)->id(), "m1");
+  for (const auto& rows : checkpointed) service.Append("t", rows);
+  EXPECT_GT(registry.SaveSnapshot(), 0u);
+  for (const auto& rows : unsaved) service.Append("t", rows);
+}
+
+// A checkpoint older than the table catches up on restore: the rows
+// appended after it are replayed from the restored table, and the
+// monitor ends where one that never stopped does — same windows, same
+// events, same seqs.
+TEST(MonitorSnapshotTest, RestoreReplaysAnUnsavedTail) {
+  TempDir dir;
+  LinearScmOptions base;
+  base.num_rows = 600;
+  LinearScmOptions shifted = base;
+  shifted.ate = 8.0;
+  const GeneratedDataset a = MakeLinearScmDataset(base);
+  const GeneratedDataset b = MakeLinearScmDataset(shifted);
+  const size_t n = a.table.NumRows();
+  const std::string spec =
+      WithSummaries(ScmSpec(n / 2, a.dag, 1.0, n / 4));
+  const Table seed = a.table.Head(100);
+
+  StreamMonitor reference("m1", MonitorSpec::Parse(spec), seed, nullptr);
+  reference.OnAppend(a.table.MaterializeRows(100, n));
+  reference.OnAppend(a.table.MaterializeRows(0, n));
+  reference.OnAppend(b.table.MaterializeRows(0, n));
+
+  ServiceOptions persistent;
+  persistent.data_dir = dir.path;
+  RunUntilCrash(persistent, seed, spec, {a.table.MaterializeRows(100, n)},
+                {a.table.MaterializeRows(0, n), b.table.MaterializeRows(0, n)});
+
+  ExplanationService service(persistent);
+  ASSERT_TRUE(service.RestoreTable("t"));
+  MonitorRegistry registry(service);
+  ASSERT_EQ(registry.RestoreMonitors(), 1u);
+  EXPECT_EQ(registry.Stats().skipped_on_restore, 0u);
+  const auto restored = registry.Get("m1");
+  ASSERT_NE(restored, nullptr);
+  ExpectSameStream(*restored, reference);
+
+  // The caught-up monitor keeps following the stream.
+  service.Append("t", a.table.MaterializeRows(0, n / 2));
+  reference.OnAppend(a.table.MaterializeRows(0, n / 2));
+  ExpectSameStream(*restored, reference);
+}
+
+// A watched table that is behind the checkpoint (here: the empty
+// creation-time table registered again) cannot supply the window rows,
+// so the monitor is skipped and counted instead of resumed.
+TEST(MonitorSnapshotTest, TableBehindTheCheckpointIsSkipped) {
+  TempDir dir;
+  LinearScmOptions options;
+  options.num_rows = 300;
+  const GeneratedDataset ds = MakeLinearScmDataset(options);
+  const size_t n = ds.table.NumRows();
+  ServiceOptions persistent;
+  persistent.data_dir = dir.path;
+  RunUntilCrash(persistent, ds.table.Head(0), ScmSpec(n, ds.dag, 0.0),
+                {ds.table.MaterializeRows(0, n),
+                 ds.table.MaterializeRows(0, n / 2)},
+                {});
+
+  ExplanationService service(persistent);
+  service.RegisterTable("t", std::make_shared<const Table>(ds.table.Head(0)));
+  MonitorRegistry registry(service);
+  EXPECT_EQ(registry.RestoreMonitors(), 0u);
+  EXPECT_EQ(registry.Stats().skipped_on_restore, 1u);
+  EXPECT_EQ(registry.Get("m1"), nullptr);
+}
+
+// A watched table with as many rows as the checkpoint saw, but other
+// rows in the window, fails the window hash: skipped and counted.
+TEST(MonitorSnapshotTest, SameRowCountWithOtherRowsIsSkipped) {
+  TempDir dir;
+  LinearScmOptions base;
+  base.num_rows = 300;
+  LinearScmOptions other = base;
+  other.seed = 31;
+  const GeneratedDataset a = MakeLinearScmDataset(base);
+  const GeneratedDataset b = MakeLinearScmDataset(other);
+  const size_t n = a.table.NumRows();
+  ServiceOptions persistent;
+  persistent.data_dir = dir.path;
+  RunUntilCrash(persistent, a.table.Head(0), ScmSpec(n, a.dag, 0.0),
+                {a.table.MaterializeRows(0, n / 2)}, {});
+
+  ExplanationService service(persistent);
+  service.RegisterTable("t",
+                        std::make_shared<const Table>(b.table.Head(n / 2)));
+  MonitorRegistry registry(service);
+  EXPECT_EQ(registry.RestoreMonitors(), 0u);
+  EXPECT_EQ(registry.Stats().skipped_on_restore, 1u);
+}
+
+// A "discover" monitor learns its DAG from the table as it was at
+// creation. Restored after appends that change the dependency
+// structure, it must bind to those same rows — not to the grown table —
+// and so continue exactly like the uninterrupted monitor.
+TEST(MonitorSnapshotTest, DiscoverSpecRestoresOverTheCreationRows) {
+  TempDir dir;
+  // Creation rows without confounding; the stream plants it.
+  LinearScmOptions plain;
+  plain.num_rows = 300;
+  plain.confounding = 0.0;
+  plain.b1 = 0.0;
+  plain.b2 = 0.0;
+  LinearScmOptions confounded;
+  confounded.num_rows = 600;
+  confounded.confounding = 2.0;
+  confounded.b1 = 3.0;
+  confounded.b2 = -2.0;
+  confounded.seed = 41;
+  const GeneratedDataset seed = MakeLinearScmDataset(plain);
+  const GeneratedDataset stream = MakeLinearScmDataset(confounded);
+  const size_t n = stream.table.NumRows();
+  const std::string spec =
+      WithSummaries(ScmSpec(n / 2, seed.dag, 0.0, 0, "pc"));
+
+  StreamMonitor reference("m1", MonitorSpec::Parse(spec), seed.table,
+                          nullptr);
+  reference.OnAppend(stream.table.MaterializeRows(0, n / 2));
+
+  ServiceOptions persistent;
+  persistent.data_dir = dir.path;
+  RunUntilCrash(persistent, seed.table, spec,
+                {stream.table.MaterializeRows(0, n / 2)}, {});
+
+  // The checkpoint is current, so nothing replays: the windows after
+  // the restore are the first the restored binding mines.
+  ExplanationService service(persistent);
+  ASSERT_TRUE(service.RestoreTable("t"));
+  MonitorRegistry registry(service);
+  ASSERT_EQ(registry.RestoreMonitors(), 1u);
+  const auto restored = registry.Get("m1");
+  service.Append("t", stream.table.MaterializeRows(n / 2, n));
+  reference.OnAppend(stream.table.MaterializeRows(n / 2, n));
+  ASSERT_GE(reference.Status().windows_evaluated, 2u);
+  ExpectSameStream(*restored, reference);
+}
+
+// A registry file that cannot be read at all — truncated, bit-flipped,
+// or written in the previous format (which carried the window rows) —
+// restores nothing, and the lost file counts as one skip.
+TEST(MonitorSnapshotTest, UnreadableRegistryFileCountsOnce) {
+  LinearScmOptions options;
+  options.num_rows = 200;
+  const GeneratedDataset ds = MakeLinearScmDataset(options);
+  const size_t n = ds.table.NumRows();
+  std::string saved;
+  {
+    TempDir dir;
+    ServiceOptions persistent;
+    persistent.data_dir = dir.path;
+    RunUntilCrash(persistent, ds.table.Head(0), ScmSpec(n, ds.dag, 0.0),
+                  {ds.table.MaterializeRows(0, n / 2)}, {});
+    saved = ReadFileBytes(dir.path + "/causumx-monitors.monsnap");
+  }
+  ASSERT_GT(saved.size(), 16u);
+  std::string flipped = saved;
+  flipped[flipped.size() / 2] ^= 0x10;
+  SnapshotWriter v1("causumx-monitors", 1, "");
+  v1.AddSection("registry", std::string(8, '\0'));
+  const std::string damaged[] = {saved.substr(0, saved.size() / 2), flipped,
+                                 v1.Serialize()};
+  for (const std::string& bytes : damaged) {
+    TempDir dir;
+    ServiceOptions persistent;
+    persistent.data_dir = dir.path;
+    WriteFileDurable(dir.path + "/causumx-monitors.monsnap", bytes);
+    ExplanationService service(persistent);
+    service.RegisterTable(
+        "t", std::make_shared<const Table>(ds.table.Head(n / 2)));
+    MonitorRegistry registry(service);
+    EXPECT_EQ(registry.RestoreMonitors(), 0u);
+    EXPECT_EQ(registry.Stats().skipped_on_restore, 1u);
+  }
+}
+
+// A checkpoint whose next boundary lies behind its stream position
+// would wrap OnAppend's distance to the boundary, so the monitor would
+// never evaluate again and its window would grow without bound. The
+// import rejects it as corrupt.
+TEST(MonitorSnapshotTest, WrappedNextBoundaryIsCorrupt) {
+  LinearScmOptions options;
+  options.num_rows = 200;
+  const GeneratedDataset ds = MakeLinearScmDataset(options);
+  const size_t n = ds.table.NumRows();
+  const std::string spec = ScmSpec(n, ds.dag, 0.0);
+  StreamMonitor live("m1", MonitorSpec::Parse(spec), ds.table.Head(0),
+                     nullptr);
+  live.OnAppend(ds.table.MaterializeRows(0, n / 2));
+  const std::string bytes = live.ExportState();
+
+  // Layout: id, spec, origin, rows_observed, window_begin, next_boundary.
+  ByteReader r(bytes);
+  r.GetString();
+  r.GetString();
+  r.GetU64();
+  const uint64_t rows_observed = r.GetU64();
+  r.GetU64();
+  const size_t at = bytes.size() - r.remaining();
+  ByteWriter forged_boundary;
+  forged_boundary.PutU64(rows_observed - 1);
+  std::string forged = bytes;
+  forged.replace(at, 8, forged_boundary.TakeBytes());
+
+  const Table watched = ds.table.Head(n / 2);
+  StreamMonitor restored("m1", MonitorSpec::Parse(spec), ds.table.Head(0),
+                         nullptr);
+  try {
+    restored.ImportState(forged, watched);
+    FAIL() << "wrapped next_boundary accepted";
+  } catch (const StorageError& e) {
+    EXPECT_EQ(e.kind(), StorageErrorKind::kCorrupt);
+  }
+  // The unforged checkpoint imports over the same table.
+  StreamMonitor intact("m1", MonitorSpec::Parse(spec), ds.table.Head(0),
+                       nullptr);
+  intact.ImportState(bytes, watched);
+  EXPECT_EQ(intact.Status().rows_observed, n / 2);
 }
 
 // Events API: seq numbering, since-filtering, and the long-poll wait.

@@ -699,7 +699,6 @@ TEST(RestApiMonitorTest, StatsServeMonitorCountersOnlyWhenMounted) {
       client.Request("GET", "/v1/stats").body);
   const JsonValue* monitors = with.Find("monitors");
   ASSERT_NE(monitors, nullptr);
-  EXPECT_EQ(monitors->GetNumber("snapshot_write_failures", -1), 0);
   EXPECT_EQ(monitors->GetNumber("skipped_on_restore", -1), 0);
 
   ServerWorld plain;

@@ -10,6 +10,7 @@
 #include <unistd.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
 #include <future>
 #include <sstream>
@@ -776,10 +777,10 @@ TEST(BatchAppendTest, AppendErrorsAreReportedPerLine) {
 
 // Runs under TSan in CI: concurrent appender threads drive a sliding-
 // window monitor (so rows expire and the retract path runs) through the
-// registry's append observer with snapshot-on-append enabled, while
-// long-poll subscriber threads tail the event stream and status readers
-// poll concurrently. Every subscriber must observe every event seq
-// exactly once with no gaps or duplicates.
+// registry's append observer while a checkpointer thread exports the
+// registry, long-poll subscriber threads tail the event stream and
+// status readers poll concurrently. Every subscriber must observe every
+// event seq exactly once with no gaps or duplicates.
 TEST(MonitorConcurrencyTest, SoakAppendsLongPollAndSnapshots) {
   struct TempDir {
     std::string path;
@@ -805,9 +806,7 @@ TEST(MonitorConcurrencyTest, SoakAppendsLongPollAndSnapshots) {
   ExplanationService service(options);
   service.RegisterTable("t", std::make_shared<const Table>(schema.Clone()));
 
-  MonitorRegistryOptions registry_options;
-  registry_options.snapshot_on_append = true;
-  MonitorRegistry registry(service, registry_options);
+  MonitorRegistry registry(service);
   const auto monitor = registry.Create(
       "{\"table\":\"t\",\"group_by\":[\"grp\"],\"avg\":\"val\","
       "\"dag_text\":\"trt -> val\\n\",\"grouping_attrs\":[\"grp\"],"
@@ -844,9 +843,19 @@ TEST(MonitorConcurrencyTest, SoakAppendsLongPollAndSnapshots) {
     }
   };
 
+  // Checkpoints race the appends: an export must see whole windows.
+  std::atomic<bool> appending{true};
+  auto checkpointer = [&]() {
+    do {
+      EXPECT_GT(registry.SaveSnapshot(), 0u);
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    } while (appending.load(std::memory_order_acquire));
+  };
+
   std::vector<std::thread> threads;
   for (int i = 0; i < 3; ++i) threads.emplace_back(subscriber);
   threads.emplace_back(status_reader);
+  threads.emplace_back(checkpointer);
 
   std::vector<std::thread> appenders;
   for (int a = 0; a < kAppenders; ++a) {
@@ -866,6 +875,7 @@ TEST(MonitorConcurrencyTest, SoakAppendsLongPollAndSnapshots) {
     });
   }
   for (auto& t : appenders) t.join();
+  appending.store(false, std::memory_order_release);
   final_seq.store(monitor->Status().last_seq, std::memory_order_release);
   for (auto& t : threads) t.join();
 
@@ -876,10 +886,10 @@ TEST(MonitorConcurrencyTest, SoakAppendsLongPollAndSnapshots) {
   EXPECT_EQ(s.rows_observed, total);
   EXPECT_EQ(s.windows_evaluated, (total - 40) / 20 + 1);
   EXPECT_EQ(s.last_seq, s.windows_evaluated);  // one summary per window
-  // snapshot_on_append persisted the registry; a fresh registry can
-  // restore the monitor from it.
+  // A checkpoint taken mid-stream restores over the table snapshot and
+  // catches up with the rows appended after it.
   ExplanationService fresh(options);
-  fresh.RegisterTable("t", std::make_shared<const Table>(schema.Clone()));
+  ASSERT_TRUE(fresh.RestoreTable("t"));
   MonitorRegistry restored(fresh);
   EXPECT_EQ(restored.RestoreMonitors(), 1u);
   EXPECT_EQ(restored.Get(monitor->id())->Status().rows_observed, total);

@@ -51,7 +51,8 @@
 // --data-dir DIR enables durable snapshots: tables restore warm from
 // DIR on startup (any stale or damaged snapshot is detected and
 // ignored — the table rebuilds cold), every append writes a fresh
-// crash-safe snapshot, and a clean shutdown persists all tables.
+// crash-safe snapshot, and a clean shutdown persists all tables, then
+// checkpoints the monitors (restored by replaying their tables).
 //
 // Snapshot mode writes a durable snapshot of a CSV without serving:
 //
@@ -69,8 +70,9 @@
 // The first --seed-rows rows register as the table (default 0: an
 // empty table carrying just the CSV's schema); the remainder streams
 // through the service in --batch-rows appends (default 1), the monitor
-// re-evaluating at every window boundary. --data-dir persists monitor
-// state alongside the table snapshots (warm restart).
+// re-evaluating at every window boundary. --data-dir writes the table
+// snapshots, then a monitor checkpoint (stream position, caches and
+// events, no rows) that `causumx serve --data-dir DIR` resumes.
 //
 // Without --dag/--discover, the No-DAG strawman is used (and a warning
 // printed): supply domain knowledge for trustworthy effects.
@@ -322,13 +324,15 @@ int RunServeMode(const CliOptions& opt) {
 
   // The windowed continuous-monitoring surface (src/stream/): monitors
   // registered over REST observe every append and re-evaluate at window
-  // boundaries; with --data-dir their state restores warm.
+  // boundaries; with --data-dir they restore warm and catch up with
+  // their tables before the first request can append.
   MonitorRegistry monitors(service);
   if (!opt.data_dir.empty()) {
     const size_t restored_monitors = monitors.RestoreMonitors();
-    if (restored_monitors > 0) {
-      std::fprintf(stderr, "restored %zu monitor(s) from %s\n",
-                   restored_monitors, opt.data_dir.c_str());
+    const uint64_t skipped = monitors.Stats().skipped_on_restore;
+    if (restored_monitors + skipped > 0) {
+      std::fprintf(stderr, "monitors: %zu restored, %llu skipped\n",
+                   restored_monitors, (unsigned long long)skipped);
     }
   }
 
@@ -488,9 +492,11 @@ int RunMonitorMode(const CliOptions& opt) {
   drain_events();
 
   if (!opt.data_dir.empty()) {
+    // Tables first, as in serve mode: a crash in between leaves the
+    // checkpoint behind the tables, which restore catches up.
     try {
-      const size_t bytes = monitors.SaveSnapshot();
       service.SaveAllSnapshots();
+      const size_t bytes = monitors.SaveSnapshot();
       std::fprintf(stderr, "monitor snapshot: %zu bytes -> %s\n", bytes,
                    opt.data_dir.c_str());
     } catch (const std::exception& e) {
