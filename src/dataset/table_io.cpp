@@ -8,7 +8,6 @@
 #include <vector>
 
 #include "storage/bytes.h"
-#include "storage/file_io.h"
 #include "storage/snapshot.h"
 #include "storage/storage_error.h"
 #include "util/string_utils.h"
@@ -220,10 +219,6 @@ std::string SerializeTable(const Table& table) {
   return out.Serialize();
 }
 
-void WriteTableFile(const Table& table, const std::string& path) {
-  WriteFileDurable(path, SerializeTable(table));
-}
-
 Table DeserializeTable(const std::string& bytes) {
   const SnapshotReader snap =
       SnapshotReader::Parse(bytes, kTableKind, kTableFormatVersion);
@@ -341,10 +336,6 @@ Table DeserializeTable(const std::string& bytes) {
     Corrupt("content hash does not match stored key");
   }
   return table;
-}
-
-Table ReadTableFile(const std::string& path) {
-  return DeserializeTable(ReadFileBytes(path));
 }
 
 }  // namespace causumx

@@ -36,18 +36,11 @@ uint64_t TableContentHash(const Table& table);
 /// Serializes `table` into columnar container bytes.
 std::string SerializeTable(const Table& table);
 
-/// Serializes and writes durably (write-to-temp + fsync + atomic
-/// rename). Throws StorageError(kIo) on failure.
-void WriteTableFile(const Table& table, const std::string& path);
-
 /// Parses container bytes back into a table. Throws StorageError —
 /// kCorrupt for structural damage (bad magic/CRC/encoding, or a content
 /// hash that does not match the stored key), kStale for format-version
 /// skew. The returned table has version 0, like a freshly parsed CSV.
 Table DeserializeTable(const std::string& bytes);
-
-/// ReadFileBytes + DeserializeTable.
-Table ReadTableFile(const std::string& path);
 
 }  // namespace causumx
 

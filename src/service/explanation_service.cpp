@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <chrono>
 #include <stdexcept>
+#include <string_view>
 #include <utility>
 
 #include "causal/dag_io.h"
@@ -50,6 +51,17 @@ std::string EngineConfigSuffix(size_t num_shards) {
   return StrFormat("|s%zu|c1|z0", num_shards);
 }
 
+// The content part of a warm-snapshot key.
+std::string HashTag(const Table& table) {
+  return StrFormat("h%016llx", (unsigned long long)TableContentHash(table));
+}
+
+// A warm snapshot's identity: its rows, then the engine configuration.
+// No data version: the same rows restore warm however they were built.
+std::string WarmSnapshotKey(const Table& table, size_t num_shards) {
+  return HashTag(table) + EngineConfigSuffix(num_shards);
+}
+
 // Warm-state snapshot container identity (storage/snapshot.h).
 constexpr char kWarmSnapshotKind[] = "causumx-snapshot";
 constexpr uint32_t kWarmSnapshotVersion = 1;
@@ -95,7 +107,9 @@ ExplanationService::ExplanationService(ServiceOptions options)
     : options_(options),
       pool_(std::make_shared<ThreadPool>(
           options.num_threads == 0 ? ThreadPool::DefaultThreads()
-                                   : options.num_threads)) {}
+                                   : options.num_threads)) {
+  if (!options_.data_dir.empty()) CreateDirectories(options_.data_dir);
+}
 
 EvalEngineOptions ExplanationService::EngineOptions() const {
   EvalEngineOptions options;
@@ -106,32 +120,16 @@ EvalEngineOptions ExplanationService::EngineOptions() const {
 
 std::shared_ptr<const Table> ExplanationService::RegisterTable(
     const std::string& name, std::shared_ptr<const Table> table) {
-  TableEntry entry;
-  entry.table = std::move(table);
-  entry.engine = std::make_shared<EvalEngine>(entry.table, EngineOptions());
-  // With persistence on, seed the fresh caches from the table's durable
-  // snapshot — accepted only when the snapshot key proves it was taken
-  // over this exact table content and engine configuration.
-  if (!options_.data_dir.empty()) TryRestoreWarmState(name, &entry);
-  std::shared_ptr<const Table> handle = entry.table;
-  {
-    util::MutexLock lock(mu_);
-    tables_[name] = std::move(entry);
-  }
-  n_tables_.fetch_add(1, std::memory_order_relaxed);
-  return handle;
+  const std::unique_ptr<SnapshotReader> snap =
+      options_.data_dir.empty() ? nullptr : ReadWarmSnapshot(name);
+  return InstallTable(name, std::move(table), snap.get(),
+                      InstallMode::kReplace);
 }
 
 std::shared_ptr<const Table> ExplanationService::RegisterTable(
     const std::string& name, Table table) {
   return RegisterTable(name,
                        std::make_shared<const Table>(std::move(table)));
-}
-
-std::shared_ptr<const Table> ExplanationService::LoadCsv(
-    const std::string& name, const std::string& path,
-    const CsvOptions& csv_options) {
-  return RegisterTable(name, ReadCsvFile(path, csv_options));
 }
 
 std::shared_ptr<const Table> ExplanationService::EnsureCsv(
@@ -144,19 +142,46 @@ std::shared_ptr<const Table> ExplanationService::EnsureCsv(
   }
   // Parse outside the lock; concurrent callers may each parse, but only
   // the first registration sticks (never replace a live entry here).
+  auto table = std::make_shared<const Table>(ReadCsvFile(path, csv_options));
+  const std::unique_ptr<SnapshotReader> snap =
+      options_.data_dir.empty() ? nullptr : ReadWarmSnapshot(name);
+  return InstallTable(name, std::move(table), snap.get(),
+                      InstallMode::kIfAbsent);
+}
+
+std::shared_ptr<const Table> ExplanationService::InstallTable(
+    const std::string& name, std::shared_ptr<const Table> table,
+    const SnapshotReader* snap, InstallMode mode) {
   TableEntry entry;
-  entry.table =
-      std::make_shared<const Table>(ReadCsvFile(path, csv_options));
+  entry.table = std::move(table);
   entry.engine = std::make_shared<EvalEngine>(entry.table, EngineOptions());
-  if (!options_.data_dir.empty()) TryRestoreWarmState(name, &entry);
+  if (snap != nullptr) {
+    bool warm = false;
+    try {
+      // Never trust a snapshot of other rows or engine configuration.
+      if (KeyMatches(snap->key(), *entry.table)) {
+        ImportWarmSections(*snap, &entry);
+        warm = true;
+      }
+    } catch (const std::runtime_error&) {
+      // Damaged: a partially imported engine is unusable by contract.
+      entry.engine =
+          std::make_shared<EvalEngine>(entry.table, EngineOptions());
+      entry.contexts.clear();
+    }
+    (warm ? n_snapshots_restored_ : n_snapshots_rejected_)
+        .fetch_add(1, std::memory_order_relaxed);
+    if (!warm && mode == InstallMode::kWarmOnly) return nullptr;
+  }
+  const std::shared_ptr<const Table> handle = entry.table;
   {
     util::MutexLock lock(mu_);
-    auto it = tables_.find(name);
-    if (it != tables_.end()) return it->second.table;
-    tables_[name] = entry;
+    auto [it, inserted] = tables_.try_emplace(name);
+    if (!inserted && mode == InstallMode::kIfAbsent) return it->second.table;
+    it->second = std::move(entry);
   }
   n_tables_.fetch_add(1, std::memory_order_relaxed);
-  return entry.table;
+  return handle;
 }
 
 bool ExplanationService::HasTable(const std::string& name) const {
@@ -246,11 +271,6 @@ std::shared_ptr<EstimatorContext> ExplanationService::Context(
 }
 
 std::shared_ptr<const Table> ExplanationService::Append(
-    const std::string& name, const std::vector<std::vector<Value>>& rows) {
-  return Append(name, rows, nullptr);
-}
-
-std::shared_ptr<const Table> ExplanationService::Append(
     const std::string& name, const std::vector<std::vector<Value>>& rows,
     const Table* expected_base) {
   util::MutexLock append_lock(append_mu_);
@@ -310,8 +330,8 @@ std::shared_ptr<const Table> ExplanationService::AppendLocked(
   if (!options_.data_dir.empty() && options_.snapshot_on_append) {
     // The append has landed in memory; a snapshot write failure must not
     // unwind it. The previous snapshot stays durable and self-consistent
-    // (its version key no longer matches, so a restart rejects it and
-    // rebuilds cold — correct, just not warm).
+    // (it holds the pre-append rows, so a restart over the grown table
+    // rejects it and rebuilds cold — correct, just not warm).
     try {
       SaveSnapshot(name);
     } catch (const StorageError&) {
@@ -351,11 +371,10 @@ std::string ExplanationService::SnapshotPath(const std::string& name) const {
   return options_.data_dir + "/" + EncodeFileStem(name) + ".snap";
 }
 
-std::string ExplanationService::WarmSnapshotKey(const Table& table) const {
-  return StrFormat("h%016llx|v%llu",
-                   (unsigned long long)TableContentHash(table),
-                   (unsigned long long)table.version()) +
-         EngineConfigSuffix(options_.num_shards);
+bool ExplanationService::KeyMatches(const std::string& key,
+                                    const Table& table) const {
+  return key.starts_with(HashTag(table)) &&
+         key.ends_with(EngineConfigSuffix(options_.num_shards));
 }
 
 size_t ExplanationService::SaveSnapshot(const std::string& name) {
@@ -364,7 +383,7 @@ size_t ExplanationService::SaveSnapshot(const std::string& name) {
   // All export work happens on the captured entry, outside every lock of
   // this class (the engine and contexts synchronize themselves).
   SnapshotWriter writer(kWarmSnapshotKind, kWarmSnapshotVersion,
-                        WarmSnapshotKey(*entry.table));
+                        WarmSnapshotKey(*entry.table, options_.num_shards));
   writer.AddSection("table", SerializeTable(*entry.table));
   writer.AddSection("engine", entry.engine->ExportCacheState());
   size_t ctx_index = 0;
@@ -399,32 +418,16 @@ size_t ExplanationService::SaveAllSnapshots() {
   return written;
 }
 
-bool ExplanationService::TryRestoreWarmState(const std::string& name,
-                                             TableEntry* entry) {
+std::unique_ptr<SnapshotReader> ExplanationService::ReadWarmSnapshot(
+    const std::string& name) {
   const std::string path = SnapshotPath(name);
-  if (!FileExists(path)) return false;
+  if (!FileExists(path)) return nullptr;
   try {
-    SnapshotReader snap = SnapshotReader::ReadFile(path, kWarmSnapshotKind,
-                                                   kWarmSnapshotVersion);
-    if (snap.key() != WarmSnapshotKey(*entry->table)) {
-      // Valid snapshot of different data (content, version, or engine
-      // configuration) — e.g. the CSV changed since it was written, or
-      // appends happened after the source file was exported. Never
-      // trusted; the caller keeps its cold caches.
-      n_snapshots_rejected_.fetch_add(1, std::memory_order_relaxed);
-      return false;
-    }
-    ImportWarmSections(snap, entry);
-    n_snapshots_restored_.fetch_add(1, std::memory_order_relaxed);
-    return true;
+    return std::make_unique<SnapshotReader>(SnapshotReader::ReadFile(
+        path, kWarmSnapshotKind, kWarmSnapshotVersion));
   } catch (const std::runtime_error&) {
-    // Damaged or stale snapshot, possibly detected mid-import. A
-    // partially imported engine is unusable by contract, so rebuild the
-    // entry cold — the restore is all-or-nothing.
-    entry->engine = std::make_shared<EvalEngine>(entry->table, EngineOptions());
-    entry->contexts.clear();
     n_snapshots_rejected_.fetch_add(1, std::memory_order_relaxed);
-    return false;
+    return nullptr;
   }
 }
 
@@ -458,47 +461,21 @@ void ExplanationService::ImportWarmSections(const SnapshotReader& snap,
 }
 
 bool ExplanationService::RestoreTable(const std::string& name) {
-  const std::string path = SnapshotPath(name);
-  if (!FileExists(path)) return false;
+  const std::unique_ptr<SnapshotReader> snap = ReadWarmSnapshot(name);
+  if (snap == nullptr) return false;
+  std::shared_ptr<const Table> table;
   try {
-    SnapshotReader snap = SnapshotReader::ReadFile(path, kWarmSnapshotKind,
-                                                   kWarmSnapshotVersion);
-    TableEntry entry;
-    entry.table =
-        std::make_shared<const Table>(DeserializeTable(snap.Section("table")));
-    // The embedded table self-verified against its own container key;
-    // cross-check the warm key's hash component so an engine section
-    // spliced onto a different table section cannot pass. The version
-    // component is not compared — the decoded table restarts at version
-    // 0 like any cold load. The engine-configuration suffix must match
-    // this service's options (the engine import would reject it anyway;
-    // checking here avoids decoding cache state we cannot use).
-    const std::string hash_part = StrFormat(
-        "h%016llx", (unsigned long long)TableContentHash(*entry.table));
-    const std::string config_part = EngineConfigSuffix(options_.num_shards);
-    if (snap.key().compare(0, hash_part.size(), hash_part) != 0) {
-      throw StorageError(StorageErrorKind::kCorrupt,
-                         "snapshot: key does not match embedded table");
-    }
-    if (snap.key().size() < config_part.size() ||
-        snap.key().compare(snap.key().size() - config_part.size(),
-                           config_part.size(), config_part) != 0) {
-      throw StorageError(StorageErrorKind::kStale,
-                         "snapshot: engine configuration changed");
-    }
-    entry.engine = std::make_shared<EvalEngine>(entry.table, EngineOptions());
-    ImportWarmSections(snap, &entry);
-    {
-      util::MutexLock lock(mu_);
-      tables_[name] = std::move(entry);
-    }
-    n_tables_.fetch_add(1, std::memory_order_relaxed);
-    n_snapshots_restored_.fetch_add(1, std::memory_order_relaxed);
-    return true;
+    // The embedded table self-verifies against its own container key;
+    // InstallTable's key check then binds the warm sections to it, so
+    // an engine section spliced onto another table cannot pass.
+    table = std::make_shared<const Table>(
+        DeserializeTable(snap->Section("table")));
   } catch (const std::runtime_error&) {
     n_snapshots_rejected_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
+  return InstallTable(name, std::move(table), snap.get(),
+                      InstallMode::kWarmOnly) != nullptr;
 }
 
 size_t ExplanationService::RestoreAll() {
@@ -507,15 +484,13 @@ size_t ExplanationService::RestoreAll() {
   }
   size_t restored = 0;
   for (const std::string& file : ListDirFiles(options_.data_dir)) {
-    constexpr char kSuffix[] = ".snap";
-    constexpr size_t kSuffixLen = sizeof(kSuffix) - 1;
-    if (file.size() <= kSuffixLen ||
-        file.compare(file.size() - kSuffixLen, kSuffixLen, kSuffix) != 0) {
+    constexpr std::string_view kSuffix = ".snap";
+    if (file.size() <= kSuffix.size() || !file.ends_with(kSuffix)) {
       continue;  // stray .tmp from a killed writer, or foreign files
     }
     std::string name;
     try {
-      name = DecodeFileStem(file.substr(0, file.size() - kSuffixLen));
+      name = DecodeFileStem(file.substr(0, file.size() - kSuffix.size()));
     } catch (const StorageError&) {
       n_snapshots_rejected_.fetch_add(1, std::memory_order_relaxed);
       continue;

@@ -53,13 +53,13 @@ struct ServiceOptions {
   /// bit-identical results; only the parallelism granularity changes.
   /// The shard size is fixed at registration and survives appends.
   size_t num_shards = 0;
-  /// Directory for durable snapshots (columnar table + warm caches).
-  /// Empty = persistence off (the pre-storage behavior). When set,
-  /// RegisterTable/LoadCsv attempt a warm restore from the table's
-  /// snapshot (accepted only when the snapshot key — table content
-  /// hash, data version, engine configuration — matches exactly; stale
-  /// or damaged snapshots are counted and ignored, never trusted), and
-  /// RestoreTable/RestoreAll can cold-start tables from disk alone.
+  /// Directory for durable snapshots (columnar table + warm caches),
+  /// created at construction if missing. Empty = persistence off. When
+  /// set, registering a table restores its caches from its snapshot of
+  /// the same rows (key: content hash + engine configuration, no data
+  /// version; other, stale or damaged snapshots are counted and ignored,
+  /// never trusted), and RestoreTable/RestoreAll can cold-start tables
+  /// from disk alone.
   std::string data_dir;
   /// When data_dir is set: automatically write a fresh snapshot after
   /// every append batch that lands. The previous snapshot stays durable
@@ -110,8 +110,8 @@ struct TableDescription {
 /// enforcement may be called concurrently from any thread.
 class ExplanationService {
  public:
-  /// Builds an empty registry; worker pool and budget come from
-  /// `options`.
+  /// Builds an empty registry from `options`; creates a missing data_dir
+  /// like `mkdir -p` and throws StorageError(kIo) when it cannot.
   explicit ExplanationService(ServiceOptions options = {});
 
   ExplanationService(const ExplanationService&) = delete;
@@ -128,16 +128,12 @@ class ExplanationService {
   std::shared_ptr<const Table> RegisterTable(const std::string& name,
                                              Table table);
 
-  /// Reads a CSV file and registers it under `name`.
-  std::shared_ptr<const Table> LoadCsv(const std::string& name,
-                                       const std::string& path,
-                                       const CsvOptions& csv_options = {});
-
-  /// As LoadCsv, but a no-op returning the existing table when `name` is
-  /// already registered — including when a concurrent call registered it
-  /// while this one was parsing (first registration wins; the parse is
-  /// discarded). Batch requests use this so N requests naming the same
-  /// CSV never clobber each other's warm caches.
+  /// As RegisterTable(name, ReadCsvFile(path, csv_options)), but a no-op
+  /// returning the existing table when `name` is already registered —
+  /// including when a concurrent call registered it while this one was
+  /// parsing (first registration wins; the parse is discarded). Batch
+  /// requests use this so N requests naming the same CSV never clobber
+  /// each other's warm caches.
   std::shared_ptr<const Table> EnsureCsv(const std::string& name,
                                          const std::string& path,
                                          const CsvOptions& csv_options = {});
@@ -182,22 +178,16 @@ class ExplanationService {
   /// version while the append lands; queries starting afterwards see the
   /// new one. Appends serialize against each other; results are
   /// bit-identical to registering the fully rebuilt table from scratch.
+  /// A non-null `expected_base` pins the append to that exact snapshot
+  /// (callers that validated `rows` against a schema read earlier pass
+  /// it, so a concurrent RegisterTable cannot receive stale-typed rows).
   /// Returns the new snapshot. Throws std::out_of_range on an unknown
   /// table and std::runtime_error if the entry was concurrently replaced
-  /// by RegisterTable/DropTable while the append was in progress.
-  std::shared_ptr<const Table> Append(
-      const std::string& name, const std::vector<std::vector<Value>>& rows)
-      CAUSUMX_EXCLUDES(append_mu_, mu_);
-
-  /// As Append, but lands only if the registered table is still the
-  /// exact snapshot `expected_base` (else throws std::runtime_error).
-  /// Callers that validated/coerced `rows` against a schema read earlier
-  /// pass that snapshot here, so a concurrent RegisterTable swapping in
-  /// a different schema cannot receive stale-typed rows. `nullptr`
-  /// appends to whatever snapshot is current.
+  /// (or is no longer `expected_base`) while the append was in progress.
   std::shared_ptr<const Table> Append(
       const std::string& name, const std::vector<std::vector<Value>>& rows,
-      const Table* expected_base) CAUSUMX_EXCLUDES(append_mu_, mu_);
+      const Table* expected_base = nullptr)
+      CAUSUMX_EXCLUDES(append_mu_, mu_);
 
   /// As Append, with the delta read from a CSV file whose header and
   /// cell types are checked against the registered table's schema. The
@@ -262,11 +252,10 @@ class ExplanationService {
   /// snapshot's content-hash key, then the warm caches import on top
   /// (re-sliced onto this service's shard plan, so a snapshot written
   /// after appends restores warm too).
-  /// Returns false (counting a rejection where a file existed) when the
-  /// snapshot is missing, damaged, or built under a different engine
-  /// configuration — the caller falls back to a cold load; a snapshot
-  /// is never partially trusted. Throws std::logic_error without a
-  /// data_dir.
+  /// Returns false (counting a rejection where a file existed) and
+  /// registers nothing when the snapshot is missing, damaged, or built
+  /// under a different engine configuration; a snapshot is never
+  /// partially trusted. Throws std::logic_error without a data_dir.
   bool RestoreTable(const std::string& name);
 
   /// RestoreTable for every `*.snap` under data_dir; returns how many
@@ -342,22 +331,35 @@ class ExplanationService {
   /// the shared pool).
   EvalEngineOptions EngineOptions() const;
 
-  /// Staleness fingerprint of a warm snapshot for `table` under this
-  /// service's engine configuration (content hash, data version, shard
-  /// count). A restore is accepted only on an exact match.
-  std::string WarmSnapshotKey(const Table& table) const;
+  /// The one key check: `key` starts with `table`'s `h<content hash>`
+  /// and ends with the config suffix (so older `h…|vN|s…` keys match).
+  bool KeyMatches(const std::string& key, const Table& table) const;
 
-  /// Attempts to warm `entry`'s freshly built engine (and contexts) from
-  /// the durable snapshot for `name`. On any mismatch or damage the
-  /// entry is rebuilt cold (a partially imported engine is never kept)
-  /// and false is returned. Requires a configured data_dir.
-  bool TryRestoreWarmState(const std::string& name, TableEntry* entry);
+  /// The snapshot file for `name`, or null when absent or unreadable (the
+  /// latter counted as rejected). Throws std::logic_error without a data_dir.
+  std::unique_ptr<class SnapshotReader> ReadWarmSnapshot(
+      const std::string& name);
+
+  enum class InstallMode {
+    kReplace,   ///< RegisterTable: replace; unusable snapshot -> cold
+    kIfAbsent,  ///< EnsureCsv: first registration wins; else as kReplace
+    kWarmOnly,  ///< RestoreTable: replace only when `snap` restores
+  };
+
+  /// The one path that builds and installs an entry: a fresh engine over
+  /// `table`, warmed all-or-nothing from `snap` (if given) when the key
+  /// matches and the sections import; counts the snapshot either way.
+  /// Returns the registered table, or null when nothing was installed.
+  std::shared_ptr<const Table> InstallTable(const std::string& name,
+                                            std::shared_ptr<const Table> table,
+                                            const SnapshotReader* snap,
+                                            InstallMode mode)
+      CAUSUMX_EXCLUDES(mu_);
 
   /// Imports the engine + context sections of a validated snapshot into
   /// `entry` (whose engine must be freshly built over the snapshot's
   /// table). Throws StorageError on damage; the entry is unusable then.
-  void ImportWarmSections(const class SnapshotReader& snap,
-                          TableEntry* entry);
+  void ImportWarmSections(const SnapshotReader& snap, TableEntry* entry);
 
   /// Append body; caller holds append_mu_ (but not mu_ — the body takes
   /// mu_ briefly to snapshot and to install, so holding it here would

@@ -87,6 +87,7 @@ class ByteWriter {
 /// StorageError(kCorrupt) whenever a read would run past the end.
 class ByteReader {
  public:
+  /// Reads the `len` bytes at `data`, which must outlive the reader.
   ByteReader(const void* data, size_t len)
       : p_(static_cast<const unsigned char*>(data)), end_(p_ + len) {}
   explicit ByteReader(const std::string& bytes)

@@ -8,7 +8,9 @@
 #include <algorithm>
 #include <cerrno>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
+#include <system_error>
 
 #include "storage/storage_error.h"
 #include "util/string_utils.h"
@@ -151,6 +153,12 @@ std::string DecodeFileStem(const std::string& stem) {
     i += 2;
   }
   return out;
+}
+
+void CreateDirectories(const std::string& dir) {
+  std::error_code ec;
+  std::filesystem::create_directories(dir, ec);  // ENOTDIR on a file
+  if (ec) ThrowIo("create directory", dir, ec.value());
 }
 
 std::vector<std::string> ListDirFiles(const std::string& dir) {

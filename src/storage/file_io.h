@@ -43,6 +43,11 @@ std::string EncodeFileStem(const std::string& name);
 /// writer, so damage means the directory was tampered with.
 std::string DecodeFileStem(const std::string& stem);
 
+/// Creates directory `dir` and any missing parents, like `mkdir -p`; an
+/// existing directory is fine. Throws StorageError(kIo) when `dir` cannot
+/// be created or exists as something other than a directory.
+void CreateDirectories(const std::string& dir);
+
 /// Names (not paths) of the regular files directly inside `dir`,
 /// sorted. A missing or unreadable directory yields an empty list —
 /// restore-time scanning treats both as "nothing saved yet".

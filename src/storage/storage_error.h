@@ -31,6 +31,7 @@ enum class StorageErrorKind {
 /// cold".
 class StorageError : public std::runtime_error {
  public:
+  /// An error of class `kind`; `message` becomes what().
   StorageError(StorageErrorKind kind, const std::string& message)
       : std::runtime_error(message), kind_(kind) {}
 

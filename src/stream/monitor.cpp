@@ -583,10 +583,12 @@ std::string MonitorRegistry::SnapshotFilePath() const {
 size_t MonitorRegistry::SaveSnapshot() {
   const std::string path = SnapshotFilePath();
   const std::vector<std::shared_ptr<StreamMonitor>> monitors = List();
+  std::map<std::string, std::string> kept;
   uint64_t next_id = 1;
   {
     util::MutexLock lock(mu_);
     next_id = next_id_;
+    kept = kept_;
   }
   SnapshotWriter writer(kMonitorSnapshotKind, kMonitorSnapshotVersion, "");
   {
@@ -598,6 +600,9 @@ size_t MonitorRegistry::SaveSnapshot() {
   for (const auto& monitor : monitors) {
     writer.AddSection(StrFormat("monitor/%zu", index++),
                       monitor->ExportState());
+  }
+  for (const auto& [id, state] : kept) {
+    writer.AddSection(StrFormat("monitor/%zu", index++), state);
   }
   const std::string bytes = writer.Serialize();
   {
@@ -628,11 +633,14 @@ size_t MonitorRegistry::RestoreMonitors() {
   for (const std::string& name : snap->SectionNames()) {
     if (name.rfind("monitor/", 0) != 0) continue;
     const std::string& state = snap->Section(name);
+    std::string id;
+    bool stale = false;
     try {
       ByteReader r(state);
-      const std::string id = r.GetString();
+      id = r.GetString();
       MonitorSpec spec = MonitorSpec::Parse(r.GetString());
       const uint64_t origin = r.GetU64();
+      stale = true;  // it reads; what fails now is the table match
       // Throws when the watched table is no longer registered — the
       // monitor is skipped rather than restored against nothing.
       const std::shared_ptr<const Table> watched =
@@ -646,13 +654,18 @@ size_t MonitorRegistry::RestoreMonitors() {
       {
         util::MutexLock lock(mu_);
         monitors_[id] = monitor;
+        kept_.erase(id);
       }
       ++restored;
+      continue;
+    } catch (const StorageError& e) {
+      stale = stale && e.kind() == StorageErrorKind::kStale;
     } catch (const std::exception&) {
-      // Damaged payload, stale spec, unknown table, or a table that does
-      // not hold the checkpoint's rows: skip this monitor.
-      n_skipped_on_restore_.fetch_add(1, std::memory_order_relaxed);
     }
+    // Skipped; a stale checkpoint is kept to resume with a later table.
+    n_skipped_on_restore_.fetch_add(1, std::memory_order_relaxed);
+    util::MutexLock lock(mu_);
+    if (stale && monitors_.count(id) == 0) kept_[id] = state;
   }
   return restored;
 }

@@ -323,7 +323,8 @@ class MonitorRegistry {
 
   /// Checkpoints every monitor into one durable file under the service
   /// data_dir (`causumx-monitors.monsnap`; crash-safe write-to-temp +
-  /// rename like every snapshot). Returns the bytes written. Write the
+  /// rename like every snapshot), followed unchanged by the checkpoints
+  /// RestoreMonitors kept as stale. Returns the bytes written. Write the
   /// table snapshots first: a checkpoint behind its table catches up on
   /// restore, one ahead of it is skipped. Throws std::logic_error
   /// without a data_dir and StorageError(kIo) on write failure.
@@ -334,8 +335,11 @@ class MonitorRegistry {
   /// as at creation, and catches up with the rest: restore the tables
   /// first and start no appends before this returns. Monitors that do
   /// not restore are skipped and counted (skipped_on_restore) — never
-  /// partially trusted. A missing file restores nothing. Throws
-  /// std::logic_error without a data_dir.
+  /// partially trusted. One whose table is missing, behind or holds
+  /// other window rows is kept unlisted for SaveSnapshot (its id stays
+  /// reserved), so it resumes once its table is back; damaged ones are
+  /// dropped. A missing file restores nothing. Throws std::logic_error
+  /// without a data_dir.
   size_t RestoreMonitors();
 
   /// The failure counters (relaxed atomic reads).
@@ -355,6 +359,8 @@ class MonitorRegistry {
   std::map<std::string, std::shared_ptr<StreamMonitor>> monitors_
       CAUSUMX_GUARDED_BY(mu_);
   uint64_t next_id_ CAUSUMX_GUARDED_BY(mu_) = 1;
+  /// Checkpoints RestoreMonitors kept (skipped as stale), by id.
+  std::map<std::string, std::string> kept_ CAUSUMX_GUARDED_BY(mu_);
   /// Serializes snapshot file writes (one shared .tmp per target).
   util::Mutex snapshot_mu_;
   std::atomic<uint64_t> n_skipped_on_restore_{0};

@@ -559,6 +559,77 @@ TEST(MonitorSnapshotTest, TableBehindTheCheckpointIsSkipped) {
   EXPECT_EQ(registry.Get("m1"), nullptr);
 }
 
+// A checkpoint skipped because its table came back short (a restart
+// over the seed rows alone) is kept: the shutdown checkpoint writes it
+// back, and a later start over all the rows resumes it exactly where an
+// uninterrupted monitor is.
+TEST(MonitorSnapshotTest, SkippedCheckpointSurvivesAShutdown) {
+  TempDir dir;
+  LinearScmOptions base;
+  base.num_rows = 600;
+  const GeneratedDataset a = MakeLinearScmDataset(base);
+  const size_t n = a.table.NumRows();
+  const std::string spec =
+      WithSummaries(ScmSpec(n / 2, a.dag, 1.0, n / 4));
+  const Table seed = a.table.Head(100);
+
+  StreamMonitor reference("m1", MonitorSpec::Parse(spec), seed, nullptr);
+  reference.OnAppend(a.table.MaterializeRows(100, n));
+
+  ServiceOptions persistent;
+  persistent.data_dir = dir.path;
+  RunUntilCrash(persistent, seed, spec, {a.table.MaterializeRows(100, n)},
+                {});
+  {
+    ExplanationService service(persistent);
+    service.RegisterTable("t", seed.Clone());
+    MonitorRegistry registry(service);
+    EXPECT_EQ(registry.RestoreMonitors(), 0u);
+    EXPECT_EQ(registry.Stats().skipped_on_restore, 1u);
+    EXPECT_EQ(registry.Get("m1"), nullptr);
+    EXPECT_TRUE(registry.List().empty());
+    service.SaveAllSnapshots();
+    registry.SaveSnapshot();
+  }
+
+  ExplanationService service(persistent);
+  service.RegisterTable("t", a.table.Clone());
+  MonitorRegistry registry(service);
+  ASSERT_EQ(registry.RestoreMonitors(), 1u);
+  EXPECT_EQ(registry.Stats().skipped_on_restore, 0u);
+  const auto restored = registry.Get("m1");
+  ASSERT_NE(restored, nullptr);
+  ExpectSameStream(*restored, reference);
+  service.Append("t", a.table.MaterializeRows(0, n / 2));
+  reference.OnAppend(a.table.MaterializeRows(0, n / 2));
+  ExpectSameStream(*restored, reference);
+  EXPECT_EQ(registry.Create(spec)->id(), "m2");
+}
+
+// A damaged checkpoint section is dropped, not kept: the next registry
+// file holds no monitor.
+TEST(MonitorSnapshotTest, DamagedCheckpointIsNotKept) {
+  TempDir dir;
+  ServiceOptions persistent;
+  persistent.data_dir = dir.path;
+  const std::string path = dir.path + "/causumx-monitors.monsnap";
+  SnapshotWriter damaged("causumx-monitors", 2, "");
+  ByteWriter next_id;
+  next_id.PutU64(2);
+  damaged.AddSection("registry", next_id.TakeBytes());
+  damaged.AddSection("monitor/0", "not a checkpoint");
+  WriteFileDurable(path, damaged.Serialize());
+
+  ExplanationService service(persistent);
+  MonitorRegistry registry(service);
+  EXPECT_EQ(registry.RestoreMonitors(), 0u);
+  EXPECT_EQ(registry.Stats().skipped_on_restore, 1u);
+  registry.SaveSnapshot();
+  const SnapshotReader saved =
+      SnapshotReader::ReadFile(path, "causumx-monitors", 2);
+  EXPECT_EQ(saved.SectionNames(), std::vector<std::string>{"registry"});
+}
+
 // A watched table with as many rows as the checkpoint saw, but other
 // rows in the window, fails the window hash: skipped and counted.
 TEST(MonitorSnapshotTest, SameRowCountWithOtherRowsIsSkipped) {

@@ -12,6 +12,7 @@
 
 #include <cmath>
 #include <cstdio>
+#include <filesystem>
 #include <fstream>
 #include <istream>
 #include <sstream>
@@ -19,11 +20,13 @@
 #include <string>
 #include <vector>
 
+#include "causal/dag_io.h"
 #include "core/json_export.h"
 #include "datagen/synthetic.h"
 #include "dataset/csv.h"
 #include "dataset/table_io.h"
 #include "server/rest_api.h"
+#include "service/batch.h"
 #include "service/explanation_service.h"
 #include "storage/bytes.h"
 #include "storage/crc32.h"
@@ -299,14 +302,6 @@ TEST(TableIoTest, MixedTableRoundTrips) {
     const Table back = DeserializeTable(SerializeTable(t));
     ExpectTablesEqual(t, back);
   }
-}
-
-TEST(TableIoTest, FileRoundTripViaDurableWrite) {
-  TempDir dir;
-  const std::string path = dir.path + "/table.ctbl";
-  const Table t = MakeMixedTable(200);
-  WriteTableFile(t, path);
-  ExpectTablesEqual(t, ReadTableFile(path));
 }
 
 TEST(TableIoTest, ContentHashIsOrderAndValueSensitive) {
@@ -819,7 +814,7 @@ TEST(ServicePersistenceTest, GarbageFileFallsBackCold) {
 TEST(ServicePersistenceTest, StaleSnapshotOfDifferentDataRejected) {
   TempDir dir;
   {
-    // Snapshot of the *appended* table: its key carries version 1.
+    // Snapshot of the *appended* table: five more rows.
     GeneratedDataset ds = MakeData();
     ExplanationService service(PersistentOptions(dir.path));
     ServiceOptions o = PersistentOptions(dir.path);
@@ -829,8 +824,8 @@ TEST(ServicePersistenceTest, StaleSnapshotOfDifferentDataRejected) {
     svc.Append("t", svc.GetTable("t")->MaterializeRows(0, 5));
     svc.SaveSnapshot("t");
   }
-  // Restart registers the *original* table (fresh parse, version 0):
-  // the key no longer matches and the snapshot must be rejected.
+  // Restart registers the *original* table: other rows, so the content
+  // hash in the key no longer matches and the snapshot is rejected.
   GeneratedDataset ds = MakeData();
   ExplanationService restarted(PersistentOptions(dir.path));
   restarted.RegisterTable("t", std::move(ds.table));
@@ -839,6 +834,187 @@ TEST(ServicePersistenceTest, StaleSnapshotOfDifferentDataRejected) {
   const CauSumXResult r = restarted.Explain("t", ds.default_query, ds.dag,
                                             MakeConfig(MakeData()));
   EXPECT_FALSE(SummaryToJson(r.summary).empty());
+}
+
+// A snapshot's identity is its content, not the table version: a table
+// registered at version 0 with exactly the rows of a post-append
+// snapshot restores warm.
+TEST(ServicePersistenceTest, SameRowsAtVersionZeroRestoreWarm) {
+  TempDir dir;
+  GeneratedDataset ds = MakeData();
+  const CauSumXConfig config = MakeConfig(ds);
+  const size_t total = ds.table.NumRows();
+
+  ExplanationService reference;
+  reference.RegisterTable("t", ds.table.Clone());
+  const std::string cold_json = SummaryToJson(
+      reference.Explain("t", ds.default_query, ds.dag, config).summary);
+
+  {
+    ExplanationService service(PersistentOptions(dir.path));
+    service.RegisterTable("t", ds.table.Head(total - 200));
+    service.Append("t", ds.table.MaterializeRows(total - 200, total - 100));
+    service.Append("t", ds.table.MaterializeRows(total - 100, total));
+    service.Explain("t", ds.default_query, ds.dag, config);
+    service.SaveSnapshot("t");
+    ASSERT_EQ(service.TableVersion("t"), 2u);
+  }
+  ASSERT_EQ(ds.table.version(), 0u);
+
+  ExplanationService restarted(PersistentOptions(dir.path));
+  restarted.RegisterTable("t", ds.table.Clone());
+  EXPECT_EQ(restarted.Stats().snapshots_restored, 1u);
+  EXPECT_EQ(restarted.Stats().snapshots_rejected, 0u);
+  const CauSumXResult warm =
+      restarted.Explain("t", ds.default_query, ds.dag, config);
+  EXPECT_EQ(SummaryToJson(warm.summary), cold_json);
+  EXPECT_GT(warm.cache_stats.estimator.memo_hits, 0u);
+  EXPECT_EQ(warm.cache_stats.estimator.memo_misses, 0u);
+}
+
+// Rewrites the snapshot at `path` under `key`, sections unchanged.
+void RekeySnapshot(const std::string& path, const std::string& key) {
+  const SnapshotReader old =
+      SnapshotReader::ReadFile(path, "causumx-snapshot", 1);
+  SnapshotWriter rekeyed("causumx-snapshot", 1, key);
+  for (const std::string& name : old.SectionNames()) {
+    rekeyed.AddSection(name, old.Section(name));
+  }
+  rekeyed.WriteFile(path);
+}
+
+// Snapshots written while the key carried the table version
+// (`h…|vN|s…|c1|z0`) still restore warm through both paths.
+TEST(ServicePersistenceTest, VersionedKeyOfEarlierReleasesRestoresWarm) {
+  TempDir dir;
+  std::string path;
+  std::string key;
+  {
+    GeneratedDataset ds = MakeData();
+    ExplanationService service(PersistentOptions(dir.path));
+    service.RegisterTable("t", std::move(ds.table));
+    service.Explain("t", ds.default_query, ds.dag, MakeConfig(MakeData()));
+    service.SaveSnapshot("t");
+    path = service.SnapshotPath("t");
+    key = SnapshotReader::ReadFile(path, "causumx-snapshot", 1).key();
+  }
+  ASSERT_EQ(key.substr(17), "|s0|c1|z0");
+  RekeySnapshot(path, key.substr(0, 17) + "|v3" + key.substr(17));
+
+  {
+    GeneratedDataset ds = MakeData();
+    ExplanationService service(PersistentOptions(dir.path));
+    service.RegisterTable("t", std::move(ds.table));
+    EXPECT_EQ(service.Stats().snapshots_restored, 1u);
+    EXPECT_EQ(service.Stats().snapshots_rejected, 0u);
+    EXPECT_GT(service.Engine("t")->CacheBytes(), 0u);
+  }
+  ExplanationService service(PersistentOptions(dir.path));
+  ASSERT_TRUE(service.RestoreTable("t"));
+  EXPECT_EQ(service.Stats().snapshots_restored, 1u);
+  EXPECT_GT(service.Engine("t")->CacheBytes(), 0u);
+
+  // A key naming other content or another engine configuration is
+  // rejected, and RestoreTable registers nothing.
+  for (const std::string& bad :
+       {"h0000000000000000" + key.substr(17), key.substr(0, 17) + "|s7|c1|z0",
+        key.substr(0, 17)}) {
+    RekeySnapshot(path, bad);
+    ExplanationService rejecting(PersistentOptions(dir.path));
+    EXPECT_FALSE(rejecting.RestoreTable("t")) << bad;
+    EXPECT_FALSE(rejecting.HasTable("t"));
+    EXPECT_EQ(rejecting.Stats().snapshots_rejected, 1u);
+  }
+}
+
+// A JSONL batch line that names a CSV registers it through EnsureCsv,
+// which restores the data dir's snapshot of the same rows warm.
+TEST(ServicePersistenceTest, BatchCsvLineRestoresWarm) {
+  TempDir csv_dir;
+  TempDir dir;
+  GeneratedDataset ds = MakeData();
+  const std::string csv_path = csv_dir.path + "/t.csv";
+  WriteCsvFile(ds.table, csv_path);
+  JsonWriter w;
+  w.BeginObject()
+      .Key("table").String("t")
+      .Key("csv").String(csv_path)
+      .Key("group_by").BeginArray().String(ds.default_query.group_by[0])
+      .EndArray()
+      .Key("avg").String(ds.default_query.avg_attribute)
+      .Key("dag_text").String(DagToText(ds.dag));
+  w.Key("grouping_attrs").BeginArray();
+  for (const std::string& a : ds.grouping_attribute_hint) w.String(a);
+  w.EndArray().Key("treatment_attrs").BeginArray();
+  for (const std::string& a : ds.treatment_attribute_hint) w.String(a);
+  w.EndArray().EndObject();
+  const std::string line = w.str() + "\n";
+  BatchOptions options;
+  options.emit_cache_stats = true;
+  // Runs the line on `service` and returns the result line.
+  auto run = [&](ExplanationService& service) {
+    std::istringstream in(line);
+    std::ostringstream out;
+    EXPECT_EQ(RunBatch(service, in, out, options).failed, 0u) << out.str();
+    return out.str();
+  };
+  // The summary member of a result line, verbatim.
+  auto summary_of = [](const std::string& result) {
+    const size_t begin = result.find("\"summary\":");
+    return result.substr(begin, result.find(",\"cache\":") - begin);
+  };
+
+  std::string cold;
+  {
+    ExplanationService service(PersistentOptions(dir.path));
+    cold = run(service);
+    EXPECT_EQ(service.Stats().snapshots_restored, 0u);
+    service.SaveSnapshot("t");
+  }
+  ExplanationService service(PersistentOptions(dir.path));
+  const std::string warm = run(service);
+  EXPECT_EQ(service.Stats().snapshots_restored, 1u);
+  EXPECT_EQ(service.Stats().snapshots_rejected, 0u);
+  const JsonValue parsed = JsonValue::Parse(warm);
+  const JsonValue* cache = parsed.Find("cache");
+  ASSERT_NE(cache, nullptr) << warm;
+  EXPECT_GT(cache->GetNumber("memo_hits", 0), 0.0);
+  EXPECT_EQ(cache->GetNumber("memo_misses", -1), 0.0);
+  EXPECT_EQ(summary_of(warm), summary_of(cold));
+}
+
+// A configured data dir is created with its missing parents, so the
+// first snapshot write cannot fail for want of it.
+TEST(ServicePersistenceTest, MissingDataDirIsCreated) {
+  TempDir dir;
+  const std::string data_dir = dir.path + "/a/b";
+  {
+    GeneratedDataset ds = MakeData();
+    ExplanationService service(PersistentOptions(data_dir));
+    EXPECT_TRUE(std::filesystem::is_directory(data_dir));
+    service.RegisterTable("t", std::move(ds.table));
+    EXPECT_GT(service.SaveSnapshot("t"), 0u);
+  }
+  // An existing data dir is fine too.
+  ExplanationService again(PersistentOptions(data_dir));
+  EXPECT_TRUE(again.RestoreTable("t"));
+  std::filesystem::remove_all(dir.path + "/a");
+}
+
+// A data dir that cannot be created fails construction with kIo instead
+// of failing every later write.
+TEST(ServicePersistenceTest, UncreatableDataDirThrowsIo) {
+  TempDir dir;
+  const std::string file = dir.path + "/file";
+  WriteFileDurable(file, "not a directory");
+  for (const std::string& data_dir : {file, file + "/sub"}) {
+    try {
+      ExplanationService service(PersistentOptions(data_dir));
+      FAIL() << "accepted data_dir " << data_dir;
+    } catch (const StorageError& e) {
+      EXPECT_EQ(e.kind(), StorageErrorKind::kIo) << data_dir;
+    }
+  }
 }
 
 TEST(ServicePersistenceTest, KilledWriterLeavesPreviousSnapshotLoadable) {

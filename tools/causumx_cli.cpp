@@ -48,11 +48,11 @@
 // The process listens until SIGINT/SIGTERM, then drains in-flight
 // requests and exits 0.
 //
-// --data-dir DIR enables durable snapshots: tables restore warm from
-// DIR on startup (any stale or damaged snapshot is detected and
-// ignored — the table rebuilds cold), every append writes a fresh
-// crash-safe snapshot, and a clean shutdown persists all tables, then
-// checkpoints the monitors (restored by replaying their tables).
+// --data-dir DIR (created if missing) enables durable snapshots: tables
+// restore warm from DIR on startup (a snapshot of other rows, or a
+// stale or damaged one, is ignored and replaced), every append writes a
+// fresh crash-safe snapshot, and a clean shutdown persists all tables,
+// then checkpoints the monitors (restored by replaying their tables).
 //
 // Snapshot mode writes a durable snapshot of a CSV without serving:
 //
@@ -299,10 +299,10 @@ int RunServeMode(const CliOptions& opt) {
   ExplanationService service(MakeServiceOptions(opt));
 
   if (!opt.csv_path.empty()) {
-    // With --data-dir, LoadCsv restores the warm caches from the table's
-    // snapshot when its key matches the freshly parsed CSV exactly.
-    service.LoadCsv(opt.table_name, opt.csv_path);
-    const auto table = service.GetTable(opt.table_name);
+    // With --data-dir, the caches restore warm from a snapshot of the
+    // same rows.
+    const auto table =
+        service.RegisterTable(opt.table_name, ReadCsvFile(opt.csv_path));
     std::fprintf(stderr, "loaded %zu rows x %zu columns from %s as \"%s\"\n",
                  table->NumRows(), table->NumColumns(), opt.csv_path.c_str(),
                  opt.table_name.c_str());
@@ -465,8 +465,7 @@ int RunMonitorMode(const CliOptions& opt) {
 
   const Table full = ReadCsvFile(opt.replay_path);
   const size_t seed = std::min(opt.seed_rows, full.NumRows());
-  service.RegisterTable(table_name,
-                        std::make_shared<const Table>(full.Head(seed)));
+  service.RegisterTable(table_name, full.Head(seed));
   std::fprintf(stderr,
                "replay: %zu rows from %s (%zu seed the table, %zu stream)\n",
                full.NumRows(), opt.replay_path.c_str(), seed,
@@ -525,11 +524,11 @@ int RunSnapshotMode(const CliOptions& opt) {
     return 2;
   }
   ExplanationService service(MakeServiceOptions(opt));
-  // LoadCsv warm-restores from an existing matching snapshot, so
+  // Registering warm-restores from a snapshot of the same rows, so
   // re-snapshotting unchanged data preserves the warm caches instead of
   // flattening them to a cold table image.
-  service.LoadCsv(opt.table_name, opt.csv_path);
-  const auto table = service.GetTable(opt.table_name);
+  const auto table =
+      service.RegisterTable(opt.table_name, ReadCsvFile(opt.csv_path));
   const size_t bytes = service.SaveSnapshot(opt.table_name);
   std::fprintf(stderr,
                "snapshot: %zu rows x %zu columns as \"%s\" -> %s (%zu "
@@ -542,8 +541,8 @@ int RunSnapshotMode(const CliOptions& opt) {
 int RunBatchMode(const CliOptions& opt) {
   ExplanationService service(MakeServiceOptions(opt));
   if (!opt.csv_path.empty()) {
-    service.LoadCsv("default", opt.csv_path);
-    const auto table = service.GetTable("default");
+    const auto table =
+        service.RegisterTable("default", ReadCsvFile(opt.csv_path));
     std::fprintf(stderr, "loaded %zu rows x %zu columns from %s\n",
                  table->NumRows(), table->NumColumns(),
                  opt.csv_path.c_str());
