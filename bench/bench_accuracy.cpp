@@ -92,15 +92,18 @@ int main() {
 
     EstimatorContext estimator(
         std::make_shared<EvalEngine>(BorrowTable(ds.table)), ds.dag, {});
+    // The brute force enumerates every atom; the heuristic walks the
+    // DAG-pruned atoms, built once for all grouping patterns.
     const auto atoms = GenerateAtomicTreatments(
         *estimator.engine(), ds.treatment_attribute_hint, {});
+    const auto causal_atoms = CausalTreatmentAtoms(
+        estimator, "O", ds.treatment_attribute_hint, {});
 
     double precision_sum = 0, recall_sum = 0;
     size_t measured = 0;
     for (const auto& gp : grouping) {
       // Heuristic top treatment (lattice with pruning).
-      const auto ours = MineTopTreatment(estimator, gp.rows, "O",
-                                         ds.treatment_attribute_hint,
+      const auto ours = MineTopTreatment(estimator, gp.rows, "O", causal_atoms,
                                          TreatmentSign::kPositive);
       if (!ours) continue;
       // Brute-force best treatment: exhaustive pairs of atoms.

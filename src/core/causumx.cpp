@@ -95,6 +95,14 @@ CandidateMiningResult MineExplanationCandidates(
       config.treatment_attribute_allowlist.empty()
           ? result.partition.treatment_attributes
           : config.treatment_attribute_allowlist;
+  // Optimization (a) and the level-1 atoms depend on the query only:
+  // build them once, and every walk reads the list (none without walks,
+  // so an empty phase 1 builds no column views).
+  const std::vector<SimplePredicate> atoms =
+      grouping.empty()
+          ? std::vector<SimplePredicate>{}
+          : CausalTreatmentAtoms(*estimator_ctx, query.avg_attribute,
+                                 treatment_attrs, config.treatment);
 
   std::vector<Explanation> candidates(grouping.size());
   std::atomic<size_t> evaluated{0};
@@ -106,12 +114,12 @@ CandidateMiningResult MineExplanationCandidates(
 
     TreatmentMiningStats stats;
     auto pos = MineTopTreatment(
-        *estimator_ctx, gp.rows, query.avg_attribute, treatment_attrs,
+        *estimator_ctx, gp.rows, query.avg_attribute, atoms,
         TreatmentSign::kPositive, config.treatment, &stats);
     if (pos) exp.positive = TreatmentSide{pos->pattern, pos->effect};
     if (config.mine_negative) {
       auto neg = MineTopTreatment(
-          *estimator_ctx, gp.rows, query.avg_attribute, treatment_attrs,
+          *estimator_ctx, gp.rows, query.avg_attribute, atoms,
           TreatmentSign::kNegative, config.treatment, &stats);
       if (neg) exp.negative = TreatmentSide{neg->pattern, neg->effect};
     }

@@ -80,8 +80,10 @@ std::vector<ScoredTreatment> ExplorationSession::TopTreatments(
       config_.treatment_attribute_allowlist.empty()
           ? mined_->partition.treatment_attributes
           : config_.treatment_attribute_allowlist;
-  return MineTopKTreatments(*estimator_, rows, query_.avg_attribute,
-                            treatment_attrs, sign, k, config_.treatment);
+  const std::vector<SimplePredicate> atoms = CausalTreatmentAtoms(
+      *estimator_, query_.avg_attribute, treatment_attrs, config_.treatment);
+  return MineTopKTreatments(*estimator_, rows, query_.avg_attribute, atoms,
+                            sign, k, config_.treatment);
 }
 
 const AggregateView& ExplorationSession::View() {

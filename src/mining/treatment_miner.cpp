@@ -59,29 +59,16 @@ double SignedValue(TreatmentSign sign, double cate) {
   return sign == TreatmentSign::kPositive ? cate : -cate;
 }
 
-// The lattice walk shared by the top-1 and top-k entry points. When
-// `survivors` is non-null, every sign-consistent significant node that
-// was materialized is appended to it.
+// The lattice walk shared by the top-1 and top-k entry points, over the
+// query's level-1 `atoms` (CausalTreatmentAtoms). When `survivors` is
+// non-null, every sign-consistent significant node that was materialized
+// is appended to it.
 std::optional<ScoredTreatment> RunLatticeWalk(
     EstimatorContext& estimator, const Bitset& subpopulation,
-    const std::string& outcome,
-    const std::vector<std::string>& treatment_attributes, TreatmentSign sign,
-    const TreatmentMinerOptions& opt, TreatmentMiningStats* stats,
-    std::vector<ScoredTreatment>* survivors) {
+    const std::string& outcome, const std::vector<SimplePredicate>& atoms,
+    TreatmentSign sign, const TreatmentMinerOptions& opt,
+    TreatmentMiningStats* stats, std::vector<ScoredTreatment>* survivors) {
   const Table& table = estimator.table();
-
-  // Optimization (a): restrict to attributes with a causal path to the
-  // outcome in the DAG (they are the only ones with nonzero true effects).
-  std::vector<std::string> causal_attrs;
-  const std::set<std::string> ancestors =
-      estimator.dag().CausalAncestorsOf(outcome);
-  for (const auto& a : treatment_attributes) {
-    if (!estimator.dag().HasNode(a) || ancestors.count(a)) {
-      // Attributes missing from the DAG are kept (unknown structure), the
-      // ones present but causally unrelated are pruned.
-      causal_attrs.push_back(a);
-    }
-  }
 
   // Near-zero threshold scaled by the outcome spread in the subpopulation
   // (outcome reads go through the engine's cached numeric view).
@@ -128,10 +115,7 @@ std::optional<ScoredTreatment> RunLatticeWalk(
     }
   };
 
-  // Level 1: atomic predicates (GenChildren in the paper's pseudocode),
-  // served from the engine's cached distinct/numeric views.
-  const std::vector<SimplePredicate> atoms =
-      GenerateAtomicTreatments(engine, causal_attrs, opt);
+  // Level 1: atomic predicates (GenChildren in the paper's pseudocode).
   std::vector<Node> level;
   level.reserve(atoms.size());
   std::optional<Node> best;
@@ -258,23 +242,41 @@ std::vector<SimplePredicate> GenerateAtomicTreatments(
   return atoms;
 }
 
+std::vector<SimplePredicate> CausalTreatmentAtoms(
+    EstimatorContext& estimator, const std::string& outcome,
+    const std::vector<std::string>& treatment_attributes,
+    const TreatmentMinerOptions& opt) {
+  // Optimization (a): restrict to attributes with a causal path to the
+  // outcome in the DAG (they are the only ones with nonzero true effects).
+  const CausalDag& dag = estimator.dag();
+  const std::set<std::string> ancestors = dag.CausalAncestorsOf(outcome);
+  std::vector<std::string> causal_attrs;
+  for (const auto& a : treatment_attributes) {
+    if (!dag.HasNode(a) || ancestors.count(a)) {
+      // Attributes missing from the DAG are kept (unknown structure), the
+      // ones present but causally unrelated are pruned.
+      causal_attrs.push_back(a);
+    }
+  }
+  return GenerateAtomicTreatments(*estimator.engine(), causal_attrs, opt);
+}
+
 std::optional<ScoredTreatment> MineTopTreatment(
     EstimatorContext& estimator, const Bitset& subpopulation,
-    const std::string& outcome,
-    const std::vector<std::string>& treatment_attributes, TreatmentSign sign,
-    const TreatmentMinerOptions& options, TreatmentMiningStats* stats) {
-  return RunLatticeWalk(estimator, subpopulation, outcome,
-                        treatment_attributes, sign, options, stats, nullptr);
+    const std::string& outcome, const std::vector<SimplePredicate>& atoms,
+    TreatmentSign sign, const TreatmentMinerOptions& options,
+    TreatmentMiningStats* stats) {
+  return RunLatticeWalk(estimator, subpopulation, outcome, atoms, sign,
+                        options, stats, nullptr);
 }
 
 std::vector<ScoredTreatment> MineTopKTreatments(
     EstimatorContext& estimator, const Bitset& subpopulation,
-    const std::string& outcome,
-    const std::vector<std::string>& treatment_attributes, TreatmentSign sign,
-    size_t k, const TreatmentMinerOptions& opt) {
+    const std::string& outcome, const std::vector<SimplePredicate>& atoms,
+    TreatmentSign sign, size_t k, const TreatmentMinerOptions& opt) {
   std::vector<ScoredTreatment> survivors;
-  RunLatticeWalk(estimator, subpopulation, outcome, treatment_attributes,
-                 sign, opt, nullptr, &survivors);
+  RunLatticeWalk(estimator, subpopulation, outcome, atoms, sign, opt,
+                 nullptr, &survivors);
   std::sort(survivors.begin(), survivors.end(),
             [](const ScoredTreatment& a, const ScoredTreatment& b) {
               return std::fabs(a.effect.cate) > std::fabs(b.effect.cate);

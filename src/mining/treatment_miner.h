@@ -9,7 +9,8 @@
 //
 // Implemented optimizations (Section 5.2):
 //  (a) attribute pruning — only attributes that are causal ancestors of
-//      the outcome in the DAG generate predicates;
+//      the outcome in the DAG generate predicates (CausalTreatmentAtoms,
+//      run once per query; every walk reads the resulting atom list);
 //  (b) treatment pruning — near-zero CATEs are dropped and only the top
 //      `level_keep_fraction` of each level expands;
 //  (c) parallelism — handled by the caller (one task per grouping
@@ -68,11 +69,21 @@ struct TreatmentMinerOptions {
 /// Generates all atomic treatment predicates for the given attributes:
 /// equality items for categorical and small-domain numeric columns,
 /// quantile thresholds (A < q, A >= q) for the other numeric ones. Served
-/// from the engine's cached distinct-value and numeric views, so the
-/// lattice walk (which calls this once per grouping pattern and sign)
-/// does not re-scan the table.
+/// from the engine's cached distinct-value and numeric views. The list
+/// depends on the table and the options only, never on a subpopulation.
 std::vector<SimplePredicate> GenerateAtomicTreatments(
     EvalEngine& engine, const std::vector<std::string>& attributes,
+    const TreatmentMinerOptions& options);
+
+/// The level-1 atoms of every lattice walk for one query: applies
+/// optimization (a) to `treatment_attributes` (attributes in the DAG that
+/// are not causal ancestors of `outcome` are pruned; attributes missing
+/// from the DAG are kept) and calls GenerateAtomicTreatments on the rest,
+/// in the given attribute order. Build it once per query and pass it to
+/// every MineTopTreatment / MineTopKTreatments call of that query.
+std::vector<SimplePredicate> CausalTreatmentAtoms(
+    EstimatorContext& estimator, const std::string& outcome,
+    const std::vector<std::string>& treatment_attributes,
     const TreatmentMinerOptions& options);
 
 /// Statistics from a mining run (for the accuracy experiments, Fig. 10).
@@ -84,26 +95,27 @@ struct TreatmentMiningStats {
 };
 
 /// Mines the best treatment pattern of the requested sign for the
-/// subpopulation (Algorithm 2). Returns nullopt when nothing valid and
-/// significant exists. `stats` (optional) adds this walk's evaluations
-/// to `patterns_evaluated` and records its depth in `levels_explored`.
+/// subpopulation (Algorithm 2), starting from `atoms` (the query's
+/// CausalTreatmentAtoms). Returns nullopt when nothing valid and
+/// significant exists; throws std::out_of_range on an unknown `outcome`.
+/// `stats` (optional) adds this walk's evaluations to
+/// `patterns_evaluated` and records its depth in `levels_explored`.
 std::optional<ScoredTreatment> MineTopTreatment(
     EstimatorContext& estimator, const Bitset& subpopulation,
-    const std::string& outcome,
-    const std::vector<std::string>& treatment_attributes, TreatmentSign sign,
-    const TreatmentMinerOptions& options = {},
+    const std::string& outcome, const std::vector<SimplePredicate>& atoms,
+    TreatmentSign sign, const TreatmentMinerOptions& options = {},
     TreatmentMiningStats* stats = nullptr);
 
 /// Top-k treatment patterns of the requested sign, ranked by |CATE|
 /// (the paper's UI lets analysts request several positive/negative
-/// treatments per grouping pattern). Patterns whose treated-row sets
+/// treatments per grouping pattern), walking the lattice over `atoms`
+/// (the query's CausalTreatmentAtoms). Patterns whose treated-row sets
 /// coincide with a stronger pattern are dropped. Returns at most k
 /// entries, possibly fewer, in descending effect magnitude.
 std::vector<ScoredTreatment> MineTopKTreatments(
     EstimatorContext& estimator, const Bitset& subpopulation,
-    const std::string& outcome,
-    const std::vector<std::string>& treatment_attributes, TreatmentSign sign,
-    size_t k, const TreatmentMinerOptions& options = {});
+    const std::string& outcome, const std::vector<SimplePredicate>& atoms,
+    TreatmentSign sign, size_t k, const TreatmentMinerOptions& options = {});
 
 }  // namespace causumx
 

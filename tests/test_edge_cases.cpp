@@ -109,7 +109,8 @@ TEST(EdgeCaseTest, TreatmentMinerEmptyAttributeList) {
   Bitset all(t.NumRows());
   all.SetAll();
   EXPECT_FALSE(
-      MineTopTreatment(est, all, "y", {}, TreatmentSign::kPositive)
+      MineTopTreatment(est, all, "y", CausalTreatmentAtoms(est, "y", {}, {}),
+                       TreatmentSign::kPositive)
           .has_value());
 }
 
@@ -127,7 +128,9 @@ TEST(EdgeCaseTest, TreatmentMinerEmptySubpopulation) {
   EstimatorContext est = MakeEstimator(t, dag);
   const Bitset empty(t.NumRows());
   EXPECT_FALSE(
-      MineTopTreatment(est, empty, "y", {"x"}, TreatmentSign::kPositive)
+      MineTopTreatment(est, empty, "y",
+                       CausalTreatmentAtoms(est, "y", {"x"}, {}),
+                       TreatmentSign::kPositive)
           .has_value());
 }
 

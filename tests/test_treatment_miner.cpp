@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
+#include "core/causumx.h"
+#include "datagen/registry.h"
 #include "mining/treatment_miner.h"
 #include "util/rng.h"
 
@@ -95,8 +99,10 @@ TEST(TreatmentMinerTest, FindsPlantedPositiveInteraction) {
   EstimatorContext est = MakeEstimator(t, MakeDag());
   TreatmentMinerOptions opt;
   opt.level_keep_fraction = 1.0;  // explore the full lattice in the test
-  const auto result = MineTopTreatment(
-      est, AllRows(t), "Y", {"A", "B", "C"}, TreatmentSign::kPositive, opt);
+  const auto result =
+      MineTopTreatment(est, AllRows(t), "Y",
+                       CausalTreatmentAtoms(est, "Y", {"A", "B", "C"}, opt),
+                       TreatmentSign::kPositive, opt);
   ASSERT_TRUE(result.has_value());
   // The winning positive treatment must capture the A*C interaction.
   EXPECT_TRUE(result->pattern.UsesAttribute("A"));
@@ -110,8 +116,10 @@ TEST(TreatmentMinerTest, FindsPlantedNegative) {
   EstimatorContext est = MakeEstimator(t, MakeDag());
   TreatmentMinerOptions opt;
   opt.level_keep_fraction = 1.0;
-  const auto result = MineTopTreatment(
-      est, AllRows(t), "Y", {"A", "B", "C"}, TreatmentSign::kNegative, opt);
+  const auto result =
+      MineTopTreatment(est, AllRows(t), "Y",
+                       CausalTreatmentAtoms(est, "Y", {"A", "B", "C"}, opt),
+                       TreatmentSign::kNegative, opt);
   ASSERT_TRUE(result.has_value());
   EXPECT_TRUE(result->pattern.UsesAttribute("B"));
   EXPECT_LT(result->effect.cate, -5.0);
@@ -139,12 +147,14 @@ TEST(TreatmentMinerTest, RespectsSubpopulation) {
   Bitset second_half(t.NumRows());
   for (size_t i = 2000; i < 4000; ++i) second_half.Set(i);
 
-  const auto pos1 = MineTopTreatment(est, first_half, "Y", {"A"},
+  const auto pos1 = MineTopTreatment(est, first_half, "Y",
+                                     CausalTreatmentAtoms(est, "Y", {"A"}, {}),
                                      TreatmentSign::kPositive);
   ASSERT_TRUE(pos1.has_value());
   EXPECT_NEAR(pos1->effect.cate, 3.0, 0.3);
 
-  const auto pos2 = MineTopTreatment(est, second_half, "Y", {"A"},
+  const auto pos2 = MineTopTreatment(est, second_half, "Y",
+                                     CausalTreatmentAtoms(est, "Y", {"A"}, {}),
                                      TreatmentSign::kPositive);
   ASSERT_TRUE(pos2.has_value());
   EXPECT_NEAR(pos2->effect.cate, 3.0, 0.3);  // A=0 has +3 effect there
@@ -170,9 +180,10 @@ TEST(TreatmentMinerTest, DagPrunesCausallyInertAttributes) {
   CausalDag g = MakeDag();
   g.AddNode("D");  // in the DAG but with no edge to Y
   EstimatorContext est = MakeEstimator(t2, g);
-  const auto result = MineTopTreatment(est, AllRows(t2), "Y",
-                                       {"A", "B", "C", "D"},
-                                       TreatmentSign::kPositive);
+  const auto result = MineTopTreatment(
+      est, AllRows(t2), "Y",
+      CausalTreatmentAtoms(est, "Y", {"A", "B", "C", "D"}, {}),
+      TreatmentSign::kPositive);
   ASSERT_TRUE(result.has_value());
   EXPECT_FALSE(result->pattern.UsesAttribute("D"));
 }
@@ -192,8 +203,9 @@ TEST(TreatmentMinerTest, NoSignificantTreatmentReturnsNull) {
   EstimatorContext est = MakeEstimator(t, g);
   TreatmentMinerOptions opt;
   opt.alpha = 0.001;  // strict bar to keep the test deterministic
-  const auto result = MineTopTreatment(est, AllRows(t), "Y", {"A"},
-                                       TreatmentSign::kPositive, opt);
+  const auto result = MineTopTreatment(
+      est, AllRows(t), "Y", CausalTreatmentAtoms(est, "Y", {"A"}, opt),
+      TreatmentSign::kPositive, opt);
   EXPECT_FALSE(result.has_value());
 }
 
@@ -201,8 +213,10 @@ TEST(TreatmentMinerTest, StatsReportEvaluations) {
   const Table t = MakePlantedTable(2000, 9);
   EstimatorContext est = MakeEstimator(t, MakeDag());
   TreatmentMiningStats stats;
-  const auto result = MineTopTreatment(est, AllRows(t), "Y", {"A", "B", "C"},
-                                       TreatmentSign::kPositive, {}, &stats);
+  const auto result =
+      MineTopTreatment(est, AllRows(t), "Y",
+                       CausalTreatmentAtoms(est, "Y", {"A", "B", "C"}, {}),
+                       TreatmentSign::kPositive, {}, &stats);
   ASSERT_TRUE(result.has_value());
   EXPECT_GE(stats.patterns_evaluated, 6u);  // at least the atoms
   EXPECT_GE(stats.levels_explored, 1u);
@@ -213,12 +227,173 @@ TEST(TreatmentMinerTest, MaxDepthOneStopsAtAtoms) {
   EstimatorContext est = MakeEstimator(t, MakeDag());
   TreatmentMinerOptions opt;
   opt.max_depth = 1;
-  const auto result = MineTopTreatment(est, AllRows(t), "Y",
-                                       {"A", "B", "C"},
-                                       TreatmentSign::kPositive, opt);
+  const auto result =
+      MineTopTreatment(est, AllRows(t), "Y",
+                       CausalTreatmentAtoms(est, "Y", {"A", "B", "C"}, opt),
+                       TreatmentSign::kPositive, opt);
   ASSERT_TRUE(result.has_value());
   EXPECT_EQ(result->pattern.Size(), 1u);
   EXPECT_TRUE(result->pattern.UsesAttribute("A"));
+}
+
+std::vector<std::string> AtomStrings(const std::vector<SimplePredicate>& v) {
+  std::vector<std::string> out;
+  for (const auto& p : v) out.push_back(p.ToString());
+  return out;
+}
+
+TEST(TreatmentMinerTest, CausalTreatmentAtomsPrunesNonAncestors) {
+  // A -> M -> Y (A is an indirect ancestor), D sits in the DAG with no
+  // path to Y, X is missing from the DAG; Z is numeric and a parent of Y.
+  Table t;
+  t.AddColumn("X", ColumnType::kCategorical);
+  t.AddColumn("D", ColumnType::kCategorical);
+  t.AddColumn("Z", ColumnType::kDouble);
+  t.AddColumn("A", ColumnType::kCategorical);
+  t.AddColumn("M", ColumnType::kCategorical);
+  t.AddColumn("Y", ColumnType::kDouble);
+  Rng rng(11);
+  for (size_t i = 0; i < 400; ++i) {
+    t.AddRow({Value(rng.NextBool(0.5) ? "x1" : "x0"),
+              Value(rng.NextBool(0.5) ? "d1" : "d0"),
+              Value(rng.NextGaussian()),
+              Value(rng.NextBool(0.5) ? "a1" : "a0"),
+              Value(rng.NextBool(0.5) ? "m1" : "m0"),
+              Value(rng.NextGaussian())});
+  }
+  CausalDag g;
+  g.AddEdge("A", "M");
+  g.AddEdge("M", "Y");
+  g.AddEdge("Z", "Y");
+  g.AddNode("D");
+  EstimatorContext est = MakeEstimator(t, g);
+  TreatmentMinerOptions opt;
+  const auto atoms =
+      CausalTreatmentAtoms(est, "Y", {"X", "D", "Z", "A", "M"}, opt);
+
+  // Kept: the ancestors A, M, Z and the DAG-less X; pruned: D. The atoms
+  // are GenerateAtomicTreatments' over the kept attributes, in the order
+  // the attributes were given.
+  const auto expected =
+      GenerateAtomicTreatments(*est.engine(), {"X", "Z", "A", "M"}, opt);
+  ASSERT_FALSE(expected.empty());
+  EXPECT_TRUE(atoms == expected)
+      << ::testing::PrintToString(AtomStrings(atoms)) << " vs "
+      << ::testing::PrintToString(AtomStrings(expected));
+  for (const auto& a : atoms) EXPECT_NE(a.attribute, "D");
+  EXPECT_EQ(atoms.front().attribute, "X");
+  EXPECT_EQ(atoms.back().attribute, "M");
+}
+
+TEST(TreatmentMinerTest, UnknownOutcomeThrows) {
+  const Table t = MakePlantedTable(200, 12);
+  EstimatorContext est = MakeEstimator(t, MakeDag());
+  const auto atoms = CausalTreatmentAtoms(est, "Y", {"A", "B", "C"}, {});
+  ASSERT_FALSE(atoms.empty());
+  EXPECT_THROW(MineTopTreatment(est, AllRows(t), "nope", atoms,
+                                TreatmentSign::kPositive),
+               std::out_of_range);
+}
+
+// Phases 1–2 of MineExplanationCandidates, run serially, with every walk
+// rebuilding its own atom list: the reference that one shared list per
+// query must match.
+struct PerWalkAtomsRun {
+  std::vector<Explanation> candidates;
+  size_t patterns_evaluated = 0;
+  EstimatorCacheStats stats;
+};
+
+PerWalkAtomsRun MineWithPerWalkAtoms(const GeneratedDataset& ds,
+                                     const CauSumXConfig& config,
+                                     const AttributePartition& partition) {
+  auto engine = std::make_shared<EvalEngine>(BorrowTable(ds.table));
+  EstimatorContext est(engine, ds.dag, config.estimator);
+  const GroupByAvgQuery& query = ds.default_query;
+  const AggregateView view = AggregateView::Evaluate(ds.table, query);
+  GroupingMinerOptions gopt = config.grouping;
+  gopt.apriori.min_support = config.apriori_support;
+  const std::vector<GroupingPattern> grouping = MineGroupingPatterns(
+      ds.table, view, partition.grouping_attributes, gopt, engine.get());
+  const std::vector<std::string>& attrs =
+      config.treatment_attribute_allowlist.empty()
+          ? partition.treatment_attributes
+          : config.treatment_attribute_allowlist;
+
+  PerWalkAtomsRun run;
+  TreatmentMiningStats stats;
+  for (const GroupingPattern& gp : grouping) {
+    Explanation exp;
+    exp.grouping_pattern = gp.pattern;
+    exp.group_coverage = gp.group_coverage;
+    for (TreatmentSign sign :
+         {TreatmentSign::kPositive, TreatmentSign::kNegative}) {
+      if (sign == TreatmentSign::kNegative && !config.mine_negative) break;
+      const auto atoms = CausalTreatmentAtoms(est, query.avg_attribute,
+                                              attrs, config.treatment);
+      const auto top = MineTopTreatment(est, gp.rows, query.avg_attribute,
+                                        atoms, sign, config.treatment,
+                                        &stats);
+      if (!top) continue;
+      (sign == TreatmentSign::kPositive ? exp.positive : exp.negative) =
+          TreatmentSide{top->pattern, top->effect};
+    }
+    if (exp.Weight() > 0.0) run.candidates.push_back(std::move(exp));
+  }
+  run.patterns_evaluated = stats.patterns_evaluated;
+  run.stats = est.Stats();
+  return run;
+}
+
+void ExpectSameSide(const std::optional<TreatmentSide>& a,
+                    const std::optional<TreatmentSide>& b) {
+  ASSERT_EQ(a.has_value(), b.has_value());
+  if (!a) return;
+  EXPECT_EQ(a->pattern, b->pattern);
+  EXPECT_EQ(a->effect.cate, b->effect.cate);
+  EXPECT_EQ(a->effect.p_value, b->effect.p_value);
+  EXPECT_EQ(a->effect.n_treated, b->effect.n_treated);
+}
+
+TEST(TreatmentMinerTest, AtomsOncePerQueryMatchesAtomsPerWalk) {
+  for (const char* name : {"Adult", "SO"}) {
+    SCOPED_TRACE(name);
+    const GeneratedDataset ds = MakeDatasetByName(name, 0.05);
+    CauSumXConfig config;
+    config.num_threads = 1;  // serial, so memo hit/miss counts are exact
+    config.grouping_attribute_allowlist = ds.grouping_attribute_hint;
+
+    const CandidateMiningResult mined = MineExplanationCandidates(
+        ds.table, ds.default_query, ds.dag, config);
+    const PerWalkAtomsRun ref =
+        MineWithPerWalkAtoms(ds, config, mined.partition);
+
+    // Both DAGs prune some treatment attributes (optimization (a) runs).
+    EstimatorContext probe = MakeEstimator(ds.table, ds.dag);
+    const std::vector<std::string>& attrs =
+        mined.partition.treatment_attributes;
+    EXPECT_LT(CausalTreatmentAtoms(probe, ds.default_query.avg_attribute,
+                                   attrs, config.treatment)
+                  .size(),
+              GenerateAtomicTreatments(*probe.engine(), attrs,
+                                       config.treatment)
+                  .size());
+
+    ASSERT_FALSE(mined.candidates.empty());
+    ASSERT_EQ(mined.candidates.size(), ref.candidates.size());
+    for (size_t i = 0; i < ref.candidates.size(); ++i) {
+      const Explanation& a = mined.candidates[i];
+      const Explanation& b = ref.candidates[i];
+      EXPECT_EQ(a.grouping_pattern, b.grouping_pattern);
+      EXPECT_TRUE(a.group_coverage == b.group_coverage);
+      ExpectSameSide(a.positive, b.positive);
+      ExpectSameSide(a.negative, b.negative);
+    }
+    EXPECT_EQ(mined.treatment_patterns_evaluated, ref.patterns_evaluated);
+    EXPECT_EQ(mined.cache_stats.estimator.memo_hits, ref.stats.memo_hits);
+    EXPECT_EQ(mined.cache_stats.estimator.memo_misses,
+              ref.stats.memo_misses);
+  }
 }
 
 }  // namespace
