@@ -2,16 +2,16 @@
 // single-shard reference on a synthetic table (1M rows at
 // CAUSUMX_BENCH_SCALE=1.0).
 //
-// Three configurations run the identical cold query (fresh service and
-// caches each round, table construction outside the timer):
+// Three configurations run the identical cold query (fresh caches each
+// round, table and pool construction outside the timer):
 //
-//   serial    --shards 1 --threads 1   (the reference path)
-//   pattern   --shards 1 --threads N   (pre-sharding parallelism only:
-//                                       phase-2 mining across patterns)
-//   sharded   --shards N --threads N   (row shards through the whole hot
-//                                       path: segment builds, the view,
-//                                       CATE sufficient statistics, the
-//                                       greedy scan)
+//   serial    service, 1 thread    (one shard: the reference path)
+//   pattern   engine with 1 shard  (pre-sharding parallelism only:
+//             on an N-thread pool   phase-2 mining across patterns)
+//   sharded   service, N threads   (one row shard per worker through the
+//                                   whole hot path: segment builds, the
+//                                   view, CATE sufficient statistics,
+//                                   the greedy scan)
 //
 // Acceptance (CI smoke-runs this): summaries bit-identical across every
 // configuration and round — the sharded engine's core guarantee — and a
@@ -24,6 +24,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -45,27 +46,41 @@ struct RunResult {
   EvalEngineStats engine_stats;
 };
 
+// `single_shard` runs the pattern-parallel arm: a one-shard engine on an
+// N-thread pool. Otherwise a service of `threads` workers plans one
+// shard per worker.
 RunResult RunConfiguration(const GeneratedDataset& ds,
                            const GroupByAvgQuery& query,
                            const CausalDag& dag,
-                           const CauSumXConfig& config, size_t shards,
+                           const CauSumXConfig& config, bool single_shard,
                            size_t threads, int rounds) {
   RunResult result;
   std::vector<double> times;
   for (int round = 0; round < rounds; ++round) {
-    Table copy = ds.table.Clone();  // outside the timer
-    ServiceOptions options;
-    options.num_threads = threads;
-    options.num_shards = shards;
-    ExplanationService service(options);
-    Timer timer;
-    service.RegisterTable("t", std::move(copy));
-    const CauSumXResult r = service.Explain("t", query, dag, config);
-    times.push_back(timer.Seconds());
+    auto copy = std::make_shared<const Table>(ds.table.Clone());
+    CauSumXResult r;
+    std::shared_ptr<EvalEngine> engine;
+    if (single_shard) {
+      auto pool = std::make_shared<ThreadPool>(threads);
+      Timer timer;
+      engine = std::make_shared<EvalEngine>(
+          copy, EvalEngineOptions{.num_shards = 1, .pool = pool});
+      r = RunCauSumX(*copy, query, dag, config, engine, nullptr, pool.get());
+      times.push_back(timer.Seconds());
+    } else {
+      ServiceOptions options;
+      options.num_threads = threads;
+      ExplanationService service(options);
+      Timer timer;
+      service.RegisterTable("t", copy);
+      r = service.Explain("t", query, dag, config);
+      times.push_back(timer.Seconds());
+      engine = service.Engine("t");
+    }
     const std::string json = SummaryToJson(r.summary);
     if (round == 0) {
       result.summary_json = json;
-      result.engine_stats = service.Engine("t")->Stats();
+      result.engine_stats = engine->Stats();
     } else if (json != result.summary_json) {
       std::printf("FAIL: round %d summary differs within one "
                   "configuration\n", round + 1);
@@ -90,7 +105,7 @@ int main() {
   gen.buckets_base = 6;  // G1: 12 buckets
   const GeneratedDataset ds = MakeSyntheticDataset(gen);
   CauSumXConfig config = ConfigFor(ds, PaperDefaultConfig());
-  config.num_threads = 0;  // mine on the service pool
+  config.num_threads = 0;  // mine on the service or engine pool
   config.apriori_support = 0.05;  // G1 buckets sit at 8.3% support
   config.grouping_attribute_allowlist = {"G1"};
   // A realistic serving view: moderate group cardinality (G2's 18
@@ -135,17 +150,17 @@ int main() {
               "threads, bar %.2fx\n",
               ds.table.NumRows(), hw, threads, bar);
 
-  const RunResult serial =
-      RunConfiguration(ds, query, dag, config, /*shards=*/1, /*threads=*/1, kRounds);
+  const RunResult serial = RunConfiguration(
+      ds, query, dag, config, /*single_shard=*/false, /*threads=*/1, kRounds);
   std::printf("%-28s best %8.3fs\n", "serial (shards=1,threads=1)",
               serial.best_seconds);
-  const RunResult pattern =
-      RunConfiguration(ds, query, dag, config, /*shards=*/1, threads, kRounds);
+  const RunResult pattern = RunConfiguration(
+      ds, query, dag, config, /*single_shard=*/true, threads, kRounds);
   std::printf("%-28s best %8.3fs (%.2fx)\n", "pattern-parallel (shards=1)",
               pattern.best_seconds,
               serial.best_seconds / pattern.best_seconds);
-  const RunResult sharded =
-      RunConfiguration(ds, query, dag, config, /*shards=*/0, threads, kRounds);
+  const RunResult sharded = RunConfiguration(
+      ds, query, dag, config, /*single_shard=*/false, threads, kRounds);
   std::printf("%-28s best %8.3fs (%.2fx)\n", "sharded (shards=auto)",
               sharded.best_seconds,
               serial.best_seconds / sharded.best_seconds);

@@ -9,33 +9,46 @@
 
 namespace causumx {
 
+namespace {
+
+size_t ResolvedThreads(const CauSumXConfig& config) {
+  return config.num_threads == 0 ? ThreadPool::DefaultThreads()
+                                 : config.num_threads;
+}
+
+}  // namespace
+
+std::shared_ptr<EvalEngine> MakeRunEngine(std::shared_ptr<const Table> table,
+                                          const CauSumXConfig& config) {
+  EvalEngineOptions options;
+  options.num_shards = 0;  // one shard per pool worker
+  const size_t threads = ResolvedThreads(config);
+  if (threads > 1) options.pool = std::make_shared<ThreadPool>(threads);
+  return std::make_shared<EvalEngine>(std::move(table), std::move(options));
+}
+
 CandidateMiningResult MineExplanationCandidates(
     const Table& table, const GroupByAvgQuery& query, const CausalDag& dag,
     const CauSumXConfig& config, std::shared_ptr<EvalEngine> engine,
     std::shared_ptr<EstimatorContext> estimator_ctx, ThreadPool* pool) {
-  // Resolve the worker pool before the engine: a run-private engine
-  // shares it for shard-parallel segment builds, and the view below
-  // evaluates on it. Precedence: explicit pool > the engine's own pool
-  // (only when the caller left num_threads at the default — an explicit
-  // count is a per-query concurrency bound and must not silently widen
-  // to a shared engine's pool) > a private pool of config.num_threads.
-  const size_t num_threads = config.num_threads == 0
-                                 ? ThreadPool::DefaultThreads()
-                                 : config.num_threads;
+  // Resolve the engine and the worker pool the view and phase 2 run on.
+  // A run lent neither builds one engine that owns the run's pool.
+  // Otherwise: explicit pool > the engine's own pool (only when the
+  // caller left num_threads at the default — an explicit count is a
+  // per-query concurrency bound and must not silently widen to a shared
+  // engine's pool) > a private pool of config.num_threads.
   std::shared_ptr<ThreadPool> private_pool;
-  if (pool == nullptr && config.num_threads == 0 && engine != nullptr) {
+  if (engine == nullptr && pool == nullptr) {
+    engine = MakeRunEngine(BorrowTable(table), config);
     pool = engine->pool();
-  }
-  if (pool == nullptr && num_threads > 1) {
-    private_pool = std::make_shared<ThreadPool>(num_threads);
-    pool = private_pool.get();
-  }
-  if (engine == nullptr) {
-    EvalEngineOptions eopt;
-    eopt.num_shards = config.num_shards;
-    eopt.pool = private_pool;
-    engine =
-        std::make_shared<EvalEngine>(BorrowTable(table), std::move(eopt));
+  } else if (engine == nullptr) {
+    engine = std::make_shared<EvalEngine>(BorrowTable(table));
+  } else if (pool == nullptr) {
+    if (config.num_threads == 0) pool = engine->pool();
+    if (pool == nullptr && ResolvedThreads(config) > 1) {
+      private_pool = std::make_shared<ThreadPool>(ResolvedThreads(config));
+      pool = private_pool.get();
+    }
   }
   if (estimator_ctx == nullptr) {
     estimator_ctx = std::make_shared<EstimatorContext>(engine, dag,

@@ -46,11 +46,6 @@ struct CauSumXConfig {
   size_t rounding_rounds = 64;  ///< randomized-rounding trials (phase 3).
   uint64_t seed = 1234;         ///< seed of the rounding trials.
   size_t num_threads = 0;  ///< 0 = hardware concurrency.
-  /// Row shards for the parallel execution engine: 0 = one shard per
-  /// worker thread, N >= 1 = that many shards (clamped to one per 64-row
-  /// block). Results are bit-identical for every value — sharding only
-  /// changes how the work is scheduled (see util/shard_plan.h).
-  size_t num_shards = 0;
   /// Mine both signs (paper default) or positive-only.
   bool mine_negative = true;
   /// Restrict treatment mining to these attributes (empty = all non-FD
@@ -100,21 +95,29 @@ struct CandidateMiningResult {
   EngineCacheStats cache_stats;  ///< caches after the run.
 };
 
+/// The engine a run builds when its caller lends none: it owns a pool
+/// of config.num_threads workers (hardware concurrency when 0; no pool
+/// when 1) and plans one row shard per worker (see util/shard_plan.h).
+std::shared_ptr<EvalEngine> MakeRunEngine(std::shared_ptr<const Table> table,
+                                          const CauSumXConfig& config);
+
 /// Phases 1 + 2 of Algorithm 1: mine grouping patterns and their top
 /// treatments. Phase-3 parameters (k, theta, solver) are ignored here.
 /// Every evaluation goes through an EvalEngine:
 ///  - `engine` (optional, bound to `table`) shares a predicate-bitset
 ///    cache across runs (exploration sessions, the service, monitors,
 ///    baseline comparisons). When null, a run-private engine borrows
-///    `table` (BorrowTable). A cache-bypass engine
+///    `table` (BorrowTable): MakeRunEngine's when `pool` is null too,
+///    else a serial single-shard one. A cache-bypass engine
 ///    (EvalEngineOptions::cache_enabled = false) is how tests and benches
 ///    run the uncached oracle.
 ///  - `estimator_ctx` (optional, bound to the same engine) shares a CATE
 ///    memo with the caller.
 ///  - `pool` (optional) runs phase 2 on a caller-owned thread pool, so
 ///    the service and monitors spawn no threads per query. When null,
-///    the engine's pool is used if config.num_threads is 0; otherwise a
-///    private pool of config.num_threads is created (none when 1).
+///    the engine's pool is used if the run built the engine or
+///    config.num_threads is 0; otherwise a private pool of
+///    config.num_threads is created (none when 1).
 CandidateMiningResult MineExplanationCandidates(
     const Table& table, const GroupByAvgQuery& query, const CausalDag& dag,
     const CauSumXConfig& config, std::shared_ptr<EvalEngine> engine = nullptr,

@@ -1,26 +1,6 @@
 #include "core/exploration.h"
 
-#include "util/thread_pool.h"
-
 namespace causumx {
-
-namespace {
-
-// Session-private sharded engine: the pool is owned by the engine (and
-// so lives exactly as long as the session's caches), and the shard plan
-// follows the config's --shards knob.
-std::shared_ptr<EvalEngine> MakeSessionEngine(
-    const std::shared_ptr<const Table>& table, const CauSumXConfig& config) {
-  EvalEngineOptions options;
-  options.num_shards = config.num_shards;
-  const size_t threads = config.num_threads == 0
-                             ? ThreadPool::DefaultThreads()
-                             : config.num_threads;
-  if (threads > 1) options.pool = std::make_shared<ThreadPool>(threads);
-  return std::make_shared<EvalEngine>(table, std::move(options));
-}
-
-}  // namespace
 
 ExplorationSession::ExplorationSession(
     std::shared_ptr<const Table> table, GroupByAvgQuery query, CausalDag dag,
@@ -30,12 +10,12 @@ ExplorationSession::ExplorationSession(
       query_(std::move(query)),
       dag_(std::move(dag)),
       config_(std::move(config)),
-      engine_(engine != nullptr ? std::move(engine)
-                                : MakeSessionEngine(table_, config_)),
+      engine_(engine != nullptr ? engine : MakeRunEngine(table_, config_)),
       estimator_(context != nullptr
                      ? std::move(context)
                      : std::make_shared<EstimatorContext>(
-                           engine_, dag_, config_.estimator)) {}
+                           engine_, dag_, config_.estimator)),
+      mining_pool_(engine == nullptr ? engine_->pool() : nullptr) {}
 
 ExplorationSession::ExplorationSession(const Table& table,
                                        GroupByAvgQuery query, CausalDag dag,
@@ -46,7 +26,7 @@ ExplorationSession::ExplorationSession(const Table& table,
 void ExplorationSession::EnsureMined() {
   if (!mined_) {
     mined_ = MineExplanationCandidates(*table_, query_, dag_, config_,
-                                       engine_, estimator_);
+                                       engine_, estimator_, mining_pool_);
   }
 }
 

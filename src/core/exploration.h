@@ -36,7 +36,8 @@ class ExplorationSession {
   /// `engine` / `context` (optional) let the session borrow warm caches —
   /// typically from an ExplanationService table entry — instead of
   /// constructing its own; both must be bound to `table` (and `context`
-  /// to `engine`).
+  /// to `engine`). Without `engine`, the session builds MakeRunEngine's
+  /// and mines on that engine's pool.
   ExplorationSession(std::shared_ptr<const Table> table,
                      GroupByAvgQuery query, CausalDag dag,
                      CauSumXConfig config = {},
@@ -93,6 +94,7 @@ class ExplorationSession {
   CauSumXConfig config_;
   std::shared_ptr<EvalEngine> engine_;
   std::shared_ptr<EstimatorContext> estimator_;  // bound to engine_
+  ThreadPool* mining_pool_;  // engine_'s pool if the session built engine_
   std::optional<CandidateMiningResult> mined_;
 };
 

@@ -34,6 +34,7 @@ void WriteEngineStats(JsonWriter& w, const EvalEngineStats& e) {
       .Key("bitset_bytes").Uint(e.bitset_bytes)
       .Key("view_bytes").Uint(e.view_bytes)
       .Key("num_shards").Uint(e.num_shards)
+      .Key("segments_compressed").Uint(e.segments_compressed)
       .EndObject();
 }
 
@@ -82,7 +83,6 @@ HttpResponse HandleStats(ExplanationService& service,
   }
   w.Key("options").BeginObject()
       .Key("num_threads").Uint(service.pool().NumThreads())
-      .Key("num_shards").Uint(service.options().num_shards)
       .Key("memory_budget_bytes").Uint(service.options().memory_budget_bytes)
       .EndObject();
   w.Key("tables").BeginArray();

@@ -15,9 +15,8 @@
 // batch file and to the CLI's --json output.
 //
 // Row sharding is a property of the registered table, not of one
-// request: the service-level --shards (ServiceOptions::num_shards)
-// fixes each table's shard plan at registration, and every batch query
-// executes through it.
+// request: each table's engine plans one row shard per service-pool
+// worker at registration, and every batch query executes through it.
 //
 // Streaming ingestion rides the same file via an "op" field:
 //

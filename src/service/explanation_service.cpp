@@ -44,12 +44,10 @@ std::string ContextKey(const CausalDag& dag, const EstimatorOptions& opt) {
 }
 
 // The engine-configuration suffix of a warm-snapshot key. Every service
-// engine caches ("c1") and compresses segments under kAuto ("z0"); both
-// tags stay literal so data dirs written while they were options still
-// restore warm.
-std::string EngineConfigSuffix(size_t num_shards) {
-  return StrFormat("|s%zu|c1|z0", num_shards);
-}
+// engine plans one shard per pool worker ("s0"), caches ("c1") and
+// compresses segments under kAuto ("z0"); the tags stay literal so data
+// dirs written while they were options still restore warm.
+constexpr char kEngineConfigSuffix[] = "|s0|c1|z0";
 
 // The content part of a warm-snapshot key.
 std::string HashTag(const Table& table) {
@@ -58,8 +56,15 @@ std::string HashTag(const Table& table) {
 
 // A warm snapshot's identity: its rows, then the engine configuration.
 // No data version: the same rows restore warm however they were built.
-std::string WarmSnapshotKey(const Table& table, size_t num_shards) {
-  return HashTag(table) + EngineConfigSuffix(num_shards);
+std::string WarmSnapshotKey(const Table& table) {
+  return HashTag(table) + kEngineConfigSuffix;
+}
+
+// The one key check: `key` starts with `table`'s `h<content hash>` and
+// ends with the config suffix (so older `h…|vN|s…` keys match).
+bool KeyMatches(const std::string& key, const Table& table) {
+  return key.starts_with(HashTag(table)) &&
+         key.ends_with(kEngineConfigSuffix);
 }
 
 // Warm-state snapshot container identity (storage/snapshot.h).
@@ -112,10 +117,7 @@ ExplanationService::ExplanationService(ServiceOptions options)
 }
 
 EvalEngineOptions ExplanationService::EngineOptions() const {
-  EvalEngineOptions options;
-  options.num_shards = options_.num_shards;
-  options.pool = pool_;
-  return options;
+  return EvalEngineOptions{.num_shards = 0, .pool = pool_};
 }
 
 std::shared_ptr<const Table> ExplanationService::RegisterTable(
@@ -371,19 +373,13 @@ std::string ExplanationService::SnapshotPath(const std::string& name) const {
   return options_.data_dir + "/" + EncodeFileStem(name) + ".snap";
 }
 
-bool ExplanationService::KeyMatches(const std::string& key,
-                                    const Table& table) const {
-  return key.starts_with(HashTag(table)) &&
-         key.ends_with(EngineConfigSuffix(options_.num_shards));
-}
-
 size_t ExplanationService::SaveSnapshot(const std::string& name) {
   const std::string path = SnapshotPath(name);
   const TableEntry entry = Snapshot(name);
   // All export work happens on the captured entry, outside every lock of
   // this class (the engine and contexts synchronize themselves).
   SnapshotWriter writer(kWarmSnapshotKind, kWarmSnapshotVersion,
-                        WarmSnapshotKey(*entry.table, options_.num_shards));
+                        WarmSnapshotKey(*entry.table));
   writer.AddSection("table", SerializeTable(*entry.table));
   writer.AddSection("engine", entry.engine->ExportCacheState());
   size_t ctx_index = 0;

@@ -45,14 +45,12 @@ struct ServiceOptions {
   /// + CATE memo entries) summed over every registered table.
   /// 0 = unlimited.
   size_t memory_budget_bytes = 0;
-  /// Worker threads for ExplainAsync / batch execution (0 = hardware).
+  /// Workers of the service pool (0 = hardware concurrency). Every
+  /// query whose config leaves num_threads at 0 mines on it, as do
+  /// ExplainAsync and batch requests, and each registered table's engine
+  /// plans one row shard per worker (fixed at registration, kept across
+  /// appends).
   size_t num_threads = 0;
-  /// Row shards per registered table (the --shards knob): 0 = one shard
-  /// per worker thread, N >= 1 = that many shards, clamped to one per
-  /// 64-row block — so 1, huge values, and 0 are all valid and produce
-  /// bit-identical results; only the parallelism granularity changes.
-  /// The shard size is fixed at registration and survives appends.
-  size_t num_shards = 0;
   /// Directory for durable snapshots (columnar table + warm caches),
   /// created at construction if missing. Empty = persistence off. When
   /// set, registering a table restores its caches from its snapshot of
@@ -327,13 +325,9 @@ class ExplanationService {
   /// Resolves the entry or throws std::out_of_range. Caller holds no lock.
   TableEntry Snapshot(const std::string& name) const CAUSUMX_EXCLUDES(mu_);
 
-  /// Engine configuration for a newly registered table (shard count and
-  /// the shared pool).
+  /// Engine configuration for a newly registered table: the shared
+  /// pool, one row shard per worker.
   EvalEngineOptions EngineOptions() const;
-
-  /// The one key check: `key` starts with `table`'s `h<content hash>`
-  /// and ends with the config suffix (so older `h…|vN|s…` keys match).
-  bool KeyMatches(const std::string& key, const Table& table) const;
 
   /// The snapshot file for `name`, or null when absent or unreadable (the
   /// latter counted as rejected). Throws std::logic_error without a data_dir.

@@ -37,7 +37,7 @@ MonitorSpec MonitorSpec::Parse(std::string json) {
   // The members a monitor spec adds to its explain request.
   spec.explain =
       ExplainSpec::Parse(doc, {"window", "thresholds", "emit_summaries",
-                               "max_events", "compression", "num_shards"});
+                               "max_events"});
   if (spec.explain.table.empty()) {
     throw std::runtime_error("monitor spec is missing \"table\"");
   }
@@ -81,19 +81,6 @@ MonitorSpec MonitorSpec::Parse(std::string json) {
   }
   spec.emit_summaries = doc.GetBool("emit_summaries", false);
   spec.max_events = JsonCountField(doc, "max_events", spec.max_events, 1);
-  spec.num_shards = JsonCountField(doc, "num_shards", 0, 0);
-
-  const std::string compression = ToLower(doc.GetString("compression"));
-  if (compression.empty() || compression == "auto") {
-    spec.compression = SegmentCompression::kAuto;
-  } else if (compression == "never") {
-    spec.compression = SegmentCompression::kNever;
-  } else if (compression == "always") {
-    spec.compression = SegmentCompression::kAlways;
-  } else {
-    throw std::runtime_error("monitor: unknown \"compression\" policy \"" +
-                             compression + "\"");
-  }
   spec.json = std::move(json);
   return spec;
 }
@@ -106,7 +93,6 @@ StreamMonitor::StreamMonitor(std::string id, MonitorSpec spec,
       origin_(bound_table.NumRows()),
       bound_(spec_.explain.Bind(bound_table)),
       mining_pool_(mining_pool) {
-  bound_.config.num_shards = spec_.num_shards;
   // Windows mine on mining_pool_ when there is one; a null pool means
   // serial, never a private per-window pool.
   bound_.config.num_threads = 1;
@@ -116,11 +102,8 @@ StreamMonitor::StreamMonitor(std::string id, MonitorSpec spec,
 }
 
 void StreamMonitor::BuildColdCachesLocked() {
-  EvalEngineOptions options;
-  options.num_shards = bound_.config.num_shards;
-  options.pool = nullptr;  // window shard work runs serial (windows are small)
-  options.compression = spec_.compression;
-  engine_ = std::make_shared<EvalEngine>(window_table_, options);
+  // No pool: window shard work runs serial (windows are small).
+  engine_ = std::make_shared<EvalEngine>(window_table_);
   context_ = std::make_shared<EstimatorContext>(engine_, bound_.dag,
                                                 bound_.config.estimator);
 }

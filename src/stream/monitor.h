@@ -98,10 +98,7 @@ struct MonitorSpec {
   MonitorThresholds thresholds;  ///< "thresholds": {cate_delta, topk_churn}
   bool emit_summaries = false;   ///< a `summary` event per window
   size_t max_events = 4096;      ///< event buffer capacity; >= 1
-  /// Window cache segment compression: auto, never or always.
-  SegmentCompression compression = SegmentCompression::kAuto;
-  size_t num_shards = 0;  ///< window engine row shards (0 = per thread)
-  std::string json;       ///< the creation document, verbatim
+  std::string json;              ///< the creation document, verbatim
 
   /// Parses and validates `json`; throws std::runtime_error naming the
   /// field at fault, including any member that is neither an explain

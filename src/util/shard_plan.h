@@ -26,10 +26,11 @@
 //     dropped prefix that is a whole number of shards shifts boundaries
 //     by exactly that many shards, so surviving segments are shared too.
 //
-// The `--shards N` knob resolves to a shard size of ceil(rows / N)
-// rounded up to a block multiple; N = 0 means one shard per available
-// worker thread. Out-of-range requests clamp (a shard is never smaller
-// than one block and never empty), so any N is valid.
+// A requested shard count N (EvalEngineOptions::num_shards) resolves to
+// a shard size of ceil(rows / N) rounded up to a block multiple; N = 0,
+// the layout every product engine uses, means one shard per worker
+// thread. Out-of-range requests clamp (a shard is never smaller than
+// one block and never empty), so any N is valid.
 //
 // Layering note: this lives in src/util (it depends on nothing but
 // <cstddef>) precisely so lower layers — the dataset layer's sharded

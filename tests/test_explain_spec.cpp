@@ -155,6 +155,20 @@ TEST(ExplainSpecTest, EveryBadFieldIsRejectedByName) {
   EXPECT_THROW(ParseQueryRequest(JsonValue::Parse(
                    "{\"group_by\":\"G\",\"avg\":\"Y\",\"window\":{}}")),
                std::runtime_error);
+  // Row shards and segment compression are the engine's to choose: a
+  // monitor spec carrying either names it in the error.
+  for (const std::string field : {"num_shards", "compression"}) {
+    try {
+      MonitorSpec::Parse("{\"table\":\"t\",\"group_by\":\"G\",\"avg\":\"Y\","
+                         "\"window\":{\"size_rows\":10},\"" +
+                         field + "\":2}");
+      ADD_FAILURE() << field << " accepted";
+    } catch (const std::runtime_error& e) {
+      EXPECT_NE(std::string(e.what()).find("\"" + field + "\""),
+                std::string::npos)
+          << e.what();
+    }
+  }
   EXPECT_NO_THROW(ParseQueryRequest(JsonValue::Parse(
       "{\"id\":\"q\",\"op\":\"query\",\"group_by\":\"G\",\"avg\":\"Y\"}")));
 }
@@ -305,6 +319,8 @@ TEST(ExplainSpecTest, RemoteSurfacesRejectBadFieldsByName) {
   } kCases[] = {{"\"k\":-1", "k"},         {"\"k\":0", "k"},
                 {"\"k\":1.5", "k"},        {"\"theta\":2", "theta"},
                 {"\"num_threads\":8", "num_threads"},
+                {"\"num_shards\":2", "num_shards"},
+                {"\"compression\":\"always\"", "compression"},
                 {"\"frobnicate\":true", "frobnicate"}};
   for (const auto& c : kCases) {
     const std::string quoted = std::string("\"") + c.field + "\"";

@@ -232,8 +232,9 @@ TEST_P(ShardedPropertyTest, CatesMatchAcrossShardCounts) {
   }
 }
 
-// Case family 4: end-to-end summaries — RunCauSumX at shards=1/threads=1
-// versus sharded multi-threaded runs render identical JSON.
+// Case family 4: end-to-end summaries — RunCauSumX at threads=1 (one
+// shard) versus runs on explicitly sharded engines over a 3-worker pool
+// render identical JSON.
 TEST_P(ShardedPropertyTest, EndToEndSummariesMatch) {
   const RandomWorld w = MakeWorld(GetParam() * 109 + 5);
   Rng rng(GetParam() * 23 + 4);
@@ -254,15 +255,13 @@ TEST_P(ShardedPropertyTest, EndToEndSummariesMatch) {
 
   CauSumXConfig serial_config = base_config;
   serial_config.num_threads = 1;
-  serial_config.num_shards = 1;
   const CauSumXResult serial = RunCauSumX(*w.table, q, dag, serial_config);
 
+  auto pool = std::make_shared<ThreadPool>(3);
   for (const size_t shards : {2, 7, 16}) {
-    CauSumXConfig sharded_config = base_config;
-    sharded_config.num_threads = 3;
-    sharded_config.num_shards = shards;
     const CauSumXResult sharded =
-        RunCauSumX(*w.table, q, dag, sharded_config);
+        RunCauSumX(*w.table, q, dag, base_config,
+                   MakeShardedEngine(w.table, shards, pool));
     EXPECT_EQ(SummaryToJson(serial.summary), SummaryToJson(sharded.summary))
         << "shards=" << shards;
     EXPECT_EQ(serial.view.NumGroups(), sharded.view.NumGroups());
@@ -272,13 +271,14 @@ TEST_P(ShardedPropertyTest, EndToEndSummariesMatch) {
   CauSumXConfig greedy_serial = base_config;
   greedy_serial.solver = FinalStepSolver::kGreedy;
   greedy_serial.num_threads = 1;
-  greedy_serial.num_shards = 1;
-  CauSumXConfig greedy_sharded = greedy_serial;
-  greedy_sharded.num_threads = 3;
-  greedy_sharded.num_shards = 5;
+  CauSumXConfig greedy_sharded = base_config;
+  greedy_sharded.solver = FinalStepSolver::kGreedy;
   EXPECT_EQ(
       SummaryToJson(RunCauSumX(*w.table, q, dag, greedy_serial).summary),
-      SummaryToJson(RunCauSumX(*w.table, q, dag, greedy_sharded).summary));
+      SummaryToJson(RunCauSumX(*w.table, q, dag, greedy_sharded,
+                               MakeShardedEngine(w.table, 5, pool),
+                               nullptr, pool.get())
+                        .summary));
 }
 
 // Case family 5: random append batches through the delta-extension path.

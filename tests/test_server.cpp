@@ -339,11 +339,21 @@ TEST(RestApiTest, HealthzAndStatsAndTables) {
   EXPECT_EQ(tables.status, 200);
   EXPECT_NE(tables.body.find("\"name\":\"synthetic\""), std::string::npos);
 
+  ASSERT_EQ(client.Request("POST", "/v1/explain", w.ExplainBody()).status,
+            200);
   const auto stats = client.Request("GET", "/v1/stats");
   EXPECT_EQ(stats.status, 200);
   const JsonValue parsed = JsonValue::Parse(stats.body);
   EXPECT_EQ(parsed.Find("service")->GetNumber("tables_registered", -1), 1);
   EXPECT_EQ(parsed.Find("tables")->AsArray().size(), 1u);
+  // The table's engine object shows how many resident segments the
+  // kAuto compression policy compressed.
+  const JsonValue* engine = parsed.Find("tables")->AsArray()[0].Find("engine");
+  ASSERT_NE(engine, nullptr);
+  ASSERT_NE(engine->Find("segments_compressed"), nullptr);
+  EXPECT_EQ(engine->GetNumber("segments_compressed", -1),
+            static_cast<double>(
+                w.service.Engine("synthetic")->Stats().segments_compressed));
 }
 
 TEST(RestApiTest, ExplainIsBitIdenticalToDirectRun) {
@@ -610,14 +620,24 @@ TEST(RestApiMonitorTest, CreateListGetDeleteLifecycle) {
                 .status,
             404);
   EXPECT_EQ(client.Request("POST", "/v1/monitors", "{no spec").status, 400);
-  for (const std::string bad :
-       {"\"k\":-1,", "\"k\":1.5,", "\"k\":1e30,", "\"num_threads\":8,"}) {
-    EXPECT_EQ(client
-                  .Request("POST", "/v1/monitors",
-                           "{" + bad + MonitorServerWorld::Spec().substr(1))
-                  .status,
-              400)
-        << bad;
+  const struct {
+    const char* member;
+    const char* field;  // named, quoted, in the error
+  } kBad[] = {{"\"k\":-1,", "k"},
+              {"\"k\":1.5,", "k"},
+              {"\"k\":1e30,", "k"},
+              {"\"num_threads\":8,", "num_threads"},
+              {"\"num_shards\":2,", "num_shards"},
+              {"\"compression\":\"always\",", "compression"}};
+  for (const auto& bad : kBad) {
+    const auto r = client.Request(
+        "POST", "/v1/monitors",
+        "{" + std::string(bad.member) + MonitorServerWorld::Spec().substr(1));
+    EXPECT_EQ(r.status, 400) << bad.member;
+    EXPECT_NE(JsonValue::Parse(r.body).GetString("error").find(
+                  std::string("\"") + bad.field + "\""),
+              std::string::npos)
+        << r.body;
   }
   EXPECT_EQ(client.Request("PUT", "/v1/monitors").status, 405);
 

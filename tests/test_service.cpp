@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <future>
 #include <stdexcept>
 #include <vector>
@@ -137,33 +138,34 @@ TEST(ServiceTest, TightBudgetEvictsButResultsAreIdentical) {
   EXPECT_GT(engine_stats.bitsets_evicted, 0u);
 }
 
-// --shards edge values: 0 (auto), 1 (serial reference), and a count far
-// beyond the row count (clamps to one shard per 64-row block) must all
+// A table's shard plan follows the service pool, one shard per worker:
+// one thread (the serial single-shard reference) and larger pools must
 // produce bit-identical summaries, and the resolved plan must respect
-// the clamp.
-TEST(ServiceTest, ShardKnobEdgeValuesAreValidAndBitIdentical) {
+// the one-shard-per-64-row-block clamp (counts beyond it are covered by
+// ShardPlanTest.OversizedShardCountClamps).
+TEST(ServiceTest, PoolSizedShardPlansAreBitIdentical) {
   GeneratedDataset ds = MakeData();
   const CauSumXConfig config = MakeConfig(ds);
   const size_t rows = ds.table.NumRows();
 
   std::string reference;
-  for (const size_t shards : {size_t{1}, size_t{0}, size_t{7}, rows * 10}) {
+  for (const size_t threads : {size_t{1}, size_t{2}, size_t{3}, size_t{7}}) {
     ServiceOptions options;
-    options.num_shards = shards;
-    options.num_threads = 3;
+    options.num_threads = threads;
     ExplanationService service(options);
     service.RegisterTable("t", std::move(MakeData().table));
     const CauSumXResult r =
         service.Explain("t", ds.default_query, ds.dag, config);
     const auto& plan = service.Engine("t")->plan();
-    EXPECT_GE(plan.NumShards(), size_t{1}) << "shards=" << shards;
-    EXPECT_LE(plan.NumShards(), (rows + 63) / 64) << "shards=" << shards;
-    if (shards == 1) {
+    EXPECT_GE(plan.NumShards(), size_t{1}) << "threads=" << threads;
+    EXPECT_LE(plan.NumShards(), std::min(threads, (rows + 63) / 64))
+        << "threads=" << threads;
+    if (threads == 1) {
       EXPECT_EQ(plan.NumShards(), size_t{1});
       reference = SummaryToJson(r.summary);
     } else {
       EXPECT_EQ(SummaryToJson(r.summary), reference)
-          << "shards=" << shards;
+          << "threads=" << threads;
     }
     EXPECT_EQ(service.Engine("t")->Stats().num_shards, plan.NumShards());
   }
@@ -183,8 +185,7 @@ TEST(ServiceTest, TightBudgetEvictsPerShardSegments) {
 
   ServiceOptions tight;
   tight.memory_budget_bytes = 4 * 1024;
-  tight.num_shards = 8;
-  tight.num_threads = 3;
+  tight.num_threads = 8;  // an 8-shard plan
   ExplanationService service(tight);
   service.RegisterTable("t", std::move(ds.table));
   for (int round = 0; round < 3; ++round) {

@@ -652,10 +652,10 @@ TEST(ServicePersistenceTest, RestoreAfterAppendIsWarmAndBitIdentical) {
   const std::string cold_json = SummaryToJson(
       reference.Explain("t", ds.default_query, ds.dag, config).summary);
 
-  // Any fixed shard count (like the default one-per-worker 0) plans the
-  // grown table with a different shard size than its derived engine.
+  // Any pool size (here four workers, so four shards) plans the grown
+  // table with a different shard size than its derived engine.
   ServiceOptions options = PersistentOptions(dir.path);
-  options.num_shards = 4;
+  options.num_threads = 4;
   size_t written_shard_rows = 0;
   {
     ExplanationService service(options);

@@ -649,8 +649,7 @@ TEST(ServiceAppendTest, ShardedAppendMidQueryStaysConsistent) {
   const size_t base_rows = (total * 3) / 4;
 
   ServiceOptions sharded;
-  sharded.num_shards = 6;
-  sharded.num_threads = 3;
+  sharded.num_threads = 6;  // a 6-shard plan
 
   std::vector<std::string> expected;
   for (const size_t rows : {base_rows, total}) {
@@ -811,8 +810,7 @@ TEST(MonitorConcurrencyTest, SoakAppendsLongPollAndSnapshots) {
       "{\"table\":\"t\",\"group_by\":[\"grp\"],\"avg\":\"val\","
       "\"dag_text\":\"trt -> val\\n\",\"grouping_attrs\":[\"grp\"],"
       "\"treatment_attrs\":[\"trt\"],\"alpha\":0.99,\"min_group_size\":3,"
-      "\"support\":0.1,\"num_shards\":3,\"compression\":\"always\","
-      "\"emit_summaries\":true,"
+      "\"support\":0.1,\"emit_summaries\":true,"
       "\"window\":{\"kind\":\"sliding\",\"size_rows\":40,"
       "\"slide_rows\":20}}");
 

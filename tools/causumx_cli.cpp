@@ -6,13 +6,12 @@
 //           [--dag graph.txt | --discover pc|fci|lingam|nodag]
 //           [--k 5] [--theta 0.75] [--support 0.1] [--alpha 0.05]
 //           [--where "Attr=value"] [--json] [--top-treatments N]
-//           [--stats] [--append rows.csv]
-//           [--threads N] [--shards N]
+//           [--stats] [--append rows.csv] [--threads N]
 //
-// --shards N partitions the table into N row shards executed in
-// parallel on the worker pool (0 = one shard per thread, 1 = the serial
-// reference path). Results are bit-identical for every value; only the
-// speed changes.
+// --threads N sizes the one worker pool a run starts (0 = one worker
+// per hardware thread); the table is split into one row shard per
+// worker. Results are bit-identical for every value; only the speed
+// changes.
 //
 // --append demonstrates streaming ingestion: the query runs on data.csv,
 // the rows of rows.csv (same schema, matched by header name) are
@@ -41,7 +40,7 @@
 // caches over REST (see docs/API.md for the endpoints):
 //
 //   causumx serve --port 8080 [--host 0.0.0.0] [--csv data.csv]
-//                 [--table NAME] [--threads N] [--shards N]
+//                 [--table NAME] [--threads N]
 //                 [--budget-mb N] [--max-body-mb N] [--queue N]
 //                 [--data-dir DIR]
 //
@@ -57,7 +56,7 @@
 // Snapshot mode writes a durable snapshot of a CSV without serving:
 //
 //   causumx snapshot --csv data.csv --data-dir DIR [--table NAME]
-//                    [--shards N] [--threads N]
+//                    [--threads N]
 //
 // Monitor mode replays a CSV through the windowed continuous-monitoring
 // subsystem (src/stream/) and prints the monitor's drift/summary events
@@ -65,7 +64,7 @@
 //
 //   causumx monitor --spec spec.json --replay data.csv
 //                   [--seed-rows N] [--batch-rows M] [--table NAME]
-//                   [--threads N] [--shards N] [--data-dir DIR]
+//                   [--threads N] [--data-dir DIR]
 //
 // The first --seed-rows rows register as the table (default 0: an
 // empty table carrying just the CSV's schema); the remainder streams
@@ -136,7 +135,6 @@ struct CliOptions {
   size_t batch_rows = 1;
   // Operator settings.
   size_t threads = 0;
-  size_t shards = 0;  // 0 = one shard per worker thread
   size_t budget_mb = 0;
 };
 
@@ -147,20 +145,18 @@ void PrintUsage() {
                "               [--k N] [--theta F] [--support F] [--alpha F]\n"
                "               [--where \"Attr=value\"] [--json]\n"
                "               [--top-treatments N] [--stats]\n"
-               "               [--append rows.csv] [--threads N] [--shards N]\n"
+               "               [--append rows.csv] [--threads N]\n"
                "   or: causumx --batch FILE.jsonl [--csv FILE]\n"
-               "               [--budget-mb N] [--threads N] [--shards N]\n"
-               "               [--stats]\n"
+               "               [--budget-mb N] [--threads N] [--stats]\n"
                "   or: causumx serve [--port N] [--host ADDR] [--csv FILE]\n"
-               "               [--table NAME] [--threads N] [--shards N]\n"
+               "               [--table NAME] [--threads N]\n"
                "               [--budget-mb N] [--max-body-mb N] [--queue N]\n"
                "               [--data-dir DIR]\n"
                "   or: causumx snapshot --csv FILE --data-dir DIR\n"
-               "               [--table NAME] [--shards N] [--threads N]\n"
+               "               [--table NAME] [--threads N]\n"
                "   or: causumx monitor --spec FILE --replay FILE.csv\n"
                "               [--seed-rows N] [--batch-rows M]\n"
-               "               [--table NAME] [--threads N] [--shards N]\n"
-               "               [--data-dir DIR]\n"
+               "               [--table NAME] [--threads N] [--data-dir DIR]\n"
                "see docs/CLI.md for the full reference\n");
 }
 
@@ -225,8 +221,6 @@ const std::vector<Flag>& Flags() {
        [](CliOptions* o, const char* v) { o->batch_rows = Count(v); }},
       {"--threads", "esm",
        [](CliOptions* o, const char* v) { o->threads = Count(v); }},
-      {"--shards", "esm",
-       [](CliOptions* o, const char* v) { o->shards = Count(v); }},
       {"--budget-mb", "es",
        [](CliOptions* o, const char* v) { o->budget_mb = Count(v); }},
   };
@@ -278,7 +272,6 @@ ServiceOptions MakeServiceOptions(const CliOptions& opt) {
   ServiceOptions options;
   options.memory_budget_bytes = opt.budget_mb * (1 << 20);
   options.num_threads = opt.threads;
-  options.num_shards = opt.shards;
   options.data_dir = opt.data_dir;
   return options;
 }
@@ -515,8 +508,8 @@ int RunMonitorMode(const CliOptions& opt) {
 
 // ---- snapshot mode ---------------------------------------------------------
 
-// `causumx snapshot` accepts the serve-mode flags (csv/table/shards/
-// threads/data-dir); the serve-only ones are ignored.
+// `causumx snapshot` accepts the serve-mode flags (csv/table/threads/
+// data-dir); the serve-only ones are ignored.
 int RunSnapshotMode(const CliOptions& opt) {
   if (opt.csv_path.empty() || opt.data_dir.empty()) {
     std::fprintf(stderr,
@@ -653,12 +646,11 @@ int main(int argc, char** argv) {
                    "unadjusted for confounding — supply a DAG for "
                    "trustworthy estimates.\n");
     }
-    // Operator settings, applied over the spec's binding.
-    bound.config.num_threads = opt.threads;
-    bound.config.num_shards = opt.shards;
-    const GroupByAvgQuery& query = bound.query;
-
+    // --append runs on the service pool (num_threads stays 0); a single
+    // query's session builds its engine with the operator's pool.
     if (!opt.append_path.empty()) return RunAppendMode(opt, table, bound);
+    bound.config.num_threads = opt.threads;
+    const GroupByAvgQuery& query = bound.query;
 
     ExplorationSession session(table, query, bound.dag, bound.config);
     const ExplanationSummary summary = session.Solve();
