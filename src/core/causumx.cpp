@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "lp/rounding.h"
+#include "util/string_utils.h"
 #include "util/thread_pool.h"
 
 namespace causumx {
@@ -14,6 +15,39 @@ namespace {
 size_t ResolvedThreads(const CauSumXConfig& config) {
   return config.num_threads == 0 ? ThreadPool::DefaultThreads()
                                  : config.num_threads;
+}
+
+// Length-prefixed fields keep MiningKey unambiguous for any attribute
+// name or string value.
+void PutField(std::string* key, const std::string& field) {
+  *key += std::to_string(field.size());
+  key->push_back(':');
+  *key += field;
+}
+
+void PutNumber(std::string* key, double x) {
+  PutField(key, StrFormat("%.17g", x));
+}
+
+void PutCount(std::string* key, uint64_t n) {
+  PutField(key, std::to_string(n));
+}
+
+void PutList(std::string* key, const std::vector<std::string>& list) {
+  PutCount(key, list.size());
+  for (const std::string& s : list) PutField(key, s);
+}
+
+void PutValue(std::string* key, const Value& v) {
+  if (v.is_null()) {
+    PutField(key, "n");
+  } else if (v.is_int()) {
+    PutField(key, "i" + std::to_string(v.AsInt()));
+  } else if (v.is_double()) {
+    PutField(key, StrFormat("d%.17g", v.AsDouble()));
+  } else {
+    PutField(key, "s" + v.AsString());
+  }
 }
 
 }  // namespace
@@ -159,6 +193,44 @@ CandidateMiningResult MineExplanationCandidates(
   return result;
 }
 
+std::string MiningKey(const GroupByAvgQuery& query,
+                      const CauSumXConfig& config) {
+  std::string key;
+  PutList(&key, query.group_by);
+  PutField(&key, query.avg_attribute);
+  PutCount(&key, query.where.predicates().size());
+  for (const SimplePredicate& p : query.where.predicates()) {
+    PutField(&key, p.attribute);
+    PutCount(&key, static_cast<uint64_t>(p.op));
+    PutValue(&key, p.value);
+  }
+  PutNumber(&key, config.apriori_support);
+  const GroupingMinerOptions& g = config.grouping;
+  PutCount(&key, g.apriori.max_length);
+  PutCount(&key, g.apriori.max_values_per_attribute);
+  PutCount(&key, g.include_per_group_patterns ? 1 : 0);
+  const TreatmentMinerOptions& t = config.treatment;
+  PutCount(&key, t.max_depth);
+  PutNumber(&key, t.near_zero_fraction);
+  PutNumber(&key, t.level_keep_fraction);
+  PutCount(&key, t.max_level_width);
+  PutCount(&key, t.max_values_per_attribute);
+  PutCount(&key, t.numeric_bins);
+  PutNumber(&key, t.alpha);
+  PutNumber(&key, t.min_treated_fraction);
+  const EstimatorOptions& e = config.estimator;
+  PutCount(&key, e.min_group_size);
+  PutCount(&key, e.sample_cap);
+  PutCount(&key, e.sample_seed);
+  PutCount(&key, e.max_onehot_levels);
+  PutCount(&key, static_cast<uint64_t>(e.method));
+  PutNumber(&key, e.propensity_clip);
+  PutCount(&key, config.mine_negative ? 1 : 0);
+  PutList(&key, config.treatment_attribute_allowlist);
+  PutList(&key, config.grouping_attribute_allowlist);
+  return key;
+}
+
 ExplanationSummary SelectExplanations(
     const std::vector<Explanation>& candidates, size_t num_groups,
     const CauSumXConfig& config, PhaseTimer* timings, ThreadPool* pool) {
@@ -214,27 +286,35 @@ ExplanationSummary SelectExplanations(
   return summary;
 }
 
+CauSumXResult ResultFromCandidates(const CandidateMiningResult& mined,
+                                   const CauSumXConfig& config,
+                                   ThreadPool* pool) {
+  CauSumXResult result;
+  result.view = mined.view;
+  result.partition = mined.partition;
+  result.num_grouping_candidates = mined.num_grouping_candidates;
+  result.num_candidates_with_treatment = mined.candidates.size();
+  result.treatment_patterns_evaluated = mined.treatment_patterns_evaluated;
+  result.cache_stats = mined.cache_stats;
+  if (result.view.NumGroups() == 0) return result;
+  result.summary = SelectExplanations(mined.candidates,
+                                      result.view.NumGroups(), config,
+                                      &result.timings, pool);
+  return result;
+}
+
 CauSumXResult RunCauSumX(const Table& table, const GroupByAvgQuery& query,
                          const CausalDag& dag, const CauSumXConfig& config,
                          std::shared_ptr<EvalEngine> engine,
                          std::shared_ptr<EstimatorContext> estimator_ctx,
                          ThreadPool* pool) {
-  CauSumXResult result;
-  CandidateMiningResult mined =
+  const CandidateMiningResult mined =
       MineExplanationCandidates(table, query, dag, config, std::move(engine),
                                 std::move(estimator_ctx), pool);
-  result.view = std::move(mined.view);
-  result.partition = std::move(mined.partition);
-  result.num_grouping_candidates = mined.num_grouping_candidates;
-  result.num_candidates_with_treatment = mined.candidates.size();
-  result.treatment_patterns_evaluated = mined.treatment_patterns_evaluated;
-  result.timings = mined.timings;
-  result.cache_stats = mined.cache_stats;
-  if (result.view.NumGroups() == 0) return result;
-
-  result.summary = SelectExplanations(mined.candidates,
-                                      result.view.NumGroups(), config,
-                                      &result.timings, pool);
+  CauSumXResult result = ResultFromCandidates(mined, config, pool);
+  for (const auto& [phase, seconds] : mined.timings.phases()) {
+    result.timings.Add(phase, seconds);
+  }
   return result;
 }
 

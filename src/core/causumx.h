@@ -82,7 +82,8 @@ struct CauSumXResult {
 };
 
 /// Output of phases 1 + 2 (mining), reusable across phase-3 parameter
-/// changes — see ExplorationSession in core/exploration.h.
+/// changes — see ExplorationSession in core/exploration.h and the
+/// service's candidate cache (service/explanation_service.h).
 struct CandidateMiningResult {
   AggregateView view;            ///< Q(D), the explained view.
   AttributePartition partition;  ///< grouping vs treatment attributes.
@@ -124,6 +125,16 @@ CandidateMiningResult MineExplanationCandidates(
     std::shared_ptr<EstimatorContext> estimator_ctx = nullptr,
     ThreadPool* pool = nullptr);
 
+/// The identity of a mining run over a fixed table and DAG: the query and
+/// every CauSumXConfig field phases 1 + 2 read (apriori_support, the
+/// grouping, treatment and estimator options, mine_negative and both
+/// attribute allowlists). It leaves out k, theta, solver,
+/// rounding_rounds, seed and num_threads, which cannot change the mined
+/// candidates, and grouping.apriori.min_support, which apriori_support
+/// overrides. Equal keys mine identical candidates.
+std::string MiningKey(const GroupByAvgQuery& query,
+                      const CauSumXConfig& config);
+
 /// Phase 3 of Algorithm 1: select <= k candidates covering >= theta * m
 /// groups, maximizing total explainability. `timings` (optional) gains a
 /// "selection" phase entry. `pool` (optional) parallelizes the greedy
@@ -132,6 +143,13 @@ ExplanationSummary SelectExplanations(
     const std::vector<Explanation>& candidates, size_t num_groups,
     const CauSumXConfig& config, PhaseTimer* timings = nullptr,
     ThreadPool* pool = nullptr);
+
+/// Phase 3 over mined candidates, assembled into a full result: view,
+/// partition, counts and cache stats come from `mined`, and the timings
+/// hold the "selection" phase only. `pool` is SelectExplanations'.
+CauSumXResult ResultFromCandidates(const CandidateMiningResult& mined,
+                                   const CauSumXConfig& config,
+                                   ThreadPool* pool = nullptr);
 
 /// Runs CauSumX (Algorithm 1) over the table for the given query and
 /// causal DAG: MineExplanationCandidates, then SelectExplanations. Every

@@ -5,7 +5,8 @@ namespace causumx {
 ExplorationSession::ExplorationSession(
     std::shared_ptr<const Table> table, GroupByAvgQuery query, CausalDag dag,
     CauSumXConfig config, std::shared_ptr<EvalEngine> engine,
-    std::shared_ptr<EstimatorContext> context)
+    std::shared_ptr<EstimatorContext> context,
+    std::shared_ptr<const CandidateMiningResult> mined)
     : table_(std::move(table)),
       query_(std::move(query)),
       dag_(std::move(dag)),
@@ -15,7 +16,8 @@ ExplorationSession::ExplorationSession(
                      ? std::move(context)
                      : std::make_shared<EstimatorContext>(
                            engine_, dag_, config_.estimator)),
-      mining_pool_(engine == nullptr ? engine_->pool() : nullptr) {}
+      mining_pool_(engine == nullptr ? engine_->pool() : nullptr),
+      mined_(std::move(mined)) {}
 
 ExplorationSession::ExplorationSession(const Table& table,
                                        GroupByAvgQuery query, CausalDag dag,
@@ -24,9 +26,10 @@ ExplorationSession::ExplorationSession(const Table& table,
                          std::move(dag), std::move(config)) {}
 
 void ExplorationSession::EnsureMined() {
-  if (!mined_) {
-    mined_ = MineExplanationCandidates(*table_, query_, dag_, config_,
-                                       engine_, estimator_, mining_pool_);
+  if (mined_ == nullptr) {
+    mined_ = std::make_shared<const CandidateMiningResult>(
+        MineExplanationCandidates(*table_, query_, dag_, config_, engine_,
+                                  estimator_, mining_pool_));
   }
 }
 

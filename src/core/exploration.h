@@ -12,7 +12,6 @@
 #define CAUSUMX_CORE_EXPLORATION_H_
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "core/causumx.h"
@@ -37,12 +36,15 @@ class ExplorationSession {
   /// typically from an ExplanationService table entry — instead of
   /// constructing its own; both must be bound to `table` (and `context`
   /// to `engine`). Without `engine`, the session builds MakeRunEngine's
-  /// and mines on that engine's pool.
-  ExplorationSession(std::shared_ptr<const Table> table,
-                     GroupByAvgQuery query, CausalDag dag,
-                     CauSumXConfig config = {},
-                     std::shared_ptr<EvalEngine> engine = nullptr,
-                     std::shared_ptr<EstimatorContext> context = nullptr);
+  /// and mines on that engine's pool. `mined` (optional) is the result of
+  /// mining this query and config on `table`, shared with its owner (the
+  /// service's candidate cache); the session then never mines.
+  ExplorationSession(
+      std::shared_ptr<const Table> table, GroupByAvgQuery query,
+      CausalDag dag, CauSumXConfig config = {},
+      std::shared_ptr<EvalEngine> engine = nullptr,
+      std::shared_ptr<EstimatorContext> context = nullptr,
+      std::shared_ptr<const CandidateMiningResult> mined = nullptr);
 
   /// Convenience binding to a caller-owned table through BorrowTable
   /// (no copy; the caller guarantees the table outlives the session).
@@ -95,7 +97,7 @@ class ExplorationSession {
   std::shared_ptr<EvalEngine> engine_;
   std::shared_ptr<EstimatorContext> estimator_;  // bound to engine_
   ThreadPool* mining_pool_;  // engine_'s pool if the session built engine_
-  std::optional<CandidateMiningResult> mined_;
+  std::shared_ptr<const CandidateMiningResult> mined_;
 };
 
 }  // namespace causumx

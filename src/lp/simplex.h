@@ -1,10 +1,16 @@
-// Dense two-phase primal simplex LP solver.
+// Two-phase bounded-variable primal simplex LP solver.
 //
 // Solves  max c^T x  s.t.  A x {<=,>=,=} b,  0 <= x <= ub.
 // This replaces the paper prototype's use of z3 for the LP relaxation of
-// the explanation-selection ILP (Fig. 5). Problem sizes here are small
-// (variables = #explanation patterns + #groups), so a dense tableau with
-// Bland's anti-cycling rule is entirely adequate and dependency-free.
+// the explanation-selection ILP (Fig. 5). Upper bounds stay implicit: a
+// nonbasic variable sits at either bound and moves between them by a
+// flip, so the tableau has one row per constraint and no bound rows. The
+// starting basis is the slacks; only a row whose slack would start
+// negative (a >= row with positive rhs, an = row) gets a phase-1
+// artificial. Pricing is Dantzig's rule, falling back to Bland's rule
+// after a run of degenerate steps, and a pivot rewrites only the nonzero
+// columns of the pivot row. On the reduced selection LP of Accidents at
+// scale 0.2 (130 candidates) that is a 130 x 389 tableau.
 
 #ifndef CAUSUMX_LP_SIMPLEX_H_
 #define CAUSUMX_LP_SIMPLEX_H_
@@ -47,10 +53,12 @@ struct LpSolution {
   LpStatus status = LpStatus::kInfeasible;
   double objective_value = 0.0;
   std::vector<double> values;  ///< primal values, one per variable.
+  size_t pivots = 0;           ///< simplex pivots plus bound flips made.
 };
 
-/// Solves the LP. `max_iterations` guards against pathological cycling
-/// (Bland's rule makes this a formality).
+/// Solves the LP. `max_iterations` bounds the pivots plus bound flips of
+/// both phases together (kIterLimit past it); the Bland fallback makes
+/// reaching it on a bounded, feasible LP a formality.
 LpSolution SolveLp(const LinearProgram& lp, size_t max_iterations = 100'000);
 
 }  // namespace causumx

@@ -52,6 +52,9 @@ HttpResponse HandleStats(ExplanationService& service,
       .Key("rows_appended").Uint(s.rows_appended)
       .Key("budget_enforcements").Uint(s.budget_enforcements)
       .Key("cache_bytes").Uint(s.cache_bytes)
+      .Key("candidate_hits").Uint(s.candidate_hits)
+      .Key("candidate_misses").Uint(s.candidate_misses)
+      .Key("candidate_bytes").Uint(s.candidate_bytes)
       .Key("append_observer_failures").Uint(s.append_observer_failures)
       .EndObject();
   w.Key("snapshots").BeginObject()

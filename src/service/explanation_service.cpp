@@ -106,7 +106,85 @@ EstimatorOptions GetEstimatorOptions(ByteReader* r) {
   return opt;
 }
 
+// Accounted bytes of a pattern's predicates.
+size_t PatternBytes(const Pattern& p) {
+  size_t bytes = sizeof(Pattern);
+  for (const SimplePredicate& pred : p.predicates()) {
+    bytes += sizeof(SimplePredicate) + pred.attribute.size() +
+             (pred.value.is_string() ? pred.value.AsString().size() : 0);
+  }
+  return bytes;
+}
+
+// Accounted bytes of a mined result held under `key`: the view's row
+// index and group rows, the candidates' coverage bitsets and patterns,
+// and the partition's names. An estimate in the spirit of the memo's
+// EntryBytes, not an allocator measurement.
+size_t MinedBytes(const std::string& key, const CandidateMiningResult& r,
+                  size_t table_rows) {
+  size_t bytes = sizeof(CandidateMiningResult) + 2 * key.size() + 64;
+  bytes += table_rows * sizeof(int32_t);  // the view's row -> group index
+  for (const GroupResult& g : r.view.groups()) {
+    bytes += sizeof(GroupResult) + g.key.size() * sizeof(Value) +
+             g.rows.size() * sizeof(size_t);
+  }
+  for (const Explanation& e : r.candidates) {
+    bytes += sizeof(Explanation) + e.group_coverage.num_words() * 8 +
+             PatternBytes(e.grouping_pattern);
+    if (e.positive) bytes += PatternBytes(e.positive->pattern);
+    if (e.negative) bytes += PatternBytes(e.negative->pattern);
+  }
+  for (const auto* names : {&r.partition.grouping_attributes,
+                            &r.partition.treatment_attributes}) {
+    for (const std::string& n : *names) bytes += sizeof(std::string) + n.size();
+  }
+  return bytes;
+}
+
 }  // namespace
+
+std::shared_ptr<const CandidateMiningResult>
+ExplanationService::CandidateCache::Find(const std::string& key) {
+  util::MutexLock lock(mu_);
+  auto it = entries_.find(key);
+  if (it == entries_.end()) return nullptr;
+  it->second.last_use = ++clock_;
+  return it->second.mined;
+}
+
+std::shared_ptr<const CandidateMiningResult>
+ExplanationService::CandidateCache::Insert(
+    const std::string& key, std::shared_ptr<const CandidateMiningResult> mined,
+    size_t bytes) {
+  util::MutexLock lock(mu_);
+  auto [it, inserted] = entries_.try_emplace(key);
+  if (inserted) {
+    it->second = Entry{std::move(mined), bytes, 0};
+    bytes_ += bytes;
+  }
+  it->second.last_use = ++clock_;
+  return it->second.mined;
+}
+
+size_t ExplanationService::CandidateCache::CacheBytes() const {
+  util::MutexLock lock(mu_);
+  return bytes_;
+}
+
+size_t ExplanationService::CandidateCache::EvictLru(size_t bytes_to_free) {
+  util::MutexLock lock(mu_);
+  size_t freed = 0;
+  while (freed < bytes_to_free && !entries_.empty()) {
+    auto oldest = entries_.begin();
+    for (auto it = entries_.begin(); it != entries_.end(); ++it) {
+      if (it->second.last_use < oldest->second.last_use) oldest = it;
+    }
+    freed += oldest->second.bytes;
+    bytes_ -= oldest->second.bytes;
+    entries_.erase(oldest);
+  }
+  return freed;
+}
 
 ExplanationService::ExplanationService(ServiceOptions options)
     : options_(options),
@@ -173,7 +251,12 @@ std::shared_ptr<const Table> ExplanationService::InstallTable(
     }
     (warm ? n_snapshots_restored_ : n_snapshots_rejected_)
         .fetch_add(1, std::memory_order_relaxed);
-    if (!warm && mode == InstallMode::kWarmOnly) return nullptr;
+    // A restore keeps the rows cold when only the warm sections are
+    // unusable: the key still names this table's content.
+    if (!warm && mode == InstallMode::kRestore &&
+        !snap->key().starts_with(HashTag(*entry.table))) {
+      return nullptr;
+    }
   }
   const std::shared_ptr<const Table> handle = entry.table;
   {
@@ -259,11 +342,14 @@ ExplanationService::Resolved ExplanationService::Resolve(
     throw std::out_of_range("explanation service: unknown table '" + name +
                             "'");
   }
-  auto& ctx = it->second.contexts[key];
-  if (ctx == nullptr) {
-    ctx = std::make_shared<EstimatorContext>(it->second.engine, dag, options);
+  ContextSlot& slot = it->second.contexts[key];
+  if (slot.context == nullptr) {
+    slot.context =
+        std::make_shared<EstimatorContext>(it->second.engine, dag, options);
+    slot.candidates = std::make_shared<CandidateCache>();
   }
-  return Resolved{it->second.table, it->second.engine, ctx};
+  return Resolved{it->second.table, it->second.engine, slot.context,
+                  slot.candidates};
 }
 
 std::shared_ptr<EstimatorContext> ExplanationService::Context(
@@ -299,9 +385,12 @@ std::shared_ptr<const Table> ExplanationService::AppendLocked(
   TableEntry entry;
   entry.table = new_table;
   entry.engine = std::make_shared<EvalEngine>(new_table, *base.engine);
-  for (const auto& [key, ctx] : base.contexts) {
-    entry.contexts[key] =
-        std::make_shared<EstimatorContext>(entry.engine, *ctx);
+  // The CATE memos migrate; mined candidates describe the old rows and
+  // start empty.
+  for (const auto& [key, slot] : base.contexts) {
+    entry.contexts[key] = ContextSlot{
+        std::make_shared<EstimatorContext>(entry.engine, *slot.context),
+        std::make_shared<CandidateCache>()};
   }
 
   {
@@ -383,12 +472,13 @@ size_t ExplanationService::SaveSnapshot(const std::string& name) {
   writer.AddSection("table", SerializeTable(*entry.table));
   writer.AddSection("engine", entry.engine->ExportCacheState());
   size_t ctx_index = 0;
-  for (const auto& [key, ctx] : entry.contexts) {
+  for (const auto& [key, slot] : entry.contexts) {
+    const EstimatorContext& ctx = *slot.context;
     ByteWriter w;
     w.PutString(key);
-    w.PutString(DagToText(ctx->dag()));
-    PutEstimatorOptions(&w, ctx->options());
-    w.PutString(ctx->ExportMemoState());
+    w.PutString(DagToText(ctx.dag()));
+    PutEstimatorOptions(&w, ctx.options());
+    w.PutString(ctx.ExportMemoState());
     writer.AddSection(StrFormat("ctx/%zu", ctx_index++), w.TakeBytes());
   }
   const std::string bytes = writer.Serialize();
@@ -449,7 +539,8 @@ void ExplanationService::ImportWarmSections(const SnapshotReader& snap,
     }
     auto ctx = std::make_shared<EstimatorContext>(entry->engine, dag, opt);
     ctx->ImportMemoState(memo);
-    if (!entry->contexts.emplace(key, std::move(ctx)).second) {
+    const ContextSlot slot{std::move(ctx), std::make_shared<CandidateCache>()};
+    if (!entry->contexts.emplace(key, slot).second) {
       throw StorageError(StorageErrorKind::kCorrupt,
                          "snapshot: duplicate context section");
     }
@@ -471,7 +562,7 @@ bool ExplanationService::RestoreTable(const std::string& name) {
     return false;
   }
   return InstallTable(name, std::move(table), snap.get(),
-                      InstallMode::kWarmOnly) != nullptr;
+                      InstallMode::kRestore) != nullptr;
 }
 
 size_t ExplanationService::RestoreAll() {
@@ -496,6 +587,28 @@ size_t ExplanationService::RestoreAll() {
   return restored;
 }
 
+std::shared_ptr<const CandidateMiningResult>
+ExplanationService::MinedCandidates(const Resolved& entry,
+                                    const GroupByAvgQuery& query,
+                                    const CausalDag& dag,
+                                    const CauSumXConfig& config,
+                                    ThreadPool* pool, bool* hit) {
+  const std::string key = MiningKey(query, config);
+  std::shared_ptr<const CandidateMiningResult> mined =
+      entry.candidates->Find(key);
+  if (hit != nullptr) *hit = mined != nullptr;
+  if (mined != nullptr) {
+    n_candidate_hits_.fetch_add(1, std::memory_order_relaxed);
+    return mined;
+  }
+  n_candidate_misses_.fetch_add(1, std::memory_order_relaxed);
+  mined = std::make_shared<const CandidateMiningResult>(
+      MineExplanationCandidates(*entry.table, query, dag, config,
+                                entry.engine, entry.context, pool));
+  const size_t bytes = MinedBytes(key, *mined, entry.table->NumRows());
+  return entry.candidates->Insert(key, std::move(mined), bytes);
+}
+
 CauSumXResult ExplanationService::Explain(const std::string& table_name,
                                           const GroupByAvgQuery& query,
                                           const CausalDag& dag,
@@ -508,9 +621,17 @@ CauSumXResult ExplanationService::Explain(const std::string& table_name,
   // per-query bound: mining gets a private pool of that size and phase
   // 3 runs serially.
   ThreadPool* pool = config.num_threads == 0 ? pool_.get() : nullptr;
-  CauSumXResult result =
-      RunCauSumX(*entry.table, query, dag, config, entry.engine,
-                 entry.context, pool);
+  bool hit = false;
+  const std::shared_ptr<const CandidateMiningResult> mined =
+      MinedCandidates(entry, query, dag, config, pool, &hit);
+  CauSumXResult result = ResultFromCandidates(*mined, config, pool);
+  if (!hit) {
+    for (const auto& [phase, seconds] : mined->timings.phases()) {
+      result.timings.Add(phase, seconds);
+    }
+  }
+  result.cache_stats.eval = entry.engine->Stats();
+  result.cache_stats.estimator = entry.context->Stats();
   n_queries_.fetch_add(1, std::memory_order_relaxed);
   EnforceBudget();
   return result;
@@ -533,24 +654,30 @@ ExplorationSession ExplanationService::OpenSession(
     const std::string& table_name, GroupByAvgQuery query, CausalDag dag,
     CauSumXConfig config) {
   Resolved entry = Resolve(table_name, dag, config.estimator);
+  std::shared_ptr<const CandidateMiningResult> mined = MinedCandidates(
+      entry, query, dag, config,
+      config.num_threads == 0 ? pool_.get() : nullptr);
   return ExplorationSession(std::move(entry.table), std::move(query),
                             std::move(dag), std::move(config),
-                            std::move(entry.engine),
-                            std::move(entry.context));
+                            std::move(entry.engine), std::move(entry.context),
+                            std::move(mined));
+}
+
+std::vector<ExplanationService::TableEntry> ExplanationService::Entries()
+    const {
+  util::MutexLock lock(mu_);
+  std::vector<TableEntry> entries;
+  entries.reserve(tables_.size());
+  for (const auto& [name, entry] : tables_) entries.push_back(entry);
+  return entries;
 }
 
 size_t ExplanationService::CacheBytes() const {
-  std::vector<TableEntry> entries;
-  {
-    util::MutexLock lock(mu_);
-    entries.reserve(tables_.size());
-    for (const auto& [name, entry] : tables_) entries.push_back(entry);
-  }
   size_t total = 0;
-  for (const auto& entry : entries) {
+  for (const TableEntry& entry : Entries()) {
     total += entry.engine->CacheBytes();
-    for (const auto& [key, ctx] : entry.contexts) {
-      total += ctx->CacheBytes();
+    for (const auto& [key, slot] : entry.contexts) {
+      total += slot.context->CacheBytes() + slot.candidates->CacheBytes();
     }
   }
   return total;
@@ -561,21 +688,27 @@ size_t ExplanationService::EnforceBudget() {
   // Work on a snapshot: eviction never needs the registry lock, so it can
   // run while other threads query. Races just mean a cache refills after
   // eviction; the next enforcement pass catches it.
-  std::vector<std::shared_ptr<EvalEngine>> engines;
-  std::vector<std::shared_ptr<EstimatorContext>> contexts;
-  {
-    util::MutexLock lock(mu_);
-    for (const auto& [name, entry] : tables_) {
-      engines.push_back(entry.engine);
-      for (const auto& [key, ctx] : entry.contexts) {
-        contexts.push_back(ctx);
-      }
+  // Every evictable cache as a (bytes, evict) pair.
+  struct Consumer {
+    std::function<size_t()> bytes;
+    std::function<size_t(size_t)> evict;
+  };
+  std::vector<Consumer> consumers;
+  for (const TableEntry& entry : Entries()) {
+    auto add = [&consumers](const auto& cache) {
+      consumers.push_back(
+          {[cache] { return cache->CacheBytes(); },
+           [cache](size_t bytes) { return cache->EvictLru(bytes); }});
+    };
+    add(entry.engine);
+    for (const auto& [key, slot] : entry.contexts) {
+      add(slot.context);
+      add(slot.candidates);
     }
   }
   auto total = [&] {
     size_t t = 0;
-    for (const auto& e : engines) t += e->CacheBytes();
-    for (const auto& c : contexts) t += c->CacheBytes();
+    for (const Consumer& c : consumers) t += c.bytes();
     return t;
   };
   size_t freed_total = 0;
@@ -584,30 +717,17 @@ size_t ExplanationService::EnforceBudget() {
     // Evict from the single largest consumer; repeat until under budget
     // or nothing is left to evict.
     size_t largest_bytes = 0;
-    std::shared_ptr<EvalEngine> largest_engine;
-    std::shared_ptr<EstimatorContext> largest_ctx;
-    for (const auto& e : engines) {
-      const size_t b = e->CacheBytes();
+    const Consumer* largest = nullptr;
+    for (const Consumer& c : consumers) {
+      const size_t b = c.bytes();
       if (b > largest_bytes) {
         largest_bytes = b;
-        largest_engine = e;
-        largest_ctx = nullptr;
+        largest = &c;
       }
     }
-    for (const auto& c : contexts) {
-      const size_t b = c->CacheBytes();
-      if (b > largest_bytes) {
-        largest_bytes = b;
-        largest_ctx = c;
-        largest_engine = nullptr;
-      }
-    }
-    if (largest_bytes == 0) break;
+    if (largest == nullptr) break;
     const size_t need = current - options_.memory_budget_bytes;
-    const size_t freed =
-        largest_engine != nullptr
-            ? largest_engine->EvictLru(std::min(need, largest_bytes))
-            : largest_ctx->EvictLru(std::min(need, largest_bytes));
+    const size_t freed = largest->evict(std::min(need, largest_bytes));
     if (freed == 0) break;
     freed_total += freed;
     current = total();
@@ -625,7 +745,16 @@ ServiceStats ExplanationService::Stats() const {
   s.appends_executed = n_appends_.load(std::memory_order_relaxed);
   s.rows_appended = n_rows_appended_.load(std::memory_order_relaxed);
   s.budget_enforcements = n_enforcements_.load(std::memory_order_relaxed);
-  s.cache_bytes = CacheBytes();
+  s.candidate_hits = n_candidate_hits_.load(std::memory_order_relaxed);
+  s.candidate_misses = n_candidate_misses_.load(std::memory_order_relaxed);
+  for (const TableEntry& entry : Entries()) {
+    s.cache_bytes += entry.engine->CacheBytes();
+    for (const auto& [key, slot] : entry.contexts) {
+      const size_t candidate_bytes = slot.candidates->CacheBytes();
+      s.candidate_bytes += candidate_bytes;
+      s.cache_bytes += slot.context->CacheBytes() + candidate_bytes;
+    }
+  }
   s.snapshots_written = n_snapshots_written_.load(std::memory_order_relaxed);
   s.snapshots_restored = n_snapshots_restored_.load(std::memory_order_relaxed);
   s.snapshots_rejected = n_snapshots_rejected_.load(std::memory_order_relaxed);

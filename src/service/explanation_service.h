@@ -8,10 +8,15 @@
 // against the same table are served warm: the second identical query
 // costs memo lookups instead of OLS solves (see bench_service).
 //
+// Each context also keeps the mined candidates (phases 1 + 2) per
+// MiningKey, so a query that changes only k, theta or the solver re-runs
+// phase 3 alone.
+//
 // Queries execute concurrently over an internal ThreadPool
 // (ExplainAsync / many callers sharing one service); all caches are
 // internally synchronized. A configurable memory budget bounds the
-// evictable caches (predicate bitsets + CATE memos) across all tables:
+// evictable caches (predicate bitsets, CATE memos and mined candidates)
+// across all tables:
 // after every query the service evicts least-recently-used entries from
 // the largest consumers until the accounted bytes fit. Eviction only
 // discards cached work — results stay bit-identical.
@@ -41,8 +46,9 @@ namespace causumx {
 
 /// Service-wide configuration.
 struct ServiceOptions {
-  /// Upper bound on the evictable cache bytes (predicate bitset segments
-  /// + CATE memo entries) summed over every registered table.
+  /// Upper bound on the evictable cache bytes (predicate bitset segments,
+  /// CATE memo entries and mined candidates) summed over every registered
+  /// table.
   /// 0 = unlimited.
   size_t memory_budget_bytes = 0;
   /// Workers of the service pool (0 = hardware concurrency). Every
@@ -74,6 +80,13 @@ struct ServiceStats {
   uint64_t rows_appended = 0;        ///< total rows across those batches
   uint64_t budget_enforcements = 0;  ///< enforcement passes that evicted
   size_t cache_bytes = 0;            ///< current accounted evictable bytes
+  /// Explains and sessions served from mined candidates (phase 3 only).
+  uint64_t candidate_hits = 0;
+  /// Explains and sessions that mined (phases 1 + 2) and kept the result.
+  uint64_t candidate_misses = 0;
+  /// Accounted bytes of the mined candidates resident now (part of
+  /// cache_bytes).
+  size_t candidate_bytes = 0;
   uint64_t snapshots_written = 0;    ///< durable snapshots written
   uint64_t snapshots_restored = 0;   ///< warm restores accepted
   uint64_t snapshots_rejected = 0;   ///< stale/corrupt snapshots ignored
@@ -251,9 +264,12 @@ class ExplanationService {
   /// (re-sliced onto this service's shard plan, so a snapshot written
   /// after appends restores warm too).
   /// Returns false (counting a rejection where a file existed) and
-  /// registers nothing when the snapshot is missing, damaged, or built
-  /// under a different engine configuration; a snapshot is never
-  /// partially trusted. Throws std::logic_error without a data_dir.
+  /// registers nothing when the snapshot is missing, its table section is
+  /// damaged, or its key names other content. When only the warm
+  /// sections are unusable (another engine configuration, damage), the
+  /// checksummed table installs cold, the snapshot counts as rejected,
+  /// and the call returns true; warm state is never partially trusted.
+  /// Throws std::logic_error without a data_dir.
   bool RestoreTable(const std::string& name);
 
   /// RestoreTable for every `*.snap` under data_dir; returns how many
@@ -266,7 +282,9 @@ class ExplanationService {
   /// RunCauSumX over a registered table with the table's shared engine
   /// and estimator context, then enforces the memory budget. Results are
   /// bit-identical to a plain RunCauSumX, but repeat queries are served
-  /// warm.
+  /// warm: a query whose MiningKey was mined before on this table
+  /// version, DAG and estimator options reuses those candidates and runs
+  /// phase 3 only (its timings then hold "selection" alone).
   CauSumXResult Explain(const std::string& table_name,
                         const GroupByAvgQuery& query, const CausalDag& dag,
                         const CauSumXConfig& config = {});
@@ -277,8 +295,9 @@ class ExplanationService {
                                           CausalDag dag,
                                           CauSumXConfig config = {});
 
-  /// An exploration session borrowing this service's warm engine and
-  /// estimator context for the table (instead of constructing its own).
+  /// An exploration session borrowing this service's warm engine,
+  /// estimator context and mined candidates for the table (mining now,
+  /// into the candidate cache, when the query was not mined before).
   ExplorationSession OpenSession(const std::string& table_name,
                                  GroupByAvgQuery query, CausalDag dag,
                                  CauSumXConfig config = {});
@@ -303,24 +322,74 @@ class ExplanationService {
   ThreadPool& pool() { return *pool_; }
 
  private:
+  /// Mined candidates of one context slot, keyed by MiningKey: shared
+  /// results, byte-accounted and LRU-evictable like the CATE memo.
+  class CandidateCache {
+   public:
+    /// The entry for `key`, or null; a hit refreshes its LRU position.
+    std::shared_ptr<const CandidateMiningResult> Find(const std::string& key)
+        CAUSUMX_EXCLUDES(mu_);
+    /// Stores `mined`, accounted as `bytes`, unless `key` is present;
+    /// returns the stored entry (the first of two concurrent inserts
+    /// wins; both are identical).
+    std::shared_ptr<const CandidateMiningResult> Insert(
+        const std::string& key,
+        std::shared_ptr<const CandidateMiningResult> mined, size_t bytes)
+        CAUSUMX_EXCLUDES(mu_);
+    /// Accounted bytes of the resident entries.
+    size_t CacheBytes() const CAUSUMX_EXCLUDES(mu_);
+    /// Drops least-recently-used entries until `bytes_to_free` accounted
+    /// bytes are released or none is left; returns the bytes freed.
+    size_t EvictLru(size_t bytes_to_free) CAUSUMX_EXCLUDES(mu_);
+
+   private:
+    struct Entry {
+      std::shared_ptr<const CandidateMiningResult> mined;
+      size_t bytes = 0;
+      uint64_t last_use = 0;
+    };
+    mutable util::Mutex mu_;
+    std::map<std::string, Entry> entries_ CAUSUMX_GUARDED_BY(mu_);
+    size_t bytes_ CAUSUMX_GUARDED_BY(mu_) = 0;
+    uint64_t clock_ CAUSUMX_GUARDED_BY(mu_) = 0;
+  };
+
+  /// The caches of one (DAG, estimator options) pair of a table entry.
+  struct ContextSlot {
+    std::shared_ptr<EstimatorContext> context;
+    std::shared_ptr<CandidateCache> candidates;
+  };
+
   struct TableEntry {
     std::shared_ptr<const Table> table;
     std::shared_ptr<EvalEngine> engine;
     /// Keyed by a canonical (DAG structure, estimator options) fingerprint.
-    std::map<std::string, std::shared_ptr<EstimatorContext>> contexts;
+    std::map<std::string, ContextSlot> contexts;
   };
 
-  /// A mutually consistent (table, engine, context) triple for one query,
-  /// captured under one registry lock so a concurrent re-registration of
-  /// the name cannot hand back a context bound to a different generation
-  /// of the table than the one being mined.
+  /// A mutually consistent (table, engine, context, candidate cache) for
+  /// one query, captured under one registry lock so a concurrent
+  /// re-registration of the name cannot hand back a context bound to a
+  /// different generation of the table than the one being mined.
   struct Resolved {
     std::shared_ptr<const Table> table;
     std::shared_ptr<EvalEngine> engine;
     std::shared_ptr<EstimatorContext> context;
+    std::shared_ptr<CandidateCache> candidates;
   };
   Resolved Resolve(const std::string& name, const CausalDag& dag,
                    const EstimatorOptions& options) CAUSUMX_EXCLUDES(mu_);
+
+  /// The mined candidates of (query, config) on `entry`: from its
+  /// candidate cache, else mined on `pool` and stored. `hit` (optional)
+  /// receives whether the cache served them.
+  std::shared_ptr<const CandidateMiningResult> MinedCandidates(
+      const Resolved& entry, const GroupByAvgQuery& query,
+      const CausalDag& dag, const CauSumXConfig& config, ThreadPool* pool,
+      bool* hit = nullptr);
+
+  /// Copies of every registered entry, taken under one registry lock.
+  std::vector<TableEntry> Entries() const CAUSUMX_EXCLUDES(mu_);
 
   /// Resolves the entry or throws std::out_of_range. Caller holds no lock.
   TableEntry Snapshot(const std::string& name) const CAUSUMX_EXCLUDES(mu_);
@@ -337,7 +406,8 @@ class ExplanationService {
   enum class InstallMode {
     kReplace,   ///< RegisterTable: replace; unusable snapshot -> cold
     kIfAbsent,  ///< EnsureCsv: first registration wins; else as kReplace
-    kWarmOnly,  ///< RestoreTable: replace only when `snap` restores
+    kRestore,   ///< RestoreTable: replace when `snap`'s key names the
+                ///< table's content; cold when its warm sections fail
   };
 
   /// The one path that builds and installs an entry: a fresh engine over
@@ -393,6 +463,8 @@ class ExplanationService {
   std::atomic<uint64_t> n_appends_{0};
   std::atomic<uint64_t> n_rows_appended_{0};
   std::atomic<uint64_t> n_enforcements_{0};
+  std::atomic<uint64_t> n_candidate_hits_{0};
+  std::atomic<uint64_t> n_candidate_misses_{0};
   std::atomic<uint64_t> n_snapshots_written_{0};
   std::atomic<uint64_t> n_snapshots_restored_{0};
   std::atomic<uint64_t> n_snapshots_rejected_{0};

@@ -1,14 +1,17 @@
 // Property-based tests for the LP/ILP machinery on random instances:
-// solutions must satisfy their constraints, the LP bound must dominate
-// integral solutions, and d-separation must predict vanishing partial
-// correlations in linear-Gaussian data.
+// solutions must satisfy their constraints and match the dense oracle
+// solver, the LP bound must dominate integral solutions, and
+// d-separation must predict vanishing partial correlations in
+// linear-Gaussian data.
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 
 #include "causal/dag.h"
 #include "causal/independence.h"
+#include "dense_simplex_oracle.h"
 #include "lp/simplex.h"
 #include "util/rng.h"
 
@@ -19,7 +22,8 @@ class SimplexPropertyTest : public ::testing::TestWithParam<uint64_t> {};
 
 // Random feasible-by-construction LPs: constraints are built around a
 // known interior point, so kOptimal is required and the optimum must
-// (weakly) beat that point.
+// (weakly) beat that point. The optimum is unique here, so the dense
+// oracle must return the same objective and values.
 TEST_P(SimplexPropertyTest, OptimumDominatesKnownFeasiblePoint) {
   Rng rng(GetParam());
   const size_t n = 2 + rng.NextBounded(4);
@@ -63,10 +67,18 @@ TEST_P(SimplexPropertyTest, OptimumDominatesKnownFeasiblePoint) {
     EXPECT_GE(sol.values[j], -1e-9);
     EXPECT_LE(sol.values[j], 5.0 + 1e-6);
   }
+
+  const LpSolution dense = DenseSolveLp(lp);
+  ASSERT_EQ(dense.status, LpStatus::kOptimal);
+  EXPECT_NEAR(sol.objective_value, dense.objective_value,
+              1e-9 * std::max(1.0, std::fabs(dense.objective_value)));
+  for (size_t j = 0; j < n; ++j) {
+    EXPECT_NEAR(sol.values[j], dense.values[j], 1e-9) << "x" << j;
+  }
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, SimplexPropertyTest,
-                         ::testing::Range<uint64_t>(1, 16));
+                         ::testing::Range<uint64_t>(1, 200));
 
 // Linear-Gaussian consistency: generate data from a random DAG's
 // structural equations; every d-separated pair given a random single

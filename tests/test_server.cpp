@@ -341,10 +341,20 @@ TEST(RestApiTest, HealthzAndStatsAndTables) {
 
   ASSERT_EQ(client.Request("POST", "/v1/explain", w.ExplainBody()).status,
             200);
+  ASSERT_EQ(client.Request("POST", "/v1/explain", w.ExplainBody()).status,
+            200);
   const auto stats = client.Request("GET", "/v1/stats");
   EXPECT_EQ(stats.status, 200);
   const JsonValue parsed = JsonValue::Parse(stats.body);
-  EXPECT_EQ(parsed.Find("service")->GetNumber("tables_registered", -1), 1);
+  const JsonValue* service = parsed.Find("service");
+  EXPECT_EQ(service->GetNumber("tables_registered", -1), 1);
+  // The repeat was served from the mined candidates, whose bytes are
+  // part of cache_bytes.
+  EXPECT_EQ(service->GetNumber("candidate_misses", -1), 1);
+  EXPECT_EQ(service->GetNumber("candidate_hits", -1), 1);
+  EXPECT_GT(service->GetNumber("candidate_bytes", -1), 0);
+  EXPECT_GE(service->GetNumber("cache_bytes", -1),
+            service->GetNumber("candidate_bytes", -1));
   EXPECT_EQ(parsed.Find("tables")->AsArray().size(), 1u);
   // The table's engine object shows how many resident segments the
   // kAuto compression policy compressed.

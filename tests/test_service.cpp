@@ -94,17 +94,24 @@ TEST(ServiceTest, WarmRepeatServedFromCaches) {
   // Bit-identical summaries.
   EXPECT_EQ(SummaryToJson(warm.summary), SummaryToJson(cold.summary));
 
-  // The second run re-estimated nothing: every CATE was a memo hit and no
-  // new predicate bitset was materialized (counters are cumulative on the
-  // shared engine/context).
-  const uint64_t new_misses = warm.cache_stats.estimator.memo_misses -
-                              cold.cache_stats.estimator.memo_misses;
-  const uint64_t new_hits = warm.cache_stats.estimator.memo_hits -
-                            cold.cache_stats.estimator.memo_hits;
-  EXPECT_EQ(new_misses, 0u);
-  EXPECT_GT(new_hits, 0u);
+  // The repeat reused the mined candidates: phase 3 ran alone, so the
+  // memo saw no lookup at all and no predicate bitset was materialized
+  // (counters are cumulative on the shared engine/context).
+  EXPECT_EQ(warm.cache_stats.estimator.memo_misses,
+            cold.cache_stats.estimator.memo_misses);
+  EXPECT_EQ(warm.cache_stats.estimator.memo_hits,
+            cold.cache_stats.estimator.memo_hits);
   EXPECT_EQ(warm.cache_stats.eval.bitsets_materialized,
             cold.cache_stats.eval.bitsets_materialized);
+  const ServiceStats stats = w.service.Stats();
+  EXPECT_EQ(stats.candidate_misses, 1u);
+  EXPECT_EQ(stats.candidate_hits, 1u);
+  EXPECT_GT(stats.candidate_bytes, 0u);
+  EXPECT_GE(stats.cache_bytes, stats.candidate_bytes);
+  // A hit reports the selection phase only; the miss mined.
+  EXPECT_GT(cold.timings.phases().count("treatment"), 0u);
+  EXPECT_EQ(warm.timings.phases().count("treatment"), 0u);
+  EXPECT_GT(warm.timings.phases().count("selection"), 0u);
 }
 
 TEST(ServiceTest, TightBudgetEvictsButResultsAreIdentical) {
@@ -289,6 +296,285 @@ TEST(ServiceTest, RegistryBasics) {
 
   service.DropTable("x");
   EXPECT_FALSE(service.HasTable("x"));
+}
+
+// ---- the candidate cache ---------------------------------------------------
+
+// k, theta, the solver, the rounding draws, the seed and the thread count
+// only steer phase 3: each change is served from the mined candidates and
+// equals a fresh RunCauSumX bit for bit.
+TEST(CandidateCacheTest, PhaseThreeChangesAreHitsAndBitIdentical) {
+  ServiceWorld w;
+  const std::shared_ptr<const Table> table = w.service.GetTable("synthetic");
+  w.service.Explain("synthetic", w.ds.default_query, w.ds.dag, w.config);
+  ASSERT_EQ(w.service.Stats().candidate_misses, 1u);
+
+  std::vector<CauSumXConfig> variants;
+  for (size_t k : {1, 3, 8}) {
+    variants.push_back(w.config);
+    variants.back().k = k;
+  }
+  for (double theta : {0.3, 0.5, 1.0}) {
+    variants.push_back(w.config);
+    variants.back().theta = theta;
+  }
+  for (FinalStepSolver solver :
+       {FinalStepSolver::kGreedy, FinalStepSolver::kExact}) {
+    variants.push_back(w.config);
+    variants.back().solver = solver;
+  }
+  variants.push_back(w.config);
+  variants.back().rounding_rounds = 7;
+  variants.push_back(w.config);
+  variants.back().seed = 99;
+  variants.push_back(w.config);
+  variants.back().num_threads = 1;
+
+  for (size_t i = 0; i < variants.size(); ++i) {
+    const CauSumXConfig& c = variants[i];
+    EXPECT_EQ(MiningKey(w.ds.default_query, c),
+              MiningKey(w.ds.default_query, w.config));
+    const CauSumXResult served =
+        w.service.Explain("synthetic", w.ds.default_query, w.ds.dag, c);
+    const CauSumXResult fresh =
+        RunCauSumX(*table, w.ds.default_query, w.ds.dag, c);
+    EXPECT_EQ(SummaryToJson(served.summary), SummaryToJson(fresh.summary))
+        << "variant " << i;
+    EXPECT_EQ(served.num_grouping_candidates, fresh.num_grouping_candidates);
+    EXPECT_EQ(served.num_candidates_with_treatment,
+              fresh.num_candidates_with_treatment);
+    EXPECT_EQ(served.treatment_patterns_evaluated,
+              fresh.treatment_patterns_evaluated);
+    EXPECT_EQ(w.service.Stats().candidate_hits, i + 1) << "variant " << i;
+  }
+  EXPECT_EQ(w.service.Stats().candidate_misses, 1u);
+}
+
+// Every field mining reads is part of the key: changing one mines anew.
+TEST(CandidateCacheTest, EveryMiningFieldChangeIsAMiss) {
+  ServiceWorld w;
+  using Mutation = void (*)(GroupByAvgQuery*, CauSumXConfig*);
+  const std::vector<std::pair<const char*, Mutation>> mutations = {
+      {"where",
+       [](GroupByAvgQuery* q, CauSumXConfig*) {
+         q->where = Pattern({SimplePredicate("T1", CompareOp::kEq,
+                                             Value(int64_t{1}))});
+       }},
+      {"apriori_support",
+       [](GroupByAvgQuery*, CauSumXConfig* c) { c->apriori_support = 0.2; }},
+      {"apriori.max_length",
+       [](GroupByAvgQuery*, CauSumXConfig* c) {
+         c->grouping.apriori.max_length = 2;
+       }},
+      {"apriori.max_values_per_attribute",
+       [](GroupByAvgQuery*, CauSumXConfig* c) {
+         c->grouping.apriori.max_values_per_attribute = 5;
+       }},
+      {"include_per_group_patterns",
+       [](GroupByAvgQuery*, CauSumXConfig* c) {
+         c->grouping.include_per_group_patterns = true;
+       }},
+      {"treatment.max_depth",
+       [](GroupByAvgQuery*, CauSumXConfig* c) { c->treatment.max_depth = 2; }},
+      {"treatment.near_zero_fraction",
+       [](GroupByAvgQuery*, CauSumXConfig* c) {
+         c->treatment.near_zero_fraction = 0.1;
+       }},
+      {"treatment.level_keep_fraction",
+       [](GroupByAvgQuery*, CauSumXConfig* c) {
+         c->treatment.level_keep_fraction = 0.25;
+       }},
+      {"treatment.max_level_width",
+       [](GroupByAvgQuery*, CauSumXConfig* c) {
+         c->treatment.max_level_width = 8;
+       }},
+      {"treatment.max_values_per_attribute",
+       [](GroupByAvgQuery*, CauSumXConfig* c) {
+         c->treatment.max_values_per_attribute = 3;
+       }},
+      {"treatment.numeric_bins",
+       [](GroupByAvgQuery*, CauSumXConfig* c) {
+         c->treatment.numeric_bins = 3;
+       }},
+      {"treatment.alpha",
+       [](GroupByAvgQuery*, CauSumXConfig* c) { c->treatment.alpha = 0.01; }},
+      {"treatment.min_treated_fraction",
+       [](GroupByAvgQuery*, CauSumXConfig* c) {
+         c->treatment.min_treated_fraction = 0.05;
+       }},
+      {"mine_negative",
+       [](GroupByAvgQuery*, CauSumXConfig* c) { c->mine_negative = false; }},
+      {"treatment_attribute_allowlist",
+       [](GroupByAvgQuery*, CauSumXConfig* c) {
+         c->treatment_attribute_allowlist.pop_back();
+       }},
+      {"grouping_attribute_allowlist",
+       [](GroupByAvgQuery*, CauSumXConfig* c) {
+         c->grouping_attribute_allowlist.pop_back();
+       }},
+      {"estimator.min_group_size",
+       [](GroupByAvgQuery*, CauSumXConfig* c) {
+         c->estimator.min_group_size = 20;
+       }},
+  };
+  const std::string base_key = MiningKey(w.ds.default_query, w.config);
+  w.service.Explain("synthetic", w.ds.default_query, w.ds.dag, w.config);
+  uint64_t misses = 1;
+  for (const auto& [field, mutate] : mutations) {
+    GroupByAvgQuery query = w.ds.default_query;
+    CauSumXConfig config = w.config;
+    mutate(&query, &config);
+    EXPECT_NE(MiningKey(query, config), base_key) << field;
+    w.service.Explain("synthetic", query, w.ds.dag, config);
+    EXPECT_EQ(w.service.Stats().candidate_misses, ++misses) << field;
+    EXPECT_EQ(w.service.Stats().candidate_hits, 0u) << field;
+  }
+  // The estimator options that MiningKey also covers select another
+  // context slot, whose cache starts empty.
+  for (const auto& [field, mutate] :
+       std::vector<std::pair<const char*, Mutation>>{
+           {"estimator.sample_cap",
+            [](GroupByAvgQuery*, CauSumXConfig* c) {
+              c->estimator.sample_cap = 500;
+            }},
+           {"estimator.sample_seed",
+            [](GroupByAvgQuery*, CauSumXConfig* c) {
+              c->estimator.sample_seed = 3;
+            }},
+           {"estimator.max_onehot_levels",
+            [](GroupByAvgQuery*, CauSumXConfig* c) {
+              c->estimator.max_onehot_levels = 4;
+            }},
+           {"estimator.method",
+            [](GroupByAvgQuery*, CauSumXConfig* c) {
+              c->estimator.method = EstimationMethod::kIpw;
+            }},
+           {"estimator.propensity_clip",
+            [](GroupByAvgQuery*, CauSumXConfig* c) {
+              c->estimator.propensity_clip = 0.05;
+            }}}) {
+    GroupByAvgQuery query = w.ds.default_query;
+    CauSumXConfig config = w.config;
+    mutate(&query, &config);
+    EXPECT_NE(MiningKey(query, config), base_key) << field;
+  }
+  // grouping.apriori.min_support is overridden by apriori_support, so it
+  // is not part of the key.
+  CauSumXConfig overridden = w.config;
+  overridden.grouping.apriori.min_support = 0.5;
+  EXPECT_EQ(MiningKey(w.ds.default_query, overridden), base_key);
+}
+
+// An append or a re-registration builds fresh contexts: the mined
+// candidates of the old rows are gone, and the next explain mines anew.
+TEST(CandidateCacheTest, AppendAndReregistrationDropEntries) {
+  ServiceWorld w;
+  w.service.Explain("synthetic", w.ds.default_query, w.ds.dag, w.config);
+  EXPECT_GT(w.service.Stats().candidate_bytes, 0u);
+
+  const std::shared_ptr<const Table> base = w.service.GetTable("synthetic");
+  w.service.Append("synthetic", base->MaterializeRows(0, 50));
+  EXPECT_EQ(w.service.Stats().candidate_bytes, 0u);
+  const CauSumXResult grown =
+      w.service.Explain("synthetic", w.ds.default_query, w.ds.dag, w.config);
+  EXPECT_EQ(w.service.Stats().candidate_misses, 2u);
+  EXPECT_EQ(w.service.Stats().candidate_hits, 0u);
+  const CauSumXResult fresh =
+      RunCauSumX(*w.service.GetTable("synthetic"), w.ds.default_query,
+                 w.ds.dag, w.config);
+  EXPECT_EQ(SummaryToJson(grown.summary), SummaryToJson(fresh.summary));
+
+  w.service.RegisterTable("synthetic", MakeData().table);
+  EXPECT_EQ(w.service.Stats().candidate_bytes, 0u);
+  w.service.Explain("synthetic", w.ds.default_query, w.ds.dag, w.config);
+  EXPECT_EQ(w.service.Stats().candidate_misses, 3u);
+  EXPECT_EQ(w.service.Stats().candidate_hits, 0u);
+}
+
+// Under a 4 KiB budget the candidate entries are evicted (each is larger
+// than the budget), repeats mine again, and every answer is unchanged.
+TEST(CandidateCacheTest, TightBudgetEvictsEntriesAndAnswersStayIdentical) {
+  GeneratedDataset ds = MakeData();
+  const CauSumXConfig config = MakeConfig(ds);
+  const CauSumXResult reference =
+      RunCauSumX(ds.table, ds.default_query, ds.dag, config);
+
+  ServiceOptions tight;
+  tight.memory_budget_bytes = 4 * 1024;
+  ExplanationService service(tight);
+  service.RegisterTable("t", std::move(ds.table));
+  for (int round = 0; round < 3; ++round) {
+    const CauSumXResult r =
+        service.Explain("t", ds.default_query, ds.dag, config);
+    EXPECT_EQ(SummaryToJson(r.summary), SummaryToJson(reference.summary))
+        << "round " << round;
+    EXPECT_LE(service.CacheBytes(), tight.memory_budget_bytes);
+    EXPECT_EQ(service.Stats().candidate_bytes, 0u) << "round " << round;
+  }
+  EXPECT_EQ(service.Stats().candidate_misses, 3u);
+  EXPECT_EQ(service.Stats().candidate_hits, 0u);
+}
+
+// Concurrent explains of one mining key, cold, with different phase-3
+// parameters: each answer equals its fresh RunCauSumX, and the entry
+// that stays resident serves a later hit.
+TEST(CandidateCacheTest, ConcurrentColdExplainsOnOneKeyAgree) {
+  ServiceWorld w;
+  const std::shared_ptr<const Table> table = w.service.GetTable("synthetic");
+  std::vector<CauSumXConfig> configs;
+  std::vector<std::future<CauSumXResult>> futures;
+  for (size_t i = 0; i < 8; ++i) {
+    CauSumXConfig c = w.config;
+    c.k = 1 + i % 4;
+    c.num_threads = 1;
+    configs.push_back(c);
+    futures.push_back(
+        w.service.ExplainAsync("synthetic", w.ds.default_query, w.ds.dag, c));
+  }
+  for (size_t i = 0; i < futures.size(); ++i) {
+    const CauSumXResult r = futures[i].get();
+    const CauSumXResult fresh =
+        RunCauSumX(*table, w.ds.default_query, w.ds.dag, configs[i]);
+    EXPECT_EQ(SummaryToJson(r.summary), SummaryToJson(fresh.summary)) << i;
+  }
+  const ServiceStats stats = w.service.Stats();
+  EXPECT_EQ(stats.candidate_hits + stats.candidate_misses, 8u);
+  EXPECT_GE(stats.candidate_misses, 1u);
+  w.service.Explain("synthetic", w.ds.default_query, w.ds.dag, w.config);
+  EXPECT_EQ(w.service.Stats().candidate_hits, stats.candidate_hits + 1);
+}
+
+// A session opened on an explained query shares the service's mined
+// candidates: opening it and solving make no memo lookup at all.
+TEST(CandidateCacheTest, OpenSessionReusesTheServiceEntry) {
+  ServiceWorld w;
+  const CauSumXResult served =
+      w.service.Explain("synthetic", w.ds.default_query, w.ds.dag, w.config);
+  const EstimatorCacheStats before =
+      w.service.Context("synthetic", w.ds.dag, w.config.estimator)->Stats();
+
+  ExplorationSession a = w.service.OpenSession(
+      "synthetic", w.ds.default_query, w.ds.dag, w.config);
+  ExplorationSession b = w.service.OpenSession(
+      "synthetic", w.ds.default_query, w.ds.dag, w.config);
+  EXPECT_EQ(&a.MiningResult(), &b.MiningResult());
+  EXPECT_EQ(SummaryToJson(a.Solve()), SummaryToJson(served.summary));
+  EXPECT_EQ(SummaryToJson(a.Solve(2, 0.5)),
+            SummaryToJson(
+                w.service
+                    .Explain("synthetic", w.ds.default_query, w.ds.dag,
+                             [&] {
+                               CauSumXConfig c = w.config;
+                               c.k = 2;
+                               c.theta = 0.5;
+                               return c;
+                             }())
+                    .summary));
+  const EstimatorCacheStats after = a.CacheStats().estimator;
+  EXPECT_EQ(after.memo_hits, before.memo_hits);
+  EXPECT_EQ(after.memo_misses, before.memo_misses);
+  EXPECT_EQ(w.service.Stats().candidate_misses, 1u);
+  EXPECT_EQ(w.service.Stats().candidate_hits, 3u);
 }
 
 }  // namespace

@@ -914,16 +914,50 @@ TEST(ServicePersistenceTest, VersionedKeyOfEarlierReleasesRestoresWarm) {
   EXPECT_EQ(service.Stats().snapshots_restored, 1u);
   EXPECT_GT(service.Engine("t")->CacheBytes(), 0u);
 
-  // A key naming other content or another engine configuration is
-  // rejected, and RestoreTable registers nothing.
-  for (const std::string& bad :
-       {"h0000000000000000" + key.substr(17), key.substr(0, 17) + "|s7|c1|z0",
-        key.substr(0, 17)}) {
-    RekeySnapshot(path, bad);
-    ExplanationService rejecting(PersistentOptions(dir.path));
-    EXPECT_FALSE(rejecting.RestoreTable("t")) << bad;
-    EXPECT_FALSE(rejecting.HasTable("t"));
-    EXPECT_EQ(rejecting.Stats().snapshots_rejected, 1u);
+  // A key naming other content is rejected, and RestoreTable registers
+  // nothing (ForeignEngineSuffixRestoresCold covers the other keys).
+  RekeySnapshot(path, "h0000000000000000" + key.substr(17));
+  ExplanationService rejecting(PersistentOptions(dir.path));
+  EXPECT_FALSE(rejecting.RestoreTable("t"));
+  EXPECT_FALSE(rejecting.HasTable("t"));
+  EXPECT_EQ(rejecting.Stats().snapshots_rejected, 1u);
+}
+
+// A snapshot whose key names this content under another engine
+// configuration (e.g. one written with an explicit shard count) cannot
+// warm the engine, but its checksummed table section holds every row:
+// RestoreTable installs the table cold and counts the snapshot rejected.
+TEST(ServicePersistenceTest, ForeignEngineSuffixRestoresCold) {
+  TempDir dir;
+  GeneratedDataset ds = MakeData();
+  const CauSumXConfig config = MakeConfig(ds);
+  ExplanationService fresh;
+  fresh.RegisterTable("t", ds.table.Clone());
+  const std::string fresh_json = SummaryToJson(
+      fresh.Explain("t", ds.default_query, ds.dag, config).summary);
+
+  std::string path;
+  std::string key;
+  {
+    ExplanationService service(PersistentOptions(dir.path));
+    service.RegisterTable("t", ds.table.Clone());
+    service.Explain("t", ds.default_query, ds.dag, config);
+    service.SaveSnapshot("t");
+    path = service.SnapshotPath("t");
+    key = SnapshotReader::ReadFile(path, "causumx-snapshot", 1).key();
+  }
+  for (const std::string& foreign :
+       {key.substr(0, 17) + "|s4|c1|z0", key.substr(0, 17)}) {
+    RekeySnapshot(path, foreign);
+    ExplanationService service(PersistentOptions(dir.path));
+    ASSERT_TRUE(service.RestoreTable("t")) << foreign;
+    ASSERT_TRUE(service.HasTable("t"));
+    EXPECT_EQ(service.Stats().snapshots_rejected, 1u);
+    EXPECT_EQ(service.Stats().snapshots_restored, 0u);
+    EXPECT_EQ(service.Engine("t")->CacheBytes(), 0u);  // cold
+    const CauSumXResult r =
+        service.Explain("t", ds.default_query, ds.dag, config);
+    EXPECT_EQ(SummaryToJson(r.summary), fresh_json) << foreign;
   }
 }
 

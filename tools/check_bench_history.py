@@ -13,7 +13,8 @@ must parse and record, against BENCHMARK.json:
     metric with BENCHMARK.json's `unit` and numeric `parent` and `change`
     medians;
   * `work_counts`: per dataset, integer `memo_hits`, `memo_misses` and
-    `treatment_patterns_evaluated`.
+    `treatment_patterns_evaluated`; the optional phase-3 and candidate
+    cache counts (OPTIONAL_COUNT_FIELDS), where present, are integers too.
 
 It checks the shape only and puts no bound on any wall-time figure.
 Exit 1 with one line per problem. Usage:
@@ -30,6 +31,12 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 HISTORY_RE = re.compile(r"^BENCH_\d+\.json$")
 COUNT_FIELDS = ("memo_hits", "memo_misses", "treatment_patterns_evaluated")
+# Recorded from BENCH_23 on: the selection LP's size and pivots (pivots
+# plus bound flips) at the default k and theta, and warm-mix's candidate
+# cache hits and misses per round of its requests.
+OPTIONAL_COUNT_FIELDS = ("lp_rows", "lp_columns", "lp_pivots",
+                         "warm_mix_candidate_hits_per_round",
+                         "warm_mix_candidate_misses_per_round")
 
 
 def is_number(v) -> bool:
@@ -97,6 +104,9 @@ def check(path: Path, spec: dict) -> list:
                 continue
             for field in COUNT_FIELDS:
                 need(is_count(entry.get(field)),
+                     "work_counts %s: `%s` must be a count" % (dataset, field))
+            for field in OPTIONAL_COUNT_FIELDS:
+                need(field not in entry or is_count(entry[field]),
                      "work_counts %s: `%s` must be a count" % (dataset, field))
     return problems
 
