@@ -1,7 +1,7 @@
 // bench_kernels — the vectorized kernel layer versus replicas of the
-// pre-kernel scalar loops, plus the compressed-segment byte reduction.
+// pre-kernel scalar loops.
 //
-// Three measurements (CI smoke-runs this):
+// Two measurements (CI smoke-runs this):
 //
 //   dict-eq     single categorical equality predicate over N rows:
 //               EvaluatePredicateRange (word-wise CompareI32Eq through
@@ -10,18 +10,15 @@
 //   and+popcnt  fused a & ~b popcount over the bitset word arrays:
 //               kernels::AndNotPopcount vs the old per-word
 //               std::popcount loop.
-//   compress    resident bytes of a sparse predicate segment under
-//               SegmentCompression::kAuto vs the plain bitset.
 //
 // Acceptance: kernel outputs bit-identical to the baselines on every
 // available tier; with the AVX2 tier active, dict-eq >= 3x rows/sec and
-// and+popcnt >= 2x words/sec against the scalar-loop baselines; the
-// sparse segment holds >= 4x fewer accounted bytes than plain. On a
+// and+popcnt >= 2x words/sec against the scalar-loop baselines. On a
 // scalar-only build (CAUSUMX_DISABLE_AVX2, or pre-AVX2 hardware) the
 // dict-eq bar drops to 1.2x — hoisting the per-row dispatch already
 // pays — and the and+popcnt bar is waived (the scalar kernel IS the
 // baseline loop). Bars can be pinned with CAUSUMX_BENCH_MIN_EQ_SPEEDUP /
-// CAUSUMX_BENCH_MIN_POPCNT_SPEEDUP / CAUSUMX_BENCH_MIN_BYTES_REDUCTION.
+// CAUSUMX_BENCH_MIN_POPCNT_SPEEDUP.
 // Best-of-rounds timing: noise only ever inflates a measurement, so the
 // max rate converges on the true throughput. All rates are per core —
 // every timed loop here is single-threaded.
@@ -36,7 +33,6 @@
 #include "bench_util.h"
 #include "dataset/pattern.h"
 #include "dataset/table.h"
-#include "util/compressed_bitset.h"
 #include "util/cpu_features.h"
 #include "util/kernels.h"
 #include "util/rng.h"
@@ -200,31 +196,6 @@ int main(int argc, char** argv) {
   }
   SetKernelTier(initial_tier);
 
-  // Compressed segment bytes: a sparse predicate (one value of a
-  // 512-bucket attribute, ~0.2% density) under kAuto vs plain storage.
-  double bytes_reduction = 0.0;
-  {
-    Rng rng(11);
-    Bitset sparse(rows);
-    for (size_t r = 0; r < rows; ++r) {
-      if (rng.NextU64() % 512 == 0) sparse.Set(r);
-    }
-    const size_t plain_bytes =
-        sizeof(Bitset) + sparse.num_words() * sizeof(uint64_t);
-    const SegmentBits seg =
-        SegmentBits::Choose(sparse, SegmentCompression::kAuto);
-    if (!(seg.Materialize() == sparse)) {
-      std::printf("FAIL: compressed segment roundtrip differs\n");
-      ok = false;
-    }
-    bytes_reduction = static_cast<double>(plain_bytes) /
-                      static_cast<double>(seg.bytes());
-    std::printf("\nsparse segment: plain %zu bytes, stored %zu bytes "
-                "(%.1fx reduction, compressed=%s)\n",
-                plain_bytes, seg.bytes(), bytes_reduction,
-                seg.compressed() ? "yes" : "no");
-  }
-
   // Acceptance bars, scaled to the best available tier like
   // bench_shards scales to the core count: the 3x/2x headline numbers
   // assume the AVX2 tier exists to run.
@@ -233,7 +204,6 @@ int main(int argc, char** argv) {
       EnvBar("CAUSUMX_BENCH_MIN_EQ_SPEEDUP", have_avx2 ? 3.0 : 1.2);
   const double pc_bar =
       EnvBar("CAUSUMX_BENCH_MIN_POPCNT_SPEEDUP", have_avx2 ? 2.0 : 0.0);
-  const double bytes_bar = EnvBar("CAUSUMX_BENCH_MIN_BYTES_REDUCTION", 4.0);
 
   double best_eq = 0.0, best_pc = 0.0;
   for (const TierRates& r : tiers) {
@@ -243,19 +213,14 @@ int main(int argc, char** argv) {
   const double eq_speedup = best_eq / base_eq_rate;
   const double pc_speedup = best_pc / base_pc_rate;
   std::printf("\ndict-eq speedup %.2fx (bar %.2fx), and+popcnt speedup "
-              "%.2fx (bar %.2fx), bytes reduction %.1fx (bar %.1fx)\n",
-              eq_speedup, eq_bar, pc_speedup, pc_bar, bytes_reduction,
-              bytes_bar);
+              "%.2fx (bar %.2fx)\n",
+              eq_speedup, eq_bar, pc_speedup, pc_bar);
   if (eq_speedup < eq_bar) {
     std::printf("FAIL: dict-eq speedup below the bar\n");
     ok = false;
   }
   if (pc_bar > 0.0 && pc_speedup < pc_bar) {
     std::printf("FAIL: and+popcnt speedup below the bar\n");
-    ok = false;
-  }
-  if (bytes_reduction < bytes_bar) {
-    std::printf("FAIL: bytes reduction below the bar\n");
     ok = false;
   }
 
@@ -280,8 +245,7 @@ int main(int argc, char** argv) {
                      i ? "," : "", KernelTierName(tiers[i].tier),
                      tiers[i].eq_rate, tiers[i].pc_rate);
       }
-      std::fprintf(f, "\n  ],\n  \"sparse_bytes_reduction\": %.2f\n}\n",
-                   bytes_reduction);
+      std::fprintf(f, "\n  ]\n}\n");
       std::fclose(f);
       std::printf("wrote %s\n", json_path);
     }

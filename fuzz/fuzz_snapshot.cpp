@@ -1,8 +1,8 @@
 // Fuzz harness for the storage layer's deserializers — the code that
 // reads snapshot bytes a crashed, truncated, or hostile writer may have
-// left on disk (src/storage/snapshot.*, src/dataset/table_io.*,
-// src/util/compressed_bitset.*, and the monitor checkpoint in
-// src/stream/monitor.*).
+// left on disk (src/storage/snapshot.*, src/dataset/table_io.*, the
+// engine cache payload in src/engine/eval_engine.*, and the monitor
+// checkpoint in src/stream/monitor.*).
 //
 // Properties checked on every input:
 //   1. SnapshotReader::Parse either returns a container or throws
@@ -15,9 +15,7 @@
 //   3. DeserializeTable on arbitrary bytes returns a Table whose
 //      content hash matches the embedded key, or throws StorageError —
 //      a forged key must never produce a silently-wrong table.
-//   4. SegmentBits::Deserialize on arbitrary bytes round-trips through
-//      Serialize, or throws — never crashes, never mis-sizes.
-//   5. EvalEngine::ImportCacheState over a fixed 300-row table either
+//   4. EvalEngine::ImportCacheState over a fixed 300-row table either
 //      throws StorageError or accepts under every importing shard plan
 //      alike, keeps the payload's predicate ids, and re-slices exactly:
 //      a restored shard holds the payload's bits and a shard that needed
@@ -26,7 +24,10 @@
 //      seeds — every restored predicate therefore evaluates identically
 //      to a fresh engine. (The payload carries no checksum of its own;
 //      the snapshot container's CRC is what catches flipped bits in it.)
-//   6. StreamMonitor::ImportState of a checkpoint into a fixed monitor
+//      A compressed segment (tag 1, written by earlier releases) counts
+//      as evicted. Two route bytes lead here, so the seeds of the
+//      retired segment route keep their place in the corpus.
+//   5. StreamMonitor::ImportState of a checkpoint into a fixed monitor
 //      over the same table either throws StorageError (or another
 //      std::runtime_error), or accepts and has caught up: origin +
 //      rows_observed equals the table's row count, and the window holds
@@ -55,7 +56,6 @@
 #include "storage/snapshot.h"
 #include "storage/storage_error.h"
 #include "stream/monitor.h"
-#include "util/compressed_bitset.h"
 
 #include "fuzz/standalone_main.h"
 
@@ -119,34 +119,6 @@ void CheckTable(const std::string& bytes) {
   }
 }
 
-void CheckSegment(const std::string& bytes) {
-  bool accepted = false;
-  try {
-    size_t pos = 0;
-    const causumx::SegmentBits seg =
-        causumx::SegmentBits::Deserialize(bytes, &pos);
-    accepted = true;
-    if (pos > bytes.size()) {
-      Die("segment consumed past the end", std::to_string(pos));
-    }
-    std::string rebuilt;
-    seg.Serialize(&rebuilt);
-    size_t pos2 = 0;
-    const causumx::SegmentBits again =
-        causumx::SegmentBits::Deserialize(rebuilt, &pos2);
-    if (again.size() != seg.size() || again.Count() != seg.Count()) {
-      Die("segment round-trip changed bits", "");
-    }
-    if (!(again.Materialize() == seg.Materialize())) {
-      Die("segment round-trip changed contents", "");
-    }
-  } catch (const std::runtime_error& e) {
-    // Typed rejection of hostile bytes is correct — but rejecting the
-    // serializer's own output is a canonicalization bug.
-    if (accepted) Die("round-trip of accepted segment rejected", e.what());
-  }
-}
-
 // The table every engine payload imports over: 300 rows (not a whole
 // number of 64-row blocks), one column of each type, some nulls.
 const std::shared_ptr<const causumx::Table>& FuzzTable() {
@@ -200,9 +172,13 @@ std::vector<PayloadPredicate> DecodeAccepted(const std::string& bytes,
     for (size_t s = 0; s < num_shards; ++s) {
       if (r.GetU8() == 0) continue;
       const std::string seg_bytes = r.GetString();
-      size_t pos = 0;
-      causumx::SegmentBits::Deserialize(seg_bytes, &pos)
-          .AssignIntoRange(&p.bits, s * *shard_rows);
+      causumx::ByteReader seg(seg_bytes);
+      if (seg.GetU8() != 0) continue;  // compressed: restored as evicted
+      causumx::Bitset bits(seg.GetVarint());
+      for (size_t i = 0; i < bits.num_words(); ++i) {
+        bits.mutable_data()[i] = seg.GetU64();
+      }
+      p.bits.AssignRange(s * *shard_rows, bits);
       p.resident[s] = true;
     }
   }
@@ -314,11 +290,12 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   const std::string bytes(reinterpret_cast<const char*>(data + 1), size - 1);
 
   // The first byte routes to one deserializer, so one corpus exercises
-  // all five entry points and the fuzzer can mutate across them.
+  // all four entry points and the fuzzer can mutate across them. Routes
+  // 2 and 3 both import an engine payload (see property 4).
   switch (data[0] % 5) {
     case 0: CheckContainer(bytes); break;
     case 1: CheckTable(bytes); break;
-    case 2: CheckSegment(bytes); break;
+    case 2:
     case 3: CheckEngineImport(bytes); break;
     case 4: CheckMonitorImport(bytes); break;
   }

@@ -58,7 +58,6 @@ EvalEngine::EvalEngine(std::shared_ptr<const Table> table,
                        EvalEngineOptions options)
     : table_(std::move(table)),
       cache_enabled_(options.cache_enabled),
-      compression_(options.compression),
       plan_(PlanFor(*table_, options)),
       pool_(std::move(options.pool)) {
   for (size_t c = 0; c < table_->NumColumns(); ++c) {
@@ -70,7 +69,6 @@ EvalEngine::EvalEngine(std::shared_ptr<const Table> table,
                        const EvalEngine& base, size_t dropped_prefix_rows)
     : table_(std::move(table)),
       cache_enabled_(base.cache_enabled_),
-      compression_(base.compression_),
       plan_(table_->NumRows(), base.plan_.shard_rows()),
       pool_(base.pool_) {
   const size_t dropped = dropped_prefix_rows;
@@ -170,7 +168,7 @@ bool EvalEngine::MapRows(const ShardPlan& src_plan, size_t dropped,
   // rows from `kept` on were appended.
   const size_t kept = src_plan.num_rows() - dropped;
   const size_t num_shards = plan_.NumShards();
-  std::vector<std::shared_ptr<const SegmentBits>> segs(num_shards);
+  std::vector<std::shared_ptr<const Bitset>> segs(num_shards);
   std::vector<uint64_t> used(num_shards, 0);
   bool carried = false;
   for (size_t t = 0; t < num_shards; ++t) {
@@ -203,8 +201,7 @@ bool EvalEngine::MapRows(const ShardPlan& src_plan, size_t dropped,
       const size_t span_begin = src_plan.ShardBegin(lo);
       bits = Bitset(src_plan.ShardEnd(hi) - span_begin);
       for (size_t s = lo; s <= hi; ++s) {
-        state->segs[s]->AssignIntoRange(&bits,
-                                        src_plan.ShardBegin(s) - span_begin);
+        bits.AssignRange(src_plan.ShardBegin(s) - span_begin, *state->segs[s]);
       }
       bits.DropPrefix(src_begin - span_begin);
       bits.Resize(end - begin);
@@ -218,14 +215,11 @@ bool EvalEngine::MapRows(const ShardPlan& src_plan, size_t dropped,
     // bit-for-bit with Pattern::Evaluate (see the engine property
     // tests), including the absent-dictionary-constant case: surviving
     // rows keep their values, so a constant that only entered the
-    // dictionary with the appended rows still matches no older row. The
-    // bits re-enter Choose, so the representation tracks the shard's
-    // new density.
+    // dictionary with the appended rows still matches no older row.
     for (size_t r = std::max(begin, kept); r < end; ++r) {
       if (state->pred.Matches(*table_, r)) bits.Set(r - begin);
     }
-    segs[t] = std::make_shared<const SegmentBits>(
-        SegmentBits::Choose(std::move(bits), compression_));
+    segs[t] = std::make_shared<const Bitset>(std::move(bits));
   }
   state->segs = std::move(segs);
   state->seg_used = std::move(used);
@@ -241,10 +235,7 @@ void EvalEngine::AdoptSlotLocked(SlotState state) {
   dst.seg_used = std::move(state.seg_used);
   for (const auto& seg : dst.segs) {
     if (seg == nullptr) continue;
-    bitset_bytes_.fetch_add(seg->bytes(), std::memory_order_relaxed);
-    if (seg->compressed()) {
-      n_compressed_.fetch_add(1, std::memory_order_relaxed);
-    }
+    bitset_bytes_.fetch_add(BitsetBytes(*seg), std::memory_order_relaxed);
   }
 }
 
@@ -277,7 +268,7 @@ PredicateId EvalEngine::Intern(const SimplePredicate& pred) {
   return it->second;
 }
 
-std::vector<std::shared_ptr<const SegmentBits>> EvalEngine::SegmentsOf(
+std::vector<std::shared_ptr<const Bitset>> EvalEngine::SegmentsOf(
     PredicateId id) {
   PredicateSlot* slot;
   {
@@ -295,10 +286,8 @@ std::vector<std::shared_ptr<const SegmentBits>> EvalEngine::SegmentsOf(
     // Build the missing segments pool-parallel into a scratch array;
     // workers never touch the slot (the lock is ours), and the
     // ParallelFor join orders their writes before the publication below.
-    // Each worker runs the kernel-backed single-predicate evaluator and
-    // then the representation switch, so compression cost parallelizes
-    // with the evaluation itself.
-    std::vector<std::shared_ptr<const SegmentBits>> built(missing.size());
+    // Each worker runs the kernel-backed single-predicate evaluator.
+    std::vector<std::shared_ptr<const Bitset>> built(missing.size());
     const SimplePredicate& pred = slot->pred;
     // causumx-analyzer: allow(lock-blocking) intentional: the sharded
     // build fans out while holding this slot's mutex so concurrent
@@ -306,17 +295,13 @@ std::vector<std::shared_ptr<const SegmentBits>> EvalEngine::SegmentsOf(
     // build; workers take no locks, so no cycle is possible.
     RunSharded(missing.size(), [&](size_t i) {
       const size_t s = missing[i];
-      built[i] = std::make_shared<const SegmentBits>(SegmentBits::Choose(
-          EvaluatePredicateRange(*table_, pred, plan_.ShardBegin(s),
-                                 plan_.ShardEnd(s)),
-          compression_));
+      built[i] = std::make_shared<const Bitset>(EvaluatePredicateRange(
+          *table_, pred, plan_.ShardBegin(s), plan_.ShardEnd(s)));
     });
     for (size_t i = 0; i < missing.size(); ++i) {
       slot->segs[missing[i]] = built[i];
-      bitset_bytes_.fetch_add(built[i]->bytes(), std::memory_order_relaxed);
-      if (built[i]->compressed()) {
-        n_compressed_.fetch_add(1, std::memory_order_relaxed);
-      }
+      bitset_bytes_.fetch_add(BitsetBytes(*built[i]),
+                              std::memory_order_relaxed);
     }
     n_materialized_.fetch_add(missing.size(), std::memory_order_relaxed);
   }
@@ -326,17 +311,11 @@ std::vector<std::shared_ptr<const SegmentBits>> EvalEngine::SegmentsOf(
 }
 
 std::shared_ptr<const Bitset> EvalEngine::PredicateBits(PredicateId id) {
-  std::vector<std::shared_ptr<const SegmentBits>> segs = SegmentsOf(id);
-  if (segs.size() == 1) {
-    if (const Bitset* plain = segs[0]->plain()) {
-      // Single plain segment: alias the cached bits, zero copy.
-      return std::shared_ptr<const Bitset>(segs[0], plain);
-    }
-    return std::make_shared<const Bitset>(segs[0]->Materialize());
-  }
+  std::vector<std::shared_ptr<const Bitset>> segs = SegmentsOf(id);
+  if (segs.size() == 1) return segs[0];  // the cached bits, zero copy
   Bitset whole(table_->NumRows());
   for (size_t s = 0; s < segs.size(); ++s) {
-    segs[s]->AssignIntoRange(&whole, plan_.ShardBegin(s));
+    whole.AssignRange(plan_.ShardBegin(s), *segs[s]);
   }
   return std::make_shared<const Bitset>(std::move(whole));
 }
@@ -349,7 +328,7 @@ Bitset EvalEngine::Evaluate(const Pattern& pattern) {
   n_pattern_evals_.fetch_add(1, std::memory_order_relaxed);
   Bitset out(table_->NumRows());
   out.SetAll();
-  std::vector<std::vector<std::shared_ptr<const SegmentBits>>> atoms;
+  std::vector<std::vector<std::shared_ptr<const Bitset>>> atoms;
   atoms.reserve(pattern.predicates().size());
   for (const auto& p : pattern.predicates()) {
     atoms.push_back(SegmentsOf(Intern(p)));
@@ -358,13 +337,9 @@ Bitset EvalEngine::Evaluate(const Pattern& pattern) {
   // ranges. Deliberately serial: the expensive O(rows) work — segment
   // materialization — already ran pool-parallel inside SegmentsOf, and
   // the AND itself is a word-wise pass cheaper than a task dispatch.
-  // Compressed segments decompress into one reused scratch buffer.
-  std::vector<uint64_t> scratch;
   for (size_t s = 0; s < plan_.NumShards(); ++s) {
     const size_t begin = plan_.ShardBegin(s);
-    for (const auto& segs : atoms) {
-      segs[s]->AndIntoRange(&out, begin, &scratch);
-    }
+    for (const auto& segs : atoms) out.AndRange(begin, *segs[s]);
   }
   return out;
 }
@@ -467,10 +442,7 @@ size_t EvalEngine::EvictLru(size_t bytes_to_free) {
     }
     util::MutexLock lk(slot->mu);
     if (slot->segs[shard] != nullptr) {
-      freed += slot->segs[shard]->bytes();
-      if (slot->segs[shard]->compressed()) {
-        n_compressed_.fetch_sub(1, std::memory_order_relaxed);
-      }
+      freed += BitsetBytes(*slot->segs[shard]);
       slot->segs[shard].reset();
       n_evicted_.fetch_add(1, std::memory_order_relaxed);
     }
@@ -485,7 +457,6 @@ EvalEngineStats EvalEngine::Stats() const {
   s.bitsets_materialized = n_materialized_.load(std::memory_order_relaxed);
   s.bitset_hits = n_bitset_hits_.load(std::memory_order_relaxed);
   s.bitsets_evicted = n_evicted_.load(std::memory_order_relaxed);
-  s.segments_compressed = n_compressed_.load(std::memory_order_relaxed);
   s.bitsets_extended = n_extended_.load(std::memory_order_relaxed);
   s.bitsets_retracted = n_retracted_.load(std::memory_order_relaxed);
   s.pattern_evals = n_pattern_evals_.load(std::memory_order_relaxed);
@@ -536,6 +507,16 @@ Value GetValue(ByteReader* r) {
   }
 }
 
+// Segment tags inside an exported segment's bytes. Tag 1 (a compressed
+// segment) was written by earlier releases only.
+constexpr uint8_t kPlainSegmentTag = 0;
+constexpr uint8_t kCompressedSegmentTag = 1;
+
+// The byte after the shard size held the segment compression policy of
+// earlier releases; it stays the literal of their default, so the
+// payload is unchanged.
+constexpr uint8_t kSegmentPolicyByte = 0;
+
 }  // namespace
 
 std::string EvalEngine::ExportCacheState() const {
@@ -552,7 +533,7 @@ std::string EvalEngine::ExportCacheState() const {
   w.PutU64(table_->NumRows());
   w.PutVarint(plan_.NumShards());
   w.PutVarint(plan_.shard_rows());
-  w.PutU8(static_cast<uint8_t>(compression_));
+  w.PutU8(kSegmentPolicyByte);
   w.PutU8(cache_enabled_ ? 1 : 0);
   w.PutVarint(states.size());
   for (const SlotState& state : states) {
@@ -565,9 +546,13 @@ std::string EvalEngine::ExportCacheState() const {
         w.PutU8(0);
       } else {
         w.PutU8(1);
-        std::string bytes;
-        seg->Serialize(&bytes);
-        w.PutString(bytes);
+        ByteWriter seg_w;
+        seg_w.PutU8(kPlainSegmentTag);
+        seg_w.PutVarint(seg->size());
+        for (size_t i = 0; i < seg->num_words(); ++i) {
+          seg_w.PutU64(seg->data()[i]);
+        }
+        w.PutString(seg_w.TakeBytes());
       }
     }
   }
@@ -583,8 +568,8 @@ size_t EvalEngine::ImportCacheState(const std::string& bytes) {
   }
   const uint64_t src_shards = r.GetVarint();
   const uint64_t src_shard_rows = r.GetVarint();
-  if (r.GetU8() != static_cast<uint8_t>(compression_) ||
-      (r.GetU8() != 0) != cache_enabled_) {
+  r.GetU8();  // kSegmentPolicyByte; each segment carries its own tag
+  if ((r.GetU8() != 0) != cache_enabled_) {
     throw StorageError(StorageErrorKind::kStale,
                        "engine cache: options mismatch");
   }
@@ -638,25 +623,33 @@ size_t EvalEngine::ImportCacheState(const std::string& bytes) {
     for (size_t s = 0; s < num_src_shards; ++s) {
       if (r.GetU8() == 0) continue;
       const std::string seg_bytes = r.GetString();
-      size_t pos = 0;
-      SegmentBits seg = [&] {
-        try {
-          return SegmentBits::Deserialize(seg_bytes, &pos);
-        } catch (const StorageError&) {
-          throw;
-        } catch (const std::runtime_error& e) {
-          throw StorageError(StorageErrorKind::kCorrupt, e.what());
-        }
-      }();
-      if (pos != seg_bytes.size()) {
+      ByteReader seg_r(seg_bytes);
+      const uint8_t tag = seg_r.GetU8();
+      if (tag == kCompressedSegmentTag) continue;  // non-resident
+      if (tag != kPlainSegmentTag) {
         throw StorageError(StorageErrorKind::kCorrupt,
-                           "engine cache: trailing segment bytes");
+                           "engine cache: unknown segment tag");
       }
-      if (seg.size() != src_plan.ShardEnd(s) - src_plan.ShardBegin(s)) {
+      const size_t shard_rows = src_plan.ShardEnd(s) - src_plan.ShardBegin(s);
+      if (seg_r.GetVarint() != shard_rows) {
         throw StorageError(StorageErrorKind::kCorrupt,
                            "engine cache: segment size does not match shard");
       }
-      state.segs[s] = std::make_shared<const SegmentBits>(std::move(seg));
+      if (seg_r.remaining() != (shard_rows + 63) / 64 * sizeof(uint64_t)) {
+        throw StorageError(StorageErrorKind::kCorrupt,
+                           "engine cache: segment length does not match "
+                           "its size");
+      }
+      Bitset bits(shard_rows);
+      for (size_t i = 0; i < bits.num_words(); ++i) {
+        bits.mutable_data()[i] = seg_r.GetU64();
+      }
+      if (shard_rows % 64 != 0 &&
+          (bits.data()[bits.num_words() - 1] >> (shard_rows % 64)) != 0) {
+        throw StorageError(StorageErrorKind::kCorrupt,
+                           "engine cache: segment padding bits set");
+      }
+      state.segs[s] = std::make_shared<const Bitset>(std::move(bits));
     }
   }
   if (!r.AtEnd()) {

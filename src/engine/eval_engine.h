@@ -57,7 +57,6 @@
 #include "dataset/table.h"
 #include "util/shard_plan.h"
 #include "util/bitset.h"
-#include "util/compressed_bitset.h"
 #include "util/thread_annotations.h"
 
 namespace causumx {
@@ -93,9 +92,6 @@ struct EvalEngineStats {
   size_t bitset_bytes = 0;  ///< resident predicate segment bytes
   size_t view_bytes = 0;  ///< resident numeric column view bytes
   size_t num_shards = 1;  ///< shards in the engine's plan
-  /// Currently resident segments stored in compressed (Roaring-style)
-  /// form; the remainder of the resident segments are plain bitsets.
-  uint64_t segments_compressed = 0;
 };
 
 /// Cached numeric view of one column: GetNumeric for every row (NaN on
@@ -121,12 +117,6 @@ struct EvalEngineOptions {
   /// null (serial execution over the same shard plan). The engine keeps
   /// the pool alive.
   std::shared_ptr<ThreadPool> pool = nullptr;
-  /// Storage policy for cached predicate segments: kAuto compresses a
-  /// segment when that at least halves its resident bytes, kNever keeps
-  /// every segment as a plain bitset, kAlways compresses all of them
-  /// (differential testing). Query results are bit-identical under
-  /// every policy; only resident bytes and AND-path cost change.
-  SegmentCompression compression = SegmentCompression::kAuto;
 };
 
 /// Pattern-evaluation engine bound to one table.
@@ -167,8 +157,8 @@ class EvalEngine {
   /// dictionary codes). Byte accounting restarts from the carried state,
   /// so expiry is how resident bytes shrink.
   ///
-  /// The shard size, pool, compression and cache mode are inherited, so
-  /// shard boundaries stay stable across appends. Safe while `base` is
+  /// The shard size, pool and cache mode are inherited, so shard
+  /// boundaries stay stable across appends. Safe while `base` is
   /// serving concurrent queries: only pointers are copied under its
   /// locks, and `base` is never modified. Throws std::invalid_argument
   /// when `dropped_prefix_rows` exceeds the base rows, `table` has fewer
@@ -242,26 +232,28 @@ class EvalEngine {
   EvalEngineStats Stats() const;
 
   /// Serializes the warm predicate cache — every interned predicate in
-  /// id order and each resident segment in its exact representation —
-  /// for the storage layer's warm-state snapshots. Evicted segments are
-  /// skipped (they rematerialize on demand). Column views are cheap to
-  /// rebuild and not exported. Safe to call concurrently with queries.
+  /// id order and the words of each resident segment — for the storage
+  /// layer's warm-state snapshots. Evicted segments are skipped (they
+  /// rematerialize on demand). Column views are cheap to rebuild and not
+  /// exported. Safe to call concurrently with queries.
   std::string ExportCacheState() const;
 
   /// Seeds a freshly constructed engine (nothing interned yet) with
   /// state exported from an engine over identical table content and the
-  /// same compression and cache mode. The exported segments are
-  /// re-sliced onto this engine's shard plan through the derivation row
-  /// map (no rows dropped or appended), so a shard size that differs —
-  /// e.g. an auto-sized plan after appends — still restores warm.
-  /// Predicates intern in export order, so the dense ids — and every
-  /// CATE memo keyed on them — are preserved. Returns the number of
-  /// segments restored. Throws StorageError: kStale on a row-count,
-  /// compression or cache-mode mismatch, kCorrupt when the payload is
-  /// malformed (including a source plan whose shard size is zero or not
-  /// a multiple of 64, or whose segment counts or sizes disagree with
-  /// it); the engine is unusable after a throw and must be discarded
-  /// (the caller rebuilds cold).
+  /// same cache mode. The exported segments are re-sliced onto this
+  /// engine's shard plan through the derivation row map (no rows dropped
+  /// or appended), so a shard size that differs — e.g. an auto-sized
+  /// plan after appends — still restores warm. Predicates intern in
+  /// export order, so the dense ids — and every CATE memo keyed on
+  /// them — are preserved. A segment in the compressed form an earlier
+  /// release could write (tag 1) is skipped undecoded and left
+  /// non-resident, like an evicted one, so it rematerializes on demand.
+  /// Returns the number of segments restored. Throws StorageError:
+  /// kStale on a row-count or cache-mode mismatch, kCorrupt when the
+  /// payload is malformed (including a source plan whose shard size is
+  /// zero or not a multiple of 64, or whose segment counts or sizes
+  /// disagree with it); the engine is unusable after a throw and must be
+  /// discarded (the caller rebuilds cold).
   size_t ImportCacheState(const std::string& bytes);
 
  private:
@@ -269,9 +261,7 @@ class EvalEngine {
     SimplePredicate pred;
     mutable util::Mutex mu;  // guards `segs` / `seg_used` build/evict
     /// One entry per shard; null until materialized (or after evict).
-    /// Each segment is plain or compressed per the engine's policy.
-    std::vector<std::shared_ptr<const SegmentBits>> segs
-        CAUSUMX_GUARDED_BY(mu);
+    std::vector<std::shared_ptr<const Bitset>> segs CAUSUMX_GUARDED_BY(mu);
     /// LRU stamp per segment.
     std::vector<uint64_t> seg_used CAUSUMX_GUARDED_BY(mu);
   };
@@ -294,7 +284,7 @@ class EvalEngine {
   /// derivation snapshots from its base and what a cache import decodes.
   struct SlotState {
     SimplePredicate pred;
-    std::vector<std::shared_ptr<const SegmentBits>> segs;
+    std::vector<std::shared_ptr<const Bitset>> segs;
     std::vector<uint64_t> seg_used;
   };
 
@@ -324,11 +314,10 @@ class EvalEngine {
   /// byte-accounting) the missing ones pool-parallel, and stamping all
   /// of them as used. The returned pointers are safe against concurrent
   /// eviction.
-  std::vector<std::shared_ptr<const SegmentBits>> SegmentsOf(PredicateId id);
+  std::vector<std::shared_ptr<const Bitset>> SegmentsOf(PredicateId id);
 
   const std::shared_ptr<const Table> table_;  // never null
   const bool cache_enabled_;
-  const SegmentCompression compression_;
   const ShardPlan plan_;
   const std::shared_ptr<ThreadPool> pool_;  // may be null (serial)
 
@@ -346,7 +335,6 @@ class EvalEngine {
   std::atomic<uint64_t> n_materialized_{0};
   std::atomic<uint64_t> n_bitset_hits_{0};
   std::atomic<uint64_t> n_evicted_{0};
-  std::atomic<uint64_t> n_compressed_{0};  // currently resident compressed
   std::atomic<uint64_t> n_extended_{0};
   std::atomic<uint64_t> n_retracted_{0};
   std::atomic<uint64_t> n_views_retracted_{0};

@@ -34,7 +34,6 @@ void WriteEngineStats(JsonWriter& w, const EvalEngineStats& e) {
       .Key("bitset_bytes").Uint(e.bitset_bytes)
       .Key("view_bytes").Uint(e.view_bytes)
       .Key("num_shards").Uint(e.num_shards)
-      .Key("segments_compressed").Uint(e.segments_compressed)
       .EndObject();
 }
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <chrono>
+#include <optional>
 #include <stdexcept>
 #include <string_view>
 #include <utility>
@@ -44,9 +45,10 @@ std::string ContextKey(const CausalDag& dag, const EstimatorOptions& opt) {
 }
 
 // The engine-configuration suffix of a warm-snapshot key. Every service
-// engine plans one shard per pool worker ("s0"), caches ("c1") and
-// compresses segments under kAuto ("z0"); the tags stay literal so data
-// dirs written while they were options still restore warm.
+// engine plans one shard per pool worker ("s0") and caches ("c1"); "z0"
+// named the segment compression policy of earlier releases. The tags
+// stay literal so data dirs written while they were options still
+// restore warm.
 constexpr char kEngineConfigSuffix[] = "|s0|c1|z0";
 
 // The content part of a warm-snapshot key.
@@ -143,27 +145,45 @@ size_t MinedBytes(const std::string& key, const CandidateMiningResult& r,
 
 }  // namespace
 
-std::shared_ptr<const CandidateMiningResult>
-ExplanationService::CandidateCache::Find(const std::string& key) {
-  util::MutexLock lock(mu_);
-  auto it = entries_.find(key);
-  if (it == entries_.end()) return nullptr;
-  it->second.last_use = ++clock_;
-  return it->second.mined;
-}
-
-std::shared_ptr<const CandidateMiningResult>
-ExplanationService::CandidateCache::Insert(
-    const std::string& key, std::shared_ptr<const CandidateMiningResult> mined,
-    size_t bytes) {
-  util::MutexLock lock(mu_);
-  auto [it, inserted] = entries_.try_emplace(key);
-  if (inserted) {
-    it->second = Entry{std::move(mined), bytes, 0};
-    bytes_ += bytes;
+ExplanationService::CandidateCache::Mined
+ExplanationService::CandidateCache::GetOrMine(
+    const std::string& key,
+    const std::function<std::pair<Mined, size_t>()>& mine, bool* mined_here) {
+  std::optional<std::promise<Mined>> promise;  // set when this call mines
+  std::shared_future<Mined> existing;
+  {
+    util::MutexLock lock(mu_);
+    auto [it, inserted] = entries_.try_emplace(key);
+    it->second.last_use = ++clock_;
+    if (inserted) {
+      it->second.mined = promise.emplace().get_future().share();
+    } else {
+      existing = it->second.mined;
+    }
   }
-  it->second.last_use = ++clock_;
-  return it->second.mined;
+  *mined_here = promise.has_value();
+  // Waiting blocks this thread, never a mine: mining calls no
+  // GetOrMine, and a pool-parallel mine finishes on its own caller.
+  if (!promise) return existing.get();
+  try {
+    auto [mined, bytes] = mine();
+    {
+      util::MutexLock lock(mu_);
+      Entry& entry = entries_.at(key);  // pending entries are never evicted
+      entry.ready = true;
+      entry.bytes = bytes;
+      bytes_ += bytes;
+    }
+    promise->set_value(mined);
+    return mined;
+  } catch (...) {
+    {
+      util::MutexLock lock(mu_);
+      entries_.erase(key);
+    }
+    promise->set_exception(std::current_exception());
+    throw;
+  }
 }
 
 size_t ExplanationService::CandidateCache::CacheBytes() const {
@@ -174,11 +194,15 @@ size_t ExplanationService::CandidateCache::CacheBytes() const {
 size_t ExplanationService::CandidateCache::EvictLru(size_t bytes_to_free) {
   util::MutexLock lock(mu_);
   size_t freed = 0;
-  while (freed < bytes_to_free && !entries_.empty()) {
-    auto oldest = entries_.begin();
+  while (freed < bytes_to_free) {
+    auto oldest = entries_.end();
     for (auto it = entries_.begin(); it != entries_.end(); ++it) {
-      if (it->second.last_use < oldest->second.last_use) oldest = it;
+      if (it->second.ready && (oldest == entries_.end() ||
+                               it->second.last_use < oldest->second.last_use)) {
+        oldest = it;
+      }
     }
+    if (oldest == entries_.end()) break;
     freed += oldest->second.bytes;
     bytes_ -= oldest->second.bytes;
     entries_.erase(oldest);
@@ -594,19 +618,24 @@ ExplanationService::MinedCandidates(const Resolved& entry,
                                     const CauSumXConfig& config,
                                     ThreadPool* pool, bool* hit) {
   const std::string key = MiningKey(query, config);
+  bool mined_here = false;
   std::shared_ptr<const CandidateMiningResult> mined =
-      entry.candidates->Find(key);
-  if (hit != nullptr) *hit = mined != nullptr;
-  if (mined != nullptr) {
-    n_candidate_hits_.fetch_add(1, std::memory_order_relaxed);
-    return mined;
-  }
-  n_candidate_misses_.fetch_add(1, std::memory_order_relaxed);
-  mined = std::make_shared<const CandidateMiningResult>(
-      MineExplanationCandidates(*entry.table, query, dag, config,
-                                entry.engine, entry.context, pool));
-  const size_t bytes = MinedBytes(key, *mined, entry.table->NumRows());
-  return entry.candidates->Insert(key, std::move(mined), bytes);
+      entry.candidates->GetOrMine(
+          key,
+          [&] {
+            n_candidate_misses_.fetch_add(1, std::memory_order_relaxed);
+            auto result = std::make_shared<const CandidateMiningResult>(
+                MineExplanationCandidates(*entry.table, query, dag, config,
+                                          entry.engine, entry.context, pool));
+            const size_t bytes =
+                MinedBytes(key, *result, entry.table->NumRows());
+            return std::pair<CandidateCache::Mined, size_t>(std::move(result),
+                                                            bytes);
+          },
+          &mined_here);
+  if (!mined_here) n_candidate_hits_.fetch_add(1, std::memory_order_relaxed);
+  if (hit != nullptr) *hit = !mined_here;
+  return mined;
 }
 
 CauSumXResult ExplanationService::Explain(const std::string& table_name,

@@ -323,28 +323,32 @@ class ExplanationService {
 
  private:
   /// Mined candidates of one context slot, keyed by MiningKey: shared
-  /// results, byte-accounted and LRU-evictable like the CATE memo.
+  /// results, byte-accounted and LRU-evictable like the CATE memo. Each
+  /// key is mined once: callers that arrive while it is being mined wait
+  /// for that result.
   class CandidateCache {
    public:
-    /// The entry for `key`, or null; a hit refreshes its LRU position.
-    std::shared_ptr<const CandidateMiningResult> Find(const std::string& key)
-        CAUSUMX_EXCLUDES(mu_);
-    /// Stores `mined`, accounted as `bytes`, unless `key` is present;
-    /// returns the stored entry (the first of two concurrent inserts
-    /// wins; both are identical).
-    std::shared_ptr<const CandidateMiningResult> Insert(
-        const std::string& key,
-        std::shared_ptr<const CandidateMiningResult> mined, size_t bytes)
-        CAUSUMX_EXCLUDES(mu_);
-    /// Accounted bytes of the resident entries.
+    /// A shared, read-only mining result.
+    using Mined = std::shared_ptr<const CandidateMiningResult>;
+    /// The entry for `key`; a lookup refreshes its LRU position. When
+    /// the key is absent this call runs `mine`, which returns the result
+    /// and its accounted bytes, and `*mined_here` is set. If `mine`
+    /// throws, the key is left absent and every caller waiting on it
+    /// receives the exception.
+    Mined GetOrMine(const std::string& key,
+                    const std::function<std::pair<Mined, size_t>()>& mine,
+                    bool* mined_here) CAUSUMX_EXCLUDES(mu_);
+    /// Accounted bytes of the mined entries.
     size_t CacheBytes() const CAUSUMX_EXCLUDES(mu_);
-    /// Drops least-recently-used entries until `bytes_to_free` accounted
-    /// bytes are released or none is left; returns the bytes freed.
+    /// Drops least-recently-used mined entries (never one still being
+    /// mined) until `bytes_to_free` accounted bytes are released or none
+    /// is left; returns the bytes freed.
     size_t EvictLru(size_t bytes_to_free) CAUSUMX_EXCLUDES(mu_);
 
    private:
     struct Entry {
-      std::shared_ptr<const CandidateMiningResult> mined;
+      std::shared_future<Mined> mined;
+      bool ready = false;  // false while its first caller mines it
       size_t bytes = 0;
       uint64_t last_use = 0;
     };
@@ -381,8 +385,9 @@ class ExplanationService {
                    const EstimatorOptions& options) CAUSUMX_EXCLUDES(mu_);
 
   /// The mined candidates of (query, config) on `entry`: from its
-  /// candidate cache, else mined on `pool` and stored. `hit` (optional)
-  /// receives whether the cache served them.
+  /// candidate cache (after waiting for a concurrent caller that is
+  /// mining the same key), else mined on `pool` and stored. `hit`
+  /// (optional) receives whether the cache served them.
   std::shared_ptr<const CandidateMiningResult> MinedCandidates(
       const Resolved& entry, const GroupByAvgQuery& query,
       const CausalDag& dag, const CauSumXConfig& config, ThreadPool* pool,

@@ -16,7 +16,6 @@
 
 #include "dataset/pattern.h"
 #include "dataset/table.h"
-#include "util/compressed_bitset.h"
 #include "util/cpu_features.h"
 #include "util/kernels.h"
 #include "util/rng.h"
@@ -367,145 +366,6 @@ TEST(BitsetTest, CountAndNotRangeZeroExtendsShorterOther) {
   }
   EXPECT_EQ(a.CountAndNotRange(covered, 0, 200), expect_full);
   EXPECT_EQ(a.CountAndNotRange(covered, 0, 100), expect_head);
-}
-
-// ---- compressed bitsets ----------------------------------------------------
-
-Bitset MakePattern(size_t n, const std::string& kind) {
-  Bitset b(n);
-  Rng rng(9);
-  if (kind == "sparse") {
-    for (size_t i = 0; i < n; ++i) {
-      if (rng.NextBounded(400) == 0) b.Set(i);
-    }
-  } else if (kind == "dense") {
-    for (size_t i = 0; i < n; ++i) {
-      if (rng.NextBounded(2) == 0) b.Set(i);
-    }
-  } else if (kind == "runs") {
-    size_t i = 0;
-    while (i < n) {
-      const size_t len = 1 + rng.NextBounded(5000);
-      const bool set = rng.NextBounded(2) == 0;
-      for (size_t j = i; j < std::min(n, i + len); ++j) {
-        if (set) b.Set(j);
-      }
-      i += len;
-    }
-  } else if (kind == "full") {
-    b.SetAll();
-  }  // "empty": leave clear
-  return b;
-}
-
-TEST(CompressedBitsetTest, RoundTripsEveryShape) {
-  for (size_t n : {size_t{0}, size_t{100}, size_t{65536}, size_t{65537},
-                   size_t{200000}}) {
-    for (const char* kind : {"empty", "sparse", "dense", "runs", "full"}) {
-      const Bitset original = MakePattern(n, kind);
-      const CompressedBitset comp = CompressedBitset::FromBitset(original);
-      EXPECT_EQ(comp.size(), n);
-      EXPECT_EQ(comp.Count(), original.Count()) << kind << " n=" << n;
-      EXPECT_TRUE(comp.ToBitset() == original) << kind << " n=" << n;
-      // DecompressTo writes canonical words.
-      std::vector<uint64_t> words(original.num_words(), ~uint64_t{0});
-      comp.DecompressTo(words.data());
-      EXPECT_TRUE(std::equal(words.begin(), words.end(), original.data()))
-          << kind << " n=" << n;
-      // Spot membership tests (plus past-the-universe).
-      Rng rng(10);
-      for (int s = 0; s < 50 && n > 0; ++s) {
-        const size_t i = rng.NextBounded(n);
-        EXPECT_EQ(comp.Test(i), original.Test(i));
-      }
-      EXPECT_FALSE(comp.Test(n + 5));
-    }
-  }
-}
-
-TEST(CompressedBitsetTest, EqualityIsStructuralAndDeterministic) {
-  const Bitset a = MakePattern(100000, "sparse");
-  EXPECT_TRUE(CompressedBitset::FromBitset(a) ==
-              CompressedBitset::FromBitset(a));
-  Bitset b = a;
-  b.Set(12345);
-  if (!a.Test(12345)) {
-    EXPECT_FALSE(CompressedBitset::FromBitset(a) ==
-                 CompressedBitset::FromBitset(b));
-  }
-}
-
-TEST(CompressedBitsetTest, SparseAndRunShapesCompressWell) {
-  const size_t n = 1 << 20;
-  const size_t plain_bytes = sizeof(Bitset) + ((n + 63) / 64) * 8;
-  const size_t sparse_bytes =
-      CompressedBitset::FromBitset(MakePattern(n, "sparse")).SizeBytes();
-  const size_t runs_bytes =
-      CompressedBitset::FromBitset(MakePattern(n, "runs")).SizeBytes();
-  EXPECT_LT(sparse_bytes * 4, plain_bytes);
-  EXPECT_LT(runs_bytes * 4, plain_bytes);
-  // Dense random chunks must fall back to verbatim bitmaps, never blow up.
-  const size_t dense_bytes =
-      CompressedBitset::FromBitset(MakePattern(n, "dense")).SizeBytes();
-  EXPECT_LT(dense_bytes, plain_bytes + plain_bytes / 8 + 1024);
-}
-
-// ---- SegmentBits -----------------------------------------------------------
-
-TEST(SegmentBitsTest, ChoosePolicies) {
-  const Bitset sparse = MakePattern(1 << 18, "sparse");
-  const Bitset dense = MakePattern(1 << 18, "dense");
-
-  const SegmentBits never = SegmentBits::Choose(sparse, SegmentCompression::kNever);
-  EXPECT_FALSE(never.compressed());
-  ASSERT_NE(never.plain(), nullptr);
-  EXPECT_TRUE(*never.plain() == sparse);
-
-  const SegmentBits always = SegmentBits::Choose(sparse, SegmentCompression::kAlways);
-  EXPECT_TRUE(always.compressed());
-  EXPECT_EQ(always.plain(), nullptr);
-
-  EXPECT_TRUE(
-      SegmentBits::Choose(sparse, SegmentCompression::kAuto).compressed());
-  EXPECT_FALSE(
-      SegmentBits::Choose(dense, SegmentCompression::kAuto).compressed());
-
-  // Accounting: a compressed sparse segment is at least 4x lighter.
-  const size_t plain_bytes =
-      SegmentBits::Choose(sparse, SegmentCompression::kNever).bytes();
-  const size_t comp_bytes =
-      SegmentBits::Choose(sparse, SegmentCompression::kAuto).bytes();
-  EXPECT_LT(comp_bytes * 4, plain_bytes);
-}
-
-TEST(SegmentBitsTest, RangeOpsMatchPlainOnEveryRepresentation) {
-  const size_t seg_rows = 1000;
-  const size_t offset = 320;  // word-aligned
-  for (const char* kind : {"empty", "sparse", "dense", "runs", "full"}) {
-    const Bitset seg_bits = MakePattern(seg_rows, kind);
-    for (SegmentCompression mode :
-         {SegmentCompression::kNever, SegmentCompression::kAlways,
-          SegmentCompression::kAuto}) {
-      const SegmentBits seg = SegmentBits::Choose(seg_bits, mode);
-      EXPECT_EQ(seg.size(), seg_rows);
-      EXPECT_EQ(seg.Count(), seg_bits.Count());
-      EXPECT_TRUE(seg.Materialize() == seg_bits);
-
-      Bitset dst = MakePattern(offset + seg_rows + 64, "dense");
-      Bitset expect_and = dst, expect_assign = dst;
-      expect_and.AndRange(offset, seg_bits);
-      expect_assign.AssignRange(offset, seg_bits);
-
-      Bitset got_and = dst;
-      std::vector<uint64_t> scratch;
-      seg.AndIntoRange(&got_and, offset, &scratch);
-      EXPECT_TRUE(got_and == expect_and) << kind;
-
-      Bitset got_assign = dst;
-      seg.AssignIntoRange(&got_assign, offset);
-      EXPECT_TRUE(got_assign == expect_assign) << kind;
-    }
-  }
 }
 
 }  // namespace

@@ -345,12 +345,11 @@ TEST_P(ShardedPropertyTest, AppendsPreserveShardedEquivalence) {
                        "post-append view");
 }
 
-// Case family 6: kernel dispatch tiers x segment-compression policies.
-// Every (tier, compression) cell must reproduce the cache-bypass
-// reference bitsets, the serial aggregate view, and the CATE estimates
-// bit for bit — dispatch is a throughput decision and compression a
-// memory decision; neither may leak into results.
-TEST_P(ShardedPropertyTest, TiersAndCompressionAreBitIdentical) {
+// Case family 6: kernel dispatch tiers. Every tier must reproduce the
+// cache-bypass reference bitsets, the serial aggregate view, and the
+// CATE estimates bit for bit — dispatch is a throughput decision and
+// may not leak into results.
+TEST_P(ShardedPropertyTest, TiersAreBitIdentical) {
   const RandomWorld w = MakeWorld(GetParam() * 127 + 13);
   Rng rng(GetParam() * 31 + 6);
   auto pool = std::make_shared<ThreadPool>(3);
@@ -388,31 +387,21 @@ TEST_P(ShardedPropertyTest, TiersAndCompressionAreBitIdentical) {
   const size_t shards = 1 + rng.NextBounded(16);
   for (KernelTier tier : tiers) {
     ASSERT_TRUE(SetKernelTier(tier));
-    for (SegmentCompression compression :
-         {SegmentCompression::kNever, SegmentCompression::kAlways,
-          SegmentCompression::kAuto}) {
-      EvalEngineOptions options;
-      options.cache_enabled = true;
-      options.num_shards = shards;
-      options.pool = pool;
-      options.compression = compression;
-      auto engine = std::make_shared<EvalEngine>(
-          std::shared_ptr<const Table>(w.table), options);
-      const std::string context =
-          std::string("tier=") + KernelTierName(tier) + " compression=" +
-          std::to_string(static_cast<int>(compression)) +
-          " shards=" + std::to_string(shards);
-      for (size_t i = 0; i < patterns.size(); ++i) {
-        ASSERT_TRUE(engine->Evaluate(patterns[i]) == expected_bits[i])
-            << context << " " << patterns[i].ToString();
-      }
-      if (compression == SegmentCompression::kAlways) {
-        EXPECT_GT(engine->Stats().segments_compressed, 0u) << context;
-      }
-      EstimatorContext ctx(engine, dag, est_opt);
-      ExpectEstimatesIdentical(ctx.EstimateCate(treatment, "y", subpop),
-                               expected_cate, context);
+    EvalEngineOptions options;
+    options.cache_enabled = true;
+    options.num_shards = shards;
+    options.pool = pool;
+    auto engine = std::make_shared<EvalEngine>(
+        std::shared_ptr<const Table>(w.table), options);
+    const std::string context = std::string("tier=") + KernelTierName(tier) +
+                                " shards=" + std::to_string(shards);
+    for (size_t i = 0; i < patterns.size(); ++i) {
+      ASSERT_TRUE(engine->Evaluate(patterns[i]) == expected_bits[i])
+          << context << " " << patterns[i].ToString();
     }
+    EstimatorContext ctx(engine, dag, est_opt);
+    ExpectEstimatesIdentical(ctx.EstimateCate(treatment, "y", subpop),
+                             expected_cate, context);
     const AggregateView view =
         AggregateView::Evaluate(*w.table, q, ShardPlan(w.table->NumRows()),
                                 pool.get());

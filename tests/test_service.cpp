@@ -544,6 +544,53 @@ TEST(CandidateCacheTest, ConcurrentColdExplainsOnOneKeyAgree) {
   EXPECT_EQ(w.service.Stats().candidate_hits, stats.candidate_hits + 1);
 }
 
+// Concurrent cold explains of one query mine it once: the callers that
+// arrive while the first one mines wait for its result and count as
+// hits.
+TEST(CandidateCacheTest, ConcurrentColdExplainsMineOnce) {
+  ServiceOptions options;
+  options.num_threads = 2;
+  ServiceWorld w(options);
+  std::vector<std::future<CauSumXResult>> futures;
+  for (int i = 0; i < 4; ++i) {
+    futures.push_back(w.service.ExplainAsync("synthetic", w.ds.default_query,
+                                             w.ds.dag, w.config));
+  }
+  std::vector<std::string> summaries;
+  for (auto& f : futures) summaries.push_back(SummaryToJson(f.get().summary));
+  for (const std::string& s : summaries) EXPECT_EQ(s, summaries[0]);
+  EXPECT_EQ(w.service.Stats().candidate_misses, 1u);
+  EXPECT_EQ(w.service.Stats().candidate_hits, 3u);
+}
+
+// A mine that throws leaves no entry behind: every concurrent caller
+// receives the error, nothing is accounted, and a later call mines
+// afresh.
+TEST(CandidateCacheTest, ThrowingMineLeavesNoEntry) {
+  ServiceOptions options;
+  options.num_threads = 2;
+  ServiceWorld w(options);
+  GroupByAvgQuery bad = w.ds.default_query;
+  bad.avg_attribute = "no_such_column";
+  std::vector<std::future<CauSumXResult>> futures;
+  for (int i = 0; i < 4; ++i) {
+    futures.push_back(
+        w.service.ExplainAsync("synthetic", bad, w.ds.dag, w.config));
+  }
+  for (auto& f : futures) EXPECT_THROW(f.get(), std::exception);
+  const ServiceStats stats = w.service.Stats();
+  EXPECT_GE(stats.candidate_misses, 1u);
+  EXPECT_EQ(stats.candidate_hits, 0u);
+  EXPECT_EQ(stats.candidate_bytes, 0u);
+
+  EXPECT_THROW(w.service.Explain("synthetic", bad, w.ds.dag, w.config),
+               std::exception);
+  EXPECT_EQ(w.service.Stats().candidate_misses, stats.candidate_misses + 1);
+  w.service.Explain("synthetic", w.ds.default_query, w.ds.dag, w.config);
+  EXPECT_EQ(w.service.Stats().candidate_misses, stats.candidate_misses + 2);
+  EXPECT_GT(w.service.Stats().candidate_bytes, 0u);
+}
+
 // A session opened on an explained query shares the service's mined
 // candidates: opening it and solving make no memo lookup at all.
 TEST(CandidateCacheTest, OpenSessionReusesTheServiceEntry) {

@@ -33,7 +33,6 @@
 #include "storage/file_io.h"
 #include "storage/snapshot.h"
 #include "storage/storage_error.h"
-#include "util/compressed_bitset.h"
 #include "util/json.h"
 #include "util/string_utils.h"
 
@@ -354,68 +353,6 @@ TEST(TableIoTest, TruncationsAndBitFlipsRejected) {
   }
 }
 
-// ---- segment serialization -------------------------------------------------
-
-Bitset MakePatternedBitset(size_t size, int pattern) {
-  Bitset bits(size);
-  for (size_t i = 0; i < size; ++i) {
-    bool set = false;
-    switch (pattern) {
-      case 0: set = false; break;                    // empty
-      case 1: set = true; break;                     // full
-      case 2: set = (i % 97) == 0; break;            // sparse -> array
-      case 3: set = (i / 500) % 2 == 0; break;       // clustered -> runs
-      case 4: set = ((i * 2654435761u) >> 13) & 1; break;  // dense mix
-    }
-    if (set) bits.Set(i);
-  }
-  return bits;
-}
-
-TEST(SegmentSerdeTest, AllRepresentationsRoundTrip) {
-  for (size_t size : {size_t{0}, size_t{1}, size_t{64}, size_t{65536},
-                      size_t{65537}, size_t{200000}}) {
-    for (int pattern = 0; pattern < 5; ++pattern) {
-      const Bitset bits = MakePatternedBitset(size, pattern);
-      for (SegmentCompression mode :
-           {SegmentCompression::kNever, SegmentCompression::kAlways,
-            SegmentCompression::kAuto}) {
-        const SegmentBits seg = SegmentBits::Choose(bits, mode);
-        std::string bytes;
-        seg.Serialize(&bytes);
-        size_t pos = 0;
-        const SegmentBits back = SegmentBits::Deserialize(bytes, &pos);
-        EXPECT_EQ(pos, bytes.size());
-        // Same representation, same accounting, same bits.
-        EXPECT_EQ(back.compressed(), seg.compressed());
-        EXPECT_EQ(back.bytes(), seg.bytes());
-        EXPECT_EQ(back.size(), bits.size());
-        EXPECT_EQ(back.Count(), bits.Count());
-        EXPECT_TRUE(back.Materialize() == bits);
-      }
-    }
-  }
-}
-
-TEST(SegmentSerdeTest, MalformedBytesRejected) {
-  const Bitset bits = MakePatternedBitset(70000, 4);
-  const SegmentBits seg =
-      SegmentBits::Choose(bits, SegmentCompression::kAlways);
-  std::string bytes;
-  seg.Serialize(&bytes);
-  // Truncations: every prefix must throw, not crash or return garbage.
-  for (size_t len = 0; len < bytes.size(); len += 11) {
-    size_t pos = 0;
-    EXPECT_THROW(SegmentBits::Deserialize(bytes.substr(0, len), &pos),
-                 std::runtime_error);
-  }
-  // Unknown representation tag.
-  std::string bad = bytes;
-  bad[0] = 7;
-  size_t pos = 0;
-  EXPECT_THROW(SegmentBits::Deserialize(bad, &pos), std::runtime_error);
-}
-
 // ---- CSV stream-failure regression (satellites 1 + 2) ----------------------
 
 // A streambuf that serves `data` and then fails the stream (underflow
@@ -554,16 +491,101 @@ TEST(EngineCacheSerdeTest, RestoredEngineEvaluatesIdentically) {
   EXPECT_EQ(c.NumInterned(), a.NumInterned());
   EXPECT_TRUE(c.Evaluate(pattern) == expected);
   EXPECT_EQ(c.Stats().bitsets_materialized, 0u);
+}
 
-  // A different compression policy is stale, not silently wrong.
-  EvalEngineOptions other = opts;
-  other.compression = SegmentCompression::kNever;
-  EvalEngine d(table, other);
-  try {
-    d.ImportCacheState(state);
-    FAIL() << "config mismatch accepted";
-  } catch (const StorageError& e) {
-    EXPECT_EQ(e.kind(), StorageErrorKind::kStale);
+// An engine payload holding one predicate, `city = tokyo`, over the
+// single-shard plan of `rows` rows, whose segment is `segment` (its tag
+// byte first).
+std::string OnePredicatePayload(size_t rows, const std::string& segment) {
+  ByteWriter w;
+  w.PutU64(rows);
+  w.PutVarint(1);    // shards
+  w.PutVarint(512);  // shard rows: a 64-multiple covering every row
+  w.PutU8(0);        // segment policy byte
+  w.PutU8(1);        // cache enabled
+  w.PutVarint(1);    // predicates
+  w.PutString("city");
+  w.PutU8(static_cast<uint8_t>(CompareOp::kEq));
+  w.PutU8(3);  // string value
+  w.PutString("tokyo");
+  w.PutVarint(1);  // segments
+  w.PutU8(1);      // resident
+  w.PutString(segment);
+  return w.TakeBytes();
+}
+
+// Earlier releases could store a segment compressed (tag 1: a
+// Roaring-style array container here). Such a segment is skipped: the
+// predicate keeps its id and its shard rematerializes on demand.
+TEST(EngineCacheSerdeTest, CompressedSegmentOfEarlierReleasesIsRebuilt) {
+  const auto table = std::make_shared<const Table>(MakeMixedTable(500));
+  const SimplePredicate tokyo("city", CompareOp::kEq,
+                              Value(std::string("tokyo")));
+  EvalEngine fresh(table);
+  const Bitset expected = fresh.Evaluate(Pattern({tokyo}));
+
+  ByteWriter seg;
+  seg.PutU8(1);  // compressed
+  seg.PutVarint(table->NumRows());
+  seg.PutVarint(expected.Count());
+  seg.PutVarint(1);  // chunks
+  seg.PutU8(0);      // array container
+  seg.PutVarint(expected.Count());
+  seg.PutVarint(expected.Count());
+  for (size_t r = 0; r < expected.size(); ++r) {
+    if (expected.Test(r)) {
+      seg.PutU8(static_cast<uint8_t>(r & 0xFF));
+      seg.PutU8(static_cast<uint8_t>(r >> 8));
+    }
+  }
+  seg.PutVarint(0);  // bitmap words
+  const std::string payload =
+      OnePredicatePayload(table->NumRows(), seg.TakeBytes());
+
+  EvalEngine engine(table);
+  EXPECT_EQ(engine.ImportCacheState(payload), 0u);
+  EXPECT_EQ(engine.NumInterned(), 1u);
+  EXPECT_EQ(engine.CacheBytes(), 0u);
+  EXPECT_EQ(engine.Intern(tokyo), 0u);
+  EXPECT_TRUE(engine.Evaluate(Pattern({tokyo})) == expected);
+  EXPECT_EQ(engine.Stats().bitsets_materialized, 1u);
+}
+
+TEST(EngineCacheSerdeTest, MalformedSegmentsRejected) {
+  const auto table = std::make_shared<const Table>(MakeMixedTable(500));
+  auto expect_corrupt = [&](const std::string& payload) {
+    EvalEngine engine(table);
+    try {
+      engine.ImportCacheState(payload);
+      FAIL() << "malformed payload accepted";
+    } catch (const StorageError& e) {
+      EXPECT_EQ(e.kind(), StorageErrorKind::kCorrupt) << e.what();
+    }
+  };
+  // A plain segment as ExportCacheState writes it: tag 0, size, words.
+  auto plain = [](uint8_t tag, size_t size, uint64_t last_word) {
+    ByteWriter seg;
+    seg.PutU8(tag);
+    seg.PutVarint(size);
+    for (size_t i = 0; i + 1 < (size + 63) / 64; ++i) seg.PutU64(0);
+    seg.PutU64(last_word);
+    return seg.TakeBytes();
+  };
+  const std::string valid = OnePredicatePayload(500, plain(0, 500, 1));
+  {
+    EvalEngine engine(table);
+    EXPECT_EQ(engine.ImportCacheState(valid), 1u);
+  }
+  // Only tags 0 (plain) and 1 (compressed) were ever written.
+  expect_corrupt(OnePredicatePayload(500, plain(7, 500, 1)));
+  // A size other than the shard's, and padding bits past the last row.
+  expect_corrupt(OnePredicatePayload(500, plain(0, 499, 1)));
+  expect_corrupt(OnePredicatePayload(500, plain(0, 500, uint64_t{1} << 60)));
+  // Every truncation of a valid payload is rejected.
+  for (size_t len = 0; len < valid.size(); len += 5) {
+    EvalEngine engine(table);
+    EXPECT_THROW(engine.ImportCacheState(valid.substr(0, len)), StorageError)
+        << "length " << len;
   }
 }
 

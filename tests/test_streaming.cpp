@@ -335,7 +335,6 @@ TEST(EngineExtensionTest, WholeShardDropKeepsSurvivingSegments) {
   EngineWorld w = MakeEngineWorld(47, 512);
   EvalEngineOptions options;
   options.num_shards = 4;
-  options.compression = SegmentCompression::kNever;  // fixed segment bytes
   auto base = std::make_shared<EvalEngine>(
       std::shared_ptr<const Table>(w.table), options);
   for (const auto& a : w.atoms) base->Evaluate(Pattern({a}));

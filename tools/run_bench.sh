@@ -5,8 +5,7 @@
 #   BENCH_phase_breakdown.json   per-dataset phase runtimes, cached vs
 #                                cache-bypassed, plus cache counters
 #   BENCH_kernels.json           vectorized-kernel throughput per dispatch
-#                                tier vs the pre-kernel scalar loops, plus
-#                                the compressed-segment byte reduction
+#                                tier vs the pre-kernel scalar loops
 #
 # Usage: tools/run_bench.sh [output-dir]
 # Env:   BUILD_DIR (default: build), CAUSUMX_BENCH_SCALE (default: 0.2)
