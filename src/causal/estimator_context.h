@@ -22,8 +22,8 @@
 // hits.
 //
 // Thread-safe for concurrent EstimateCate calls; contexts are shared by
-// shared_ptr between the miners, exploration sessions, baselines and
-// the service, so they all populate one cache.
+// shared_ptr between the miners, baselines, monitors and the service
+// (explains and drill-downs), so they all populate one cache.
 
 #ifndef CAUSUMX_CAUSAL_ESTIMATOR_CONTEXT_H_
 #define CAUSUMX_CAUSAL_ESTIMATOR_CONTEXT_H_

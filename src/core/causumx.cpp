@@ -50,8 +50,8 @@ void PutValue(std::string* key, const Value& v) {
   }
 }
 
-}  // namespace
-
+// The engine a run builds when its caller lends neither an engine nor
+// a pool (see MineExplanationCandidates in core/causumx.h).
 std::shared_ptr<EvalEngine> MakeRunEngine(std::shared_ptr<const Table> table,
                                           const CauSumXConfig& config) {
   EvalEngineOptions options;
@@ -60,6 +60,8 @@ std::shared_ptr<EvalEngine> MakeRunEngine(std::shared_ptr<const Table> table,
   if (threads > 1) options.pool = std::make_shared<ThreadPool>(threads);
   return std::make_shared<EvalEngine>(std::move(table), std::move(options));
 }
+
+}  // namespace
 
 CandidateMiningResult MineExplanationCandidates(
     const Table& table, const GroupByAvgQuery& query, const CausalDag& dag,

@@ -62,8 +62,8 @@ struct CauSumXConfig {
 };
 
 /// Cache counters of one run's shared evaluation engine + estimator
-/// context (cumulative when an engine is reused across runs, as in
-/// ExplorationSession).
+/// context (cumulative when an engine is reused across runs, as in the
+/// service).
 struct EngineCacheStats {
   EvalEngineStats eval;           ///< predicate bitset and view caches.
   EstimatorCacheStats estimator;  ///< CATE memo.
@@ -82,8 +82,8 @@ struct CauSumXResult {
 };
 
 /// Output of phases 1 + 2 (mining), reusable across phase-3 parameter
-/// changes — see ExplorationSession in core/exploration.h and the
-/// service's candidate cache (service/explanation_service.h).
+/// changes — see the service's candidate cache
+/// (service/explanation_service.h).
 struct CandidateMiningResult {
   AggregateView view;            ///< Q(D), the explained view.
   AttributePartition partition;  ///< grouping vs treatment attributes.
@@ -96,20 +96,16 @@ struct CandidateMiningResult {
   EngineCacheStats cache_stats;  ///< caches after the run.
 };
 
-/// The engine a run builds when its caller lends none: it owns a pool
-/// of config.num_threads workers (hardware concurrency when 0; no pool
-/// when 1) and plans one row shard per worker (see util/shard_plan.h).
-std::shared_ptr<EvalEngine> MakeRunEngine(std::shared_ptr<const Table> table,
-                                          const CauSumXConfig& config);
-
 /// Phases 1 + 2 of Algorithm 1: mine grouping patterns and their top
 /// treatments. Phase-3 parameters (k, theta, solver) are ignored here.
 /// Every evaluation goes through an EvalEngine:
 ///  - `engine` (optional, bound to `table`) shares a predicate-bitset
-///    cache across runs (exploration sessions, the service, monitors,
-///    baseline comparisons). When null, a run-private engine borrows
-///    `table` (BorrowTable): MakeRunEngine's when `pool` is null too,
-///    else a serial single-shard one. A cache-bypass engine
+///    cache across runs (the service, monitors, baseline comparisons).
+///    When null, a run-private engine borrows `table` (BorrowTable).
+///    With `pool` null too, that engine owns a pool of
+///    config.num_threads workers (hardware concurrency when 0; no pool
+///    when 1) and plans one row shard per worker (util/shard_plan.h);
+///    otherwise it is a serial single-shard one. A cache-bypass engine
 ///    (EvalEngineOptions::cache_enabled = false) is how tests and benches
 ///    run the uncached oracle.
 ///  - `estimator_ctx` (optional, bound to the same engine) shares a CATE

@@ -60,7 +60,7 @@ std::string RenderPValue(double p);
 std::string RenderEffectWithCi(const EffectEstimate& effect);
 
 /// Renders a ranked treatment list (the top-k drill-down of
-/// ExplorationSession::TopTreatments) as numbered lines.
+/// ExplanationService::TopTreatments) as numbered lines.
 std::string RenderTreatmentList(const std::vector<ScoredTreatment>& list,
                                 const RenderStyle& style);
 

@@ -4,8 +4,8 @@
 //
 // One EvalEngine instance is bound to one Table and shared by every
 // component that evaluates patterns against it — the grouping/treatment
-// miners, the effect estimator, the baselines, and interactive
-// exploration sessions. Each atomic SimplePredicate is interned into a
+// miners, the effect estimator, the baselines, and the service's
+// drill-downs. Each atomic SimplePredicate is interned into a
 // dense id; its matching rows are materialized once per table as
 // per-shard bitset *segments* (one per ShardPlan shard, built
 // ThreadPool-parallel) and conjunctive Patterns evaluate as shard-wise
@@ -127,7 +127,7 @@ struct EvalEngineOptions {
 class EvalEngine {
  public:
   /// Binds a fresh engine to `table`, which it keeps alive, so owners
-  /// (ExplanationService, ExplorationSession) can hand the engine out
+  /// (such as ExplanationService) can hand the engine out
   /// without lifetime coupling to the table holder. A caller that only
   /// has a `const Table&` passes BorrowTable(table) and keeps the table
   /// alive itself.

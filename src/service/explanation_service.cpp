@@ -679,17 +679,33 @@ std::future<CauSumXResult> ExplanationService::ExplainAsync(
   return future;
 }
 
-ExplorationSession ExplanationService::OpenSession(
-    const std::string& table_name, GroupByAvgQuery query, CausalDag dag,
-    CauSumXConfig config) {
-  Resolved entry = Resolve(table_name, dag, config.estimator);
-  std::shared_ptr<const CandidateMiningResult> mined = MinedCandidates(
+std::vector<ScoredTreatment> ExplanationService::TopTreatments(
+    const std::string& table_name, const GroupByAvgQuery& query,
+    const CausalDag& dag, const CauSumXConfig& config,
+    const Pattern& grouping_pattern, TreatmentSign sign, size_t k) {
+  const Resolved entry = Resolve(table_name, dag, config.estimator);
+  const std::shared_ptr<const CandidateMiningResult> mined = MinedCandidates(
       entry, query, dag, config,
       config.num_threads == 0 ? pool_.get() : nullptr);
-  return ExplorationSession(std::move(entry.table), std::move(query),
-                            std::move(dag), std::move(config),
-                            std::move(entry.engine), std::move(entry.context),
-                            std::move(mined));
+  Bitset rows;
+  if (grouping_pattern.IsEmpty()) {
+    rows = Bitset(entry.table->NumRows());
+    rows.SetAll();
+  } else {
+    rows = entry.engine->Evaluate(grouping_pattern);
+  }
+  const std::vector<std::string>& treatment_attrs =
+      config.treatment_attribute_allowlist.empty()
+          ? mined->partition.treatment_attributes
+          : config.treatment_attribute_allowlist;
+  const std::vector<SimplePredicate> atoms =
+      CausalTreatmentAtoms(*entry.context, query.avg_attribute,
+                           treatment_attrs, config.treatment);
+  std::vector<ScoredTreatment> top =
+      MineTopKTreatments(*entry.context, rows, query.avg_attribute, atoms,
+                         sign, k, config.treatment);
+  EnforceBudget();
+  return top;
 }
 
 std::vector<ExplanationService::TableEntry> ExplanationService::Entries()

@@ -35,10 +35,10 @@
 
 #include "causal/estimator_context.h"
 #include "core/causumx.h"
-#include "core/exploration.h"
 #include "dataset/csv.h"
 #include "dataset/table.h"
 #include "engine/eval_engine.h"
+#include "mining/treatment_miner.h"
 #include "util/thread_annotations.h"
 #include "util/thread_pool.h"
 
@@ -80,9 +80,10 @@ struct ServiceStats {
   uint64_t rows_appended = 0;        ///< total rows across those batches
   uint64_t budget_enforcements = 0;  ///< enforcement passes that evicted
   size_t cache_bytes = 0;            ///< current accounted evictable bytes
-  /// Explains and sessions served from mined candidates (phase 3 only).
+  /// Explains and drill-downs served from mined candidates.
   uint64_t candidate_hits = 0;
-  /// Explains and sessions that mined (phases 1 + 2) and kept the result.
+  /// Explains and drill-downs that mined (phases 1 + 2) and kept the
+  /// result.
   uint64_t candidate_misses = 0;
   /// Accounted bytes of the mined candidates resident now (part of
   /// cache_bytes).
@@ -295,12 +296,19 @@ class ExplanationService {
                                           CausalDag dag,
                                           CauSumXConfig config = {});
 
-  /// An exploration session borrowing this service's warm engine,
-  /// estimator context and mined candidates for the table (mining now,
-  /// into the candidate cache, when the query was not mined before).
-  ExplorationSession OpenSession(const std::string& table_name,
-                                 GroupByAvgQuery query, CausalDag dag,
-                                 CauSumXConfig config = {});
+  /// The paper's drill-down: the top-k treatments of `sign` for the
+  /// subpopulation `grouping_pattern` selects (need not be a mined
+  /// candidate; an empty pattern selects the whole table), ranked by
+  /// effect magnitude with duplicate treated sets dropped. The entry
+  /// resolves as in Explain and the query's treatment attributes come
+  /// from its mined candidates, so the first call mines (a candidate
+  /// miss) and later ones reuse them (a hit); the lattice walk then runs
+  /// on the table's warm engine and CATE memo, and the memory budget is
+  /// enforced as after Explain.
+  std::vector<ScoredTreatment> TopTreatments(
+      const std::string& table_name, const GroupByAvgQuery& query,
+      const CausalDag& dag, const CauSumXConfig& config,
+      const Pattern& grouping_pattern, TreatmentSign sign, size_t k);
 
   // ---- memory budget -------------------------------------------------------
 

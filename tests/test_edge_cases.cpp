@@ -9,9 +9,9 @@
 #include "baselines/frl.h"
 #include "baselines/ids.h"
 #include "core/causumx.h"
-#include "core/exploration.h"
 #include "dataset/csv.h"
 #include "mining/treatment_miner.h"
+#include "service/explanation_service.h"
 #include "util/rng.h"
 
 namespace causumx {
@@ -211,10 +211,14 @@ TEST(EdgeCaseTest, ExplorationOnEmptyView) {
   q.avg_attribute = "y";
   CausalDag dag;
   dag.AddNode("y");
-  ExplorationSession session(t, q, dag, {});
-  const ExplanationSummary s = session.Solve(3, 0.5);
-  EXPECT_TRUE(s.explanations.empty());
-  EXPECT_EQ(session.View().NumGroups(), 0u);
+  ExplanationService service;
+  service.RegisterTable("t", std::move(t));
+  CauSumXConfig config;
+  config.k = 3;
+  config.theta = 0.5;
+  const CauSumXResult r = service.Explain("t", q, dag, config);
+  EXPECT_TRUE(r.summary.explanations.empty());
+  EXPECT_EQ(r.view.NumGroups(), 0u);
 }
 
 TEST(EdgeCaseTest, NegativeOutcomesHandled) {

@@ -1,16 +1,16 @@
-// Tests for ExplorationSession (cached re-solving) and the top-k
-// treatment drill-down, plus JSON export.
+// Tests for interactive exploration through the service — re-solving
+// for new k / theta / solver from the mined candidates, and the top-k
+// treatment drill-down — plus JSON export.
 
 #include <gtest/gtest.h>
 
 #include <cmath>
 #include <limits>
 #include <memory>
-#include <type_traits>
 
-#include "core/exploration.h"
 #include "core/json_export.h"
 #include "datagen/synthetic.h"
+#include "service/explanation_service.h"
 #include "util/timer.h"
 
 namespace causumx {
@@ -31,58 +31,84 @@ CauSumXConfig MakeConfig(const GeneratedDataset& ds) {
   return config;
 }
 
-TEST(ExplorationTest, SolveMatchesRunCauSumX) {
-  const GeneratedDataset ds = MakeData();
+// A service holding the synthetic table as "t", and the query's config.
+struct Exploration {
+  GeneratedDataset ds = MakeData();
   CauSumXConfig config = MakeConfig(ds);
-  config.k = 3;
-  config.theta = 0.75;
-  const CauSumXResult direct =
-      RunCauSumX(ds.table, ds.default_query, ds.dag, config);
+  ExplanationService service;
 
-  ExplorationSession session(ds.table, ds.default_query, ds.dag, config);
-  const ExplanationSummary summary = session.Solve();
+  Exploration() { service.RegisterTable("t", ds.table.Clone()); }
+
+  ExplanationSummary Solve(size_t k, double theta,
+                           FinalStepSolver solver =
+                               FinalStepSolver::kLpRounding) {
+    CauSumXConfig c = config;
+    c.k = k;
+    c.theta = theta;
+    c.solver = solver;
+    return service.Explain("t", ds.default_query, ds.dag, c).summary;
+  }
+
+  std::vector<ScoredTreatment> TopTreatments(const Pattern& grouping,
+                                             TreatmentSign sign, size_t k) {
+    return service.TopTreatments("t", ds.default_query, ds.dag, config,
+                                 grouping, sign, k);
+  }
+};
+
+TEST(ExplorationTest, SolveMatchesRunCauSumX) {
+  Exploration x;
+  x.config.k = 3;
+  x.config.theta = 0.75;
+  const CauSumXResult direct =
+      RunCauSumX(x.ds.table, x.ds.default_query, x.ds.dag, x.config);
+
+  const ExplanationSummary summary = x.Solve(3, 0.75);
   EXPECT_DOUBLE_EQ(summary.total_explainability,
                    direct.summary.total_explainability);
   EXPECT_EQ(summary.covered_groups, direct.summary.covered_groups);
+  EXPECT_EQ(SummaryToJson(summary), SummaryToJson(direct.summary));
 }
 
 TEST(ExplorationTest, ReSolveIsFastAndConsistent) {
-  const GeneratedDataset ds = MakeData();
-  ExplorationSession session(ds.table, ds.default_query, ds.dag,
-                             MakeConfig(ds));
-  session.Solve(3, 0.75);  // pays the mining cost
+  Exploration x;
+  x.Solve(3, 0.75);  // pays the mining cost
+  const EstimatorCacheStats mined =
+      x.service.Context("t", x.ds.dag, x.config.estimator)->Stats();
 
   Timer timer;
   for (size_t k = 1; k <= 4; ++k) {
-    const ExplanationSummary s = session.Solve(k, 0.25);
+    const ExplanationSummary s = x.Solve(k, 0.25);
     EXPECT_LE(s.explanations.size(), k);
   }
   // Re-solving 4 parameter settings must be much cheaper than mining
   // (mining this dataset takes tens of milliseconds; selection is sub-ms).
   EXPECT_LT(timer.Seconds(), 1.0);
+  // One mining run; every re-solve is a candidate hit that estimates
+  // nothing.
+  EXPECT_EQ(x.service.Stats().candidate_misses, 1u);
+  EXPECT_EQ(x.service.Stats().candidate_hits, 4u);
+  const EstimatorCacheStats after =
+      x.service.Context("t", x.ds.dag, x.config.estimator)->Stats();
+  EXPECT_EQ(after.memo_misses, mined.memo_misses);
+  EXPECT_EQ(after.memo_hits, mined.memo_hits);
 }
 
 TEST(ExplorationTest, MonotoneExplainabilityInK) {
-  const GeneratedDataset ds = MakeData();
-  ExplorationSession session(ds.table, ds.default_query, ds.dag,
-                             MakeConfig(ds));
+  Exploration x;
   double prev = -1;
   for (size_t k = 1; k <= 4; ++k) {
-    const ExplanationSummary s =
-        session.Solve(k, 0.25, FinalStepSolver::kExact);
+    const ExplanationSummary s = x.Solve(k, 0.25, FinalStepSolver::kExact);
     EXPECT_GE(s.total_explainability + 1e-9, prev);
     prev = s.total_explainability;
   }
 }
 
 TEST(ExplorationTest, TopTreatmentsRankedAndDeduped) {
-  const GeneratedDataset ds = MakeData();
-  ExplorationSession session(ds.table, ds.default_query, ds.dag,
-                             MakeConfig(ds));
+  Exploration x;
   const Pattern group({SimplePredicate("G1", CompareOp::kEq,
                                        Value("g1_b0"))});
-  const auto top =
-      session.TopTreatments(group, TreatmentSign::kPositive, 5);
+  const auto top = x.TopTreatments(group, TreatmentSign::kPositive, 5);
   ASSERT_GE(top.size(), 2u);
   for (size_t i = 1; i < top.size(); ++i) {
     EXPECT_GE(std::fabs(top[i - 1].effect.cate),
@@ -100,42 +126,45 @@ TEST(ExplorationTest, TopTreatmentsRankedAndDeduped) {
   }
 }
 
-TEST(ExplorationTest, SessionSharesTableOwnership) {
-  // Regression: the session used to hold `const Table&`, so a table that
-  // went away before the first Solve left a dangling reference. With
-  // shared ownership, the session stays valid after the caller's handle
-  // is gone.
-  GeneratedDataset ds = MakeData();
-  const CauSumXConfig config = MakeConfig(ds);
-  const CauSumXResult direct =
-      RunCauSumX(ds.table, ds.default_query, ds.dag, config);
-
-  auto session = [&] {
-    auto table = std::make_shared<const Table>(std::move(ds.table));
-    ExplorationSession s(table, ds.default_query, ds.dag, config);
-    // `table` (the only external handle) dies here.
-    return s;
-  }();
-  const ExplanationSummary summary = session.Solve();
-  EXPECT_DOUBLE_EQ(summary.total_explainability,
-                   direct.summary.total_explainability);
-  EXPECT_EQ(summary.covered_groups, direct.summary.covered_groups);
-
-  // Passing a temporary table does not compile (deleted overload) —
-  // the original footgun is now a compile-time error.
-  static_assert(!std::is_constructible_v<ExplorationSession, Table&&,
-                                         GroupByAvgQuery, CausalDag>,
-                "temporary tables must be rejected");
-}
-
 TEST(ExplorationTest, TopTreatmentsEmptyGroupingMeansWholeTable) {
-  const GeneratedDataset ds = MakeData();
-  ExplorationSession session(ds.table, ds.default_query, ds.dag,
-                             MakeConfig(ds));
-  const auto top =
-      session.TopTreatments(Pattern(), TreatmentSign::kNegative, 3);
+  Exploration x;
+  const auto top = x.TopTreatments(Pattern(), TreatmentSign::kNegative, 3);
   ASSERT_FALSE(top.empty());
   for (const auto& t : top) EXPECT_LT(t.effect.cate, 0);
+}
+
+// The drill-down mines through the candidate cache (a miss first, hits
+// after, shared with Explain) and ranks exactly what a lattice walk over
+// the query's causal atoms on fresh caches ranks.
+TEST(ExplorationTest, TopTreatmentsSharesTheMinedCandidates) {
+  Exploration x;
+  x.config.treatment_attribute_allowlist.clear();
+  const auto top = x.TopTreatments(Pattern(), TreatmentSign::kPositive, 4);
+  EXPECT_EQ(x.service.Stats().candidate_misses, 1u);
+  EXPECT_EQ(x.service.Stats().candidate_hits, 0u);
+  x.Solve(x.config.k, x.config.theta);
+  x.TopTreatments(Pattern(), TreatmentSign::kNegative, 4);
+  EXPECT_EQ(x.service.Stats().candidate_misses, 1u);
+  EXPECT_EQ(x.service.Stats().candidate_hits, 2u);
+
+  const auto engine = std::make_shared<EvalEngine>(BorrowTable(x.ds.table));
+  EstimatorContext estimator(engine, x.ds.dag, x.config.estimator);
+  const CauSumXResult direct =
+      RunCauSumX(x.ds.table, x.ds.default_query, x.ds.dag, x.config);
+  Bitset all(x.ds.table.NumRows());
+  all.SetAll();
+  const std::vector<ScoredTreatment> expected = MineTopKTreatments(
+      estimator, all, x.ds.default_query.avg_attribute,
+      CausalTreatmentAtoms(estimator, x.ds.default_query.avg_attribute,
+                           direct.partition.treatment_attributes,
+                           x.config.treatment),
+      TreatmentSign::kPositive, 4, x.config.treatment);
+  ASSERT_EQ(top.size(), expected.size());
+  ASSERT_FALSE(top.empty());
+  for (size_t i = 0; i < top.size(); ++i) {
+    EXPECT_TRUE(top[i].pattern == expected[i].pattern) << i;
+    EXPECT_EQ(top[i].effect.cate, expected[i].effect.cate) << i;
+  }
 }
 
 TEST(JsonExportTest, EscapesSpecials) {

@@ -5,8 +5,8 @@
 #include <gtest/gtest.h>
 
 #include "core/causumx.h"
-#include "core/exploration.h"
 #include "core/renderer.h"
+#include "service/explanation_service.h"
 #include "util/rng.h"
 
 namespace causumx {
@@ -111,13 +111,13 @@ TEST(ExtendedQueryTest, RenderEffectWithCiFormat) {
 }
 
 TEST(ExtendedQueryTest, RenderTreatmentListNumbered) {
-  const Table t = MakeTable(4000, 3);
   GroupByAvgQuery q;
   q.group_by = {"region"};
   q.avg_attribute = "revenue";
-  ExplorationSession session(t, q, MakeDag(), {});
-  const auto top =
-      session.TopTreatments(Pattern(), TreatmentSign::kPositive, 3);
+  ExplanationService service;
+  service.RegisterTable("t", MakeTable(4000, 3));
+  const auto top = service.TopTreatments("t", q, MakeDag(), {}, Pattern(),
+                                         TreatmentSign::kPositive, 3);
   ASSERT_FALSE(top.empty());
   const std::string text = RenderTreatmentList(top, RenderStyle{});
   EXPECT_NE(text.find(" 1. "), std::string::npos);

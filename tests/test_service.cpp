@@ -215,20 +215,23 @@ TEST(ServiceTest, TightBudgetEvictsPerShardSegments) {
   EXPECT_GT(stats.bitsets_materialized, 0u);
 }
 
-TEST(ServiceTest, SessionBorrowsServiceCaches) {
+TEST(ServiceTest, ReSolveBorrowsServiceCaches) {
   ServiceWorld w;
   // Warm the caches with one service query...
   w.service.Explain("synthetic", w.ds.default_query, w.ds.dag, w.config);
   const auto warm_stats = w.service.Engine("synthetic")->Stats();
 
-  // ...then a borrowed session mines without re-materializing bitsets.
-  ExplorationSession session = w.service.OpenSession(
-      "synthetic", w.ds.default_query, w.ds.dag, w.config);
-  EXPECT_EQ(session.engine().get(), w.service.Engine("synthetic").get());
-  session.Solve();
-  EXPECT_EQ(session.engine()->Stats().bitsets_materialized,
+  // ...then a re-solve and a drill-down run on them without
+  // re-materializing bitsets.
+  CauSumXConfig resolve = w.config;
+  resolve.k = 2;
+  const CauSumXResult r =
+      w.service.Explain("synthetic", w.ds.default_query, w.ds.dag, resolve);
+  w.service.TopTreatments("synthetic", w.ds.default_query, w.ds.dag,
+                          w.config, Pattern(), TreatmentSign::kPositive, 3);
+  EXPECT_EQ(w.service.Engine("synthetic")->Stats().bitsets_materialized,
             warm_stats.bitsets_materialized);
-  EXPECT_GT(session.CacheStats().estimator.memo_hits, 0u);
+  EXPECT_GT(r.cache_stats.estimator.memo_hits, 0u);
 }
 
 // An append observer that throws is counted, never rethrown: the append
@@ -591,33 +594,41 @@ TEST(CandidateCacheTest, ThrowingMineLeavesNoEntry) {
   EXPECT_GT(w.service.Stats().candidate_bytes, 0u);
 }
 
-// A session opened on an explained query shares the service's mined
-// candidates: opening it and solving make no memo lookup at all.
-TEST(CandidateCacheTest, OpenSessionReusesTheServiceEntry) {
+// Re-solving an explained query reuses the service's mined candidates:
+// a new k / theta makes no memo lookup at all.
+TEST(CandidateCacheTest, ReSolveReusesTheServiceEntry) {
   ServiceWorld w;
   const CauSumXResult served =
       w.service.Explain("synthetic", w.ds.default_query, w.ds.dag, w.config);
   const EstimatorCacheStats before =
       w.service.Context("synthetic", w.ds.dag, w.config.estimator)->Stats();
 
-  ExplorationSession a = w.service.OpenSession(
-      "synthetic", w.ds.default_query, w.ds.dag, w.config);
-  ExplorationSession b = w.service.OpenSession(
-      "synthetic", w.ds.default_query, w.ds.dag, w.config);
-  EXPECT_EQ(&a.MiningResult(), &b.MiningResult());
-  EXPECT_EQ(SummaryToJson(a.Solve()), SummaryToJson(served.summary));
-  EXPECT_EQ(SummaryToJson(a.Solve(2, 0.5)),
-            SummaryToJson(
-                w.service
-                    .Explain("synthetic", w.ds.default_query, w.ds.dag,
-                             [&] {
-                               CauSumXConfig c = w.config;
-                               c.k = 2;
-                               c.theta = 0.5;
-                               return c;
-                             }())
-                    .summary));
-  const EstimatorCacheStats after = a.CacheStats().estimator;
+  EXPECT_EQ(SummaryToJson(w.service
+                              .Explain("synthetic", w.ds.default_query,
+                                       w.ds.dag, w.config)
+                              .summary),
+            SummaryToJson(served.summary));
+  CauSumXConfig narrow = w.config;
+  narrow.k = 2;
+  narrow.theta = 0.5;
+  EXPECT_EQ(SummaryToJson(w.service
+                              .Explain("synthetic", w.ds.default_query,
+                                       w.ds.dag, narrow)
+                              .summary),
+            SummaryToJson(RunCauSumX(*w.service.GetTable("synthetic"),
+                                     w.ds.default_query, w.ds.dag, narrow)
+                              .summary));
+  CauSumXConfig greedy = w.config;
+  greedy.solver = FinalStepSolver::kGreedy;
+  EXPECT_EQ(SummaryToJson(w.service
+                              .Explain("synthetic", w.ds.default_query,
+                                       w.ds.dag, greedy)
+                              .summary),
+            SummaryToJson(RunCauSumX(*w.service.GetTable("synthetic"),
+                                     w.ds.default_query, w.ds.dag, greedy)
+                              .summary));
+  const EstimatorCacheStats after =
+      w.service.Context("synthetic", w.ds.dag, w.config.estimator)->Stats();
   EXPECT_EQ(after.memo_hits, before.memo_hits);
   EXPECT_EQ(after.memo_misses, before.memo_misses);
   EXPECT_EQ(w.service.Stats().candidate_misses, 1u);

@@ -6,12 +6,14 @@
 //           [--dag graph.txt | --discover pc|fci|lingam|nodag]
 //           [--k 5] [--theta 0.75] [--support 0.1] [--alpha 0.05]
 //           [--where "Attr=value"] [--json] [--top-treatments N]
-//           [--stats] [--append rows.csv] [--threads N]
+//           [--stats] [--append rows.csv] [--threads N] [--budget-mb N]
 //
-// --threads N sizes the one worker pool a run starts (0 = one worker
-// per hardware thread); the table is split into one row shard per
-// worker. Results are bit-identical for every value; only the speed
-// changes.
+// The query runs through an ExplanationService, like every other mode:
+// the CSV registers as the "default" table, Explain mines and selects,
+// and --top-treatments drills down through the same mined candidates.
+// --threads N sizes the service's worker pool (0 = one worker per
+// hardware thread); the table is split into one row shard per worker.
+// Results are bit-identical for every value; only the speed changes.
 //
 // --append demonstrates streaming ingestion: the query runs on data.csv,
 // the rows of rows.csv (same schema, matched by header name) are
@@ -31,9 +33,12 @@
 // file as the "default" table; requests may also name their own "csv".
 // --budget-mb bounds the evictable cache bytes via LRU eviction.
 //
-// --stats prints the evaluation-engine cache counters (interned
-// predicates, materialized bitsets, estimator memo hits/misses) after
-// the summary.
+// --stats prints the cache counters (interned predicates, built and
+// extended bitsets, estimator memo and mined-candidate hits/misses) and
+// the phase timings after the summary.
+//
+// Count values (--threads, --top-treatments, --budget-mb, --port, ...)
+// must be decimal integers in range; anything else exits 2.
 //
 // Serve mode runs the embedded HTTP server (src/server/) over one
 // long-lived ExplanationService, so a fleet of clients shares the warm
@@ -80,18 +85,18 @@
 #include <cerrno>
 #include <csignal>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <memory>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
 #include <unistd.h>
 
-#include "core/exploration.h"
 #include "core/json_export.h"
 #include "core/renderer.h"
 #include "dataset/csv.h"
@@ -103,6 +108,7 @@
 #include "storage/file_io.h"
 #include "stream/monitor.h"
 #include "util/json.h"
+#include "util/string_utils.h"
 
 using namespace causumx;
 
@@ -146,6 +152,7 @@ void PrintUsage() {
                "               [--where \"Attr=value\"] [--json]\n"
                "               [--top-treatments N] [--stats]\n"
                "               [--append rows.csv] [--threads N]\n"
+               "               [--budget-mb N]\n"
                "   or: causumx --batch FILE.jsonl [--csv FILE]\n"
                "               [--budget-mb N] [--threads N] [--stats]\n"
                "   or: causumx serve [--port N] [--host ADDR] [--csv FILE]\n"
@@ -170,7 +177,35 @@ struct Flag {
   bool is_switch = false;
 };
 
-size_t Count(const char* v) { return static_cast<size_t>(std::atoi(v)); }
+// A flag's value as a count in [0, max]: decimal digits only, so "-1",
+// "4x" and "" fail (naming the flag) instead of wrapping or reading 0.
+size_t Count(const char* flag, const char* v,
+             size_t max = std::numeric_limits<size_t>::max()) {
+  size_t n = 0;
+  bool ok = *v != '\0';
+  for (const char* c = v; ok && *c != '\0'; ++c) {
+    const size_t digit = static_cast<size_t>(*c - '0');
+    ok = *c >= '0' && *c <= '9' && n <= (max - digit) / 10;
+    n = n * 10 + digit;
+  }
+  if (!ok) {
+    throw std::invalid_argument(StrFormat(
+        "%s expects an integer in [0, %zu], got '%s'", flag, max, v));
+  }
+  return n;
+}
+
+// Largest megabyte count whose byte count fits a size_t.
+constexpr size_t kMaxMegabytes = std::numeric_limits<size_t>::max() >> 20;
+
+// A flag whose value is a Count stored in `field`.
+Flag CountFlag(const char* name, const char* modes,
+               size_t CliOptions::*field,
+               size_t max = std::numeric_limits<size_t>::max()) {
+  return {name, modes, [name, field, max](CliOptions* o, const char* v) {
+            o->*field = Count(name, v, max);
+          }};
+}
 
 // An explain flag: its value is the text of request field `field`.
 Flag SpecFlag(const char* name, const std::string& field) {
@@ -198,31 +233,26 @@ const std::vector<Flag>& Flags() {
       {"--json", "e", [](CliOptions* o, const char*) { o->json = true; }, true},
       {"--stats", "e", [](CliOptions* o, const char*) { o->stats = true; },
        true},
-      {"--top-treatments", "e",
-       [](CliOptions* o, const char* v) { o->top_treatments = Count(v); }},
+      CountFlag("--top-treatments", "e", &CliOptions::top_treatments),
       {"--append", "e",
        [](CliOptions* o, const char* v) { o->append_path = v; }},
       {"--batch", "e", [](CliOptions* o, const char* v) { o->batch_path = v; }},
       {"--port", "s",
        [](CliOptions* o, const char* v) {
-         o->port = static_cast<uint16_t>(Count(v));
+         o->port = static_cast<uint16_t>(
+             Count("--port", v, std::numeric_limits<uint16_t>::max()));
        }},
       {"--host", "s", [](CliOptions* o, const char* v) { o->host = v; }},
-      {"--max-body-mb", "s",
-       [](CliOptions* o, const char* v) { o->max_body_mb = Count(v); }},
-      {"--queue", "s",
-       [](CliOptions* o, const char* v) { o->queue = Count(v); }},
+      CountFlag("--max-body-mb", "s", &CliOptions::max_body_mb,
+                kMaxMegabytes),
+      CountFlag("--queue", "s", &CliOptions::queue),
       {"--spec", "m", [](CliOptions* o, const char* v) { o->spec_path = v; }},
       {"--replay", "m",
        [](CliOptions* o, const char* v) { o->replay_path = v; }},
-      {"--seed-rows", "m",
-       [](CliOptions* o, const char* v) { o->seed_rows = Count(v); }},
-      {"--batch-rows", "m",
-       [](CliOptions* o, const char* v) { o->batch_rows = Count(v); }},
-      {"--threads", "esm",
-       [](CliOptions* o, const char* v) { o->threads = Count(v); }},
-      {"--budget-mb", "es",
-       [](CliOptions* o, const char* v) { o->budget_mb = Count(v); }},
+      CountFlag("--seed-rows", "m", &CliOptions::seed_rows),
+      CountFlag("--batch-rows", "m", &CliOptions::batch_rows),
+      CountFlag("--threads", "esm", &CliOptions::threads),
+      CountFlag("--budget-mb", "es", &CliOptions::budget_mb, kMaxMegabytes),
   };
   return kFlags;
 }
@@ -554,58 +584,111 @@ int RunBatchMode(const CliOptions& opt) {
   return summary.failed == 0 ? 0 : 1;
 }
 
-// Streaming demo: query, append the delta CSV through the service's
-// delta-aware caches, query again. Returns the after-append exit status.
-int RunAppendMode(const CliOptions& opt,
-                  std::shared_ptr<const Table> table,
-                  const BoundExplain& bound) {
-  if (opt.top_treatments > 0) {
-    std::fprintf(stderr,
-                 "warning: --top-treatments is ignored with --append\n");
-  }
-  ExplanationService service(MakeServiceOptions(opt));
-  const size_t base_rows = table->NumRows();
-  service.RegisterTable("default", std::move(table));
+// Prints the --stats block: the cache counters of the table's engine,
+// of the query's CATE memo and of the service's mined candidates (all
+// cumulative, drill-downs included), and the phases the last explain
+// ran.
+void PrintStats(ExplanationService& service, const BoundExplain& bound,
+                const CauSumXResult& result) {
+  const EvalEngineStats e = service.Engine("default")->Stats();
+  const EstimatorCacheStats m =
+      service.Context("default", bound.dag, bound.config.estimator)->Stats();
+  const ServiceStats s = service.Stats();
+  std::printf("\nengine cache stats:\n");
+  std::printf("  atomic predicates interned    %llu\n",
+              (unsigned long long)e.predicates_interned);
+  std::printf("  predicate bitsets built       %llu (served %llu hits)\n",
+              (unsigned long long)e.bitsets_materialized,
+              (unsigned long long)e.bitset_hits);
+  std::printf("  bitsets extended by append    %llu\n",
+              (unsigned long long)e.bitsets_extended);
+  std::printf("  pattern evals                 %llu\n",
+              (unsigned long long)e.pattern_evals);
+  std::printf("  column views built / extended %llu / %llu\n",
+              (unsigned long long)e.column_views_built,
+              (unsigned long long)e.column_views_extended);
+  std::printf("  cache bytes (bitsets/views)   %zu / %zu\n", e.bitset_bytes,
+              e.view_bytes);
+  std::printf("  estimator memo hits/misses    %llu / %llu (%llu migrated)\n",
+              (unsigned long long)m.memo_hits,
+              (unsigned long long)m.memo_misses,
+              (unsigned long long)m.memo_migrated);
+  std::printf("  mined candidates hits/misses  %llu / %llu\n",
+              (unsigned long long)s.candidate_hits,
+              (unsigned long long)s.candidate_misses);
+  std::printf("  phase timings                 grouping %.3fs, "
+              "treatment %.3fs, selection %.3fs\n",
+              result.timings.Get("grouping"), result.timings.Get("treatment"),
+              result.timings.Get("selection"));
+}
 
-  auto run_phase = [&](const char* label) {
-    const CauSumXResult r =
-        service.Explain("default", bound.query, bound.dag, bound.config);
+// Explain mode: registers the CSV with a service, explains the query and
+// renders the summary. With --append it then appends the delta CSV
+// through the service's delta-aware caches, explains again and renders
+// again. Returns 1 when the last summary is empty.
+int RunExplainMode(const CliOptions& opt) {
+  const ExplainSpec spec = ExplainSpec::FromText(opt.spec_fields);
+  ExplanationService service(MakeServiceOptions(opt));
+  const auto table =
+      service.RegisterTable("default", ReadCsvFile(opt.csv_path));
+  std::fprintf(stderr, "loaded %zu rows x %zu columns from %s\n",
+               table->NumRows(), table->NumColumns(), opt.csv_path.c_str());
+
+  const BoundExplain bound = spec.Bind(*table);
+  if (!spec.dag.empty()) {
+    std::fprintf(stderr, "dag: %zu nodes, %zu edges from %s\n",
+                 bound.dag.NumNodes(), bound.dag.NumEdges(),
+                 spec.dag.c_str());
+  } else if (!spec.discover.empty()) {
+    std::fprintf(stderr, "dag: discovered by %s — %zu edges\n",
+                 spec.discover.c_str(), bound.dag.NumEdges());
+  } else {
+    std::fprintf(stderr,
+                 "warning: no --dag/--discover given; using the No-DAG "
+                 "strawman (all attributes -> outcome). Effects are\n"
+                 "unadjusted for confounding — supply a DAG for "
+                 "trustworthy estimates.\n");
+  }
+
+  const GroupByAvgQuery& query = bound.query;
+  RenderStyle style;
+  style.outcome_noun = query.avg_attribute;
+  auto explain = [&](const std::string& heading) {
+    CauSumXResult r =
+        service.Explain("default", query, bound.dag, bound.config);
     if (opt.json) {
-      std::cout << SummaryToJson(r.summary, &bound.query) << "\n";
-    } else {
-      RenderStyle style;
-      style.outcome_noun = bound.query.avg_attribute;
-      std::cout << "\n== " << label << " ==\n"
-                << RenderSummary(r.summary, style);
+      std::cout << SummaryToJson(r.summary, &query) << "\n";
+      return r;
+    }
+    std::cout << heading << RenderSummary(r.summary, style);
+    if (opt.top_treatments > 0) {
+      auto top = [&](TreatmentSign sign) {
+        return RenderTreatmentList(
+            service.TopTreatments("default", query, bound.dag, bound.config,
+                                  Pattern(), sign, opt.top_treatments),
+            style);
+      };
+      std::cout << "\nTop treatments over the full relation:\n"
+                << "positive:\n" << top(TreatmentSign::kPositive)
+                << "negative:\n" << top(TreatmentSign::kNegative);
     }
     return r;
   };
 
-  run_phase("before append");
-  const auto grown = service.AppendCsv("default", opt.append_path);
-  std::fprintf(stderr,
-               "appended %zu rows from %s (%zu rows total, version %llu)\n",
-               grown->NumRows() - base_rows, opt.append_path.c_str(),
-               grown->NumRows(), (unsigned long long)grown->version());
-  const CauSumXResult after = run_phase("after append");
-
-  if (opt.stats) {
-    const EvalEngineStats e = service.Engine("default")->Stats();
-    const EstimatorCacheStats& m = after.cache_stats.estimator;
-    std::printf("\nstreaming cache stats (post-append engine):\n");
-    std::printf("  bitsets extended / rebuilt    %llu / %llu\n",
-                (unsigned long long)e.bitsets_extended,
-                (unsigned long long)e.bitsets_materialized);
-    std::printf("  column views extended / built %llu / %llu\n",
-                (unsigned long long)e.column_views_extended,
-                (unsigned long long)e.column_views_built);
-    std::printf("  estimator memo hits/misses    %llu / %llu "
-                "(%llu migrated)\n",
-                (unsigned long long)m.memo_hits,
-                (unsigned long long)m.memo_misses,
-                (unsigned long long)m.memo_migrated);
+  CauSumXResult result;
+  if (opt.append_path.empty()) {
+    result = explain("\n" + query.ToSql(opt.csv_path) + "\n\n");
+  } else {
+    explain("\n== before append ==\n");
+    const auto grown = service.AppendCsv("default", opt.append_path);
+    std::fprintf(stderr,
+                 "appended %zu rows from %s (%zu rows total, version %llu)\n",
+                 grown->NumRows() - table->NumRows(), opt.append_path.c_str(),
+                 grown->NumRows(), (unsigned long long)grown->version());
+    result = explain("\n== after append ==\n");
   }
-  return after.summary.explanations.empty() ? 1 : 0;
+  if (opt.stats) PrintStats(service, bound, result);
+  return result.summary.explanations.empty() ? 1 : 0;
 }
 
 }  // namespace
@@ -624,83 +707,7 @@ int main(int argc, char** argv) {
     }
     if (!ParseArgs(argc, argv, 1, 'e', &opt)) return 2;
     if (!opt.batch_path.empty()) return RunBatchMode(opt);
-
-    const ExplainSpec spec = ExplainSpec::FromText(opt.spec_fields);
-    const auto table =
-        std::make_shared<const Table>(ReadCsvFile(opt.csv_path));
-    std::fprintf(stderr, "loaded %zu rows x %zu columns from %s\n",
-                 table->NumRows(), table->NumColumns(), opt.csv_path.c_str());
-
-    BoundExplain bound = spec.Bind(*table);
-    if (!spec.dag.empty()) {
-      std::fprintf(stderr, "dag: %zu nodes, %zu edges from %s\n",
-                   bound.dag.NumNodes(), bound.dag.NumEdges(),
-                   spec.dag.c_str());
-    } else if (!spec.discover.empty()) {
-      std::fprintf(stderr, "dag: discovered by %s — %zu edges\n",
-                   spec.discover.c_str(), bound.dag.NumEdges());
-    } else {
-      std::fprintf(stderr,
-                   "warning: no --dag/--discover given; using the No-DAG "
-                   "strawman (all attributes -> outcome). Effects are\n"
-                   "unadjusted for confounding — supply a DAG for "
-                   "trustworthy estimates.\n");
-    }
-    // --append runs on the service pool (num_threads stays 0); a single
-    // query's session builds its engine with the operator's pool.
-    if (!opt.append_path.empty()) return RunAppendMode(opt, table, bound);
-    bound.config.num_threads = opt.threads;
-    const GroupByAvgQuery& query = bound.query;
-
-    ExplorationSession session(table, query, bound.dag, bound.config);
-    const ExplanationSummary summary = session.Solve();
-
-    if (opt.json) {
-      std::cout << SummaryToJson(summary, &query) << "\n";
-    } else {
-      RenderStyle style;
-      style.outcome_noun = query.avg_attribute;
-      std::cout << "\n" << query.ToSql(opt.csv_path) << "\n\n"
-                << RenderSummary(summary, style);
-      if (opt.top_treatments > 0) {
-        std::cout << "\nTop treatments over the full relation:\n";
-        std::cout << "positive:\n"
-                  << RenderTreatmentList(
-                         session.TopTreatments(Pattern(),
-                                               TreatmentSign::kPositive,
-                                               opt.top_treatments),
-                         style);
-        std::cout << "negative:\n"
-                  << RenderTreatmentList(
-                         session.TopTreatments(Pattern(),
-                                               TreatmentSign::kNegative,
-                                               opt.top_treatments),
-                         style);
-      }
-    }
-    if (opt.stats) {
-      const EngineCacheStats stats = session.CacheStats();
-      const PhaseTimer& timings = session.MiningResult().timings;
-      std::printf("\nengine cache stats:\n");
-      std::printf("  atomic predicates interned   %llu\n",
-                  (unsigned long long)stats.eval.predicates_interned);
-      std::printf("  predicate bitsets built      %llu (served %llu hits)\n",
-                  (unsigned long long)stats.eval.bitsets_materialized,
-                  (unsigned long long)stats.eval.bitset_hits);
-      std::printf("  pattern evals                %llu\n",
-                  (unsigned long long)stats.eval.pattern_evals);
-      std::printf("  numeric column views built   %llu\n",
-                  (unsigned long long)stats.eval.column_views_built);
-      std::printf("  cache bytes (bitsets/views)  %zu / %zu\n",
-                  stats.eval.bitset_bytes, stats.eval.view_bytes);
-      std::printf("  estimator memo hits/misses   %llu / %llu\n",
-                  (unsigned long long)stats.estimator.memo_hits,
-                  (unsigned long long)stats.estimator.memo_misses);
-      std::printf("  phase timings                grouping %.3fs, "
-                  "treatment %.3fs\n",
-                  timings.Get("grouping"), timings.Get("treatment"));
-    }
-    return summary.explanations.empty() ? 1 : 0;
+    return RunExplainMode(opt);
   } catch (const std::exception& e) {
     std::fprintf(stderr, "error: %s\n", e.what());
     return 2;
