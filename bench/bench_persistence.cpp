@@ -45,9 +45,6 @@ int main() {
   gen.num_treatment_attrs = 5;
   const GeneratedDataset ds = MakeSyntheticDataset(gen);
   CauSumXConfig config = ConfigFor(ds, PaperDefaultConfig());
-  // Single-threaded mining on both sides: the ratio measures cache work
-  // saved, not scheduler luck, and results are bit-identical either way.
-  config.num_threads = 1;
 
   // Adjust for every grouping attribute as a confounder (G_x -> T_y,
   // G_x -> O): each CATE one-hot encodes the grouping columns, so the
@@ -68,7 +65,11 @@ int main() {
     std::printf("FAIL: mkdtemp failed\n");
     return EXIT_FAILURE;
   }
-  ServiceOptions persistent;
+  // Single-threaded mining on both sides: the ratio measures cache work
+  // saved, not scheduler luck, and results are bit-identical either way.
+  ServiceOptions serial;
+  serial.num_threads = 1;
+  ServiceOptions persistent = serial;
   persistent.data_dir = data_dir;
 
   // Write the snapshot a restart would find: register, warm the caches
@@ -110,7 +111,7 @@ int main() {
     // (The table copy itself is built outside the timer on both sides.)
     Table raw = ds.table.Head(ds.table.NumRows());
     Timer cold_timer;
-    ExplanationService cold_service;
+    ExplanationService cold_service(serial);
     cold_service.RegisterTable("live", std::move(raw));
     const CauSumXResult cold =
         cold_service.Explain("live", ds.default_query, dag, config);

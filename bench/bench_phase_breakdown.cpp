@@ -18,6 +18,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "util/thread_pool.h"
 
 using namespace causumx;
 
@@ -82,11 +83,13 @@ int main(int argc, char** argv) {
     const CauSumXResult r =
         RunCauSumX(ds.table, ds.default_query, ds.dag, config);
 
-    // The uncached arm: phases 1-2 over a cache-bypass engine.
+    // The uncached arm: phases 1-2 over a cache-bypass engine, mining
+    // on a pool as wide as the cached run's.
     auto bypass = std::make_shared<EvalEngine>(
         BorrowTable(ds.table), EvalEngineOptions{.cache_enabled = false});
+    ThreadPool pool(ThreadPool::DefaultThreads());
     const CandidateMiningResult u = MineExplanationCandidates(
-        ds.table, ds.default_query, ds.dag, config, bypass);
+        ds.table, ds.default_query, ds.dag, config, bypass, nullptr, &pool);
 
     Row row;
     row.dataset = name;

@@ -52,9 +52,6 @@ int main() {
   gen.buckets_base = 6;  // G1: 12 buckets, G2: 18, G3: 24
   const GeneratedDataset ds = MakeSyntheticDataset(gen);
   CauSumXConfig config = ConfigFor(ds, PaperDefaultConfig());
-  // Single-threaded mining on both sides: the ratio measures cache work
-  // saved, not scheduler luck, and results are bit-identical either way.
-  config.num_threads = 1;
   // G1 buckets sit at 8.3% support; the default 0.1 would drop them all.
   config.apriori_support = 0.05;
   config.grouping_attribute_allowlist = {"G1"};
@@ -84,7 +81,11 @@ int main() {
   std::printf("dataset: %zu rows; base %zu + %d deltas of ~%zu rows\n",
               total, base_rows, kRounds, chunk);
 
-  ExplanationService streaming;
+  // Single-threaded mining on both sides: the ratio measures cache work
+  // saved, not scheduler luck, and results are bit-identical either way.
+  ServiceOptions serial;
+  serial.num_threads = 1;
+  ExplanationService streaming(serial);
   streaming.RegisterTable("live", ds.table.Head(base_rows));
   // Warm the caches once — the steady state a live service runs in.
   streaming.Explain("live", ds.default_query, dag, config);
@@ -110,7 +111,7 @@ int main() {
     // is built outside the timer; reload cost is registration + query.)
     Table grown = ds.table.Head(next);
     Timer cold_timer;
-    ExplanationService fresh;
+    ExplanationService fresh(serial);
     fresh.RegisterTable("live", std::move(grown));
     const CauSumXResult cold =
         fresh.Explain("live", ds.default_query, dag, config);

@@ -12,11 +12,6 @@ namespace causumx {
 
 namespace {
 
-size_t ResolvedThreads(const CauSumXConfig& config) {
-  return config.num_threads == 0 ? ThreadPool::DefaultThreads()
-                                 : config.num_threads;
-}
-
 // Length-prefixed fields keep MiningKey unambiguous for any attribute
 // name or string value.
 void PutField(std::string* key, const std::string& field) {
@@ -51,12 +46,14 @@ void PutValue(std::string* key, const Value& v) {
 }
 
 // The engine a run builds when its caller lends neither an engine nor
-// a pool (see MineExplanationCandidates in core/causumx.h).
+// a pool (see MineExplanationCandidates in core/causumx.h). The only
+// reader of config.num_threads.
 std::shared_ptr<EvalEngine> MakeRunEngine(std::shared_ptr<const Table> table,
                                           const CauSumXConfig& config) {
   EvalEngineOptions options;
   options.num_shards = 0;  // one shard per pool worker
-  const size_t threads = ResolvedThreads(config);
+  const size_t threads = config.num_threads == 0 ? ThreadPool::DefaultThreads()
+                                                 : config.num_threads;
   if (threads > 1) options.pool = std::make_shared<ThreadPool>(threads);
   return std::make_shared<EvalEngine>(std::move(table), std::move(options));
 }
@@ -67,25 +64,14 @@ CandidateMiningResult MineExplanationCandidates(
     const Table& table, const GroupByAvgQuery& query, const CausalDag& dag,
     const CauSumXConfig& config, std::shared_ptr<EvalEngine> engine,
     std::shared_ptr<EstimatorContext> estimator_ctx, ThreadPool* pool) {
-  // Resolve the engine and the worker pool the view and phase 2 run on.
-  // A run lent neither builds one engine that owns the run's pool.
-  // Otherwise: explicit pool > the engine's own pool (only when the
-  // caller left num_threads at the default — an explicit count is a
-  // per-query concurrency bound and must not silently widen to a shared
-  // engine's pool) > a private pool of config.num_threads.
-  std::shared_ptr<ThreadPool> private_pool;
-  if (engine == nullptr && pool == nullptr) {
-    engine = MakeRunEngine(BorrowTable(table), config);
-    pool = engine->pool();
-  } else if (engine == nullptr) {
-    engine = std::make_shared<EvalEngine>(BorrowTable(table));
-  } else if (pool == nullptr) {
-    if (config.num_threads == 0) pool = engine->pool();
-    if (pool == nullptr && ResolvedThreads(config) > 1) {
-      private_pool = std::make_shared<ThreadPool>(ResolvedThreads(config));
-      pool = private_pool.get();
-    }
+  // A run mines on the pool it is lent, else on its engine's pool. Only
+  // a run lent neither builds its engine with a pool of its own.
+  if (engine == nullptr) {
+    engine = pool == nullptr
+                 ? MakeRunEngine(BorrowTable(table), config)
+                 : std::make_shared<EvalEngine>(BorrowTable(table));
   }
+  if (pool == nullptr) pool = engine->pool();
   if (estimator_ctx == nullptr) {
     estimator_ctx = std::make_shared<EstimatorContext>(engine, dag,
                                                        config.estimator);
@@ -178,7 +164,7 @@ CandidateMiningResult MineExplanationCandidates(
   if (pool != nullptr) {
     pool->ParallelFor(grouping.size(), mine_one);
   } else {
-    // Serial (num_threads <= 1): no pool was created above.
+    // Serial: neither the caller nor the engine has a pool.
     for (size_t gi = 0; gi < grouping.size(); ++gi) mine_one(gi);
   }
   result.treatment_patterns_evaluated = evaluated.load();

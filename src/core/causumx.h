@@ -45,7 +45,9 @@ struct CauSumXConfig {
   FinalStepSolver solver = FinalStepSolver::kLpRounding;  ///< phase 3.
   size_t rounding_rounds = 64;  ///< randomized-rounding trials (phase 3).
   uint64_t seed = 1234;         ///< seed of the rounding trials.
-  size_t num_threads = 0;  ///< 0 = hardware concurrency.
+  /// Workers of the engine a run lent neither engine nor pool builds
+  /// (0 = hardware concurrency, 1 = serial); no other run reads it.
+  size_t num_threads = 0;
   /// Mine both signs (paper default) or positive-only.
   bool mine_negative = true;
   /// Restrict treatment mining to these attributes (empty = all non-FD
@@ -101,20 +103,17 @@ struct CandidateMiningResult {
 /// Every evaluation goes through an EvalEngine:
 ///  - `engine` (optional, bound to `table`) shares a predicate-bitset
 ///    cache across runs (the service, monitors, baseline comparisons).
-///    When null, a run-private engine borrows `table` (BorrowTable).
-///    With `pool` null too, that engine owns a pool of
-///    config.num_threads workers (hardware concurrency when 0; no pool
-///    when 1) and plans one row shard per worker (util/shard_plan.h);
-///    otherwise it is a serial single-shard one. A cache-bypass engine
+///    When null, a run-private engine borrows `table` (BorrowTable):
+///    with `pool` null too it owns a pool of config.num_threads workers
+///    and plans one row shard per worker (util/shard_plan.h), otherwise
+///    it is a serial single-shard one. A cache-bypass engine
 ///    (EvalEngineOptions::cache_enabled = false) is how tests and benches
 ///    run the uncached oracle.
 ///  - `estimator_ctx` (optional, bound to the same engine) shares a CATE
 ///    memo with the caller.
-///  - `pool` (optional) runs phase 2 on a caller-owned thread pool, so
-///    the service and monitors spawn no threads per query. When null,
-///    the engine's pool is used if the run built the engine or
-///    config.num_threads is 0; otherwise a private pool of
-///    config.num_threads is created (none when 1).
+///  - `pool` (optional): the view and phase 2 run on the pool the run
+///    is lent, else on the engine's pool (serially when it has none).
+///    No run starts a pool of its own beyond the run-private engine's.
 CandidateMiningResult MineExplanationCandidates(
     const Table& table, const GroupByAvgQuery& query, const CausalDag& dag,
     const CauSumXConfig& config, std::shared_ptr<EvalEngine> engine = nullptr,

@@ -128,8 +128,7 @@ RequestResult ExecuteQueryRequest(ExplanationService& service,
                                "' and no \"csv\" to load");
     }
 
-    BoundExplain bound = spec.Bind(*table);
-    bound.config.num_threads = 1;  // serial within the request
+    const BoundExplain bound = spec.Bind(*table);
 
     Timer timer;
     const CauSumXResult run =

@@ -76,8 +76,8 @@ struct RequestResult {
 ExplainSpec ParseQueryRequest(const JsonValue& request);
 
 /// Executes one parsed query request against the service, echoing `id`.
-/// The query mines serially: concurrency across requests comes from the
-/// service and server pools. Never throws: every failure — unknown
+/// The query mines on the service pool, like every service query. Never
+/// throws: every failure — unknown
 /// table, bad where/DAG, a mining error — is reported as
 /// {"id", "ok": false, "error"}. Shared by RunBatch and POST
 /// /v1/explain, which is what keeps network answers bit-identical to

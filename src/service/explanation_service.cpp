@@ -616,7 +616,7 @@ ExplanationService::MinedCandidates(const Resolved& entry,
                                     const GroupByAvgQuery& query,
                                     const CausalDag& dag,
                                     const CauSumXConfig& config,
-                                    ThreadPool* pool, bool* hit) {
+                                    bool* hit) {
   const std::string key = MiningKey(query, config);
   bool mined_here = false;
   std::shared_ptr<const CandidateMiningResult> mined =
@@ -626,7 +626,7 @@ ExplanationService::MinedCandidates(const Resolved& entry,
             n_candidate_misses_.fetch_add(1, std::memory_order_relaxed);
             auto result = std::make_shared<const CandidateMiningResult>(
                 MineExplanationCandidates(*entry.table, query, dag, config,
-                                          entry.engine, entry.context, pool));
+                                          entry.engine, entry.context));
             const size_t bytes =
                 MinedBytes(key, *result, entry.table->NumRows());
             return std::pair<CandidateCache::Mined, size_t>(std::move(result),
@@ -644,16 +644,13 @@ CauSumXResult ExplanationService::Explain(const std::string& table_name,
                                           const CauSumXConfig& config) {
   Resolved entry = Resolve(table_name, dag, config.estimator);
 
-  // With the default thread count the query runs on the service pool
-  // (no per-query thread spawning; nested ParallelFor is deadlock-safe
-  // because callers participate). An explicit num_threads is a
-  // per-query bound: mining gets a private pool of that size and phase
-  // 3 runs serially.
-  ThreadPool* pool = config.num_threads == 0 ? pool_.get() : nullptr;
+  // Mining runs on the engine's pool, the service pool (nested
+  // ParallelFor from a pool worker is deadlock-safe because callers
+  // participate); phase 3 runs on this thread.
   bool hit = false;
   const std::shared_ptr<const CandidateMiningResult> mined =
-      MinedCandidates(entry, query, dag, config, pool, &hit);
-  CauSumXResult result = ResultFromCandidates(*mined, config, pool);
+      MinedCandidates(entry, query, dag, config, &hit);
+  CauSumXResult result = ResultFromCandidates(*mined, config);
   if (!hit) {
     for (const auto& [phase, seconds] : mined->timings.phases()) {
       result.timings.Add(phase, seconds);
@@ -684,9 +681,8 @@ std::vector<ScoredTreatment> ExplanationService::TopTreatments(
     const CausalDag& dag, const CauSumXConfig& config,
     const Pattern& grouping_pattern, TreatmentSign sign, size_t k) {
   const Resolved entry = Resolve(table_name, dag, config.estimator);
-  const std::shared_ptr<const CandidateMiningResult> mined = MinedCandidates(
-      entry, query, dag, config,
-      config.num_threads == 0 ? pool_.get() : nullptr);
+  const std::shared_ptr<const CandidateMiningResult> mined =
+      MinedCandidates(entry, query, dag, config);
   Bitset rows;
   if (grouping_pattern.IsEmpty()) {
     rows = Bitset(entry.table->NumRows());

@@ -52,10 +52,10 @@ struct ServiceOptions {
   /// 0 = unlimited.
   size_t memory_budget_bytes = 0;
   /// Workers of the service pool (0 = hardware concurrency). Every
-  /// query whose config leaves num_threads at 0 mines on it, as do
-  /// ExplainAsync and batch requests, and each registered table's engine
-  /// plans one row shard per worker (fixed at registration, kept across
-  /// appends).
+  /// query mines on it whatever its config's num_threads (phase 3 runs
+  /// on the caller), ExplainAsync and batch requests run on it, and each
+  /// table's engine plans one row shard per worker (fixed at
+  /// registration, kept across appends).
   size_t num_threads = 0;
   /// Directory for durable snapshots (columnar table + warm caches),
   /// created at construction if missing. Empty = persistence off. When
@@ -285,7 +285,8 @@ class ExplanationService {
   /// bit-identical to a plain RunCauSumX, but repeat queries are served
   /// warm: a query whose MiningKey was mined before on this table
   /// version, DAG and estimator options reuses those candidates and runs
-  /// phase 3 only (its timings then hold "selection" alone).
+  /// phase 3 only (its timings then hold "selection" alone). Mining runs
+  /// on the service pool, phase 3 on the calling thread.
   CauSumXResult Explain(const std::string& table_name,
                         const GroupByAvgQuery& query, const CausalDag& dag,
                         const CauSumXConfig& config = {});
@@ -394,11 +395,11 @@ class ExplanationService {
 
   /// The mined candidates of (query, config) on `entry`: from its
   /// candidate cache (after waiting for a concurrent caller that is
-  /// mining the same key), else mined on `pool` and stored. `hit`
-  /// (optional) receives whether the cache served them.
+  /// mining the same key), else mined on the engine's pool (pool_) and
+  /// stored. `hit` (optional) receives whether the cache served them.
   std::shared_ptr<const CandidateMiningResult> MinedCandidates(
       const Resolved& entry, const GroupByAvgQuery& query,
-      const CausalDag& dag, const CauSumXConfig& config, ThreadPool* pool,
+      const CausalDag& dag, const CauSumXConfig& config,
       bool* hit = nullptr);
 
   /// Copies of every registered entry, taken under one registry lock.

@@ -81,6 +81,10 @@ MonitorSpec MonitorSpec::Parse(std::string json) {
   }
   spec.emit_summaries = doc.GetBool("emit_summaries", false);
   spec.max_events = JsonCountField(doc, "max_events", spec.max_events, 1);
+  if (spec.max_events > kMaxEventsCap) {
+    throw std::runtime_error("\"max_events\" must be an integer in [1, " +
+                             std::to_string(kMaxEventsCap) + "]");
+  }
   spec.json = std::move(json);
   return spec;
 }
@@ -93,9 +97,6 @@ StreamMonitor::StreamMonitor(std::string id, MonitorSpec spec,
       origin_(bound_table.NumRows()),
       bound_(spec_.explain.Bind(bound_table)),
       mining_pool_(mining_pool) {
-  // Windows mine on mining_pool_ when there is one; a null pool means
-  // serial, never a private per-window pool.
-  bound_.config.num_threads = 1;
   // Head(0): the bound schema with empty dictionaries.
   window_table_ = std::make_shared<const Table>(bound_table.Head(0));
   next_boundary_ = spec_.window.size_rows;

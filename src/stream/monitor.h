@@ -97,8 +97,11 @@ struct MonitorSpec {
   WindowSpec window;             ///< "window": {kind, size_rows, slide_rows}
   MonitorThresholds thresholds;  ///< "thresholds": {cate_delta, topk_churn}
   bool emit_summaries = false;   ///< a `summary` event per window
-  size_t max_events = 4096;      ///< event buffer capacity; >= 1
+  size_t max_events = 4096;      ///< event buffer capacity; in [1, cap]
   std::string json;              ///< the creation document, verbatim
+
+  /// Cap on max_events: the event buffer is not byte-accounted.
+  static constexpr size_t kMaxEventsCap = 65536;
 
   /// Parses and validates `json`; throws std::runtime_error naming the
   /// field at fault, including any member that is neither an explain
@@ -137,8 +140,9 @@ class StreamMonitor {
   /// a "discover" DAG is learned from, and the stream origin (its row
   /// count); the window starts empty and fills from later appends.
   /// Windows mine on `mining_pool` (the registry passes the service
-  /// pool), serially when it is null. Throws std::runtime_error when
-  /// the spec does not bind (bad where expression or DAG).
+  /// pool) and start no threads of their own; serially when it is null.
+  /// Throws std::runtime_error when the spec does not bind (bad where
+  /// expression or DAG).
   StreamMonitor(std::string id, MonitorSpec spec, const Table& bound_table,
                 ThreadPool* mining_pool);
 

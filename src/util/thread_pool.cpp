@@ -7,11 +7,12 @@
 
 namespace causumx {
 
-ThreadPool::ThreadPool(size_t num_threads) {
-  num_threads = std::max<size_t>(1, num_threads);
-  workers_.reserve(num_threads);
-  for (size_t i = 0; i < num_threads; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+ThreadPool::ThreadPool(size_t num_threads)
+    : num_threads_(std::max<size_t>(1, num_threads)) {
+  if (num_threads_ == 1) return;  // started by the first Submit
+  workers_.reserve(num_threads_);
+  for (size_t i = 0; i < num_threads_; ++i) {
+    workers_.emplace_back(&ThreadPool::WorkerLoop, this);
   }
   // Wait for every worker to park before returning, so NumIdle() is
   // meaningful from the first use — otherwise a RunOn immediately after
@@ -19,7 +20,7 @@ ThreadPool::ThreadPool(size_t num_threads) {
   // idle == 0, and silently degrades to the serial path. No task can be
   // queued yet (the pool isn't published), so each worker necessarily
   // reaches the idle wait.
-  while (idle_.load(std::memory_order_relaxed) < num_threads) {
+  while (idle_.load(std::memory_order_relaxed) < num_threads_) {
     std::this_thread::yield();
   }
 }
@@ -40,6 +41,7 @@ std::future<void> ThreadPool::Submit(std::function<void()> task) {
   std::future<void> fut = pt.get_future();
   {
     util::MutexLock lock(mu_);
+    if (workers_.empty()) workers_.emplace_back(&ThreadPool::WorkerLoop, this);
     tasks_.push(std::move(pt));
   }
   cv_.NotifyOne();
@@ -48,7 +50,7 @@ std::future<void> ThreadPool::Submit(std::function<void()> task) {
 
 void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
   if (n == 0) return;
-  if (n == 1 || workers_.size() == 1) {
+  if (n == 1 || num_threads_ == 1) {
     for (size_t i = 0; i < n; ++i) fn(i);
     return;
   }
@@ -88,7 +90,7 @@ void ThreadPool::ParallelFor(size_t n, const std::function<void(size_t)>& fn) {
       }
     }
   };
-  const size_t helpers = std::min(n - 1, workers_.size());
+  const size_t helpers = std::min(n - 1, num_threads_);
   for (size_t s = 0; s < helpers; ++s) {
     Submit(drain);
   }

@@ -22,7 +22,8 @@ namespace causumx {
 /// queue. Thread-safe.
 class ThreadPool {
  public:
-  /// Creates `num_threads` workers (>= 1; 0 is clamped to 1).
+  /// Creates `num_threads` workers (>= 1; 0 is clamped to 1). ParallelFor
+  /// runs inline on one worker, so a lone worker starts on first Submit.
   explicit ThreadPool(size_t num_threads);
   ~ThreadPool();
 
@@ -39,7 +40,7 @@ class ThreadPool {
   /// propagate from this call (first one).
   void ParallelFor(size_t n, const std::function<void(size_t)>& fn);
 
-  size_t NumThreads() const { return workers_.size(); }
+  size_t NumThreads() const { return num_threads_; }  // started or not
 
   /// Workers currently parked waiting for a task (approximate; lock-free
   /// read). The nested-parallelism gate in RunOn uses this.
@@ -70,8 +71,9 @@ class ThreadPool {
  private:
   void WorkerLoop();
 
-  std::vector<std::thread> workers_;
+  const size_t num_threads_;
   util::Mutex mu_;
+  std::vector<std::thread> workers_ CAUSUMX_GUARDED_BY(mu_);
   std::queue<std::packaged_task<void()>> tasks_ CAUSUMX_GUARDED_BY(mu_);
   util::CondVar cv_;
   std::atomic<size_t> idle_{0};

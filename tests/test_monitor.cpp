@@ -318,7 +318,7 @@ TEST(MonitorSpecTest, RejectsMalformedSpecs) {
            window_json + "}";
   };
   // Missing window, zero-size window, sliding further than the window,
-  // unknown kind, bad thresholds.
+  // unknown kind, bad thresholds, too many buffered events.
   EXPECT_THROW(StreamMonitor("m", MonitorSpec::Parse("{\"table\":\"t\"}"),
                              schema, nullptr),
                std::runtime_error);
@@ -353,6 +353,16 @@ TEST(MonitorSpecTest, RejectsMalformedSpecs) {
                         "\"thresholds\":{\"topk_churn\":1.5}")),
                     schema, nullptr),
       std::runtime_error);
+  // An event buffer past the cap (the cap itself is accepted).
+  const auto max_events = [&](size_t n) {
+    return spec("\"window\":{\"size_rows\":4},\"max_events\":" +
+                std::to_string(n));
+  };
+  EXPECT_EQ(MonitorSpec::Parse(max_events(MonitorSpec::kMaxEventsCap))
+                .max_events,
+            MonitorSpec::kMaxEventsCap);
+  EXPECT_THROW(MonitorSpec::Parse(max_events(MonitorSpec::kMaxEventsCap + 1)),
+               std::runtime_error);
   // A valid spec constructs.
   StreamMonitor ok("m",
                    MonitorSpec::Parse(spec("\"window\":{\"size_rows\":4}")),

@@ -631,7 +631,8 @@ TEST(RestApiMonitorTest, CreateListGetDeleteLifecycle) {
               {"\"k\":1e30,", "k"},
               {"\"num_threads\":8,", "num_threads"},
               {"\"num_shards\":2,", "num_shards"},
-              {"\"compression\":\"always\",", "compression"}};
+              {"\"compression\":\"always\",", "compression"},
+              {"\"max_events\":65537,", "max_events"}};
   for (const auto& bad : kBad) {
     const auto r = client.Request(
         "POST", "/v1/monitors",

@@ -6,12 +6,18 @@
 
 #include <algorithm>
 #include <future>
+#include <sstream>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
+#include "causal/dag_io.h"
 #include "core/json_export.h"
 #include "datagen/synthetic.h"
+#include "service/batch.h"
+#include "service/explain_spec.h"
 #include "service/explanation_service.h"
+#include "util/json.h"
 
 namespace causumx {
 namespace {
@@ -145,36 +151,111 @@ TEST(ServiceTest, TightBudgetEvictsButResultsAreIdentical) {
   EXPECT_GT(engine_stats.bitsets_evicted, 0u);
 }
 
+// Cold JSONL batch lines over `table`, one per apriori support: three
+// distinct mining keys, plus a repeat of the first with another k.
+std::vector<std::string> ColdBatchLines(const GeneratedDataset& ds,
+                                        const std::string& table) {
+  std::vector<std::string> lines;
+  for (const char* support : {"0.1", "0.15", "0.2", "0.1"}) {
+    JsonWriter w;
+    w.BeginObject()
+        .Key("id").String("q" + std::to_string(lines.size()))
+        .Key("table").String(table)
+        .Key("group_by").BeginArray();
+    for (const std::string& g : ds.default_query.group_by) w.String(g);
+    w.EndArray()
+        .Key("avg").String(ds.default_query.avg_attribute)
+        .Key("dag_text").String(DagToText(ds.dag))
+        .Key("grouping_attrs").BeginArray();
+    for (const std::string& g : ds.grouping_attribute_hint) w.String(g);
+    w.EndArray().Key("treatment_attrs").BeginArray();
+    for (const std::string& t : ds.treatment_attribute_hint) w.String(t);
+    w.EndArray()
+        .Key("per_group_patterns").Bool(false)
+        .Key("support").Raw(support)
+        .Key("k").Uint(lines.size() == 3 ? 2 : 5)
+        .EndObject();
+    lines.push_back(w.str());
+  }
+  return lines;
+}
+
+// The "summary" member of a batch result line (its last member).
+std::string BatchSummaryJson(const std::string& line) {
+  const std::string tag = "\"summary\":";
+  const size_t at = line.find(tag);
+  EXPECT_NE(at, std::string::npos) << line;
+  if (at == std::string::npos) return "";
+  return line.substr(at + tag.size(), line.size() - at - tag.size() - 1);
+}
+
 // A table's shard plan follows the service pool, one shard per worker:
-// one thread (the serial single-shard reference) and larger pools must
-// produce bit-identical summaries, and the resolved plan must respect
-// the one-shard-per-64-row-block clamp (counts beyond it are covered by
-// ShardPlanTest.OversizedShardCountClamps).
+// every pool size must produce the serial run's summaries, and the
+// resolved plan must respect the one-shard-per-64-row-block clamp
+// (counts beyond it are covered by ShardPlanTest.OversizedShardCountClamps).
+// At each size a cold batch (requests on pool workers that mine with
+// ParallelFor on the same pool) and a library Explain asking for 5
+// threads (which mines on the service pool all the same) must finish
+// and agree with the serial runs too.
 TEST(ServiceTest, PoolSizedShardPlansAreBitIdentical) {
   GeneratedDataset ds = MakeData();
-  const CauSumXConfig config = MakeConfig(ds);
   const size_t rows = ds.table.NumRows();
+  CauSumXConfig serial = MakeConfig(ds);
+  serial.num_threads = 1;
+  const std::string reference =
+      SummaryToJson(RunCauSumX(ds.table, ds.default_query, ds.dag, serial)
+                        .summary);
 
-  std::string reference;
+  const std::vector<std::string> lines = ColdBatchLines(ds, "batch");
+  std::vector<std::string> batch_reference;
+  for (const std::string& line : lines) {
+    BoundExplain bound =
+        ParseQueryRequest(JsonValue::Parse(line)).Bind(ds.table);
+    bound.config.num_threads = 1;
+    batch_reference.push_back(SummaryToJson(
+        RunCauSumX(ds.table, bound.query, bound.dag, bound.config).summary,
+        &bound.query));
+  }
+
   for (const size_t threads : {size_t{1}, size_t{2}, size_t{3}, size_t{7}}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
     ServiceOptions options;
     options.num_threads = threads;
     ExplanationService service(options);
     service.RegisterTable("t", std::move(MakeData().table));
     const CauSumXResult r =
-        service.Explain("t", ds.default_query, ds.dag, config);
+        service.Explain("t", ds.default_query, ds.dag, MakeConfig(ds));
+    EXPECT_EQ(SummaryToJson(r.summary), reference);
     const auto& plan = service.Engine("t")->plan();
-    EXPECT_GE(plan.NumShards(), size_t{1}) << "threads=" << threads;
-    EXPECT_LE(plan.NumShards(), std::min(threads, (rows + 63) / 64))
-        << "threads=" << threads;
+    EXPECT_GE(plan.NumShards(), size_t{1});
+    EXPECT_LE(plan.NumShards(), std::min(threads, (rows + 63) / 64));
     if (threads == 1) {
       EXPECT_EQ(plan.NumShards(), size_t{1});
-      reference = SummaryToJson(r.summary);
-    } else {
-      EXPECT_EQ(SummaryToJson(r.summary), reference)
-          << "threads=" << threads;
     }
     EXPECT_EQ(service.Engine("t")->Stats().num_shards, plan.NumShards());
+
+    service.RegisterTable("batch", std::move(MakeData().table));
+    std::string input;
+    for (const std::string& line : lines) input += line + "\n";
+    std::istringstream in(input);
+    std::ostringstream out;
+    const BatchSummary summary = RunBatch(service, in, out);
+    EXPECT_EQ(summary.succeeded, lines.size());
+    std::istringstream results(out.str());
+    std::string line;
+    for (size_t i = 0; std::getline(results, line); ++i) {
+      ASSERT_LT(i, batch_reference.size());
+      EXPECT_EQ(BatchSummaryJson(line), batch_reference[i]) << "line " << i;
+    }
+    EXPECT_EQ(service.Stats().candidate_misses, 1u + 3u);
+
+    service.RegisterTable("lib", std::move(MakeData().table));
+    CauSumXConfig five = MakeConfig(ds);
+    five.num_threads = 5;
+    EXPECT_EQ(SummaryToJson(
+                  service.Explain("lib", ds.default_query, ds.dag, five)
+                      .summary),
+              reference);
   }
 }
 

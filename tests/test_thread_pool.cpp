@@ -5,7 +5,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
+#include <fstream>
 #include <numeric>
+#include <string>
+#include <thread>
 #include <vector>
 
 namespace causumx {
@@ -41,12 +45,48 @@ TEST(ThreadPoolTest, ParallelForSingleElement) {
   EXPECT_EQ(runs.load(), 1);
 }
 
+// The process's thread count (the Threads: line of /proc/self/status),
+// or -1 where that file is missing.
+int ProcessThreads() {
+  std::ifstream status("/proc/self/status");
+  std::string line;
+  while (std::getline(status, line)) {
+    if (line.rfind("Threads:", 0) == 0) return std::stoi(line.substr(8));
+  }
+  return -1;
+}
+
+// The thread count once the workers of earlier tests, joined but not
+// necessarily reaped by the kernel yet, are gone (this binary starts no
+// other threads).
+int SettledThreads() {
+  int n = ProcessThreads();
+  for (int i = 0; i < 2000 && n > 1; ++i) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    n = ProcessThreads();
+  }
+  return n;
+}
+
+// A one-worker pool runs ParallelFor and RunOn inline, so its worker
+// serves Submit alone and starts with the first one.
 TEST(ThreadPoolTest, ZeroThreadsClampedToOne) {
+  const int before = SettledThreads();
   ThreadPool pool(0);
   EXPECT_EQ(pool.NumThreads(), 1u);
   std::atomic<int> counter{0};
   pool.ParallelFor(10, [&](size_t) { counter.fetch_add(1); });
-  EXPECT_EQ(counter.load(), 10);
+  ThreadPool::RunOn(&pool, 10, [&](size_t) { counter.fetch_add(1); });
+  EXPECT_EQ(counter.load(), 20);
+  if (before >= 0) {
+    EXPECT_EQ(ProcessThreads(), before);
+  }
+  pool.Submit([&] { counter.fetch_add(1); }).get();
+  EXPECT_EQ(counter.load(), 21);
+  EXPECT_EQ(pool.NumThreads(), 1u);
+  if (before >= 0) {
+    EXPECT_EQ(ProcessThreads(), before + 1);
+  }
 }
 
 TEST(ThreadPoolTest, ManyTasksAccumulateCorrectly) {

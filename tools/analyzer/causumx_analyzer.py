@@ -64,6 +64,16 @@ DEFAULT_CONFIG = {
     "exception_roots": ["HttpServer::AcceptLoop",
                         "HttpServer::HandleConnection"],
     "indirect_throwing_calls": ["handler_"],
+    # The places that decide which threads work runs on: the pool
+    # itself, a run-private engine, the service pool, the HTTP
+    # transport, and the brute-force baseline's own pool.
+    "thread_spawn_allowlist": [
+        "util/thread_pool.cpp",
+        "MakeRunEngine",
+        "ExplanationService::ExplanationService",
+        "HttpServer::Start",
+        "baselines/brute_force.cpp",
+    ],
 }
 
 FIXTURE_DIR = os.path.join(REPO_ROOT, "tests", "analyzer", "fixtures")

@@ -1,6 +1,6 @@
 """Whole-program checks for causumx-analyzer.
 
-All four checks run over the frontend-agnostic IR (`cpp_frontend.FileIR`
+All checks run over the frontend-agnostic IR (`cpp_frontend.FileIR`
 et al.) — either frontend (textual or libclang) can feed them.
 
 Rules:
@@ -13,10 +13,13 @@ Rules:
   hot-path-virtual     virtual dispatch reachable from a kernel root
   exception-boundary   throw may escape a server/handler boundary root
   allow-missing-reason an allow() hatch with no written justification
+  thread-spawn         std::thread / ThreadPool constructed outside the
+                       allowlist of places that decide where work runs
 """
 
 from __future__ import annotations
 
+import bisect
 import os
 import re
 from dataclasses import dataclass, field
@@ -45,6 +48,7 @@ ALL_RULES = [
     "hot-path-virtual",
     "exception-boundary",
     "allow-missing-reason",
+    "thread-spawn",
 ]
 
 # Calls that block the calling thread (work-stealing pool entry points and
@@ -73,6 +77,9 @@ class AnalyzerConfig:
     indirect_throwing_calls: Set[str] = field(default_factory=set)
     blocking_calls: Set[str] = field(
         default_factory=lambda: set(DEFAULT_BLOCKING_CALLS))
+    # where threads may start: file-path suffixes ("util/thread_pool.cpp")
+    # or qualified-name suffixes of the constructing function
+    thread_spawn_allowlist: List[str] = field(default_factory=list)
 
     @staticmethod
     def from_dict(d: dict) -> "AnalyzerConfig":
@@ -88,6 +95,8 @@ class AnalyzerConfig:
             d.get("indirect_throwing_calls", []))
         if "blocking_calls" in d:
             cfg.blocking_calls = set(d["blocking_calls"])
+        cfg.thread_spawn_allowlist = list(
+            d.get("thread_spawn_allowlist", []))
         return cfg
 
 
@@ -736,6 +745,57 @@ def check_allow_reasons(project: Project,
     return findings
 
 
+# --- check: thread-spawn -----------------------------------------------------
+
+# Constructions that start threads: a std::thread (temporary or named
+# variable) and a ThreadPool (make_shared/make_unique, new, or a named
+# variable). Declarations without an initializer start nothing.
+_SPAWN_PATTERNS = [
+    (re.compile(r"\bstd\s*::\s*j?thread\s*(?:[A-Za-z_]\w*\s*)?[({]"),
+     "std::thread"),
+    (re.compile(r"\bmake_(?:shared|unique)\s*<\s*(?:\w+\s*::\s*)*"
+                r"ThreadPool\s*>"), "ThreadPool"),
+    (re.compile(r"\bnew\s+(?:\w+\s*::\s*)*ThreadPool\b"), "ThreadPool"),
+    (re.compile(r"\bThreadPool\s+[A-Za-z_]\w*\s*[({]"), "ThreadPool"),
+]
+
+
+def _spawn_allowed(path: str, fn: Optional[FunctionInfo],
+                   allowlist: Sequence[str]) -> bool:
+    for entry in allowlist:
+        if entry.endswith((".cpp", ".h")):
+            if path == entry or path.endswith("/" + entry):
+                return True
+        elif fn is not None and (fn.qualified_name == entry or
+                                 fn.qualified_name.endswith("::" + entry)):
+            return True
+    return False
+
+
+def check_thread_spawn(project: Project,
+                       cfg: AnalyzerConfig) -> List[Finding]:
+    findings: List[Finding] = []
+    for path, ir in project.files.items():
+        newlines = [i for i, c in enumerate(ir.code_text) if c == "\n"]
+        for pat, what in _SPAWN_PATTERNS:
+            for m in pat.finditer(ir.code_text):
+                line = bisect.bisect_right(newlines, m.start()) + 1
+                enclosing = [f for f in ir.functions
+                             if f.start_line <= line <= f.end_line]
+                fn = max(enclosing, key=lambda f: f.start_line,
+                         default=None)
+                if _spawn_allowed(path, fn, cfg.thread_spawn_allowlist):
+                    continue
+                if project.allowed(path, line, "thread-spawn"):
+                    continue
+                where = fn.qualified_name if fn else "file scope"
+                findings.append(Finding(
+                    "thread-spawn", path, line,
+                    f"{where} constructs a {what} outside the "
+                    f"thread-spawn allowlist"))
+    return findings
+
+
 # --- driver ------------------------------------------------------------------
 
 CHECKS = {
@@ -746,6 +806,7 @@ CHECKS = {
     "hot-path": check_hot_path,  # covers alloc/throw/virtual
     "exception-boundary": check_exception_boundary,
     "allow-missing-reason": check_allow_reasons,
+    "thread-spawn": check_thread_spawn,
 }
 
 
