@@ -3,11 +3,14 @@
 // shape: treatment mining dominates everywhere; phases 1 and 3 are
 // comparatively negligible.
 //
-// Each dataset is run twice — once with the shared evaluation engine's
-// caches enabled, once (phases 1-2) over a cache-bypass engine — so the
-// table also reports the phase-2 speedup the interned-predicate bitsets
-// and the CATE memo buy, plus the cache counters behind it. Both arms
-// run the lattice walk's overlap pre-check; uncached, it is a table scan.
+// Each dataset runs two arms — the full pipeline with the shared
+// evaluation engine's caches enabled, and phases 1-2 over a cache-bypass
+// engine — so the table also reports the phase-2 speedup the
+// interned-predicate bitsets, the CATE memo and the Gram blocks buy, plus
+// the cache counters behind it. The arms alternate, three rounds each,
+// and each reports its best round, so neither arm is favoured by running
+// first in a fresh process. Both arms run the lattice walk's overlap
+// pre-check; uncached, it is a table scan.
 //
 // Usage: bench_phase_breakdown [--json FILE]
 //   --json writes the rows as a JSON array (see tools/run_bench.sh).
@@ -51,7 +54,9 @@ void WriteJson(const std::string& path, const std::vector<Row>& rows) {
         << ", \"bitsets_materialized\": " << r.cache.eval.bitsets_materialized
         << ", \"bitset_hits\": " << r.cache.eval.bitset_hits
         << ", \"memo_hits\": " << r.cache.estimator.memo_hits
-        << ", \"memo_misses\": " << r.cache.estimator.memo_misses << "}"
+        << ", \"memo_misses\": " << r.cache.estimator.memo_misses
+        << ", \"gram_builds\": " << r.cache.estimator.gram_builds
+        << ", \"gram_hits\": " << r.cache.estimator.gram_hits << "}"
         << (i + 1 < rows.size() ? "," : "") << "\n";
   }
   out << "]\n";
@@ -80,16 +85,29 @@ int main(int argc, char** argv) {
     CauSumXConfig config = bench::ConfigFor(ds, bench::PaperDefaultConfig());
     config.estimator.sample_cap = 50'000;
 
-    const CauSumXResult r =
-        RunCauSumX(ds.table, ds.default_query, ds.dag, config);
-
-    // The uncached arm: phases 1-2 over a cache-bypass engine, mining
-    // on a pool as wide as the cached run's.
-    auto bypass = std::make_shared<EvalEngine>(
-        BorrowTable(ds.table), EvalEngineOptions{.cache_enabled = false});
+    // Three alternating rounds; each arm keeps its fastest phase 2. The
+    // uncached arm runs phases 1-2 over a cache-bypass engine, mining on
+    // a pool as wide as the cached run's.
+    constexpr int kRounds = 3;
+    CauSumXResult r;
+    CandidateMiningResult u;
     ThreadPool pool(ThreadPool::DefaultThreads());
-    const CandidateMiningResult u = MineExplanationCandidates(
-        ds.table, ds.default_query, ds.dag, config, bypass, nullptr, &pool);
+    for (int round = 0; round < kRounds; ++round) {
+      CauSumXResult cached =
+          RunCauSumX(ds.table, ds.default_query, ds.dag, config);
+      if (round == 0 || cached.timings.Get("treatment") <
+                            r.timings.Get("treatment")) {
+        r = std::move(cached);
+      }
+      auto bypass = std::make_shared<EvalEngine>(
+          BorrowTable(ds.table), EvalEngineOptions{.cache_enabled = false});
+      CandidateMiningResult uncached = MineExplanationCandidates(
+          ds.table, ds.default_query, ds.dag, config, bypass, nullptr, &pool);
+      if (round == 0 || uncached.timings.Get("treatment") <
+                            u.timings.Get("treatment")) {
+        u = std::move(uncached);
+      }
+    }
 
     Row row;
     row.dataset = name;
@@ -110,11 +128,13 @@ int main(int argc, char** argv) {
 
   std::printf("\ncache counters (cached runs): ");
   for (const Row& r : rows) {
-    std::printf("%s: %llu bitsets, %llu memo hits / %llu misses;  ",
+    std::printf("%s: %llu bitsets, %llu memo hits / %llu misses, %llu "
+                "Gram blocks;  ",
                 r.dataset.c_str(),
                 (unsigned long long)r.cache.eval.bitsets_materialized,
                 (unsigned long long)r.cache.estimator.memo_hits,
-                (unsigned long long)r.cache.estimator.memo_misses);
+                (unsigned long long)r.cache.estimator.memo_misses,
+                (unsigned long long)r.cache.estimator.gram_builds);
   }
   std::printf("\n");
 

@@ -1,6 +1,7 @@
 #include "causal/estimator_context.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 #include <stdexcept>
 #include <vector>
@@ -68,6 +69,7 @@ EstimatorContext::EstimatorContext(std::shared_ptr<EvalEngine> engine,
   // entries; one that grew interns a fresh id, and its stale
   // predecessor ages out through the LRU.
   std::vector<bool> id_carried(static_cast<size_t>(next_subpop_id_), false);
+  subpop_ids_.reserve(subpops.size());
   for (auto& [bits, id] : subpops) {
     if (bits.size() != base_rows) continue;          // stale universe
     if (bits.CountRange(0, dropped) != 0) continue;  // lost rows
@@ -81,6 +83,7 @@ EstimatorContext::EstimatorContext(std::shared_ptr<EvalEngine> engine,
   // Carry the memo, preserving LRU order (`entries` runs least to most
   // recent; each push_front leaves the most recent at the front). Keys
   // are sorted, so the back is the maximum predicate id.
+  memo_.reserve(entries.size());
   for (auto& [key, src] : entries) {
     if (!key.treatment.empty() && key.treatment.back() >= known) continue;
     if (key.subpop_id >= id_carried.size() || !id_carried[key.subpop_id]) {
@@ -105,7 +108,7 @@ EffectEstimate EstimatorContext::EstimateCate(const Pattern& treatment,
   if (treatment.IsEmpty()) return EffectEstimate{};
   if (!engine_->cache_enabled()) {
     n_misses_.fetch_add(1, std::memory_order_relaxed);
-    return ComputeCate(treatment, outcome, subpopulation);
+    return ComputeCate(treatment, outcome, subpopulation, kNoSubpop);
   }
   MemoKey key;
   key.treatment.reserve(treatment.predicates().size());
@@ -127,7 +130,8 @@ EffectEstimate EstimatorContext::EstimateCate(const Pattern& treatment,
   }
   // Computed outside the lock: concurrent misses on the same key may
   // duplicate work once, but never block each other on the OLS solve.
-  const EffectEstimate est = ComputeCate(treatment, outcome, subpopulation);
+  const EffectEstimate est =
+      ComputeCate(treatment, outcome, subpopulation, key.subpop_id);
   {
     util::MutexLock lock(memo_mu_);
     auto it = memo_.find(key);
@@ -169,14 +173,30 @@ uint32_t EstimatorContext::InternSubpopLocked(uint64_t hash,
 }
 
 size_t EstimatorContext::CacheBytes() const {
+  size_t gram_bytes = 0;
+  {
+    util::MutexLock lock(gram_mu_);
+    gram_bytes = gram_bytes_;
+  }
   util::MutexLock lock(memo_mu_);
-  return memo_bytes_ + subpop_bytes_;
+  return memo_bytes_ + subpop_bytes_ + gram_bytes;
 }
 
 size_t EstimatorContext::EvictLru(size_t bytes_to_free) {
   if (bytes_to_free == 0) return 0;
-  util::MutexLock lock(memo_mu_);
   size_t freed = 0;
+  {
+    // Misses in flight keep an evicted block alive by shared_ptr.
+    util::MutexLock lock(gram_mu_);
+    while (freed < bytes_to_free && !gram_lru_.empty()) {
+      auto it = gram_.find(gram_lru_.back());
+      freed += it->second.bytes;
+      gram_bytes_ -= it->second.bytes;
+      gram_.erase(it);
+      gram_lru_.pop_back();
+    }
+  }
+  util::MutexLock lock(memo_mu_);
   while (freed < bytes_to_free && !lru_.empty()) {
     auto it = memo_.find(lru_.back());
     freed += it->second.bytes;
@@ -195,91 +215,147 @@ size_t EstimatorContext::EvictLru(size_t bytes_to_free) {
   return freed;
 }
 
-EffectEstimate EstimatorContext::ComputeCate(const Pattern& treatment,
-                                             const std::string& outcome,
-                                             const Bitset& subpopulation) {
-  EffectEstimate est;
-  const Table& table = engine_->table();
-  const auto y_idx = table.ColumnIndex(outcome);
-  if (!y_idx) return est;
-  const NumericColumnView& y_view = engine_->Numeric(*y_idx);
+// The treatment-independent state of every regression fit over one
+// (subpopulation, outcome, adjustment set). FitOls (causal/ols.cpp)
+// keeps one accumulator per normal-equation entry, skips zero design
+// entries, sums each entry in row order within fixed kOlsChunkRows
+// chunks of the estimation rows, and merges the chunks in order. The
+// entries over [1, Z] never read T's column, so their merged sums are
+// the same for every treatment and are computed once here; T's row
+// (n_T, T'Z, T'y) sums only treated rows, and Fit adds it per miss with
+// the same chunking — so every fit is bit-identical to FitOls over the
+// per-row design.
+struct EstimatorContext::GramBlock {
+  struct Confounder {
+    const Column* codes = nullptr;  // categorical: one-hot over kept_codes
+    const NumericColumnView* view = nullptr;  // numeric: the value itself
+    std::vector<int32_t> kept_codes;  // levels with their own column
+    std::vector<int32_t> level_of;  // code -> index in kept_codes, or -1
+    size_t first = 0;  // its first column within Z
+  };
 
-  // Candidate rows: subpopulation with non-null outcome. Collected as
-  // per-shard sufficient statistics — each shard gathers its own index
-  // range and the concatenation in shard order is exactly the ascending
-  // serial scan, so the estimate is independent of the plan.
-  const ShardPlan& plan = engine_->plan();
-  // Dispatch gate: EstimateCate runs thousands of times per query, and
-  // for small tables the per-call task round trip outweighs the scan it
-  // splits. The serial branch executes the identical per-shard
-  // computation, so results never depend on the gate.
-  ThreadPool* pool =
-      table.NumRows() >= kParallelEstimateRowThreshold ? engine_->pool()
-                                                       : nullptr;
-  const size_t num_shards = plan.NumShards();
-  std::vector<std::vector<size_t>> shard_rows(num_shards);
-  ThreadPool::RunOn(pool, num_shards, [&](size_t s) {
-    std::vector<size_t> local;
-    subpopulation.AppendIndicesInRange(plan.ShardBegin(s), plan.ShardEnd(s),
-                                       &local);
-    std::vector<size_t>& keep = shard_rows[s];
-    keep.reserve(local.size());
-    for (size_t r : local) {
-      if (y_view.valid.Test(r)) keep.push_back(r);
+  // The estimation rows as a table-sized bitset: never larger than the
+  // subpopulation copy the memo's intern table already keeps.
+  Bitset rows;
+  size_t n = 0;  // rows.Count()
+  std::vector<uint32_t> chunk_first;  // first row of each OLS chunk
+  std::vector<Confounder> confounders;
+  size_t m = 0;  // confounder design columns
+  // Packed upper triangle of [1 Z]'[1 Z], and [1 Z]'y, over q = 1 + m
+  // columns; empty when no regression fit can run over `rows`.
+  std::vector<double> gram;
+  std::vector<double> gram_y;
+
+  size_t NumChunks() const { return (n + kOlsChunkRows - 1) / kOlsChunkRows; }
+
+  // Calls f(i, r) for the estimation rows of OLS chunk c in ascending
+  // order: r is the table row, i its position among the estimation rows.
+  template <typename F>
+  void ForEachRowOfChunk(size_t c, F&& f) const {
+    size_t i = c * kOlsChunkRows;
+    const size_t end = std::min(n, i + kOlsChunkRows);
+    size_t w = chunk_first[c] / 64;
+    uint64_t bits = rows.data()[w] & (~uint64_t{0} << (chunk_first[c] % 64));
+    for (; i < end; ++i) {
+      while (bits == 0) bits = rows.data()[++w];
+      f(i, w * 64 + static_cast<size_t>(std::countr_zero(bits)));
+      bits &= bits - 1;
     }
-  });
-  std::vector<size_t> rows;
-  rows.reserve(subpopulation.Count());
-  for (auto& part : shard_rows) {
-    rows.insert(rows.end(), part.begin(), part.end());
   }
 
-  // Optimization (d): sample large subpopulations for CATE estimation.
-  if (options_.sample_cap > 0 && rows.size() > options_.sample_cap) {
-    Rng rng(options_.sample_seed ^ treatment.Hash());
-    std::vector<size_t> chosen =
-        rng.SampleIndices(rows.size(), options_.sample_cap);
-    std::vector<size_t> sampled;
-    sampled.reserve(chosen.size());
-    for (size_t i : chosen) sampled.push_back(rows[i]);
-    std::sort(sampled.begin(), sampled.end());
-    rows = std::move(sampled);
-  }
-  if (rows.size() < 2 * options_.min_group_size) return est;
-
-  // Treatment indicator from the engine's cached bitsets (bit-identical
-  // to row-at-a-time Matches; see the engine property tests). The fill
-  // and the treated count are chunked per-shard statistics: element
-  // writes are disjoint and the counts are integers, so any schedule
-  // sums to the same value.
-  const Bitset treated_bits = engine_->EvaluateOn(treatment, subpopulation);
-  std::vector<uint8_t> treated(rows.size(), 0);
-  const size_t num_chunks = (rows.size() + kOlsChunkRows - 1) / kOlsChunkRows;
-  std::vector<size_t> chunk_treated(num_chunks, 0);
-  ThreadPool::RunOn(pool, num_chunks, [&](size_t c) {
-    size_t count = 0;
-    const size_t end = std::min(rows.size(), (c + 1) * kOlsChunkRows);
-    for (size_t i = c * kOlsChunkRows; i < end; ++i) {
-      treated[i] = treated_bits.Test(rows[i]) ? 1 : 0;
-      count += treated[i];
+  // Row r's m confounder design values, as FitOls's design holds them.
+  void Encode(size_t r, double* out) const {
+    for (const Confounder& c : confounders) {
+      if (c.view == nullptr) {
+        const int32_t code = c.codes->GetCode(r);
+        for (int32_t kept : c.kept_codes) *out++ = code == kept ? 1.0 : 0.0;
+      } else {
+        const double v = c.view->values[r];
+        *out++ = std::isnan(v) ? 0.0 : v;
+      }
     }
-    chunk_treated[c] = count;
-  });
-  size_t n_treated = 0;
-  for (size_t count : chunk_treated) n_treated += count;
-  const size_t n_control = rows.size() - n_treated;
-  est.n_treated = n_treated;
-  est.n_control = n_control;
-  // Overlap (Eq. 4): both groups must be represented.
-  if (n_treated < options_.min_group_size ||
-      n_control < options_.min_group_size) {
-    return est;
   }
 
-  // Backdoor adjustment set Z from the DAG: parents of treatment attrs.
-  const std::set<std::string> adjustment = AdjustmentSet(treatment, outcome);
+  // Calls f(j, x) for row r's Z entries that can be nonzero, in column
+  // order: the matching one-hot column (x = 1.0) of each categorical
+  // confounder and every numeric one. The entries it skips are exact
+  // zeros of the dense row Encode writes.
+  template <typename F>
+  void ForEachEntry(size_t r, F&& f) const {
+    for (const Confounder& c : confounders) {
+      if (c.view == nullptr) {
+        const int32_t code = c.codes->GetCode(r);
+        if (code < 0 || static_cast<size_t>(code) >= c.level_of.size()) {
+          continue;
+        }
+        const int32_t level = c.level_of[code];
+        if (level >= 0) f(c.first + static_cast<size_t>(level), 1.0);
+      } else {
+        const double v = c.view->values[r];
+        f(c.first, std::isnan(v) ? 0.0 : v);
+      }
+    }
+  }
 
-  // Assemble design matrix columns: intercept, T, then confounders.
+  // Takes the estimation rows, then builds the confounder encoding and
+  // (regression only) the [1 Z] sums. Skipped below the sizes at which
+  // ComputeCate returns before fitting.
+  void Build(Bitset estimation_rows, const Table& table, EvalEngine& engine,
+             const std::vector<uint32_t>& adjustment,
+             const NumericColumnView& y_view, const EstimatorOptions& options,
+             ThreadPool* pool);
+
+  // Fits Y ~ 1 + T + Z from the block and `treated` (the treated rows,
+  // a superset of the block's treated estimation rows) into `est`;
+  // leaves it invalid when the normal equations are singular.
+  void Fit(const Bitset& treated, size_t n_treated,
+           const NumericColumnView& y_view, ThreadPool* pool,
+           EffectEstimate* est) const;
+
+  size_t Bytes() const {
+    size_t bytes = sizeof(GramBlock) + rows.num_words() * sizeof(uint64_t) +
+                   chunk_first.capacity() * sizeof(uint32_t) +
+                   confounders.capacity() * sizeof(Confounder) +
+                   (gram.capacity() + gram_y.capacity()) * sizeof(double);
+    for (const Confounder& c : confounders) {
+      bytes += (c.kept_codes.capacity() + c.level_of.capacity()) *
+               sizeof(int32_t);
+    }
+    return bytes;
+  }
+};
+
+namespace {
+
+// popcount(a & b) over their common words.
+size_t CountAnd(const Bitset& a, const Bitset& b) {
+  const size_t words = std::min(a.num_words(), b.num_words());
+  size_t count = 0;
+  for (size_t w = 0; w < words; ++w) {
+    count += static_cast<size_t>(std::popcount(a.data()[w] & b.data()[w]));
+  }
+  return count;
+}
+
+}  // namespace
+
+void EstimatorContext::GramBlock::Build(
+    Bitset estimation_rows, const Table& table, EvalEngine& engine,
+    const std::vector<uint32_t>& adjustment, const NumericColumnView& y_view,
+    const EstimatorOptions& options, ThreadPool* pool) {
+  rows = std::move(estimation_rows);
+  n = rows.Count();
+  if (n < 2 * options.min_group_size) return;
+  // The chunk starts: every kOlsChunkRows-th estimation row.
+  for (size_t w = 0, i = 0; w < rows.num_words(); ++w) {
+    for (uint64_t bits = rows.data()[w]; bits != 0; bits &= bits - 1, ++i) {
+      if (i % kOlsChunkRows == 0) {
+        chunk_first.push_back(static_cast<uint32_t>(
+            w * 64 + static_cast<size_t>(std::countr_zero(bits))));
+      }
+    }
+  }
+  const size_t num_chunks = NumChunks();
   // Numeric confounders enter via the cached column views; categorical
   // ones are one-hot encoded with the most frequent level dropped as
   // baseline (dense code counting; ties break by the level's dictionary
@@ -287,31 +363,17 @@ EffectEstimate EstimatorContext::ComputeCate(const Pattern& treatment,
   // values alone, so the encoding survives the windowed-retention path's
   // dictionary re-coding and stays bit-identical to a from-scratch
   // rebuild over the same rows).
-  struct Encoded {
-    const Column* col;
-    const NumericColumnView* view;
-    bool categorical;
-    std::vector<int32_t> kept_codes;  // categorical: levels with own column
-  };
-  std::vector<Encoded> confounders;
-  size_t extra_cols = 0;
-  for (const auto& name : adjustment) {
-    auto idx = table.ColumnIndex(name);
-    if (!idx) continue;  // DAG node without a data column (latent): skip.
-    const Column& c = table.column(*idx);
-    Encoded enc;
-    enc.col = &c;
-    enc.view = nullptr;
-    enc.categorical = (c.type() == ColumnType::kCategorical);
-    if (enc.categorical) {
-      // Count level frequencies within the estimation rows (dense array
-      // over the dictionary instead of a hash map).
+  for (uint32_t idx : adjustment) {
+    const Column& c = table.column(idx);
+    Confounder enc;
+    if (c.type() == ColumnType::kCategorical) {
       std::vector<size_t> freq(c.dictionary().size(), 0);
       size_t distinct = 0;
-      for (size_t r : rows) {
-        const int32_t code = c.GetCode(r);
-        if (code == Column::kNullCode) continue;
-        if (freq[code]++ == 0) ++distinct;
+      for (size_t chunk = 0; chunk < num_chunks; ++chunk) {
+        ForEachRowOfChunk(chunk, [&](size_t, size_t r) {
+          const int32_t code = c.GetCode(r);
+          if (code != Column::kNullCode && freq[code]++ == 0) ++distinct;
+        });
       }
       if (distinct < 2) continue;  // constant -> no information
       std::vector<std::pair<int32_t, size_t>> levels;
@@ -328,67 +390,278 @@ EffectEstimate EstimatorContext::ComputeCate(const Pattern& treatment,
                 });
       // Drop the most frequent level (baseline) and merge the long tail.
       const size_t keep =
-          std::min(options_.max_onehot_levels, levels.size() - 1);
+          std::min(options.max_onehot_levels, levels.size() - 1);
       for (size_t l = 1; l <= keep; ++l) {
+        const size_t code = static_cast<size_t>(levels[l].first);
+        if (code >= enc.level_of.size()) enc.level_of.resize(code + 1, -1);
+        enc.level_of[code] = static_cast<int32_t>(enc.kept_codes.size());
         enc.kept_codes.push_back(levels[l].first);
       }
-      extra_cols += enc.kept_codes.size();
+      enc.codes = &c;
+      enc.first = m;
+      m += enc.kept_codes.size();
     } else {
-      enc.view = &engine_->Numeric(*idx);
-      ++extra_cols;
+      enc.view = &engine.Numeric(idx);
+      enc.first = m;
+      ++m;
     }
     confounders.push_back(std::move(enc));
   }
 
-  const size_t p = 2 + extra_cols;  // intercept + T + confounders
-  if (rows.size() <= p + 1) return est;
-
-  // Fills row i of a design whose first column is the intercept and whose
-  // confounder block starts at `offset`.
-  auto fill_confounders = [&](DesignMatrix* x, size_t i, size_t r,
-                              size_t offset) {
-    size_t col = offset;
-    for (const auto& enc : confounders) {
-      if (enc.categorical) {
-        const int32_t code = enc.col->GetCode(r);
-        for (int32_t kept : enc.kept_codes) {
-          x->At(i, col++) = (code == kept) ? 1.0 : 0.0;
-        }
-      } else {
-        const double v = enc.view->values[r];
-        x->At(i, col++) = std::isnan(v) ? 0.0 : v;
-      }
-    }
-  };
-
-  std::vector<double> y(rows.size());
+  const size_t q = 1 + m;
+  // ComputeCate fits only when rows > p + 1, with p = q + 1.
+  if (options.method != EstimationMethod::kRegressionAdjustment ||
+      n <= q + 2) {
+    return;
+  }
+  // FitOls's loops over the design [1 Z]: per-chunk partials (chunks
+  // are disjoint, so any schedule writes the same values), merged below
+  // in chunk order.
+  const size_t tri = q * (q + 1) / 2;
+  const size_t stride = tri + q;
+  std::vector<double> part(num_chunks * stride, 0.0);
   ThreadPool::RunOn(pool, num_chunks, [&](size_t c) {
-    const size_t end = std::min(rows.size(), (c + 1) * kOlsChunkRows);
-    for (size_t i = c * kOlsChunkRows; i < end; ++i) {
-      y[i] = y_view.values[rows[i]];
-    }
-  });
-
-  if (options_.method == EstimationMethod::kRegressionAdjustment) {
-    DesignMatrix x(rows.size(), p);
-    // Row-disjoint design assembly; the fit itself reduces per-chunk
-    // partials in fixed order (see FitOls), so the estimate is
-    // bit-identical at any thread count.
-    ThreadPool::RunOn(pool, num_chunks, [&](size_t c) {
-      const size_t end = std::min(rows.size(), (c + 1) * kOlsChunkRows);
-      for (size_t i = c * kOlsChunkRows; i < end; ++i) {
-        x.At(i, 0) = 1.0;
-        x.At(i, 1) = treated[i];
-        fill_confounders(&x, i, rows[i], 2);
+    double* cx = &part[c * stride];
+    double* cy = cx + tri;
+    std::vector<double> x(q);
+    x[0] = 1.0;
+    ForEachRowOfChunk(c, [&](size_t, size_t r) {
+      Encode(r, &x[1]);
+      const double y = y_view.values[r];
+      size_t base = 0;
+      for (size_t a = 0; a < q; ++a) {
+        const double xa = x[a];
+        if (xa == 0.0) {
+          base += q - a;
+          continue;
+        }
+        // causumx-lint: allow(fp-accumulation) FitOls's per-chunk partial: serial row order within fixed chunk boundaries
+        cy[a] += xa * y;
+        for (size_t b = a; b < q; ++b) {
+          // causumx-lint: allow(fp-accumulation) FitOls's per-chunk partial: serial row order within fixed chunk boundaries
+          cx[base + b - a] += xa * x[b];
+        }
+        base += q - a;
       }
     });
-    const OlsResult fit = FitOls(x, y, pool);
-    if (!fit.ok) return est;
-    est.valid = true;
-    est.cate = fit.coefficients[1];
-    est.std_error = fit.std_errors[1];
-    est.p_value = fit.PValue(1);
-    est.n_used = rows.size();
+  });
+  gram.assign(tri, 0.0);
+  gram_y.assign(q, 0.0);
+  for (size_t c = 0; c < num_chunks; ++c) {
+    const double* cx = &part[c * stride];
+    // causumx-lint: allow(fp-accumulation) chunk merge in fixed chunk-index order, as FitOls merges
+    for (size_t e = 0; e < tri; ++e) gram[e] += cx[e];
+    // causumx-lint: allow(fp-accumulation) chunk merge in fixed chunk-index order, as FitOls merges
+    for (size_t a = 0; a < q; ++a) gram_y[a] += cx[tri + a];
+  }
+}
+
+void EstimatorContext::GramBlock::Fit(const Bitset& treated,
+                                      size_t n_treated,
+                                      const NumericColumnView& y_view,
+                                      ThreadPool* pool,
+                                      EffectEstimate* est) const {
+  const size_t q = 1 + m;
+  const size_t p = q + 1;  // design [1 T Z]
+  const size_t num_chunks = NumChunks();
+
+  // T's row per chunk: [T'y, T'Z], over the treated estimation rows
+  // (treated ∩ rows, a word scan). A treated row's design entry for T is
+  // 1.0, so FitOls adds 1.0 * x == x to each of T's sums; the row's
+  // chunk is found by comparing it with each chunk's first row. Adding
+  // an exact zero leaves a sum unchanged (a sum that starts at +0.0 is
+  // never -0.0), so only ForEachEntry's entries are added.
+  std::vector<double> t_part(num_chunks * q, 0.0);
+  const size_t words = std::min(rows.num_words(), treated.num_words());
+  size_t chunk = 0;
+  for (size_t w = 0; w < words; ++w) {
+    for (uint64_t bits = rows.data()[w] & treated.data()[w]; bits != 0;
+         bits &= bits - 1) {
+      const size_t r = w * 64 + static_cast<size_t>(std::countr_zero(bits));
+      while (chunk + 1 < num_chunks && r >= chunk_first[chunk + 1]) ++chunk;
+      double* part = &t_part[chunk * q];
+      // causumx-lint: allow(fp-accumulation) FitOls's per-chunk partial: treated rows in row order within fixed chunk boundaries
+      part[0] += y_view.values[r];
+      // causumx-lint: allow(fp-accumulation) FitOls's per-chunk partial: treated rows in row order within fixed chunk boundaries
+      ForEachEntry(r, [part](size_t j, double x) { part[1 + j] += x; });
+    }
+  }
+  std::vector<double> t_row(q, 0.0);
+  for (size_t c = 0; c < num_chunks; ++c) {
+    // causumx-lint: allow(fp-accumulation) chunk merge in fixed chunk-index order, as FitOls merges
+    for (size_t j = 0; j < q; ++j) t_row[j] += t_part[c * q + j];
+  }
+
+  // The normal equations of [1 T Z]. Design column d >= 2 is block
+  // column d - 1; the (1, T) and (T, T) entries sum 0/1 indicators, so
+  // they are exactly n_T.
+  const double n_t = static_cast<double>(n_treated);
+  auto gram_at = [&](size_t di, size_t dj) {  // design columns, di <= dj
+    const size_t i = di == 0 ? 0 : di - 1;
+    const size_t j = dj == 0 ? 0 : dj - 1;
+    return gram[i * q - i * (i - 1) / 2 + (j - i)];
+  };
+  std::vector<double> a(p * p);
+  for (size_t i = 0; i < p; ++i) {
+    for (size_t j = i; j < p; ++j) {
+      double v;
+      if (j == 1) {
+        v = n_t;
+      } else if (i == 1) {
+        v = t_row[j - 1];
+      } else {
+        v = gram_at(i, j);
+      }
+      a[i * p + j] = v;
+      a[j * p + i] = v;
+    }
+  }
+  std::vector<double> beta(p);
+  beta[0] = gram_y[0];
+  beta[1] = t_row[0];
+  for (size_t d = 2; d < p; ++d) beta[d] = gram_y[d - 1];
+  // Only std_errors[1] is read, so only column 1 of the inverse is solved.
+  std::vector<double> inv_col;
+  if (!CholeskySolve(&a, &beta, 1, &inv_col)) return;
+
+  // Residual sum of squares from the column views, in FitOls's chunks
+  // and per-row order of operations (no design is built).
+  std::vector<double> part_rss(num_chunks, 0.0);
+  ThreadPool::RunOn(pool, num_chunks, [&](size_t c) {
+    std::vector<double> zc(m);
+    double rss_c = 0.0;
+    ForEachRowOfChunk(c, [&](size_t, size_t r) {
+      const double t = treated.Test(r) ? 1.0 : 0.0;
+      Encode(r, zc.data());
+      double pred = 0.0;
+      pred += 1.0 * beta[0];
+      pred += t * beta[1];
+      // causumx-lint: allow(fp-accumulation) one row's prediction, fixed column order (FitOls's)
+      for (size_t j = 0; j < m; ++j) pred += zc[j] * beta[2 + j];
+      const double e = y_view.values[r] - pred;
+      rss_c += e * e;  // causumx-lint: allow(fp-accumulation) per-chunk serial partial; fixed chunk boundaries)
+    });
+    part_rss[c] = rss_c;
+  });
+  double rss = 0.0;
+  // causumx-lint: allow(fp-accumulation) fixed chunk-index order, thread-count independent)
+  for (size_t c = 0; c < num_chunks; ++c) rss += part_rss[c];
+  const double dof = static_cast<double>(n - p);
+  const double var = rss / dof * inv_col[1];
+  const double se = var > 0 ? std::sqrt(var) : 0.0;
+  est->valid = true;
+  est->cate = beta[1];
+  est->std_error = se;
+  est->p_value = TwoSidedPValueT(se <= 0.0 ? 0.0 : beta[1] / se, dof);
+  est->n_used = n;
+}
+
+std::shared_ptr<const EstimatorContext::GramBlock>
+EstimatorContext::ResolveGramBlock(GramKey key, const Pattern& treatment,
+                                   const Bitset& subpopulation,
+                                   const NumericColumnView& y_view,
+                                   ThreadPool* pool) {
+  const bool cacheable = key.subpop_id != kNoSubpop;
+  if (cacheable) {
+    util::MutexLock lock(gram_mu_);
+    auto it = gram_.find(key);
+    if (it != gram_.end()) {
+      gram_lru_.splice(gram_lru_.begin(), gram_lru_, it->second.lru_it);
+      n_gram_hits_.fetch_add(1, std::memory_order_relaxed);
+      return it->second.block;
+    }
+  }
+  // Estimation rows: the subpopulation's rows with a non-null outcome.
+  Bitset rows = subpopulation;
+  rows &= y_view.valid;
+  // Optimization (d): sample large subpopulations for CATE estimation.
+  // The sample is seeded by the treatment, so its block serves this fit
+  // alone and is not cached.
+  bool sampled = false;
+  const size_t count = rows.Count();
+  if (options_.sample_cap > 0 && count > options_.sample_cap) {
+    const std::vector<size_t> all = rows.ToIndices();
+    Rng rng(options_.sample_seed ^ treatment.Hash());
+    Bitset chosen(rows.size());
+    for (size_t i : rng.SampleIndices(count, options_.sample_cap)) {
+      chosen.Set(all[i]);
+    }
+    rows = std::move(chosen);
+    sampled = true;
+  }
+  auto block = std::make_shared<GramBlock>();
+  block->Build(std::move(rows), engine_->table(), *engine_, key.adjustment,
+               y_view, options_, pool);
+  n_gram_builds_.fetch_add(1, std::memory_order_relaxed);
+  if (!cacheable || sampled) return block;
+
+  util::MutexLock lock(gram_mu_);
+  // A concurrent miss may have inserted the same (bit-identical) block.
+  if (gram_.find(key) == gram_.end()) {
+    gram_lru_.push_front(key);
+    // The key is held twice (map node and LRU node), plus a flat
+    // allowance for the nodes, the bucket and the shared_ptr control
+    // block.
+    const size_t bytes =
+        block->Bytes() +
+        2 * (sizeof(GramKey) + key.adjustment.size() * sizeof(uint32_t)) +
+        sizeof(GramEntry) + 3 * sizeof(void*) + 96;
+    gram_bytes_ += bytes;
+    gram_.emplace(std::move(key),
+                  GramEntry{block, gram_lru_.begin(), bytes});
+  }
+  return block;
+}
+
+EffectEstimate EstimatorContext::ComputeCate(const Pattern& treatment,
+                                             const std::string& outcome,
+                                             const Bitset& subpopulation,
+                                             uint32_t subpop_id) {
+  EffectEstimate est;
+  const Table& table = engine_->table();
+  const auto y_idx = table.ColumnIndex(outcome);
+  if (!y_idx) return est;
+  const NumericColumnView& y_view = engine_->Numeric(*y_idx);
+  // Dispatch gate: EstimateCate runs thousands of times per query, and
+  // for small tables the per-call task round trip outweighs the scan it
+  // splits. The serial branch executes the identical per-chunk
+  // computation, so results never depend on the gate.
+  ThreadPool* pool =
+      table.NumRows() >= kParallelEstimateRowThreshold ? engine_->pool()
+                                                       : nullptr;
+
+  // Backdoor adjustment set Z from the DAG (parents of the treatment
+  // attributes), as column indices in the set's name order; a DAG node
+  // without a data column (latent) is skipped.
+  GramKey key{subpop_id, static_cast<uint32_t>(*y_idx), {}};
+  for (const auto& name : AdjustmentSet(treatment, outcome)) {
+    if (auto idx = table.ColumnIndex(name)) {
+      key.adjustment.push_back(static_cast<uint32_t>(*idx));
+    }
+  }
+  const std::shared_ptr<const GramBlock> block = ResolveGramBlock(
+      std::move(key), treatment, subpopulation, y_view, pool);
+  const size_t n_rows = block->n;
+  if (n_rows < 2 * options_.min_group_size) return est;
+
+  // Treated rows from the engine's cached bitsets (bit-identical to
+  // row-at-a-time Matches; see the engine property tests); the treated
+  // estimation rows are those of the block's rows.
+  const Bitset treated = engine_->EvaluateOn(treatment, subpopulation);
+  const size_t n_treated = CountAnd(treated, block->rows);
+  const size_t n_control = n_rows - n_treated;
+  est.n_treated = n_treated;
+  est.n_control = n_control;
+  // Overlap (Eq. 4): both groups must be represented.
+  if (n_treated < options_.min_group_size ||
+      n_control < options_.min_group_size) {
+    return est;
+  }
+  const size_t p = 2 + block->m;  // intercept + T + confounders
+  if (n_rows <= p + 1) return est;
+
+  if (options_.method == EstimationMethod::kRegressionAdjustment) {
+    block->Fit(treated, n_treated, y_view, pool, &est);
     return est;
   }
 
@@ -396,38 +669,42 @@ EffectEstimate EstimatorContext::ComputeCate(const Pattern& treatment,
   // Propensity model: logistic regression T ~ 1 + Z fit by a few IRLS
   // (Newton) steps; the Hajek estimator with clipped weights gives the
   // effect, and its influence function the standard error.
-  const size_t q = 1 + extra_cols;  // intercept + confounders
-  DesignMatrix z(rows.size(), q);
-  ThreadPool::RunOn(pool, num_chunks, [&](size_t c) {
-    const size_t end = std::min(rows.size(), (c + 1) * kOlsChunkRows);
-    for (size_t i = c * kOlsChunkRows; i < end; ++i) {
-      z.At(i, 0) = 1.0;
-      fill_confounders(&z, i, rows[i], 1);
-    }
-  });
+  const size_t q = 1 + block->m;  // intercept + confounders
+  std::vector<double> z(n_rows * q);  // row-major [1 Z]
+  std::vector<uint8_t> is_treated(n_rows, 0);
+  std::vector<double> y(n_rows);
+  for (size_t c = 0; c < block->NumChunks(); ++c) {
+    block->ForEachRowOfChunk(c, [&](size_t i, size_t r) {
+      is_treated[i] = treated.Test(r) ? 1 : 0;
+      z[i * q] = 1.0;
+      block->Encode(r, &z[i * q + 1]);
+      y[i] = y_view.values[r];
+    });
+  }
   std::vector<double> beta(q, 0.0);
   for (int iter = 0; iter < 8; ++iter) {
     // Newton step: beta += (Z^T W Z)^-1 Z^T (T - mu), W = mu(1-mu).
-    std::vector<std::vector<double>> ztwz(q, std::vector<double>(q, 0.0));
+    std::vector<double> ztwz(q * q, 0.0);
     std::vector<double> grad(q, 0.0);
-    for (size_t i = 0; i < rows.size(); ++i) {
+    for (size_t i = 0; i < n_rows; ++i) {
+      const double* zi = &z[i * q];
       double eta = 0.0;
-      for (size_t j = 0; j < q; ++j) eta += z.At(i, j) * beta[j];
+      for (size_t j = 0; j < q; ++j) eta += zi[j] * beta[j];
       const double mu = 1.0 / (1.0 + std::exp(-eta));
       const double w = std::max(1e-6, mu * (1.0 - mu));
-      const double resid = static_cast<double>(treated[i]) - mu;
+      const double resid = static_cast<double>(is_treated[i]) - mu;
       for (size_t a = 0; a < q; ++a) {
-        grad[a] += z.At(i, a) * resid;
+        grad[a] += zi[a] * resid;
         for (size_t b = a; b < q; ++b) {
-          ztwz[a][b] += w * z.At(i, a) * z.At(i, b);
+          ztwz[a * q + b] += w * zi[a] * zi[b];
         }
       }
     }
     for (size_t a = 0; a < q; ++a) {
-      for (size_t b = 0; b < a; ++b) ztwz[a][b] = ztwz[b][a];
+      for (size_t b = 0; b < a; ++b) ztwz[a * q + b] = ztwz[b * q + a];
     }
     std::vector<double> step = grad;
-    if (!SolveSpd(&ztwz, &step)) break;
+    if (!CholeskySolve(&ztwz, &step)) break;
     double max_step = 0.0;
     for (size_t j = 0; j < q; ++j) {
       beta[j] += step[j];
@@ -438,14 +715,15 @@ EffectEstimate EstimatorContext::ComputeCate(const Pattern& treatment,
 
   const double clip = std::clamp(options_.propensity_clip, 1e-6, 0.49);
   double sw1 = 0, sw0 = 0, sy1 = 0, sy0 = 0;
-  std::vector<double> prop(rows.size());
-  for (size_t i = 0; i < rows.size(); ++i) {
+  std::vector<double> prop(n_rows);
+  for (size_t i = 0; i < n_rows; ++i) {
+    const double* zi = &z[i * q];
     double eta = 0.0;
-    for (size_t j = 0; j < q; ++j) eta += z.At(i, j) * beta[j];
+    for (size_t j = 0; j < q; ++j) eta += zi[j] * beta[j];
     double e = 1.0 / (1.0 + std::exp(-eta));
     e = std::clamp(e, clip, 1.0 - clip);
     prop[i] = e;
-    if (treated[i]) {
+    if (is_treated[i]) {
       const double w = 1.0 / e;
       sw1 += w;  // causumx-lint: allow(fp-accumulation) serial fixed row order)
       sy1 += w * y[i];
@@ -460,12 +738,12 @@ EffectEstimate EstimatorContext::ComputeCate(const Pattern& treatment,
   const double mu0 = sy0 / sw0;
 
   // Influence-function variance of the Hajek ATE.
-  const double n = static_cast<double>(rows.size());
+  const double n = static_cast<double>(n_rows);
   double var_sum = 0.0;
-  for (size_t i = 0; i < rows.size(); ++i) {
+  for (size_t i = 0; i < n_rows; ++i) {
     const double e = prop[i];
     const double psi =
-        treated[i] ? (y[i] - mu1) / e : -(y[i] - mu0) / (1.0 - e);
+        is_treated[i] ? (y[i] - mu1) / e : -(y[i] - mu0) / (1.0 - e);
     var_sum += psi * psi;  // causumx-lint: allow(fp-accumulation) serial fixed row order)
   }
   est.valid = true;
@@ -474,7 +752,7 @@ EffectEstimate EstimatorContext::ComputeCate(const Pattern& treatment,
   est.p_value = est.std_error > 0
                     ? TwoSidedPValueZ(est.cate / est.std_error)
                     : 1.0;
-  est.n_used = rows.size();
+  est.n_used = n_rows;
   return est;
 }
 
@@ -484,6 +762,12 @@ EstimatorCacheStats EstimatorContext::Stats() const {
   s.memo_misses = n_misses_.load(std::memory_order_relaxed);
   s.memo_evicted = n_evicted_.load(std::memory_order_relaxed);
   s.memo_migrated = n_migrated_.load(std::memory_order_relaxed);
+  s.gram_builds = n_gram_builds_.load(std::memory_order_relaxed);
+  s.gram_hits = n_gram_hits_.load(std::memory_order_relaxed);
+  {
+    util::MutexLock lock(gram_mu_);
+    s.gram_bytes = gram_bytes_;
+  }
   util::MutexLock lock(memo_mu_);
   s.memo_entries = memo_.size();
   s.memo_bytes = memo_bytes_;

@@ -21,6 +21,12 @@
 // duplicate children pruned across grouping patterns all become memo
 // hits.
 //
+// A memo miss pays only for its treated rows: the regression's normal
+// equations split into a treatment-independent Gram block — the
+// estimation rows, the confounder encoding and the sums over [1, Z],
+// cached per (subpopulation, outcome, adjustment set) next to the memo —
+// and the treatment's own row (n_T, T'Z, T'y), read in O(n_T * p).
+//
 // Thread-safe for concurrent EstimateCate calls; contexts are shared by
 // shared_ptr between the miners, baselines, monitors and the service
 // (explains and drill-downs), so they all populate one cache.
@@ -48,7 +54,8 @@
 namespace causumx {
 
 /// Cumulative memoization counters of one context. `memo_entries` /
-/// `memo_bytes` are current (not cumulative) accounted sizes.
+/// `memo_bytes` / `gram_bytes` are current (not cumulative) accounted
+/// sizes.
 struct EstimatorCacheStats {
   uint64_t memo_hits = 0;  ///< EstimateCate calls served from the memo
   uint64_t memo_misses = 0;  ///< EstimateCate calls that computed
@@ -56,6 +63,9 @@ struct EstimatorCacheStats {
   uint64_t memo_migrated = 0;  ///< entries carried by a derivation
   size_t memo_entries = 0;  ///< entries resident now
   size_t memo_bytes = 0;  ///< accounted bytes resident now
+  uint64_t gram_builds = 0;  ///< Gram blocks built (cached or one-off)
+  uint64_t gram_hits = 0;  ///< memo misses served by a cached Gram block
+  size_t gram_bytes = 0;  ///< accounted Gram-block bytes resident now
 };
 
 /// Minimum table rows before EstimateCate dispatches its per-shard /
@@ -118,13 +128,16 @@ class EstimatorContext {
   /// The engine the context is bound to.
   const std::shared_ptr<EvalEngine>& engine() const { return engine_; }
 
-  /// Accounted bytes of the CATE memo (the evictable cache).
+  /// Accounted bytes of the CATE memo and the Gram blocks (the
+  /// evictable caches).
   size_t CacheBytes() const;
 
-  /// Evicts least-recently-used memo entries until at least
-  /// `bytes_to_free` accounted bytes are released (or the memo is empty).
-  /// Returns the bytes actually freed. Evicted estimates recompute on the
-  /// next request, bit-identically.
+  /// Evicts least-recently-used Gram blocks, then least-recently-used
+  /// memo entries, until at least `bytes_to_free` accounted bytes are
+  /// released (or both are empty). A block only speeds up later misses;
+  /// a memo entry saves a whole one, so blocks go first. Returns the
+  /// bytes actually freed. Evicted state recomputes on the next request,
+  /// bit-identically.
   size_t EvictLru(size_t bytes_to_free);
 
   /// Snapshot of the memo counters.
@@ -132,7 +145,8 @@ class EstimatorContext {
 
   /// Serializes the CATE memo — the interned subpopulation bitsets and
   /// every memo entry in LRU order — for the storage layer's warm-state
-  /// snapshots. Safe to call concurrently with EstimateCate.
+  /// snapshots (Gram blocks are not stored; they rebuild on demand).
+  /// Safe to call concurrently with EstimateCate.
   std::string ExportMemoState() const;
 
   /// Seeds a freshly constructed context (empty memo) with state
@@ -195,10 +209,53 @@ class EstimatorContext {
   uint32_t InternSubpopLocked(uint64_t hash, const Bitset& subpopulation)
       CAUSUMX_REQUIRES(memo_mu_);
 
-  /// The actual estimation (regression adjustment or IPW), uncached.
+  /// Treatment-independent state of the fits over one (subpopulation,
+  /// outcome, adjustment set); defined in the .cpp.
+  struct GramBlock;
+  /// `subpop_id` is the interned subpopulation, or kNoSubpop for a
+  /// cache-bypass engine. `adjustment` holds the present adjustment
+  /// columns' indices in adjustment-set (name) order — the design's
+  /// confounder order.
+  struct GramKey {
+    uint32_t subpop_id;
+    uint32_t outcome_col;
+    std::vector<uint32_t> adjustment;
+
+    bool operator==(const GramKey& other) const {
+      return subpop_id == other.subpop_id &&
+             outcome_col == other.outcome_col &&
+             adjustment == other.adjustment;
+    }
+  };
+  struct GramKeyHash {
+    size_t operator()(const GramKey& k) const {
+      uint64_t h = 0xcbf29ce484222325ULL;
+      h = (h ^ k.subpop_id) * 0x100000001B3ULL;
+      h = (h ^ k.outcome_col) * 0x100000001B3ULL;
+      for (uint32_t c : k.adjustment) h = (h ^ c) * 0x100000001B3ULL;
+      return static_cast<size_t>(h);
+    }
+  };
+  struct GramEntry {
+    std::shared_ptr<const GramBlock> block;
+    std::list<GramKey>::iterator lru_it;  // position in gram_lru_
+    size_t bytes = 0;
+  };
+  static constexpr uint32_t kNoSubpop = UINT32_MAX;
+
+  /// The actual estimation (regression adjustment or IPW), memo aside.
+  /// Reuses or caches the Gram block of `subpop_id` unless it is
+  /// kNoSubpop or the fit is sampled.
   EffectEstimate ComputeCate(const Pattern& treatment,
                              const std::string& outcome,
-                             const Bitset& subpopulation);
+                             const Bitset& subpopulation, uint32_t subpop_id);
+
+  /// Gathers the estimation rows (sampled when over the cap) and builds
+  /// the block for `key`: from the cache when resident, else built and,
+  /// unless sampled or uncached, inserted.
+  std::shared_ptr<const GramBlock> ResolveGramBlock(
+      GramKey key, const Pattern& treatment, const Bitset& subpopulation,
+      const NumericColumnView& y_view, ThreadPool* pool);
 
   std::shared_ptr<EvalEngine> engine_;
   CausalDag dag_;  // owned copy (DAGs are tiny; avoids lifetime traps).
@@ -219,6 +276,18 @@ class EstimatorContext {
       subpop_ids_ CAUSUMX_GUARDED_BY(memo_mu_);
   uint32_t next_subpop_id_ CAUSUMX_GUARDED_BY(memo_mu_) = 0;
   size_t subpop_bytes_ CAUSUMX_GUARDED_BY(memo_mu_) = 0;
+  /// Gram blocks by key, with their own lock and LRU (front = most
+  /// recent), apart from the memo's so the two lookups of a miss do not
+  /// contend. Ids are never reused within a context, so a key stays
+  /// exact even after the intern table is dropped. A derivation starts
+  /// with none.
+  mutable util::Mutex gram_mu_;
+  std::unordered_map<GramKey, GramEntry, GramKeyHash> gram_
+      CAUSUMX_GUARDED_BY(gram_mu_);
+  std::list<GramKey> gram_lru_ CAUSUMX_GUARDED_BY(gram_mu_);
+  size_t gram_bytes_ CAUSUMX_GUARDED_BY(gram_mu_) = 0;
+  std::atomic<uint64_t> n_gram_builds_{0};
+  std::atomic<uint64_t> n_gram_hits_{0};
   std::atomic<uint64_t> n_hits_{0};
   std::atomic<uint64_t> n_misses_{0};
   std::atomic<uint64_t> n_evicted_{0};

@@ -18,74 +18,111 @@ double OlsResult::PValue(size_t j) const {
   return TwoSidedPValueT(TStat(j), static_cast<double>(n - p));
 }
 
-bool SolveSpd(std::vector<std::vector<double>>* a_ptr,
-              std::vector<double>* b_ptr) {
-  auto& a = *a_ptr;
-  auto& b = *b_ptr;
-  const size_t n = a.size();
-  // Cholesky: A = L L^T. On a near-singular pivot, add jitter and retry
-  // once; OLS designs with collinear one-hot blocks hit this routinely.
+namespace {
+
+// Cholesky A = L L^T of the row-major n x n symmetric `a` into the
+// row-major lower factor `l`. On a near-singular pivot the diagonal of
+// `a` gets jitter and the factorization retries once; OLS designs with
+// collinear one-hot blocks hit this routinely. False when singular.
+bool CholeskyWithJitter(double* a, size_t n, std::vector<double>* l_out) {
+  std::vector<double>& l = *l_out;
   for (int attempt = 0; attempt < 2; ++attempt) {
-    std::vector<std::vector<double>> l(n, std::vector<double>(n, 0.0));
+    l.assign(n * n, 0.0);
     bool failed = false;
     for (size_t i = 0; i < n && !failed; ++i) {
       for (size_t j = 0; j <= i; ++j) {
-        double sum = a[i][j];
-        for (size_t k = 0; k < j; ++k) sum -= l[i][k] * l[j][k];
+        double sum = a[i * n + j];
+        for (size_t k = 0; k < j; ++k) sum -= l[i * n + k] * l[j * n + k];
         if (i == j) {
           if (sum <= 1e-12) {
             failed = true;
             break;
           }
-          l[i][i] = std::sqrt(sum);
+          l[i * n + i] = std::sqrt(sum);
         } else {
-          l[i][j] = sum / l[j][j];
+          l[i * n + j] = sum / l[j * n + j];
         }
       }
     }
-    if (failed) {
-      if (attempt == 1) return false;
-      double max_diag = 0.0;
-      for (size_t i = 0; i < n; ++i) max_diag = std::max(max_diag, a[i][i]);
-      const double jitter = std::max(1e-8, 1e-10 * max_diag);
-      for (size_t i = 0; i < n; ++i) a[i][i] += jitter;
-      continue;
-    }
-    // Forward solve L z = b, then back-substitute L^T x = z.
-    std::vector<double> z(n, 0.0);
-    for (size_t i = 0; i < n; ++i) {
-      double sum = b[i];
-      for (size_t k = 0; k < i; ++k) sum -= l[i][k] * z[k];
-      z[i] = sum / l[i][i];
-    }
-    for (size_t ii = n; ii-- > 0;) {
-      double sum = z[ii];
-      for (size_t k = ii + 1; k < n; ++k) sum -= l[k][ii] * b[k];
-      b[ii] = sum / l[ii][ii];
-    }
-    // Also stash L in `a` rows for the caller's covariance computation:
-    // overwrite a with the inverse of A (A^-1 = (L L^T)^-1), solved
-    // column-by-column.
-    std::vector<std::vector<double>> inv(n, std::vector<double>(n, 0.0));
-    for (size_t col = 0; col < n; ++col) {
-      std::vector<double> e(n, 0.0);
-      e[col] = 1.0;
-      std::vector<double> zz(n, 0.0);
-      for (size_t i = 0; i < n; ++i) {
-        double sum = e[i];
-        for (size_t k = 0; k < i; ++k) sum -= l[i][k] * zz[k];
-        zz[i] = sum / l[i][i];
-      }
-      for (size_t iii = n; iii-- > 0;) {
-        double sum = zz[iii];
-        for (size_t k = iii + 1; k < n; ++k) sum -= l[k][iii] * inv[k][col];
-        inv[iii][col] = sum / l[iii][iii];
-      }
-    }
-    a = std::move(inv);
-    return true;
+    if (!failed) return true;
+    if (attempt == 1) return false;
+    double max_diag = 0.0;
+    for (size_t i = 0; i < n; ++i) max_diag = std::max(max_diag, a[i * n + i]);
+    const double jitter = std::max(1e-8, 1e-10 * max_diag);
+    for (size_t i = 0; i < n; ++i) a[i * n + i] += jitter;
   }
   return false;
+}
+
+// Factors `a` (n = b->size()) and overwrites `b` with the solution of
+// A x = b: the forward solve L z = b, then back-substitution L^T x = z.
+bool FactorAndSolve(double* a, std::vector<double>* b,
+                    std::vector<double>* l_out) {
+  const size_t n = b->size();
+  if (!CholeskyWithJitter(a, n, l_out)) return false;
+  const std::vector<double>& l = *l_out;
+  std::vector<double>& x = *b;
+  std::vector<double> z(n, 0.0);
+  for (size_t i = 0; i < n; ++i) {
+    double sum = x[i];
+    for (size_t k = 0; k < i; ++k) sum -= l[i * n + k] * z[k];
+    z[i] = sum / l[i * n + i];
+  }
+  for (size_t i = n; i-- > 0;) {
+    double sum = z[i];
+    for (size_t k = i + 1; k < n; ++k) sum -= l[k * n + i] * x[k];
+    x[i] = sum / l[i * n + i];
+  }
+  return true;
+}
+
+// Column `col` of (L L^T)^-1 into `out` (n entries), solved on its own:
+// the forward solve L z = e_col, then back-substitution L^T x = z.
+void InverseColumn(const std::vector<double>& l, size_t n, size_t col,
+                   double* out) {
+  std::vector<double> z(n, 0.0);
+  for (size_t i = 0; i < n; ++i) {
+    double sum = i == col ? 1.0 : 0.0;
+    for (size_t k = 0; k < i; ++k) sum -= l[i * n + k] * z[k];
+    z[i] = sum / l[i * n + i];
+  }
+  for (size_t i = n; i-- > 0;) {
+    double sum = z[i];
+    for (size_t k = i + 1; k < n; ++k) sum -= l[k * n + i] * out[k];
+    out[i] = sum / l[i * n + i];
+  }
+}
+
+}  // namespace
+
+bool CholeskySolve(std::vector<double>* a, std::vector<double>* b,
+                   size_t inv_col, std::vector<double>* inv) {
+  std::vector<double> l;
+  if (!FactorAndSolve(a->data(), b, &l)) return false;
+  if (inv != nullptr) {
+    inv->assign(b->size(), 0.0);
+    InverseColumn(l, b->size(), inv_col, inv->data());
+  }
+  return true;
+}
+
+bool SolveSpd(std::vector<std::vector<double>>* a_ptr,
+              std::vector<double>* b_ptr) {
+  auto& a = *a_ptr;
+  const size_t n = a.size();
+  std::vector<double> flat(n * n);
+  for (size_t i = 0; i < n; ++i) {
+    std::copy(a[i].begin(), a[i].end(), flat.begin() + i * n);
+  }
+  std::vector<double> l;
+  if (!FactorAndSolve(flat.data(), b_ptr, &l)) return false;
+  // Overwrite a with the inverse of A, solved column by column.
+  std::vector<double> column(n);
+  for (size_t col = 0; col < n; ++col) {
+    InverseColumn(l, n, col, column.data());
+    for (size_t i = 0; i < n; ++i) a[i][col] = column[i];
+  }
+  return true;
 }
 
 OlsResult FitOls(const DesignMatrix& x, const std::vector<double>& y,

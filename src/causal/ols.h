@@ -1,10 +1,16 @@
 // Ordinary least squares with standard errors.
 //
-// This is the regression backbone of the effect estimator: the paper
-// computes CATE values "using the DoWhy library, utilizing their linear
-// regression approach" (Section 6); we implement the same estimand
-// natively. Solved via normal equations with ridge-of-last-resort
+// The paper computes CATE values "using the DoWhy library, utilizing
+// their linear regression approach" (Section 6); we implement the same
+// estimand natively, solved via normal equations with ridge-of-last-resort
 // regularization for rank-deficient designs.
+//
+// FitOls over a dense DesignMatrix is the per-row reference fit: the
+// effect estimator (causal/estimator_context.cpp) no longer builds a
+// design. It assembles the same normal equations from cached
+// treatment-independent Gram blocks plus a per-treatment row, solves them
+// with CholeskySolve, and must match FitOls bit for bit — the
+// differential tests use FitOls as their oracle.
 
 #ifndef CAUSUMX_CAUSAL_OLS_H_
 #define CAUSUMX_CAUSAL_OLS_H_
@@ -62,9 +68,17 @@ OlsResult FitOls(const DesignMatrix& x, const std::vector<double>& y,
                  ThreadPool* pool = nullptr);
 
 /// Solves the symmetric positive (semi)definite system A b = c in-place via
-/// Cholesky with diagonal jitter fallback. Returns false when singular.
-/// Exposed for tests and the LiNGAM residual computations.
+/// Cholesky with diagonal jitter fallback, and overwrites `a` with the
+/// full inverse (FitOls reads its diagonal). Returns false when singular.
 bool SolveSpd(std::vector<std::vector<double>>* a, std::vector<double>* b);
+
+/// SolveSpd's arithmetic without the full inverse: `a` is the row-major
+/// n x n matrix (n = b->size(); the jitter fallback may modify its
+/// diagonal) and `b` becomes the solution. When `inv` is non-null it
+/// receives column `inv_col` of A^-1 — each inverse column is solved on
+/// its own, so these are exactly the doubles SolveSpd writes there.
+bool CholeskySolve(std::vector<double>* a, std::vector<double>* b,
+                   size_t inv_col = 0, std::vector<double>* inv = nullptr);
 
 }  // namespace causumx
 

@@ -39,8 +39,13 @@ class Column {
   void AppendInt(int64_t v);
   void AppendDouble(double v);
   void AppendCategorical(const std::string& v);
+  /// Appends a categorical cell by an existing dictionary code.
+  void AppendCode(int32_t code);
   void AppendNull();
   void AppendValue(const Value& v);
+  /// Appends `src`'s cells at `rows` (same type), as AppendValue of each
+  /// GetValue would, but looks each distinct dictionary string up once.
+  void AppendRowsFrom(const Column& src, const std::vector<size_t>& rows);
 
   // --- Access -------------------------------------------------------------
   bool IsNull(size_t row) const;
@@ -65,6 +70,15 @@ class Column {
 
   /// Distinct non-null values in this column, ascending.
   std::vector<Value> DistinctValues() const;
+
+  /// DistinctValues() of this column, given `prefix_distinct` =
+  /// DistinctValues() of its first `prefix_rows` rows as they were
+  /// before rows were appended: merges in the appended rows' values in
+  /// O(appended rows). A value already in the prefix keeps the prefix's
+  /// representative of equal doubles (-0.0, +0.0), as a full scan in row
+  /// order would.
+  std::vector<Value> DistinctValuesAfterAppend(
+      const std::vector<Value>& prefix_distinct, size_t prefix_rows) const;
 
   const std::vector<std::string>& dictionary() const { return dict_; }
 

@@ -5,7 +5,6 @@
 #include <cmath>
 #include <map>
 #include <sstream>
-#include <unordered_map>
 
 #include "util/shard_plan.h"
 #include "util/stats.h"
@@ -70,19 +69,96 @@ AggregateView AggregateView::Evaluate(const Table& table,
 
 namespace {
 
+// Open-addressing index from a composite group key (kc words, stored
+// contiguously by id) to its dense id, in insertion order. Linear
+// probing over a power-of-two table of (hash, id) slots kept at most
+// half full; a hash match is confirmed by comparing the full key, so a
+// 64-bit collision can never merge two distinct groups.
+class GroupIndex {
+ public:
+  explicit GroupIndex(size_t kc) : kc_(kc) { Rehash(64); }
+
+  // Id of the group keyed by `key` (hash `h`); an unseen key becomes id
+  // size() and sets `*inserted`.
+  uint32_t FindOrInsert(const uint64_t* key, uint64_t h, bool* inserted) {
+    size_t slot = Slot(h);
+    for (;; slot = (slot + 1) & mask_) {
+      const uint32_t id = ids_[slot];
+      if (id == kEmpty) break;
+      if (hashes_[slot] == h &&
+          std::equal(key, key + kc_, keys_.data() + id * kc_)) {
+        *inserted = false;
+        return id;
+      }
+    }
+    const uint32_t id = static_cast<uint32_t>(size_++);
+    keys_.insert(keys_.end(), key, key + kc_);
+    ids_[slot] = id;
+    hashes_[slot] = h;
+    if (2 * size_ > ids_.size()) Rehash(2 * ids_.size());
+    *inserted = true;
+    return id;
+  }
+
+ private:
+  static constexpr uint32_t kEmpty = UINT32_MAX;
+
+  // Fibonacci hashing: the top bits of the product depend on every bit
+  // of `h` (FNV's low bits alone cluster on bit-pattern keys).
+  size_t Slot(uint64_t h) const {
+    return static_cast<size_t>((h * 0x9E3779B97F4A7C15ULL) >> shift_);
+  }
+
+  void Rehash(size_t capacity) {
+    std::vector<uint32_t> old_ids = std::move(ids_);
+    std::vector<uint64_t> old_hashes = std::move(hashes_);
+    ids_.assign(capacity, kEmpty);
+    hashes_.assign(capacity, 0);
+    mask_ = capacity - 1;
+    shift_ = 64 - std::countr_zero(capacity);
+    for (size_t i = 0; i < old_ids.size(); ++i) {
+      if (old_ids[i] == kEmpty) continue;
+      size_t slot = Slot(old_hashes[i]);
+      while (ids_[slot] != kEmpty) slot = (slot + 1) & mask_;
+      ids_[slot] = old_ids[i];
+      hashes_[slot] = old_hashes[i];
+    }
+  }
+
+  size_t kc_;
+  size_t size_ = 0;
+  std::vector<uint64_t> keys_;  // kc words per id
+  std::vector<uint32_t> ids_;  // per slot
+  std::vector<uint64_t> hashes_;  // per slot
+  size_t mask_ = 0;
+  int shift_ = 0;
+};
+
+// One group's Kahan partial over one 64-row summation block.
+struct BlockPartial {
+  uint32_t group;  // shard-local id
+  uint32_t block;
+  KahanSum sum;
+};
+
 // Per-shard scan output: a local group table in first-appearance order
-// with per-(group, 64-row-block) Kahan partial sums. Shards are merged
-// in shard order, which concatenates each group's block partials in
-// ascending block order — so the merged sum is a function of the data
-// and block size alone, independent of the shard decomposition.
+// and the (group, 64-row-block) Kahan partial sums in one pooled list in
+// row order — so each group's partials appear in ascending block order.
+// Shards are merged in shard order, which concatenates each group's
+// block partials in ascending block order — so the merged sum is a
+// function of the data and block size alone, independent of the shard
+// decomposition.
 struct ShardScan {
-  std::vector<uint64_t> group_keys;  // kc words per local group
+  explicit ShardScan(size_t kc) : index(kc) {}
+
+  GroupIndex index;
   std::vector<uint64_t> hashes;      // FNV of the composite, per group
   std::vector<size_t> first_rows;    // first member row, per group
-  std::vector<size_t> counts;
-  std::vector<std::vector<size_t>> rows;
-  std::vector<std::vector<std::pair<uint32_t, KahanSum>>> partials;
-  std::unordered_map<uint64_t, std::vector<uint32_t>> buckets;
+  std::vector<size_t> counts;        // member rows, per group
+  std::vector<uint32_t> open;        // the group's newest partial
+  std::vector<BlockPartial> partials;
+  std::vector<size_t> row_offsets;   // pass 2: next slot in the group's rows
+  std::vector<int32_t> to_global;    // pass 2: local id -> global id
 };
 
 }  // namespace
@@ -117,13 +193,13 @@ AggregateView AggregateView::Evaluate(const Table& table,
   }
 
   // Pass 1 (parallel): per-shard local group discovery. Rows key by
-  // their exact composite cell codes: an FNV-1a hash picks the bucket
-  // and a bucket hit compares the full composite against the group's
-  // stored key, so a 64-bit hash collision can never merge two distinct
-  // groups. Local ids follow first appearance within the shard; the
-  // shard writes its local ids into row_group_ (disjoint ranges) and
-  // pass 2 rewrites them as global ids.
-  std::vector<ShardScan> scans(num_shards);
+  // their exact composite cell codes through the shard's GroupIndex.
+  // Local ids follow first appearance within the shard; the shard
+  // writes its local ids into row_group_ (disjoint ranges) and pass 2
+  // maps them to global ids.
+  std::vector<ShardScan> scans;
+  scans.reserve(num_shards);
+  for (size_t s = 0; s < num_shards; ++s) scans.emplace_back(kc);
   const uint64_t* mask_words =
       query.where.IsEmpty() ? nullptr : where_mask.data();
   ThreadPool::RunOn(pool, num_shards, [&](size_t s) {
@@ -154,35 +230,23 @@ AggregateView AggregateView::Evaluate(const Table& table,
       }
       if (null_key) continue;
 
-      std::vector<uint32_t>& bucket = scan.buckets[h];
-      size_t gid = scan.counts.size();
-      for (uint32_t g : bucket) {
-        if (std::equal(scratch.begin(), scratch.end(),
-                       scan.group_keys.begin() +
-                           static_cast<size_t>(g) * kc)) {
-          gid = g;
-          break;
-        }
-      }
-      if (gid == scan.counts.size()) {
-        bucket.push_back(static_cast<uint32_t>(gid));
-        scan.group_keys.insert(scan.group_keys.end(), scratch.begin(),
-                               scratch.end());
+      bool inserted = false;
+      const uint32_t gid = scan.index.FindOrInsert(scratch.data(), h,
+                                                   &inserted);
+      if (inserted) {
         scan.hashes.push_back(h);
         scan.first_rows.push_back(r);
         scan.counts.push_back(0);
-        scan.rows.emplace_back();
-        scan.partials.emplace_back();
+        scan.open.push_back(UINT32_MAX);
       }
       scan.counts[gid] += 1;
-      scan.rows[gid].push_back(r);
-      auto& parts = scan.partials[gid];
-      const uint32_t block =
-          static_cast<uint32_t>(r / kSummationBlockRows);
-      if (parts.empty() || parts.back().first != block) {
-        parts.emplace_back(block, KahanSum());
+      const uint32_t block = static_cast<uint32_t>(r / kSummationBlockRows);
+      uint32_t& open = scan.open[gid];
+      if (open == UINT32_MAX || scan.partials[open].block != block) {
+        open = static_cast<uint32_t>(scan.partials.size());
+        scan.partials.push_back({gid, block, KahanSum()});
       }
-      parts.back().second.Add(avg_col.GetNumeric(r));
+      scan.partials[open].sum.Add(avg_col.GetNumeric(r));
       view.row_group_[r] = static_cast<int32_t>(gid);
     }
   });
@@ -191,57 +255,61 @@ AggregateView AggregateView::Evaluate(const Table& table,
   // table. Shard s covers strictly lower rows than shard s+1, so global
   // first-appearance order — and hence group ids, key values, and the
   // ascending per-group row lists — matches a serial full scan exactly.
-  std::vector<uint64_t> group_keys;  // kc words per global group
-  std::unordered_map<uint64_t, std::vector<uint32_t>> buckets;
+  // Each local group is also given its slice of the global group's
+  // member rows: shards fill consecutive slices in shard order. With one
+  // shard the local ids are the global ones.
+  GroupIndex index(kc);
   std::vector<KahanSum> sums;
-  std::vector<std::vector<int32_t>> local_to_global(num_shards);
+  size_t local_groups = 0;  // bounds the global group count
+  for (const ShardScan& scan : scans) local_groups += scan.counts.size();
+  view.groups_.reserve(local_groups);
+  sums.reserve(local_groups);
   for (size_t s = 0; s < num_shards; ++s) {
     ShardScan& scan = scans[s];
     const size_t num_local = scan.counts.size();
-    local_to_global[s].resize(num_local);
+    scan.to_global.resize(num_local);
+    scan.row_offsets.resize(num_local);
+    std::vector<uint64_t> key(kc);
     for (size_t lg = 0; lg < num_local; ++lg) {
-      const uint64_t* key = scan.group_keys.data() + lg * kc;
-      std::vector<uint32_t>& bucket = buckets[scan.hashes[lg]];
-      size_t gid = view.groups_.size();
-      for (uint32_t g : bucket) {
-        if (std::equal(key, key + kc,
-                       group_keys.begin() + static_cast<size_t>(g) * kc)) {
-          gid = g;
-          break;
+      const size_t first = scan.first_rows[lg];
+      bool inserted = true;
+      uint32_t gid = static_cast<uint32_t>(lg);
+      if (num_shards > 1) {
+        for (size_t k = 0; k < kc; ++k) {
+          key[k] = CellCode(*key_cols[k], first);
         }
+        gid = index.FindOrInsert(key.data(), scan.hashes[lg], &inserted);
       }
-      if (gid == view.groups_.size()) {
-        bucket.push_back(static_cast<uint32_t>(gid));
-        group_keys.insert(group_keys.end(), key, key + kc);
+      if (inserted) {
         GroupResult g;
         g.key.reserve(kc);
-        for (const Column* c : key_cols) {
-          g.key.push_back(c->GetValue(scan.first_rows[lg]));
-        }
+        for (const Column* c : key_cols) g.key.push_back(c->GetValue(first));
         view.groups_.push_back(std::move(g));
         sums.emplace_back();
       }
-      local_to_global[s][lg] = static_cast<int32_t>(gid);
+      scan.to_global[lg] = static_cast<int32_t>(gid);
       GroupResult& g = view.groups_[gid];
+      scan.row_offsets[lg] = g.count;
       g.count += scan.counts[lg];
-      if (g.rows.empty()) {
-        g.rows = std::move(scan.rows[lg]);
-      } else {
-        g.rows.insert(g.rows.end(), scan.rows[lg].begin(),
-                      scan.rows[lg].end());
-      }
-      for (const auto& [block, partial] : scan.partials[lg]) {
-        sums[gid].Merge(partial);
-      }
+    }
+    for (const BlockPartial& part : scan.partials) {
+      sums[scan.to_global[part.group]].Merge(part.sum);
     }
   }
 
-  // Rewrite shard-local ids as global ids (parallel, disjoint ranges).
+  // Member rows, allocated once at their exact size, then the global-id
+  // rewrite: each shard writes its rows into its own slice of every
+  // group's row list (parallel, disjoint ranges).
+  for (GroupResult& g : view.groups_) g.rows.resize(g.count);
   ThreadPool::RunOn(pool, num_shards, [&](size_t s) {
+    ShardScan& scan = scans[s];
     const size_t end = plan.ShardEnd(s);
     for (size_t r = plan.ShardBegin(s); r < end; ++r) {
       const int32_t lg = view.row_group_[r];
-      if (lg >= 0) view.row_group_[r] = local_to_global[s][lg];
+      if (lg < 0) continue;
+      const int32_t gid = scan.to_global[lg];
+      view.row_group_[r] = gid;
+      view.groups_[gid].rows[scan.row_offsets[lg]++] = r;
     }
   });
 

@@ -120,29 +120,10 @@ std::vector<std::string> Table::ColumnNames() const {
 Table Table::SelectRows(const std::vector<size_t>& rows) const {
   Table out;
   for (const auto& c : columns_) out.AddColumn(c->name(), c->type());
-  out.ReserveRows(rows.size());
-  for (size_t r : rows) {
-    for (size_t i = 0; i < columns_.size(); ++i) {
-      const Column& src = *columns_[i];
-      Column& dst = *out.columns_[i];
-      if (src.IsNull(r)) {
-        dst.AppendNull();
-        continue;
-      }
-      switch (src.type()) {
-        case ColumnType::kInt64:
-          dst.AppendInt(src.GetInt(r));
-          break;
-        case ColumnType::kDouble:
-          dst.AppendDouble(src.GetDouble(r));
-          break;
-        case ColumnType::kCategorical:
-          dst.AppendCategorical(src.DictString(src.GetCode(r)));
-          break;
-      }
-    }
-    ++out.num_rows_;
+  for (size_t i = 0; i < columns_.size(); ++i) {
+    out.columns_[i]->AppendRowsFrom(*columns_[i], rows);
   }
+  out.num_rows_ = rows.size();
   return out;
 }
 
@@ -180,6 +161,16 @@ Table Table::SelectColumns(const std::vector<std::string>& names) const {
   }
   out.num_rows_ = num_rows_;
   return out;
+}
+
+void Table::CommitColumnarRows(size_t n) {
+  for (const auto& c : columns_) {
+    if (c->size() != num_rows_ + n) {
+      throw std::logic_error("columnar append: column " + c->name() +
+                             " has the wrong length");
+    }
+  }
+  num_rows_ += n;
 }
 
 void Table::ReserveRows(size_t n) {

@@ -90,6 +90,11 @@ class Table {
 
   void ReserveRows(size_t n);
 
+  /// Counts `n` rows that a columnar loader has appended to every column
+  /// through column(i). Throws std::logic_error unless each column now
+  /// holds NumRows() + n values.
+  void CommitColumnarRows(size_t n);
+
  private:
   // Concurrency contract (checked at the owners, not here): a Table has
   // no internal locking. Mutation is single-writer-before-publication —

@@ -247,15 +247,15 @@ Table DeserializeTable(const std::string& bytes) {
   }
   if (!schema.AtEnd()) Corrupt("trailing bytes in schema");
 
-  // Decode every column into value rows, then rebuild through the
-  // normal append path so dictionaries intern in first-occurrence order
-  // exactly as the original build did.
-  std::vector<std::vector<Value>> cells(n_cols);
+  // Decode every column straight into the table's columns. Categorical
+  // cells append by string on a stored code's first use, so the
+  // dictionary interns in first-occurrence order exactly as the original
+  // build did; later uses reuse the code.
+  table.ReserveRows(n);
   for (uint64_t c = 0; c < n_cols; ++c) {
     ByteReader r(snap.Section(
         StrFormat("col/%llu", static_cast<unsigned long long>(c))));
-    std::vector<Value>& out = cells[c];
-    out.reserve(n);
+    Column& out = table.column(c);
     switch (types[c]) {
       case ColumnType::kInt64: {
         for (uint64_t b = 0; b < n; b += kBlockRows) {
@@ -269,12 +269,12 @@ Table DeserializeTable(const std::string& bytes) {
           UnpackBlock(&r, width, deltas);
           for (size_t i = 0; i < m; ++i) {
             if ((null_mask >> i) & 1) {
-              out.emplace_back();
+              out.AppendNull();
             } else {
               const int64_t v = static_cast<int64_t>(
                   static_cast<uint64_t>(mn) + deltas[i]);
               if (v == Column::kNullInt) Corrupt("int value is the null sentinel");
-              out.emplace_back(v);
+              out.AppendInt(v);
             }
           }
         }
@@ -284,9 +284,9 @@ Table DeserializeTable(const std::string& bytes) {
         for (uint64_t i = 0; i < n; ++i) {
           const double v = r.GetDouble();
           if (std::isnan(v)) {
-            out.emplace_back();
+            out.AppendNull();
           } else {
-            out.emplace_back(v);
+            out.AppendDouble(v);
           }
         }
         break;
@@ -297,6 +297,8 @@ Table DeserializeTable(const std::string& bytes) {
         std::vector<std::string> dict;
         dict.reserve(dict_size);
         for (uint64_t i = 0; i < dict_size; ++i) dict.push_back(r.GetString());
+        // Stored code (1-based) -> column code, once appended.
+        std::vector<int32_t> code_of(dict_size, Column::kNullCode);
         for (uint64_t b = 0; b < n; b += kBlockRows) {
           const size_t m = static_cast<size_t>(
               std::min<uint64_t>(kBlockRows, n - b));
@@ -306,11 +308,14 @@ Table DeserializeTable(const std::string& bytes) {
           UnpackBlock(&r, width, vals);
           for (size_t i = 0; i < m; ++i) {
             if (vals[i] == 0) {
-              out.emplace_back();
+              out.AppendNull();
             } else if (vals[i] > dict_size) {
               Corrupt("code out of dictionary range");
+            } else if (code_of[vals[i] - 1] == Column::kNullCode) {
+              out.AppendCategorical(dict[vals[i] - 1]);
+              code_of[vals[i] - 1] = out.GetCode(out.size() - 1);
             } else {
-              out.emplace_back(dict[vals[i] - 1]);
+              out.AppendCode(code_of[vals[i] - 1]);
             }
           }
         }
@@ -319,13 +324,7 @@ Table DeserializeTable(const std::string& bytes) {
     }
     if (!r.AtEnd()) Corrupt("trailing bytes in column section");
   }
-
-  table.ReserveRows(n);
-  std::vector<Value> row(n_cols);
-  for (uint64_t i = 0; i < n; ++i) {
-    for (uint64_t c = 0; c < n_cols; ++c) row[c] = std::move(cells[c][i]);
-    table.AddRow(row);
-  }
+  table.CommitColumnarRows(n);
 
   // The stored key pins the content hash of the table that was written;
   // recomputing over what we decoded closes the loop on any damage the

@@ -121,8 +121,16 @@ EvalEngine::EvalEngine(std::shared_ptr<const Table> table,
     column_slots_.emplace_back();
     ColumnSlot& dst = column_slots_.back();
     const ColumnSlot& src = base.column_slots_[c];
-    if (!src.ready.load(std::memory_order_acquire)) continue;
     const Column& col = table_->column(c);
+    // Distinct values survive an append-only derivation: the appended
+    // rows' merge into the base's. A dropped prefix may remove values,
+    // so they recompute on demand.
+    if (dropped == 0 && src.distinct_ready.load(std::memory_order_acquire)) {
+      dst.distinct = std::make_shared<const std::vector<Value>>(
+          col.DistinctValuesAfterAppend(*src.distinct, base_rows));
+      dst.distinct_ready.store(true, std::memory_order_release);
+    }
+    if (!src.ready.load(std::memory_order_acquire)) continue;
     if (dropped > 0 && col.type() == ColumnType::kCategorical) continue;
     dst.view.values.assign(
         src.view.values.begin() + static_cast<ptrdiff_t>(dropped),
@@ -325,9 +333,27 @@ Bitset EvalEngine::Evaluate(const Pattern& pattern) {
     n_bypass_evals_.fetch_add(1, std::memory_order_relaxed);
     return pattern.Evaluate(*table_);
   }
-  n_pattern_evals_.fetch_add(1, std::memory_order_relaxed);
   Bitset out(table_->NumRows());
   out.SetAll();
+  AndPatternInto(pattern, &out);
+  return out;
+}
+
+Bitset EvalEngine::EvaluateOn(const Pattern& pattern, const Bitset& mask) {
+  if (!cache_enabled_) {
+    Bitset out = Evaluate(pattern);
+    out &= mask;
+    return out;
+  }
+  // AND is exact and commutative: starting from the mask gives the same
+  // bits as Evaluate(pattern) & mask, with one pass fewer.
+  Bitset out = mask;
+  AndPatternInto(pattern, &out);
+  return out;
+}
+
+void EvalEngine::AndPatternInto(const Pattern& pattern, Bitset* out) {
+  n_pattern_evals_.fetch_add(1, std::memory_order_relaxed);
   std::vector<std::vector<std::shared_ptr<const Bitset>>> atoms;
   atoms.reserve(pattern.predicates().size());
   for (const auto& p : pattern.predicates()) {
@@ -339,15 +365,8 @@ Bitset EvalEngine::Evaluate(const Pattern& pattern) {
   // the AND itself is a word-wise pass cheaper than a task dispatch.
   for (size_t s = 0; s < plan_.NumShards(); ++s) {
     const size_t begin = plan_.ShardBegin(s);
-    for (const auto& segs : atoms) out.AndRange(begin, *segs[s]);
+    for (const auto& segs : atoms) out->AndRange(begin, *segs[s]);
   }
-  return out;
-}
-
-Bitset EvalEngine::EvaluateOn(const Pattern& pattern, const Bitset& mask) {
-  Bitset out = Evaluate(pattern);
-  out &= mask;
-  return out;
 }
 
 const NumericColumnView& EvalEngine::Numeric(size_t col) {
@@ -400,6 +419,16 @@ std::shared_ptr<const std::vector<Value>> EvalEngine::DistinctValues(
     slot.distinct_ready.store(true, std::memory_order_release);
   }
   return slot.distinct;
+}
+
+size_t EvalEngine::NumDistinct(size_t col) {
+  if (cache_enabled_) {
+    const ColumnSlot& slot = column_slots_[col];
+    if (slot.distinct_ready.load(std::memory_order_acquire)) {
+      return slot.distinct->size();
+    }
+  }
+  return table_->column(col).NumDistinct();
 }
 
 size_t EvalEngine::NumInterned() const {

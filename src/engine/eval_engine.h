@@ -214,6 +214,12 @@ class EvalEngine {
   /// small in practice.
   std::shared_ptr<const std::vector<Value>> DistinctValues(size_t col);
 
+  /// Column::NumDistinct of column `col`, read from the cached distinct
+  /// values when they are built. A derivation without a dropped prefix
+  /// carries those values (Column::DistinctValuesAfterAppend), so an
+  /// append does not recount the column.
+  size_t NumDistinct(size_t col);
+
   /// Number of distinct predicates interned so far.
   size_t NumInterned() const;
 
@@ -289,6 +295,10 @@ class EvalEngine {
   };
 
   static size_t BitsetBytes(const Bitset& bits);
+
+  /// ANDs the pattern's cached predicate segments into `out` (a
+  /// table-sized bitset); the cached-path body of Evaluate/EvaluateOn.
+  void AndPatternInto(const Pattern& pattern, Bitset* out);
 
   /// Copies every slot's predicate and segment pointers (no bit work).
   std::vector<SlotState> SnapshotSlotsLocked() const

@@ -222,7 +222,7 @@ std::vector<SimplePredicate> GenerateAtomicTreatments(
     auto idx = table.ColumnIndex(name);
     if (!idx) continue;
     const Column& col = table.column(*idx);
-    const size_t distinct = col.NumDistinct();
+    const size_t distinct = engine.NumDistinct(*idx);
     if (distinct < 2) continue;
 
     if (UseEqualityAtoms(col, distinct, opt)) {

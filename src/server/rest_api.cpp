@@ -37,6 +37,20 @@ void WriteEngineStats(JsonWriter& w, const EvalEngineStats& e) {
       .EndObject();
 }
 
+void WriteEstimatorStats(JsonWriter& w, const EstimatorCacheStats& m) {
+  w.BeginObject()
+      .Key("memo_hits").Uint(m.memo_hits)
+      .Key("memo_misses").Uint(m.memo_misses)
+      .Key("memo_evicted").Uint(m.memo_evicted)
+      .Key("memo_migrated").Uint(m.memo_migrated)
+      .Key("memo_entries").Uint(m.memo_entries)
+      .Key("memo_bytes").Uint(m.memo_bytes)
+      .Key("gram_builds").Uint(m.gram_builds)
+      .Key("gram_hits").Uint(m.gram_hits)
+      .Key("gram_bytes").Uint(m.gram_bytes)
+      .EndObject();
+}
+
 // `monitors` is null when the monitor surface is not mounted; the
 // "monitors" object is then omitted.
 HttpResponse HandleStats(ExplanationService& service,
@@ -96,6 +110,8 @@ HttpResponse HandleStats(ExplanationService& service,
         .Key("version").Uint(d.version);
     w.Key("engine");
     WriteEngineStats(w, d.engine);
+    w.Key("estimator");
+    WriteEstimatorStats(w, d.estimator);
     w.EndObject();
   }
   w.EndArray();

@@ -153,6 +153,8 @@ RequestResult ExecuteQueryRequest(ExplanationService& service,
           .Key("memo_hits").Uint(m.memo_hits)
           .Key("memo_misses").Uint(m.memo_misses)
           .Key("memo_bytes").Uint(m.memo_bytes)
+          .Key("gram_builds").Uint(m.gram_builds)
+          .Key("gram_hits").Uint(m.gram_hits)
           .EndObject();
     }
     w.EndObject();

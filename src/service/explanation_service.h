@@ -114,6 +114,9 @@ struct TableDescription {
   size_t columns = 0;     ///< column count at snapshot time
   uint64_t version = 0;   ///< data version (bumped by every append)
   EvalEngineStats engine; ///< cache counters of the table's engine
+  /// CATE memo and Gram-block counters summed over the table's
+  /// estimator contexts (one per DAG and estimator-options pair).
+  EstimatorCacheStats estimator;
 };
 
 /// A shared, thread-safe registry of tables with warm evaluation caches.

@@ -119,13 +119,18 @@ void StreamMonitor::OnAppend(const std::vector<std::vector<Value>>& rows) {
     const uint64_t until = next_boundary_ - rows_observed_;
     const size_t take = static_cast<size_t>(
         std::min<uint64_t>(rows.size() - i, until));
-    if (take > 0) AppendToWindowLocked(rows, i, i + take);
+    // A take that reaches the boundary also expires the rows that leave
+    // the window there.
+    size_t drop = 0;
+    if (rows_observed_ + take == next_boundary_) {
+      drop = static_cast<size_t>(next_boundary_ - spec_.window.size_rows -
+                                 window_begin_);
+    }
+    AdvanceWindowLocked(rows, i, i + take, drop);
     rows_observed_ += take;
     i += take;
     if (rows_observed_ == next_boundary_) {
       const uint64_t begin = next_boundary_ - spec_.window.size_rows;
-      const size_t drop = static_cast<size_t>(begin - window_begin_);
-      if (drop > 0) CompactLocked(drop);
       // causumx-analyzer: allow(lock-blocking) intentional: mu_ IS the
       // monitor's serialization of window evaluation — appends, status
       // reads, and snapshot exports must observe whole windows, never a
@@ -137,37 +142,35 @@ void StreamMonitor::OnAppend(const std::vector<std::vector<Value>>& rows) {
   }
 }
 
-void StreamMonitor::AppendToWindowLocked(
-    const std::vector<std::vector<Value>>& rows, size_t begin, size_t end) {
-  Table grown = window_table_->Clone();
+void StreamMonitor::AdvanceWindowLocked(
+    const std::vector<std::vector<Value>>& rows, size_t begin, size_t end,
+    size_t drop) {
+  if (begin == end && drop == 0) return;
+  // slide_rows <= size_rows, so every row a boundary expires was in the
+  // window before this delta. Table::Tail rebuilds the survivors exactly
+  // as a from-scratch load would (fresh dictionaries in first-appearance
+  // order) and AppendRows extends those dictionaries in the delta's
+  // order: the table a cold load of the new window builds. One
+  // derivation then carries precisely the cache and memo state that is
+  // still valid — cached segments evaluate only the delta rows, and memo
+  // entries over subpopulations that neither lost nor gained rows stay
+  // warm.
+  Table next = drop > 0 ? window_table_->Tail(drop) : window_table_->Clone();
   if (begin == 0 && end == rows.size()) {
-    grown.AppendRows(rows);
-  } else {
-    grown.AppendRows(std::vector<std::vector<Value>>(
+    next.AppendRows(rows);
+  } else if (begin < end) {
+    next.AppendRows(std::vector<std::vector<Value>>(
         rows.begin() + static_cast<ptrdiff_t>(begin),
         rows.begin() + static_cast<ptrdiff_t>(end)));
   }
-  window_table_ = std::make_shared<const Table>(std::move(grown));
+  window_table_ = std::make_shared<const Table>(std::move(next));
+  window_begin_ += drop;
   if (engine_ == nullptr) {
     BuildColdCachesLocked();  // first rows of the stream
-  } else {
-    // Grow-only migration: cached segments evaluate only the delta rows
-    // and memo entries over untouched subpopulations stay warm.
-    engine_ = std::make_shared<EvalEngine>(window_table_, *engine_);
-    context_ = std::make_shared<EstimatorContext>(engine_, *context_);
+    return;
   }
-}
-
-void StreamMonitor::CompactLocked(size_t drop) {
-  // Table::Tail rebuilds the surviving rows exactly as a from-scratch
-  // load would (fresh dictionaries in first-appearance order), and the
-  // derivation constructors carry over precisely the cache/memo state
-  // that is still valid.
-  auto tail = std::make_shared<const Table>(window_table_->Tail(drop));
-  engine_ = std::make_shared<EvalEngine>(tail, *engine_, drop);
+  engine_ = std::make_shared<EvalEngine>(window_table_, *engine_, drop);
   context_ = std::make_shared<EstimatorContext>(engine_, *context_, drop);
-  window_table_ = std::move(tail);
-  window_begin_ += drop;
 }
 
 void StreamMonitor::EvaluateWindowLocked(uint64_t window_index,

@@ -212,15 +212,13 @@ class StreamMonitor {
   /// Replaces the engine and context with cold ones over window_table_.
   void BuildColdCachesLocked() CAUSUMX_REQUIRES(mu_);
 
-  /// Appends `rows[begin, end)` to the window table, deriving the
-  /// engine and context from the previous ones (or building them fresh
-  /// on the first non-empty window).
-  void AppendToWindowLocked(const std::vector<std::vector<Value>>& rows,
-                            size_t begin, size_t end) CAUSUMX_REQUIRES(mu_);
-
-  /// Expires the first `drop` window rows through Table::Tail and a
-  /// derivation that drops them.
-  void CompactLocked(size_t drop) CAUSUMX_REQUIRES(mu_);
+  /// Appends `rows[begin, end)` to the window and expires its first
+  /// `drop` rows (Table::Tail), deriving the engine and context from the
+  /// previous ones in one step (or building them fresh on the first
+  /// non-empty window).
+  void AdvanceWindowLocked(const std::vector<std::vector<Value>>& rows,
+                           size_t begin, size_t end, size_t drop)
+      CAUSUMX_REQUIRES(mu_);
 
   /// Mines the current window, diffs against the previous summary, and
   /// emits events for window index `window_index` spanning stream rows

@@ -1,6 +1,7 @@
 #include "util/json.h"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -419,14 +420,16 @@ JsonWriter& JsonWriter::Null() {
 
 JsonWriter& JsonWriter::Uint(uint64_t value) {
   BeginValue();
-  out_ += StrFormat("%llu", static_cast<unsigned long long>(value));
+  char buf[24];
+  out_.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
   if (stack_.empty()) done_ = true;
   return *this;
 }
 
 JsonWriter& JsonWriter::Int(int64_t value) {
   BeginValue();
-  out_ += StrFormat("%lld", static_cast<long long>(value));
+  char buf[24];
+  out_.append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
   if (stack_.empty()) done_ = true;
   return *this;
 }

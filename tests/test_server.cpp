@@ -357,6 +357,16 @@ TEST(RestApiTest, HealthzAndStatsAndTables) {
             service->GetNumber("candidate_bytes", -1));
   EXPECT_EQ(parsed.Find("tables")->AsArray().size(), 1u);
   EXPECT_NE(parsed.Find("tables")->AsArray()[0].Find("engine"), nullptr);
+  // The first explain fit its CATEs from Gram blocks: every memo miss
+  // either built a block or reused one.
+  const JsonValue* est = parsed.Find("tables")->AsArray()[0].Find("estimator");
+  ASSERT_NE(est, nullptr);
+  EXPECT_GT(est->GetNumber("memo_misses", -1), 0);
+  EXPECT_GT(est->GetNumber("gram_builds", -1), 0);
+  EXPECT_GT(est->GetNumber("gram_hits", -1), 0);
+  EXPECT_LE(est->GetNumber("gram_builds", -1) + est->GetNumber("gram_hits", -1),
+            est->GetNumber("memo_misses", -1));
+  EXPECT_GT(est->GetNumber("gram_bytes", -1), 0);
 }
 
 TEST(RestApiTest, ExplainIsBitIdenticalToDirectRun) {

@@ -1036,6 +1036,9 @@ TEST(ServicePersistenceTest, BatchCsvLineRestoresWarm) {
   ASSERT_NE(cache, nullptr) << warm;
   EXPECT_GT(cache->GetNumber("memo_hits", 0), 0.0);
   EXPECT_EQ(cache->GetNumber("memo_misses", -1), 0.0);
+  // Gram blocks are not snapshotted, and a warm run fits nothing.
+  EXPECT_EQ(cache->GetNumber("gram_builds", -1), 0.0);
+  EXPECT_EQ(cache->GetNumber("gram_hits", -1), 0.0);
   EXPECT_EQ(summary_of(warm), summary_of(cold));
 }
 

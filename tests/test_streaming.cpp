@@ -11,6 +11,7 @@
 
 #include <atomic>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <future>
 #include <sstream>
@@ -329,6 +330,61 @@ TEST(EngineExtensionTest, RetractionCarriesAroundAnEvictedSegment) {
   ExpectMatchesFreshEngine(derived, w, tail);
   // Only the target shard that needed the evicted segment rebuilt.
   EXPECT_EQ(derived.Stats().bitsets_materialized, 1u);
+}
+
+TEST(EngineExtensionTest, AppendCarriesDistinctValuesRetractionRecounts) {
+  auto make = [](const std::vector<std::vector<Value>>& rows) {
+    Table t;
+    t.AddColumn("c", ColumnType::kCategorical);
+    t.AddColumn("i", ColumnType::kInt64);
+    t.AddColumn("d", ColumnType::kDouble);
+    t.AppendRows(rows);
+    return t;
+  };
+  const int64_t big = (int64_t{1} << 60) + 1;  // not exact as a double
+  const std::vector<std::vector<Value>> base_rows = {
+      {Value("b"), Value(int64_t{3}), Value(0.0)},
+      {Value("a"), Value(big), Value(2.5)},
+      {Value(), Value(), Value()},
+      {Value("b"), Value(int64_t{3}), Value(-0.0)},
+  };
+  const std::vector<std::vector<Value>> delta = {
+      {Value("c"), Value(big + 1), Value(-0.0)},
+      {Value("a"), Value(int64_t{-7}), Value(1.0)},
+      {Value("c"), Value(big), Value(9.0)},
+  };
+  auto base_table = std::make_shared<const Table>(make(base_rows));
+  auto base = std::make_shared<EvalEngine>(base_table);
+  for (size_t c = 0; c < 3; ++c) base->DistinctValues(c);
+
+  Table grown_rows = base_table->Clone();
+  grown_rows.AppendRows(delta);
+  auto grown = std::make_shared<const Table>(std::move(grown_rows));
+  EvalEngine derived(grown, *base);
+  auto tail = std::make_shared<const Table>(grown->Tail(2));
+  EvalEngine retracted(tail, derived, 2);
+  for (EvalEngine* e : {&derived, &retracted}) {
+    for (size_t c = 0; c < 3; ++c) {
+      const Column& col = e->table().column(c);
+      const std::vector<Value> want = col.DistinctValues();
+      const std::vector<Value> got =
+          *e->DistinctValues(c);
+      ASSERT_EQ(got.size(), want.size()) << col.name();
+      for (size_t k = 0; k < want.size(); ++k) {
+        EXPECT_EQ(got[k].ToString(), want[k].ToString()) << col.name();
+        if (want[k].is_double()) {  // the same zero, by bit pattern
+          EXPECT_EQ(std::signbit(got[k].AsDouble()),
+                    std::signbit(want[k].AsDouble()));
+        }
+        if (want[k].is_int()) {
+          EXPECT_EQ(got[k].AsInt(), want[k].AsInt());
+        }
+      }
+      EXPECT_EQ(e->NumDistinct(c), col.NumDistinct());
+    }
+  }
+  // The base's first zero (+0.0) stays the class representative.
+  EXPECT_FALSE(std::signbit((*derived.DistinctValues(2))[0].AsDouble()));
 }
 
 TEST(EngineExtensionTest, WholeShardDropKeepsSurvivingSegments) {

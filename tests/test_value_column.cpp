@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <set>
+#include <vector>
 
 #include "dataset/column.h"
 #include "dataset/value.h"
@@ -115,6 +117,56 @@ TEST(ColumnTest, GetValueDecodesDictionary) {
   const Value v = c.GetValue(0);
   EXPECT_TRUE(v.is_string());
   EXPECT_EQ(v.AsString(), "hello");
+}
+
+// DistinctValues against the std::set it replaces, over small domains,
+// a domain past the small-domain path, wide and narrow integer ranges,
+// and the two zeros (the first in row order represents the class).
+TEST(ColumnTest, DistinctValuesMatchAnOrderedSet) {
+  for (size_t domain : {3, 64, 65, 500}) {
+    Column d("d", ColumnType::kDouble);
+    Column i("i", ColumnType::kInt64);
+    Column w("w", ColumnType::kInt64);
+    std::set<double> want_d;
+    std::set<int64_t> want_i;
+    std::set<int64_t> want_w;
+    for (size_t r = 0; r < 3000; ++r) {
+      const size_t k = (r * 7919) % domain;
+      if (r % 11 == 0) {
+        d.AppendNull();
+        i.AppendNull();
+        w.AppendNull();
+        continue;
+      }
+      const double dv = k == 0 ? (r % 2 == 0 ? -0.0 : 0.0)
+                               : static_cast<double>(k) / 3.0;
+      d.AppendDouble(dv);
+      want_d.insert(dv);
+      const int64_t iv = static_cast<int64_t>(k) - 7;
+      i.AppendInt(iv);
+      want_i.insert(iv);
+      const int64_t wv = (static_cast<int64_t>(k) - 3) * (int64_t{1} << 40);
+      w.AppendInt(wv);
+      want_w.insert(wv);
+    }
+    const std::vector<Value> got_d = d.DistinctValues();
+    ASSERT_EQ(got_d.size(), want_d.size()) << domain;
+    ASSERT_EQ(d.NumDistinct(), want_d.size()) << domain;
+    size_t at = 0;
+    for (double v : want_d) {
+      EXPECT_EQ(std::signbit(got_d[at].AsDouble()), std::signbit(v));
+      EXPECT_EQ(got_d[at++].AsDouble(), v);
+    }
+    for (const auto& [col, want] :
+         {std::pair<const Column*, const std::set<int64_t>*>{&i, &want_i},
+          {&w, &want_w}}) {
+      const std::vector<Value> got = col->DistinctValues();
+      ASSERT_EQ(got.size(), want->size()) << domain;
+      EXPECT_EQ(col->NumDistinct(), want->size()) << domain;
+      at = 0;
+      for (int64_t v : *want) EXPECT_EQ(got[at++].AsInt(), v);
+    }
+  }
 }
 
 TEST(ColumnTest, NumDistinctInvalidatedOnAppend) {

@@ -613,6 +613,9 @@ void PrintStats(ExplanationService& service, const BoundExplain& bound,
               (unsigned long long)m.memo_hits,
               (unsigned long long)m.memo_misses,
               (unsigned long long)m.memo_migrated);
+  std::printf("  Gram blocks built / reused    %llu / %llu\n",
+              (unsigned long long)m.gram_builds,
+              (unsigned long long)m.gram_hits);
   std::printf("  mined candidates hits/misses  %llu / %llu\n",
               (unsigned long long)s.candidate_hits,
               (unsigned long long)s.candidate_misses);

@@ -13,8 +13,9 @@ must parse and record, against BENCHMARK.json:
     metric with BENCHMARK.json's `unit` and numeric `parent` and `change`
     medians;
   * `work_counts`: per dataset, integer `memo_hits`, `memo_misses` and
-    `treatment_patterns_evaluated`; the optional phase-3 and candidate
-    cache counts (OPTIONAL_COUNT_FIELDS), where present, are integers too.
+    `treatment_patterns_evaluated`; the optional phase-3, candidate
+    cache and Gram-block counts (OPTIONAL_COUNT_FIELDS), where present,
+    are integers too.
 
 It checks the shape only and puts no bound on any wall-time figure.
 Exit 1 with one line per problem. Usage:
@@ -33,10 +34,12 @@ HISTORY_RE = re.compile(r"^BENCH_\d+\.json$")
 COUNT_FIELDS = ("memo_hits", "memo_misses", "treatment_patterns_evaluated")
 # Recorded from BENCH_23 on: the selection LP's size and pivots (pivots
 # plus bound flips) at the default k and theta, and warm-mix's candidate
-# cache hits and misses per round of its requests.
+# cache hits and misses per round of its requests. From BENCH_27 on: the
+# Gram blocks a cold run builds and the memo misses they serve.
 OPTIONAL_COUNT_FIELDS = ("lp_rows", "lp_columns", "lp_pivots",
                          "warm_mix_candidate_hits_per_round",
-                         "warm_mix_candidate_misses_per_round")
+                         "warm_mix_candidate_misses_per_round",
+                         "gram_builds", "gram_hits")
 
 
 def is_number(v) -> bool:
