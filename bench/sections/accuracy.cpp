@@ -10,13 +10,12 @@
 
 #include <algorithm>
 
-#include "baselines/brute_force.h"
-#include "bench/bench_util.h"
+#include "bench/harness.h"
 #include "datagen/synthetic.h"
 #include "mining/grouping_miner.h"
 #include "mining/treatment_miner.h"
 
-using namespace causumx;
+namespace causumx::bench {
 
 namespace {
 
@@ -26,24 +25,19 @@ struct Pr {
 };
 
 Pr TupleSetPr(const Bitset& ours, const Bitset& reference) {
-  Pr pr;
-  const Bitset both = ours & reference;
-  pr.precision = ours.Count() == 0
-                     ? 1.0
-                     : static_cast<double>(both.Count()) /
-                           static_cast<double>(ours.Count());
-  pr.recall = reference.Count() == 0
-                  ? 1.0
-                  : static_cast<double>(both.Count()) /
-                        static_cast<double>(reference.Count());
-  return pr;
+  const double both = static_cast<double>((ours & reference).Count());
+  auto share = [&](const Bitset& of) {
+    return of.Count() == 0 ? 1.0 : both / static_cast<double>(of.Count());
+  };
+  return {share(ours), share(reference)};
 }
 
 }  // namespace
 
-int main() {
-  bench::Banner("Fig. 10(a)", "grouping-pattern mining precision/recall");
-  std::printf("%20s %10s %10s\n", "#grouping-attrs", "precision", "recall");
+void Accuracy(Section& s) {
+  s.Banner("Fig. 10(a)", "grouping-pattern mining precision/recall");
+  s.Table("Fig. 10(a)",
+          {{"#grouping-attrs", 20}, {"precision", 10}, {"recall", 10}});
   for (size_t attrs : {1, 2, 3, 4, 5}) {
     SyntheticOptions opt;
     opt.num_rows = 1000;  // the paper's n = 1k
@@ -71,11 +65,13 @@ int main() {
     for (const auto& p : mined) ours |= p.rows;
     for (const auto& p : all) reference |= p.rows;
     const Pr pr = TupleSetPr(ours, reference);
-    std::printf("%20zu %10.3f %10.3f\n", attrs, pr.precision, pr.recall);
+    s.Row({Fmt("%zu", attrs), Fmt("%.3f", pr.precision),
+           Fmt("%.3f", pr.recall)});
   }
 
-  bench::Banner("Fig. 10(b)", "treatment-pattern mining precision/recall");
-  std::printf("%20s %10s %10s\n", "#treatment-attrs", "precision", "recall");
+  s.Banner("Fig. 10(b)", "treatment-pattern mining precision/recall");
+  s.Table("Fig. 10(b)",
+          {{"#treatment-attrs", 20}, {"precision", 10}, {"recall", 10}});
   for (size_t tattrs : {2, 3, 4, 5}) {
     SyntheticOptions opt;
     opt.num_rows = 1000;
@@ -132,15 +128,16 @@ int main() {
       ++measured;
     }
     if (measured == 0) {
-      std::printf("%20zu %10s %10s\n", tattrs, "-", "-");
+      s.Row({Fmt("%zu", tattrs), "-", "-"});
       continue;
     }
-    std::printf("%20zu %10.3f %10.3f\n", tattrs,
-                precision_sum / static_cast<double>(measured),
-                recall_sum / static_cast<double>(measured));
+    s.Row({Fmt("%zu", tattrs),
+           Fmt("%.3f", precision_sum / static_cast<double>(measured)),
+           Fmt("%.3f", recall_sum / static_cast<double>(measured))});
   }
   std::printf(
       "\nExpected shape (paper): recall stays high throughout; precision\n"
       "dips as the pattern space grows but remains above ~0.75.\n");
-  return 0;
 }
+
+}  // namespace causumx::bench

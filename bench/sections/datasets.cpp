@@ -4,37 +4,38 @@
 
 #include <algorithm>
 
-#include "bench/bench_util.h"
+#include "bench/harness.h"
 #include "dataset/fd.h"
 #include "mining/grouping_miner.h"
 
-using namespace causumx;
+namespace causumx::bench {
 
-int main() {
-  const double scale = bench::BenchScale();
-
-  bench::Banner("Table 1", "sample tuples of the SO replica");
+void Datasets(Section& s) {
+  s.Banner("Table 1", "sample tuples of the SO replica");
   {
     const GeneratedDataset ds = MakeDatasetByName("SO", 0.01);
     const char* cols[] = {"Country", "Continent", "Gender",   "Age",
                           "Role",    "Education", "Major",    "Salary"};
-    for (const char* c : cols) std::printf("%-18s", c);
-    std::printf("\n");
+    std::vector<Col> header;
+    for (const char* c : cols) header.push_back({c, -17});
+    s.Table("Table 1", header);
     for (size_t r = 0; r < 5; ++r) {
+      std::vector<std::string> row;
       for (const char* c : cols) {
-        std::printf("%-18.17s",
-                    ds.table.column(c).GetValue(r).ToString().c_str());
+        row.push_back(
+            Fmt("%.17s", ds.table.column(c).GetValue(r).ToString().c_str()));
       }
-      std::printf("\n");
+      s.Row(row);
     }
   }
 
-  bench::Banner("Table 3", "examined datasets (scaled replicas)");
-  std::printf("%-12s %10s %6s %18s %20s\n", "dataset", "tuples", "atts",
-              "max-values-per-att", "grouping-patterns");
+  s.Banner("Table 3", "examined datasets (scaled replicas)");
+  s.Table("Table 3",
+          {{"dataset", -12}, {"tuples", 10}, {"atts", 6},
+           {"max-values-per-att", 18}, {"grouping-patterns", 20}});
   for (const std::string& name : RegisteredDatasetNames()) {
     if (name == "Synthetic") continue;  // not part of Table 3
-    const GeneratedDataset ds = MakeDatasetByName(name, scale);
+    const GeneratedDataset ds = MakeDatasetByName(name, s.scale());
     size_t max_values = 0;
     for (size_t c = 0; c < ds.table.NumColumns(); ++c) {
       max_values = std::max(max_values, ds.table.column(c).NumDistinct());
@@ -48,12 +49,12 @@ int main() {
     opt.apriori.min_support = 0.1;
     const auto patterns = MineGroupingPatterns(
         ds.table, view, part.grouping_attributes, opt);
-    std::printf("%-12s %10zu %6zu %18zu %20zu\n", name.c_str(),
-                ds.table.NumRows(), ds.table.NumColumns(), max_values,
-                patterns.size());
+    s.Row({name, Fmt("%zu", ds.table.NumRows()),
+           Fmt("%zu", ds.table.NumColumns()), Fmt("%zu", max_values),
+           Fmt("%zu", patterns.size())});
   }
 
-  bench::Banner("Fig. 3", "SO ground-truth causal DAG (core subgraph, DOT)");
+  s.Banner("Fig. 3", "SO ground-truth causal DAG (core subgraph, DOT)");
   {
     const GeneratedDataset ds = MakeDatasetByName("SO", 0.01);
     CausalDag core;
@@ -67,7 +68,8 @@ int main() {
         if (core.HasNode(to)) core.AddEdge(from, to);
       }
     }
-    std::printf("%s", core.ToDot("SO").c_str());
+    s.Text("Fig. 3", core.ToDot("SO"));
   }
-  return 0;
 }
+
+}  // namespace causumx::bench

@@ -1,7 +1,7 @@
-// bench_kernels — the vectorized kernel layer versus replicas of the
+// kernels — the vectorized kernel layer versus replicas of the
 // pre-kernel scalar loops.
 //
-// Two measurements (CI smoke-runs this):
+// Two measurements:
 //
 //   dict-eq     single categorical equality predicate over N rows:
 //               EvaluatePredicateRange (word-wise CompareI32Eq through
@@ -11,26 +11,21 @@
 //               kernels::AndNotPopcount vs the old per-word
 //               std::popcount loop.
 //
-// Acceptance: kernel outputs bit-identical to the baselines on every
+// Gate: kernel outputs bit-identical to the baselines on every
 // available tier; with the AVX2 tier active, dict-eq >= 3x rows/sec and
 // and+popcnt >= 2x words/sec against the scalar-loop baselines. On a
 // scalar-only build (CAUSUMX_DISABLE_AVX2, or pre-AVX2 hardware) the
 // dict-eq bar drops to 1.2x — hoisting the per-row dispatch already
 // pays — and the and+popcnt bar is waived (the scalar kernel IS the
-// baseline loop). Bars can be pinned with CAUSUMX_BENCH_MIN_EQ_SPEEDUP /
-// CAUSUMX_BENCH_MIN_POPCNT_SPEEDUP.
-// Best-of-rounds timing: noise only ever inflates a measurement, so the
-// max rate converges on the true throughput. All rates are per core —
-// every timed loop here is single-threaded.
+// baseline loop). Best-of-rounds rates, per core: every timed loop here
+// is single-threaded.
 
+#include <algorithm>
 #include <bit>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <string>
 #include <vector>
 
-#include "bench_util.h"
+#include "bench/harness.h"
 #include "dataset/pattern.h"
 #include "dataset/table.h"
 #include "util/cpu_features.h"
@@ -38,8 +33,7 @@
 #include "util/rng.h"
 #include "util/timer.h"
 
-using namespace causumx;
-using namespace causumx::bench;
+namespace causumx::bench {
 
 namespace {
 
@@ -86,28 +80,15 @@ double BestRate(size_t items, int rounds, Fn fn) {
   return best;
 }
 
-double EnvBar(const char* name, double fallback) {
-  if (const char* env = std::getenv(name)) {
-    const double v = std::atof(env);
-    if (v > 0) return v;
-  }
-  return fallback;
-}
-
 }  // namespace
 
-int main(int argc, char** argv) {
-  Banner("kernels", "vectorized kernels vs the pre-kernel scalar loops");
-
-  const char* json_path = nullptr;
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], "--json") == 0) json_path = argv[i + 1];
-  }
+void Kernels(Section& s) {
+  s.Banner("kernels", "vectorized kernels vs the pre-kernel scalar loops");
 
   const size_t rows = std::max<size_t>(
-      1'000'000, static_cast<size_t>(8'000'000 * BenchScale()));
+      1'000'000, static_cast<size_t>(8'000'000 * s.scale()));
   const size_t words = std::max<size_t>(
-      size_t{1} << 17, static_cast<size_t>((size_t{1} << 20) * BenchScale()));
+      size_t{1} << 17, static_cast<size_t>((size_t{1} << 20) * s.scale()));
   constexpr int kRounds = 5;
 
   // Dataset: one 12-bucket categorical column (the shape of a grouping
@@ -155,102 +136,51 @@ int main(int argc, char** argv) {
               "baseline (pre-kernel)", base_eq_rate / 1e6, base_pc_rate / 1e6);
 
   const KernelTier initial_tier = ActiveKernelTier();
-  bool ok = true;
-  struct TierRates {
-    KernelTier tier;
-    double eq_rate;
-    double pc_rate;
-  };
-  std::vector<TierRates> tiers;
+  double best_eq = 0.0, best_pc = 0.0;
   for (KernelTier tier : {KernelTier::kScalar, KernelTier::kAvx2}) {
     if (!KernelTierSupported(tier)) continue;
     SetKernelTier(tier);
     // Bit-identity against the baseline replicas before timing.
     if (!(EvaluatePredicateRange(table, pred, 0, rows) == ref_bits)) {
-      std::printf("FAIL: %s dict-eq bits differ from baseline\n",
-                  KernelTierName(tier));
-      ok = false;
+      s.Fail(Fmt("%s dict-eq bits differ from baseline", KernelTierName(tier)));
     }
     if (kernels::AndNotPopcount(wa.data(), wb.data(), words) != ref_count) {
-      std::printf("FAIL: %s and+popcnt differs from baseline\n",
-                  KernelTierName(tier));
-      ok = false;
+      s.Fail(Fmt("%s and+popcnt differs from baseline", KernelTierName(tier)));
     }
-    TierRates r;
-    r.tier = tier;
-    r.eq_rate = BestRate(rows, kRounds, [&] {
-      volatile size_t sink = EvaluatePredicateRange(table, pred, 0, rows).Count();
+    const double eq_rate = BestRate(rows, kRounds, [&] {
+      volatile size_t sink =
+          EvaluatePredicateRange(table, pred, 0, rows).Count();
       (void)sink;
     });
-    r.pc_rate = BestRate(words, kRounds, [&] {
+    const double pc_rate = BestRate(words, kRounds, [&] {
       volatile size_t sink =
           kernels::AndNotPopcount(wa.data(), wb.data(), words);
       (void)sink;
     });
-    tiers.push_back(r);
+    best_eq = std::max(best_eq, eq_rate);
+    best_pc = std::max(best_pc, pc_rate);
     std::printf("%-22s dict-eq %8.1f Mrows/s (%4.2fx)   and+popcnt %8.1f "
                 "Mwords/s (%4.2fx)\n",
-                KernelTierName(tier), r.eq_rate / 1e6,
-                r.eq_rate / base_eq_rate, r.pc_rate / 1e6,
-                r.pc_rate / base_pc_rate);
+                KernelTierName(tier), eq_rate / 1e6, eq_rate / base_eq_rate,
+                pc_rate / 1e6, pc_rate / base_pc_rate);
   }
   SetKernelTier(initial_tier);
 
-  // Acceptance bars, scaled to the best available tier like
-  // bench_shards scales to the core count: the 3x/2x headline numbers
-  // assume the AVX2 tier exists to run.
+  // Bars scaled to the best available tier, like the shards gate scales
+  // to the core count: the 3x/2x headline numbers assume the AVX2 tier
+  // exists to run.
   const bool have_avx2 = KernelTierSupported(KernelTier::kAvx2);
-  const double eq_bar =
-      EnvBar("CAUSUMX_BENCH_MIN_EQ_SPEEDUP", have_avx2 ? 3.0 : 1.2);
-  const double pc_bar =
-      EnvBar("CAUSUMX_BENCH_MIN_POPCNT_SPEEDUP", have_avx2 ? 2.0 : 0.0);
-
-  double best_eq = 0.0, best_pc = 0.0;
-  for (const TierRates& r : tiers) {
-    if (r.eq_rate > best_eq) best_eq = r.eq_rate;
-    if (r.pc_rate > best_pc) best_pc = r.pc_rate;
+  const std::string statistic =
+      Fmt("best-of-%d rate over the baseline's", kRounds);
+  s.ExpectSpeedup("dict-eq speedup", best_eq / base_eq_rate,
+                  have_avx2 ? 3.0 : 1.2, statistic);
+  if (have_avx2) {
+    s.ExpectSpeedup("and+popcnt speedup", best_pc / base_pc_rate, 2.0,
+                    statistic);
+  } else {
+    std::printf("and+popcnt speedup: %.2fx (bar waived on a scalar-only "
+                "build)\n", best_pc / base_pc_rate);
   }
-  const double eq_speedup = best_eq / base_eq_rate;
-  const double pc_speedup = best_pc / base_pc_rate;
-  std::printf("\ndict-eq speedup %.2fx (bar %.2fx), and+popcnt speedup "
-              "%.2fx (bar %.2fx)\n",
-              eq_speedup, eq_bar, pc_speedup, pc_bar);
-  if (eq_speedup < eq_bar) {
-    std::printf("FAIL: dict-eq speedup below the bar\n");
-    ok = false;
-  }
-  if (pc_bar > 0.0 && pc_speedup < pc_bar) {
-    std::printf("FAIL: and+popcnt speedup below the bar\n");
-    ok = false;
-  }
-
-  if (json_path != nullptr) {
-    FILE* f = std::fopen(json_path, "w");
-    if (f == nullptr) {
-      std::printf("FAIL: cannot write %s\n", json_path);
-      ok = false;
-    } else {
-      std::fprintf(f, "{\n  \"rows\": %zu,\n  \"words\": %zu,\n", rows,
-                   words);
-      std::fprintf(f,
-                   "  \"baseline\": {\"dict_eq_rows_per_sec\": %.0f, "
-                   "\"andnot_popcount_words_per_sec\": %.0f},\n",
-                   base_eq_rate, base_pc_rate);
-      std::fprintf(f, "  \"tiers\": [");
-      for (size_t i = 0; i < tiers.size(); ++i) {
-        std::fprintf(f,
-                     "%s\n    {\"tier\": \"%s\", "
-                     "\"dict_eq_rows_per_sec\": %.0f, "
-                     "\"andnot_popcount_words_per_sec\": %.0f}",
-                     i ? "," : "", KernelTierName(tiers[i].tier),
-                     tiers[i].eq_rate, tiers[i].pc_rate);
-      }
-      std::fprintf(f, "\n  ]\n}\n");
-      std::fclose(f);
-      std::printf("wrote %s\n", json_path);
-    }
-  }
-
-  std::printf("\n%s\n", ok ? "PASS" : "FAIL");
-  return ok ? EXIT_SUCCESS : EXIT_FAILURE;
 }
+
+}  // namespace causumx::bench

@@ -1,4 +1,4 @@
-// bench_monitor — incremental windowed monitoring versus a cold
+// monitor — incremental windowed monitoring versus a cold
 // from-scratch evaluation of every window.
 //
 // The monitoring workload: a sliding-window monitor watches an aggregate
@@ -11,20 +11,17 @@
 // The cold baseline rebuilds a fresh table of exactly the surviving rows
 // and runs the full pipeline from scratch, per window.
 //
-// Acceptance (CI smoke-runs this): every window summary the monitor
-// emits is bit-identical to the cold rebuild of its surviving rows, and
-// the per-boundary incremental evaluation is >= 3x faster than the cold
-// window evaluation. Both statistics use the best round per side, so
-// timing noise on a shared box only ever tightens the comparison. Exits
-// non-zero on either failure.
+// Gate: every window summary the monitor emits is bit-identical to the
+// cold rebuild of its surviving rows, and the per-boundary incremental
+// evaluation is >= 3x faster than the cold window evaluation, best
+// round against best round.
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
+#include "bench/harness.h"
 #include "causal/dag_io.h"
 #include "core/json_export.h"
 #include "datagen/synthetic.h"
@@ -32,28 +29,13 @@
 #include "util/json.h"
 #include "util/timer.h"
 
-using namespace causumx;
-using namespace causumx::bench;
+namespace causumx::bench {
 
-namespace {
-
-// Splices the raw SummaryToJson payload out of a "summary" event (the
-// event's last member, so it runs to the closing brace).
-std::string SummaryPayload(const std::string& event_json) {
-  static const std::string kMarker = "\"summary\":";
-  const size_t at = event_json.find(kMarker);
-  if (at == std::string::npos) return "";
-  return event_json.substr(at + kMarker.size(),
-                           event_json.size() - at - kMarker.size() - 1);
-}
-
-}  // namespace
-
-int main() {
-  Banner("monitor", "incremental window evaluation vs cold rebuild");
+void Monitor(Section& s) {
+  s.Banner("monitor", "incremental window evaluation vs cold rebuild");
 
   const size_t window_rows =
-      std::max<size_t>(16000, static_cast<size_t>(32000 * BenchScale()));
+      std::max<size_t>(16000, static_cast<size_t>(32000 * s.scale()));
   constexpr int kRounds = 5;
   const size_t slide_rows = window_rows / 32;
 
@@ -66,17 +48,9 @@ int main() {
   gen.buckets_base = 6;  // G1: 12 buckets, G2: 18, G3: 24
   const GeneratedDataset ds = MakeSyntheticDataset(gen);
 
-  // Declare every grouping attribute a confounder (as bench_streaming
-  // does): each CATE adjusts for G1/G2/G3, so the estimation work a
-  // carried memo saves matches what a production service actually does.
-  CausalDag dag = ds.dag;
-  for (const std::string& g : ds.grouping_attribute_hint) {
-    dag.AddNode(g);
-    dag.AddEdge(g, "O");
-    for (const std::string& t : ds.treatment_attribute_hint) {
-      dag.AddEdge(g, t);
-    }
-  }
+  // Grouping attributes as confounders, so the estimation work a
+  // carried memo saves matches what a production service does.
+  const CausalDag dag = WithGroupingConfounders(ds);
 
   // Reference configuration for the cold rebuild; the monitor spec below
   // encodes exactly the same knobs. Single-threaded on both sides so the
@@ -121,7 +95,6 @@ int main() {
   std::printf("\n%-6s %12s %12s %9s\n", "round", "incremental", "cold window",
               "speedup");
   std::vector<double> inc_times, cold_times;
-  bool ok = true;
   size_t at = window_rows;
   for (int round = 0; round < kRounds; ++round) {
     const size_t next = at + slide_rows;
@@ -153,21 +126,12 @@ int main() {
                 cold_s / inc_s);
 
     const std::vector<MonitorEvent> events = monitor.EventsSince(0);
-    const std::string payload = SummaryPayload(events.back().json);
-    if (payload != SummaryToJson(cold.summary, &ds.default_query)) {
-      std::printf("FAIL: round %d window summary differs from cold "
-                  "rebuild\n", round + 1);
-      ok = false;
-    }
+    s.ExpectIdentical(TrailingSummary(events.back().json),
+                      SummaryToJson(cold.summary, &ds.default_query),
+                      Fmt("round %d window summary", round + 1));
   }
 
-  const double speedup = *std::min_element(cold_times.begin(),
-                                           cold_times.end()) /
-                         *std::min_element(inc_times.begin(),
-                                           inc_times.end());
   const MonitorStatus status = monitor.Status();
-  std::printf("\nincremental speedup: %.1fx (best-of-%d cold / best-of-%d "
-              "incremental)\n", speedup, kRounds, kRounds);
   std::printf("monitor: %llu rows observed, %llu windows, %llu events, "
               "%llu cache bytes resident\n",
               (unsigned long long)status.rows_observed,
@@ -175,16 +139,11 @@ int main() {
               (unsigned long long)status.last_seq,
               (unsigned long long)status.cache_bytes);
   if (status.windows_evaluated != static_cast<uint64_t>(kRounds) + 1) {
-    std::printf("FAIL: expected %d windows, saw %llu\n", kRounds + 1,
-                (unsigned long long)status.windows_evaluated);
-    ok = false;
+    s.Fail(Fmt("expected %d windows, saw %llu", kRounds + 1,
+               (unsigned long long)status.windows_evaluated));
   }
-
-  if (speedup < 3.0) {
-    std::printf("FAIL: incremental speedup %.2fx below the 3x bar\n",
-                speedup);
-    ok = false;
-  }
-  std::printf("\n%s\n", ok ? "PASS" : "FAIL");
-  return ok ? EXIT_SUCCESS : EXIT_FAILURE;
+  s.ExpectBestOf("incremental speedup (cold / incremental)", cold_times,
+                 inc_times, 3.0);
 }
+
+}  // namespace causumx::bench

@@ -1,4 +1,4 @@
-// bench_persistence — warm restart from a durable snapshot versus a cold
+// persistence — warm restart from a durable snapshot versus a cold
 // start that rebuilds every cache from the raw table.
 //
 // The restart workload: a service process dies (deploy, OOM, host move)
@@ -9,61 +9,48 @@
 // predicates, cached bitset segments, and memo entries, and the first
 // query is served warm.
 //
-// Acceptance (CI smoke-runs this): the warm first query is bit-identical
-// to the cold one, and warm restart (restore + query) is >= 3x faster
-// than cold start (register + query). Both sides are timed best-of-N so
-// timing noise — which only ever inflates a round — cannot fail the gate
-// spuriously. Exits non-zero on either failure.
+// Gate: the warm first query is bit-identical to the cold one, and warm
+// restart (restore + query) is >= 3x faster than cold start (register +
+// query), best round against best round.
 
 #include <unistd.h>
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
+#include "bench/harness.h"
 #include "core/json_export.h"
 #include "datagen/synthetic.h"
 #include "service/explanation_service.h"
 #include "storage/file_io.h"
 #include "util/timer.h"
 
-using namespace causumx;
-using namespace causumx::bench;
+namespace causumx::bench {
 
-int main() {
-  Banner("persistence", "warm restart from snapshot vs cold cache rebuild");
+void Persistence(Section& s) {
+  s.Banner("persistence", "warm restart from snapshot vs cold cache rebuild");
 
   SyntheticOptions gen;
   // Floor at 24k rows: the work a snapshot saves (estimation + bitset
   // materialization) scales with rows, while the restore cost is one
   // sequential file read — smaller tables understate the restart win.
   gen.num_rows =
-      std::max<size_t>(24000, static_cast<size_t>(40000 * BenchScale()));
+      std::max<size_t>(24000, static_cast<size_t>(40000 * s.scale()));
   gen.num_treatment_attrs = 5;
   const GeneratedDataset ds = MakeSyntheticDataset(gen);
   CauSumXConfig config = ConfigFor(ds, PaperDefaultConfig());
 
-  // Adjust for every grouping attribute as a confounder (G_x -> T_y,
-  // G_x -> O): each CATE one-hot encodes the grouping columns, so the
-  // estimation work a restored memo saves matches what a production
-  // service pays. (Same rationale as bench_streaming.)
-  CausalDag dag = ds.dag;
-  for (const std::string& g : ds.grouping_attribute_hint) {
-    dag.AddNode(g);
-    dag.AddEdge(g, "O");
-    for (const std::string& t : ds.treatment_attribute_hint) {
-      dag.AddEdge(g, t);
-    }
-  }
+  // Grouping attributes as confounders, so the estimation work a
+  // restored memo saves matches what a production service pays.
+  const CausalDag dag = WithGroupingConfounders(ds);
 
   char dir_template[] = "/tmp/causumx_bench_persist_XXXXXX";
   const char* data_dir = ::mkdtemp(dir_template);
   if (data_dir == nullptr) {
-    std::printf("FAIL: mkdtemp failed\n");
-    return EXIT_FAILURE;
+    s.Fail("mkdtemp failed");
+    return;
   }
   // Single-threaded mining on both sides: the ratio measures cache work
   // saved, not scheduler luck, and results are bit-identical either way.
@@ -90,7 +77,6 @@ int main() {
   std::printf("\n%-6s %12s %12s %9s\n", "round", "warm restart",
               "cold start", "speedup");
   std::vector<double> warm_times, cold_times;
-  bool ok = true;
   for (int round = 0; round < kRounds; ++round) {
     // Warm restart: a fresh process restores the snapshot from disk and
     // serves the first query from the imported caches. The timer covers
@@ -98,8 +84,7 @@ int main() {
     Timer warm_timer;
     ExplanationService warm_service(persistent);
     if (warm_service.RestoreAll() != 1) {
-      std::printf("FAIL: round %d restored != 1 table\n", round + 1);
-      ok = false;
+      s.Fail(Fmt("round %d restored != 1 table", round + 1));
       break;
     }
     const CauSumXResult warm =
@@ -122,38 +107,27 @@ int main() {
     std::printf("%-6d %11.4fs %11.4fs %8.1fx\n", round + 1, warm_s, cold_s,
                 cold_s / warm_s);
     const std::string warm_json = SummaryToJson(warm.summary);
-    if (warm_json != SummaryToJson(cold.summary) ||
-        warm_json != reference_json) {
-      std::printf("FAIL: round %d warm summary differs from cold start\n",
-                  round + 1);
-      ok = false;
-    }
+    s.ExpectIdentical(warm_json, SummaryToJson(cold.summary),
+                      Fmt("round %d warm summary", round + 1));
+    s.ExpectIdentical(warm_json, reference_json,
+                      Fmt("round %d warm summary (vs the snapshot writer)",
+                          round + 1));
     if (warm.cache_stats.estimator.memo_hits == 0) {
-      std::printf("FAIL: round %d warm query had zero memo hits — the "
-                  "restore did not actually carry the CATE cache\n",
-                  round + 1);
-      ok = false;
+      s.Fail(Fmt("round %d warm query had zero memo hits — the restore "
+                 "did not actually carry the CATE cache",
+                 round + 1));
     }
   }
 
-  if (ok) {
-    const double speedup = *std::min_element(cold_times.begin(),
-                                             cold_times.end()) /
-                           *std::min_element(warm_times.begin(),
-                                             warm_times.end());
-    std::printf("\nwarm-restart speedup: %.1fx (best-of-%d cold / "
-                "best-of-%d warm)\n", speedup, kRounds, kRounds);
-    if (speedup < 3.0) {
-      std::printf("FAIL: warm-restart speedup %.2fx below the 3x bar\n",
-                  speedup);
-      ok = false;
-    }
+  if (s.ok()) {
+    s.ExpectBestOf("warm-restart speedup (cold / warm)", cold_times,
+                   warm_times, 3.0);
   }
 
   for (const std::string& f : ListDirFiles(data_dir)) {
     ::unlink((std::string(data_dir) + "/" + f).c_str());
   }
   ::rmdir(data_dir);
-  std::printf("\n%s\n", ok ? "PASS" : "FAIL");
-  return ok ? EXIT_SUCCESS : EXIT_FAILURE;
 }
+
+}  // namespace causumx::bench

@@ -5,11 +5,11 @@
 
 #include <algorithm>
 
-#include "bench/bench_util.h"
+#include "bench/harness.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
-using namespace causumx;
+namespace causumx::bench {
 
 namespace {
 
@@ -36,17 +36,17 @@ Table WithAttributeBudget(const GeneratedDataset& ds, size_t num_attrs,
 
 }  // namespace
 
-int main() {
-  const double scale = bench::BenchScale();
-  bench::Banner("Fig. 12", "runtime vs number of attributes");
+void ScaleAttrs(Section& s) {
+  s.Banner("Fig. 12", "runtime vs number of attributes");
 
   const char* datasets[] = {"SO", "Accidents"};
   for (const char* name : datasets) {
-    const GeneratedDataset ds = MakeDatasetByName(name, scale);
+    const GeneratedDataset ds = MakeDatasetByName(name, s.scale());
     const CauSumXConfig config =
-        bench::ConfigFor(ds, bench::PaperDefaultConfig());
+ConfigFor(ds, PaperDefaultConfig());
     std::printf("\n%s (%zu rows)\n", name, ds.table.NumRows());
-    std::printf("%10s %12s %14s\n", "attrs", "runtime", "CATEs-evaluated");
+    s.Table(std::string("Fig. 12 ") + name,
+            {{"attrs", 10}, {"runtime", 12, false}, {"CATEs-evaluated", 14}});
     for (size_t attrs :
          {size_t{6}, size_t{10}, size_t{14}, size_t{18},
           ds.table.NumColumns()}) {
@@ -55,9 +55,10 @@ int main() {
       Timer timer;
       const CauSumXResult r =
           RunCauSumX(sub, ds.default_query, ds.dag, config);
-      std::printf("%10zu %11.2fs %14zu\n", sub.NumColumns(),
-                  timer.Seconds(), r.treatment_patterns_evaluated);
+      s.Row({Fmt("%zu", sub.NumColumns()), Fmt("%.2fs", timer.Seconds()),
+             Fmt("%zu", r.treatment_patterns_evaluated)});
     }
   }
-  return 0;
 }
+
+}  // namespace causumx::bench

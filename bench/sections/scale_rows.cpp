@@ -3,11 +3,11 @@
 // on Adult (full-data CATE computation); flatter on CPS once the CATE
 // sampling cap engages.
 
-#include "bench/bench_util.h"
+#include "bench/harness.h"
 #include "util/rng.h"
 #include "util/timer.h"
 
-using namespace causumx;
+namespace causumx::bench {
 
 namespace {
 
@@ -20,37 +20,29 @@ Table Subsample(const Table& table, size_t rows, uint64_t seed) {
 
 }  // namespace
 
-int main() {
-  const double scale = bench::BenchScale();
-  bench::Banner("Fig. 11", "runtime vs dataset size (row subsampling)");
+void ScaleRows(Section& s) {
+  s.Banner("Fig. 11", "runtime vs dataset size (row subsampling)");
 
-  struct Spec {
-    const char* dataset;
-    std::vector<double> fractions;
-  };
-  const Spec specs[] = {
-      {"Adult", {0.25, 0.5, 0.75, 1.0}},
-      {"IMPUS-CPS", {0.25, 0.5, 0.75, 1.0}},
-  };
-
-  for (const auto& spec : specs) {
-    const GeneratedDataset ds = MakeDatasetByName(spec.dataset, scale);
-    CauSumXConfig config = bench::ConfigFor(ds, bench::PaperDefaultConfig());
+  for (const std::string name : {"Adult", "IMPUS-CPS"}) {
+    const GeneratedDataset ds = MakeDatasetByName(name, s.scale());
+    CauSumXConfig config = ConfigFor(ds, PaperDefaultConfig());
     // The paper caps CATE estimation samples on the large datasets.
     config.estimator.sample_cap = 50'000;
-    std::printf("\n%s (base rows: %zu, CATE sample cap %zu)\n", spec.dataset,
+    std::printf("\n%s (base rows: %zu, CATE sample cap %zu)\n", name.c_str(),
                 ds.table.NumRows(), config.estimator.sample_cap);
-    std::printf("%10s %12s %10s\n", "rows", "runtime", "explain");
-    for (double f : spec.fractions) {
+    s.Table("Fig. 11 " + name,
+            {{"rows", 10}, {"runtime", 12, false}, {"explain", 10}});
+    for (double f : {0.25, 0.5, 0.75, 1.0}) {
       const size_t rows =
           static_cast<size_t>(f * static_cast<double>(ds.table.NumRows()));
       const Table sub = Subsample(ds.table, rows, 7);
       Timer timer;
       const CauSumXResult r =
           RunCauSumX(sub, ds.default_query, ds.dag, config);
-      std::printf("%10zu %11.2fs %10.2f\n", rows, timer.Seconds(),
-                  r.summary.total_explainability);
+      s.Row({Fmt("%zu", rows), Fmt("%.2fs", timer.Seconds()),
+             Fmt("%.2f", r.summary.total_explainability)});
     }
   }
-  return 0;
 }
+
+}  // namespace causumx::bench

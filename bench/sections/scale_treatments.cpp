@@ -3,25 +3,23 @@
 // (more bins => more atomic predicates => larger lattice). Expected
 // shape: roughly linear growth for all variants.
 
-#include "bench/bench_util.h"
+#include "bench/harness.h"
 #include "mining/treatment_miner.h"
 #include "util/timer.h"
 
-using namespace causumx;
+namespace causumx::bench {
 
-int main() {
-  const double scale = bench::BenchScale();
-  bench::Banner("Fig. 13", "runtime vs number of treatment patterns");
+void ScaleTreatments(Section& s) {
+  s.Banner("Fig. 13", "runtime vs number of treatment patterns");
 
   const char* datasets[] = {"Adult", "IMPUS-CPS"};
   for (const char* name : datasets) {
-    const GeneratedDataset ds = MakeDatasetByName(name, scale);
+    const GeneratedDataset ds = MakeDatasetByName(name, s.scale());
     std::printf("\n%s (%zu rows)\n", name, ds.table.NumRows());
-    std::printf("%14s %14s %12s\n", "numeric-bins", "atomic-atoms",
-                "runtime");
+    s.Table(std::string("Fig. 13 ") + name,
+        {{"numeric-bins", 14}, {"atomic-atoms", 14}, {"runtime", 12, false}});
     for (size_t bins : {2, 4, 8, 12}) {
-      CauSumXConfig config =
-          bench::ConfigFor(ds, bench::PaperDefaultConfig());
+      CauSumXConfig config = ConfigFor(ds, PaperDefaultConfig());
       config.treatment.numeric_bins = bins;
       config.estimator.sample_cap = 50'000;
 
@@ -35,9 +33,10 @@ int main() {
 
       Timer timer;
       RunCauSumX(ds.table, ds.default_query, ds.dag, config);
-      std::printf("%14zu %14zu %11.2fs\n", bins, atoms.size(),
-                  timer.Seconds());
+      s.Row({Fmt("%zu", bins), Fmt("%zu", atoms.size()),
+             Fmt("%.2fs", timer.Seconds())});
     }
   }
-  return 0;
 }
+
+}  // namespace causumx::bench

@@ -1,9 +1,9 @@
-// bench_server — end-to-end throughput of the embedded HTTP serving
+// server — end-to-end throughput of the embedded HTTP serving
 // layer: concurrent keep-alive clients against `causumx serve`'s REST
 // surface (in-process), plus the warm-cache repeat property measured
 // over the network instead of the library API.
 //
-// Acceptance (CI smoke-runs this):
+// Gate:
 //   1. every HTTP response carries a "summary" bit-identical to the
 //      CLI's --json output for the same query (the reference is the
 //      same RunCauSumX call the CLI makes);
@@ -12,18 +12,16 @@
 //      what the server exposes, so the speedup must survive the HTTP
 //      hop);
 //   3. N concurrent clients all receive that same bit-identical answer.
-// Exits non-zero when any property fails.
 
 #include <algorithm>
 #include <atomic>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "bench_util.h"
+#include "bench/harness.h"
 #include "causal/discovery.h"
 #include "core/json_export.h"
 #include "datagen/synthetic.h"
@@ -33,22 +31,9 @@
 #include "util/json.h"
 #include "util/timer.h"
 
-using namespace causumx;
-using namespace causumx::bench;
+namespace causumx::bench {
 
 namespace {
-
-// The exact "summary" text from an explain response body (the final
-// member when cache stats are off).
-std::string ExtractSummary(const std::string& body) {
-  const std::string marker = "\"summary\":";
-  const size_t pos = body.find(marker);
-  if (pos == std::string::npos || body.empty() || body.back() != '}') {
-    return "";
-  }
-  return body.substr(pos + marker.size(),
-                     body.size() - pos - marker.size() - 1);
-}
 
 std::string MakeExplainBody(const GeneratedDataset& ds) {
   JsonWriter w;
@@ -70,14 +55,14 @@ std::string MakeExplainBody(const GeneratedDataset& ds) {
 
 }  // namespace
 
-int main() {
-  Banner("server", "concurrent HTTP clients vs the CLI reference");
+void Server(Section& s) {
+  s.Banner("server", "concurrent HTTP clients vs the CLI reference");
 
   SyntheticOptions gen;
-  // Same floor as bench_service: below ~12k rows the warm repeat is a
+  // Same floor as the service gate: below ~12k rows the warm repeat is a
   // few milliseconds and the ratio drowns in scheduler noise.
   gen.num_rows =
-      std::max<size_t>(12000, static_cast<size_t>(20000 * BenchScale()));
+      std::max<size_t>(12000, static_cast<size_t>(20000 * s.scale()));
   gen.num_treatment_attrs = 5;
   const GeneratedDataset ds = MakeSyntheticDataset(gen);
   std::printf("dataset: %s scaled to %zu rows\n", ds.name.c_str(),
@@ -110,7 +95,6 @@ int main() {
               unsigned{server.port()}, server.options().num_threads);
 
   const std::string body = MakeExplainBody(ds);
-  bool ok = true;
 
   // --- warm repeat over HTTP ------------------------------------------------
   // Paired rounds: re-registering the table drops its caches, so each
@@ -118,8 +102,7 @@ int main() {
   // repeat under the same machine conditions; the median per-pair ratio
   // is the noise-robust statistic.
   constexpr int kPairs = 5;
-  std::vector<double> ratios;
-  double cold_best = 1e30, warm_best = 1e30;
+  std::vector<double> cold_times, warm_times;
   HttpClient pair_client("127.0.0.1", server.port());
   for (int i = 0; i < kPairs; ++i) {
     service.RegisterTable("bench",
@@ -127,37 +110,29 @@ int main() {
     Timer timer;
     const HttpClient::Response cold =
         pair_client.Request("POST", "/v1/explain", body);
-    const double cold_s = timer.Seconds();
+    cold_times.push_back(timer.Seconds());
     timer.Reset();
     const HttpClient::Response warm =
         pair_client.Request("POST", "/v1/explain", body);
-    const double warm_s = timer.Seconds();
-    if (cold.status != 200 || warm.status != 200 ||
-        ExtractSummary(cold.body) != expected ||
-        ExtractSummary(warm.body) != expected) {
-      std::printf("FAIL: pair %d response mismatch (status %d/%d)\n", i,
-                  cold.status, warm.status);
-      ok = false;
+    warm_times.push_back(timer.Seconds());
+    if (cold.status != 200 || warm.status != 200) {
+      s.Fail(Fmt("pair %d status %d/%d", i + 1, cold.status, warm.status));
       break;
     }
-    cold_best = std::min(cold_best, cold_s);
-    warm_best = std::min(warm_best, warm_s);
-    ratios.push_back(cold_s / warm_s);
+    s.ExpectIdentical(TrailingSummary(cold.body), expected,
+                      Fmt("pair %d cold HTTP summary", i + 1));
+    s.ExpectIdentical(TrailingSummary(warm.body), expected,
+                      Fmt("pair %d warm HTTP summary", i + 1));
   }
-  double speedup = 0;
-  if (!ratios.empty()) {
-    std::sort(ratios.begin(), ratios.end());
-    speedup = ratios[ratios.size() / 2];
+  if (s.ok()) {
+    std::printf("\n%-34s %10s\n", "mode", "seconds");
+    std::printf("%-34s %10.4f\n", "HTTP explain (cold cache, best)",
+                Best(cold_times));
+    std::printf("%-34s %10.4f\n", "HTTP explain (warm repeat, best)",
+                Best(warm_times));
   }
-  std::printf("\n%-34s %10s\n", "mode", "seconds");
-  std::printf("%-34s %10.4f\n", "HTTP explain (cold cache, best)", cold_best);
-  std::printf("%-34s %10.4f\n", "HTTP explain (warm repeat, best)", warm_best);
-  std::printf("warm repeat speedup over HTTP: %.1fx (median of %d pairs)\n",
-              speedup, kPairs);
-  if (speedup < 2.0) {
-    std::printf("FAIL: warm repeat speedup %.2fx below the 2x bar\n", speedup);
-    ok = false;
-  }
+  s.ExpectMedianOfPairs("warm repeat speedup over HTTP", cold_times,
+                        warm_times, 2.0);
 
   // --- concurrent clients ---------------------------------------------------
   constexpr int kClients = 4;
@@ -177,7 +152,7 @@ int main() {
                 client.Request("POST", "/v1/explain", body);
             if (r.status != 200) {
               errors.fetch_add(1);
-            } else if (ExtractSummary(r.body) != expected) {
+            } else if (TrailingSummary(r.body) != expected) {
               mismatches.fetch_add(1);
             }
           } catch (const std::exception&) {
@@ -193,9 +168,8 @@ int main() {
   std::printf("\n%d clients x %d warm requests: %.4fs total, %.1f req/s\n",
               kClients, kRequestsEach, wall_s, total / wall_s);
   if (errors.load() > 0 || mismatches.load() > 0) {
-    std::printf("FAIL: %d transport errors, %d summary mismatches\n",
-                errors.load(), mismatches.load());
-    ok = false;
+    s.Fail(Fmt("%d transport errors, %d summary mismatches", errors.load(),
+               mismatches.load()));
   }
 
   const HttpServerCounters counters = server.counters();
@@ -206,7 +180,6 @@ int main() {
               (unsigned long long)counters.requests_rejected,
               (unsigned long long)counters.parse_errors);
   server.Stop();
-
-  std::printf("\n%s\n", ok ? "PASS" : "FAIL");
-  return ok ? EXIT_SUCCESS : EXIT_FAILURE;
 }
+
+}  // namespace causumx::bench

@@ -1,36 +1,35 @@
-// bench_service — warm-cache repeat-query speedup of the
-// ExplanationService versus back-to-back cold RunCauSumX loops, plus
-// memory-budget enforcement.
+// service — warm-cache repeat-query speedup of the ExplanationService
+// versus back-to-back cold RunCauSumX loops, plus memory-budget
+// enforcement.
 //
 // The service's point is cross-query cache reuse: the first query over a
 // table pays to materialize predicate bitsets and CATE estimates; an
 // identical repeat is served from the caches (bit-identical results).
-// Acceptance: warm repeat >= 2x faster than a cold re-run, and with a
-// tight budget the accounted cache bytes stay under the cap. Exits
-// non-zero when either property fails, so CI can smoke-run it.
+// Gate: warm repeat >= 2x faster than a cold re-run (median of 7 paired
+// runs), and with a tight budget the accounted cache bytes stay under
+// the cap.
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
+#include "bench/harness.h"
 #include "core/json_export.h"
 #include "datagen/synthetic.h"
 #include "service/explanation_service.h"
 #include "util/timer.h"
 
-using namespace causumx;
-using namespace causumx::bench;
+namespace causumx::bench {
 
-int main() {
-  Banner("service", "warm-cache repeat queries vs cold RunCauSumX");
+void Service(Section& s) {
+  s.Banner("service", "warm-cache repeat queries vs cold RunCauSumX");
 
   SyntheticOptions gen;
   // Floor at 12000 rows: below that the warm repeat is a few milliseconds
   // and the speedup measurement drowns in scheduler noise.
-  gen.num_rows = std::max<size_t>(12000, static_cast<size_t>(20000 * BenchScale()));
+  gen.num_rows =
+      std::max<size_t>(12000, static_cast<size_t>(20000 * s.scale()));
   gen.num_treatment_attrs = 5;
   GeneratedDataset ds = MakeSyntheticDataset(gen);
   CauSumXConfig config = ConfigFor(ds, PaperDefaultConfig());
@@ -58,32 +57,27 @@ int main() {
   service.Explain("bench", ds.default_query, ds.dag, config);
   const double warm_first = first_timer.Seconds();
 
-  std::vector<double> ratios;
-  double cold_best = 1e30, warm_best = 1e30;
-  std::string warm_json;
+  std::vector<double> cold_times, warm_times;
   for (int i = 0; i < kPairs; ++i) {
     Timer timer;
     RunCauSumX(ds.table, ds.default_query, ds.dag, config);
-    const double cold_s = timer.Seconds();
+    cold_times.push_back(timer.Seconds());
     timer.Reset();
     const CauSumXResult w =
         service.Explain("bench", ds.default_query, ds.dag, config);
-    const double warm_s = timer.Seconds();
-    warm_json = SummaryToJson(w.summary);
-    cold_best = std::min(cold_best, cold_s);
-    warm_best = std::min(warm_best, warm_s);
-    ratios.push_back(cold_s / warm_s);
+    warm_times.push_back(timer.Seconds());
+    s.ExpectIdentical(SummaryToJson(w.summary), cold_json,
+                      Fmt("pair %d warm summary", i + 1));
   }
-  std::sort(ratios.begin(), ratios.end());
-  const double speedup = ratios[ratios.size() / 2];
 
   std::printf("\n%-34s %10s\n", "mode", "seconds");
   std::printf("%-34s %10.4f\n", "cold RunCauSumX (first)", cold_first);
-  std::printf("%-34s %10.4f\n", "cold RunCauSumX (repeat best)", cold_best);
+  std::printf("%-34s %10.4f\n", "cold RunCauSumX (repeat best)",
+              Best(cold_times));
   std::printf("%-34s %10.4f\n", "service (first, cold caches)", warm_first);
-  std::printf("%-34s %10.4f\n", "service (repeat best, warm)", warm_best);
-  std::printf("warm repeat speedup: %.1fx (median of %d paired runs)\n",
-              speedup, kPairs);
+  std::printf("%-34s %10.4f\n", "service (repeat best, warm)",
+              Best(warm_times));
+  s.ExpectMedianOfPairs("warm repeat speedup", cold_times, warm_times, 2.0);
 
   const auto engine_stats = service.Engine("bench")->Stats();
   std::printf("cache: %llu bitsets (%zu bytes), %llu hits\n",
@@ -91,19 +85,8 @@ int main() {
               engine_stats.bitset_bytes,
               (unsigned long long)engine_stats.bitset_hits);
 
-  bool ok = true;
-  if (warm_json != cold_json) {
-    std::printf("FAIL: warm summary differs from cold summary\n");
-    ok = false;
-  }
-  if (speedup < 2.0) {
-    std::printf("FAIL: warm repeat speedup %.2fx below the 2x bar\n",
-                speedup);
-    ok = false;
-  }
-
   // --- budget enforcement ---------------------------------------------------
-  Banner("service-budget", "LRU eviction under a tight memory budget");
+  s.Banner("service-budget", "LRU eviction under a tight memory budget");
   ServiceOptions tight;
   tight.memory_budget_bytes = 16 * 1024;
   ExplanationService bounded(tight);
@@ -113,20 +96,16 @@ int main() {
     const CauSumXResult r =
         bounded.Explain("bench", ds.default_query, ds.dag, config);
     const size_t bytes = bounded.CacheBytes();
-    std::printf("query %d: %.4fs, cache %zu / %zu bytes%s\n", i + 1,
-                timer.Seconds(), bytes, tight.memory_budget_bytes,
-                SummaryToJson(r.summary) == cold_json ? "" :
-                " (RESULT MISMATCH)");
+    std::printf("query %d: %.4fs, cache %zu / %zu bytes\n", i + 1,
+                timer.Seconds(), bytes, tight.memory_budget_bytes);
     if (bytes > tight.memory_budget_bytes) {
-      std::printf("FAIL: cache bytes exceed the budget\n");
-      ok = false;
+      s.Fail("cache bytes exceed the budget");
     }
-    if (SummaryToJson(r.summary) != cold_json) ok = false;
+    s.ExpectIdentical(SummaryToJson(r.summary), cold_json,
+                      Fmt("budgeted query %d summary", i + 1));
   }
-  const ServiceStats stats = bounded.Stats();
   std::printf("budget enforcements that evicted: %llu\n",
-              (unsigned long long)stats.budget_enforcements);
-
-  std::printf("\n%s\n", ok ? "PASS" : "FAIL");
-  return ok ? EXIT_SUCCESS : EXIT_FAILURE;
+              (unsigned long long)bounded.Stats().budget_enforcements);
 }
+
+}  // namespace causumx::bench

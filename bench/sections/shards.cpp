@@ -1,4 +1,4 @@
-// bench_shards — end-to-end sharded parallel execution versus the serial
+// shards — end-to-end sharded parallel execution versus the serial
 // single-shard reference on a synthetic table (1M rows at
 // CAUSUMX_BENCH_SCALE=1.0).
 //
@@ -13,30 +13,26 @@
 //                                   view, CATE sufficient statistics,
 //                                   the greedy scan)
 //
-// Acceptance (CI smoke-runs this): summaries bit-identical across every
-// configuration and round — the sharded engine's core guarantee — and a
-// sharded-vs-serial speedup of >= 2.5x when 8 hardware threads are
-// available, with the bar scaled down on smaller machines (parallel
-// speedup is bounded by the core count; the bar can be pinned with
-// CAUSUMX_BENCH_MIN_SPEEDUP). Best-of-rounds timing: noise only ever
-// inflates a measurement, so the minimum converges on the true cost.
+// Gate: summaries bit-identical across every configuration and round —
+// the sharded engine's core guarantee — and a sharded-vs-serial speedup
+// of >= 2.5x when 8 hardware threads are available, with the bar scaled
+// down on smaller machines (parallel speedup is bounded by the core
+// count), best round against best round.
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <memory>
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
+#include "bench/harness.h"
 #include "core/json_export.h"
 #include "datagen/synthetic.h"
 #include "service/explanation_service.h"
 #include "util/thread_pool.h"
 #include "util/timer.h"
 
-using namespace causumx;
-using namespace causumx::bench;
+namespace causumx::bench {
 
 namespace {
 
@@ -49,7 +45,7 @@ struct RunResult {
 // `single_shard` runs the pattern-parallel arm: a one-shard engine on an
 // N-thread pool. Otherwise a service of `threads` workers plans one
 // shard per worker.
-RunResult RunConfiguration(const GeneratedDataset& ds,
+RunResult RunConfiguration(Section& s, const GeneratedDataset& ds,
                            const GroupByAvgQuery& query,
                            const CausalDag& dag,
                            const CauSumXConfig& config, bool single_shard,
@@ -81,26 +77,26 @@ RunResult RunConfiguration(const GeneratedDataset& ds,
     if (round == 0) {
       result.summary_json = json;
       result.engine_stats = engine->Stats();
-    } else if (json != result.summary_json) {
-      std::printf("FAIL: round %d summary differs within one "
-                  "configuration\n", round + 1);
-      std::exit(EXIT_FAILURE);
+    } else {
+      s.ExpectIdentical(json, result.summary_json,
+                        Fmt("round %d summary (within one configuration)",
+                            round + 1));
     }
   }
-  result.best_seconds = *std::min_element(times.begin(), times.end());
+  result.best_seconds = Best(times);
   return result;
 }
 
 }  // namespace
 
-int main() {
-  Banner("shards", "sharded parallel execution vs the serial reference");
+void Shards(Section& s) {
+  s.Banner("shards", "sharded parallel execution vs the serial reference");
 
   SyntheticOptions gen;
   // 1M rows at full scale; floor at 60k so the workload stays estimation-
   // bound (the per-row work sharding parallelizes) even in CI smoke runs.
   gen.num_rows =
-      std::max<size_t>(60000, static_cast<size_t>(1000000 * BenchScale()));
+      std::max<size_t>(60000, static_cast<size_t>(1000000 * s.scale()));
   gen.num_treatment_attrs = 4;
   gen.buckets_base = 6;  // G1: 12 buckets
   const GeneratedDataset ds = MakeSyntheticDataset(gen);
@@ -116,51 +112,38 @@ int main() {
   query.group_by = {"G2"};
   query.avg_attribute = "O";
 
-  // Declare the grouping attributes confounders (G_x -> T_y, G_x -> O),
-  // as in bench_streaming: every CATE then adjusts over ~50 one-hot
-  // design columns — the blocked normal-equation reduction this bench
-  // shards is the work a production service actually does.
-  CausalDag dag = ds.dag;
-  for (const std::string& g : ds.grouping_attribute_hint) {
-    dag.AddNode(g);
-    dag.AddEdge(g, "O");
-    for (const std::string& t : ds.treatment_attribute_hint) {
-      dag.AddEdge(g, t);
-    }
-  }
+  // Grouping attributes as confounders: every CATE then adjusts over ~50
+  // one-hot design columns — the blocked normal-equation reduction this
+  // gate shards is the work a production service actually does.
+  const CausalDag dag = WithGroupingConfounders(ds);
 
   const size_t hw = ThreadPool::DefaultThreads();
-  size_t threads = hw >= 8 ? 8 : hw;
-  if (const char* env = std::getenv("CAUSUMX_BENCH_THREADS")) {
-    const int v = std::atoi(env);
-    if (v > 0) threads = static_cast<size_t>(v);
-  }
+  const size_t threads = hw >= 8 ? 8 : hw;
   // The acceptance bar: 2.5x at 8 threads (the headline target), scaled
   // to the parallelism actually available on this machine — end-to-end
   // speedup is bounded by the core count, and 2-vCPU CI runners are
   // typically shared/throttled.
-  double bar = threads >= 8 ? 2.5 : threads >= 4 ? 1.7 : threads >= 2 ? 1.2
-                                                                      : 1.0;
-  if (const char* env = std::getenv("CAUSUMX_BENCH_MIN_SPEEDUP")) {
-    const double v = std::atof(env);
-    if (v > 0) bar = v;
-  }
+  const double bar = threads >= 8   ? 2.5
+                     : threads >= 4 ? 1.7
+                     : threads >= 2 ? 1.2
+                                    : 1.0;
   constexpr int kRounds = 3;
   std::printf("dataset: %zu rows; %zu hardware threads, benching %zu "
               "threads, bar %.2fx\n",
               ds.table.NumRows(), hw, threads, bar);
 
-  const RunResult serial = RunConfiguration(
-      ds, query, dag, config, /*single_shard=*/false, /*threads=*/1, kRounds);
+  const RunResult serial = RunConfiguration(s, ds, query, dag, config,
+                                            /*single_shard=*/false,
+                                            /*threads=*/1, kRounds);
   std::printf("%-28s best %8.3fs\n", "serial (shards=1,threads=1)",
               serial.best_seconds);
   const RunResult pattern = RunConfiguration(
-      ds, query, dag, config, /*single_shard=*/true, threads, kRounds);
+      s, ds, query, dag, config, /*single_shard=*/true, threads, kRounds);
   std::printf("%-28s best %8.3fs (%.2fx)\n", "pattern-parallel (shards=1)",
               pattern.best_seconds,
               serial.best_seconds / pattern.best_seconds);
   const RunResult sharded = RunConfiguration(
-      ds, query, dag, config, /*single_shard=*/false, threads, kRounds);
+      s, ds, query, dag, config, /*single_shard=*/false, threads, kRounds);
   std::printf("%-28s best %8.3fs (%.2fx)\n", "sharded (shards=auto)",
               sharded.best_seconds,
               serial.best_seconds / sharded.best_seconds);
@@ -171,22 +154,14 @@ int main() {
               (unsigned long long)sharded.engine_stats.bitsets_materialized,
               (unsigned long long)sharded.engine_stats.bitset_hits);
 
-  bool ok = true;
-  if (pattern.summary_json != serial.summary_json) {
-    std::printf("FAIL: pattern-parallel summary differs from serial\n");
-    ok = false;
-  }
-  if (sharded.summary_json != serial.summary_json) {
-    std::printf("FAIL: sharded summary differs from serial\n");
-    ok = false;
-  }
-  const double speedup = serial.best_seconds / sharded.best_seconds;
-  std::printf("\nend-to-end sharded speedup: %.2fx (bar %.2fx at %zu "
-              "threads)\n", speedup, bar, threads);
-  if (speedup < bar) {
-    std::printf("FAIL: speedup %.2fx below the %.2fx bar\n", speedup, bar);
-    ok = false;
-  }
-  std::printf("\n%s\n", ok ? "PASS" : "FAIL");
-  return ok ? EXIT_SUCCESS : EXIT_FAILURE;
+  s.ExpectIdentical(pattern.summary_json, serial.summary_json,
+                    "pattern-parallel summary");
+  s.ExpectIdentical(sharded.summary_json, serial.summary_json,
+                    "sharded summary");
+  s.ExpectSpeedup("end-to-end sharded speedup",
+                  serial.best_seconds / sharded.best_seconds, bar,
+                  Fmt("best-of-%d serial / best-of-%d sharded at %zu threads",
+                      kRounds, kRounds, threads));
 }
+
+}  // namespace causumx::bench

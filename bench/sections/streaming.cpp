@@ -1,4 +1,4 @@
-// bench_streaming — incremental append + re-query through the service's
+// streaming — incremental append + re-query through the service's
 // delta-aware caches versus a cold reload after every delta.
 //
 // The streaming workload: an aggregate view is being watched while rows
@@ -10,31 +10,26 @@
 // grouping attributes, so most subpopulations are untouched — the
 // realistic skew of live traffic).
 //
-// Acceptance (CI smoke-runs this): per-round summaries bit-identical to
-// the cold reload, and incremental speedup >= 3x. Every round performs
-// the same work by construction (equal chunks, all landing in the top
-// bucket of each grouping attribute), so the speedup statistic compares
-// the best incremental round against the best cold round — timing noise
-// only ever inflates a measurement, and the minimum converges on the
-// true cost on a shared/loaded box. Exits non-zero on either failure.
+// Gate: per-round summaries bit-identical to the cold reload, and
+// incremental speedup >= 3x, best round against best round: every round
+// does the same work by construction (equal chunks, all landing in the
+// top bucket of each grouping attribute).
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <vector>
 
-#include "bench_util.h"
+#include "bench/harness.h"
 #include "core/json_export.h"
 #include "datagen/synthetic.h"
 #include "service/explanation_service.h"
 #include "util/timer.h"
 
-using namespace causumx;
-using namespace causumx::bench;
+namespace causumx::bench {
 
-int main() {
-  Banner("streaming", "incremental append + re-query vs cold reload");
+void Streaming(Section& s) {
+  s.Banner("streaming", "incremental append + re-query vs cold reload");
 
   SyntheticOptions gen;
   // Floor at 24k rows: estimation cost (what the carried memos save)
@@ -42,7 +37,7 @@ int main() {
   // does not — smaller tables understate the streaming win and drown the
   // ratio in scheduler noise.
   gen.num_rows =
-      std::max<size_t>(24000, static_cast<size_t>(40000 * BenchScale()));
+      std::max<size_t>(24000, static_cast<size_t>(40000 * s.scale()));
   gen.num_treatment_attrs = 5;
   // Bucket ranges are contiguous in arrival order, so appended rows land
   // in the top bucket of each G_x — the skew a live view sees when fresh
@@ -56,20 +51,10 @@ int main() {
   config.apriori_support = 0.05;
   config.grouping_attribute_allowlist = {"G1"};
 
-  // The synthetic ground-truth DAG has no confounders, which makes each
-  // CATE a two-column regression — unrealistically cheap. Real views
-  // adjust for a backdoor set, so declare every grouping attribute a
-  // confounder (G_x -> T_y, G_x -> O): each estimate one-hot encodes
-  // G1/G2/G3 (~50 design columns) and the estimation work a carried memo
-  // saves is the work a production service actually does.
-  CausalDag dag = ds.dag;
-  for (const std::string& g : ds.grouping_attribute_hint) {
-    dag.AddNode(g);
-    dag.AddEdge(g, "O");
-    for (const std::string& t : ds.treatment_attribute_hint) {
-      dag.AddEdge(g, t);
-    }
-  }
+  // Real views adjust for a backdoor set: the grouping attributes are
+  // confounders, so the estimation work a carried memo saves is the work
+  // a production service does.
+  const CausalDag dag = WithGroupingConfounders(ds);
 
   const size_t total = ds.table.NumRows();
   // 5% of the data arrives as deltas: small enough that each chunk stays
@@ -93,7 +78,6 @@ int main() {
   std::printf("\n%-6s %12s %12s %9s\n", "round", "incremental", "cold reload",
               "speedup");
   std::vector<double> inc_times, cold_times;
-  bool ok = true;
   size_t at = base_rows;
   for (int round = 0; round < kRounds; ++round) {
     const size_t next = (round == kRounds - 1) ? total : at + chunk;
@@ -122,20 +106,11 @@ int main() {
     cold_times.push_back(cold_s);
     std::printf("%-6d %11.4fs %11.4fs %8.1fx\n", round + 1, inc_s, cold_s,
                 cold_s / inc_s);
-    if (SummaryToJson(inc.summary) != SummaryToJson(cold.summary)) {
-      std::printf("FAIL: round %d incremental summary differs from cold "
-                  "reload\n", round + 1);
-      ok = false;
-    }
+    s.ExpectIdentical(SummaryToJson(inc.summary), SummaryToJson(cold.summary),
+                      Fmt("round %d incremental summary", round + 1));
   }
 
-  const double speedup = *std::min_element(cold_times.begin(),
-                                           cold_times.end()) /
-                         *std::min_element(inc_times.begin(),
-                                           inc_times.end());
   const EvalEngineStats engine_stats = streaming.Engine("live")->Stats();
-  std::printf("\nincremental speedup: %.1fx (best-of-%d cold / "
-              "best-of-%d incremental)\n", speedup, kRounds, kRounds);
   std::printf("post-append engine: %llu bitsets extended, %llu rebuilt, "
               "%llu views extended\n",
               (unsigned long long)engine_stats.bitsets_extended,
@@ -148,11 +123,8 @@ int main() {
               (unsigned long long)stats.rows_appended,
               (unsigned long long)streaming.TableVersion("live"));
 
-  if (speedup < 3.0) {
-    std::printf("FAIL: incremental speedup %.2fx below the 3x bar\n",
-                speedup);
-    ok = false;
-  }
-  std::printf("\n%s\n", ok ? "PASS" : "FAIL");
-  return ok ? EXIT_SUCCESS : EXIT_FAILURE;
+  s.ExpectBestOf("incremental speedup (cold / incremental)", cold_times,
+                 inc_times, 3.0);
 }
+
+}  // namespace causumx::bench

@@ -8,57 +8,36 @@
 #include <vector>
 
 #include "baselines/brute_force.h"
-#include "bench/bench_util.h"
+#include "bench/harness.h"
 #include "util/timer.h"
 
-using namespace causumx;
+namespace causumx::bench {
 
-namespace {
-
-struct Row {
-  std::string dataset;
-  std::string variant;
-  double seconds = 0;
-  double explainability = 0;
-  double coverage = 0;
-  bool finished = true;
-};
-
-void Print(const Row& row) {
-  if (row.finished) {
-    std::printf("%-12s %-18s %9.2fs %16.3f %10.2f%%\n", row.dataset.c_str(),
-                row.variant.c_str(), row.seconds, row.explainability,
-                100.0 * row.coverage);
-  } else {
-    std::printf("%-12s %-18s %9s %16s %11s\n", row.dataset.c_str(),
-                row.variant.c_str(), "cutoff", "-", "-");
-  }
-}
-
-}  // namespace
-
-int main() {
-  const double scale = bench::BenchScale();
-  bench::Banner("Fig. 8(a-c)",
-                "runtime / explainability / coverage by variant");
-  std::printf("%-12s %-18s %10s %16s %11s\n", "dataset", "variant",
-              "runtime", "explainability", "coverage");
+void Variants(Section& s) {
+  s.Banner("Fig. 8(a-c)", "runtime / explainability / coverage by variant");
+  s.Table("Fig. 8(a-c)",
+          {{"dataset", -12}, {"variant", -18}, {"runtime", 10, false},
+           {"explainability", 16}, {"coverage", 11}});
+  auto row = [&](const std::string& dataset, const char* variant,
+                 double seconds, const ExplanationSummary& summary) {
+    s.Row({dataset, variant, Fmt("%.2fs", seconds),
+           Fmt("%.3f", summary.total_explainability),
+           Fmt("%.2f%%", 100.0 * summary.CoverageFraction())});
+  };
 
   const std::vector<std::string> datasets = {"German", "Adult", "SO",
                                              "IMPUS-CPS", "Accidents"};
   for (const auto& name : datasets) {
     const GeneratedDataset ds =
-        MakeDatasetByName(name, name == "German" ? 1.0 : scale);
-    const CauSumXConfig base =
-        bench::ConfigFor(ds, bench::PaperDefaultConfig());
+        MakeDatasetByName(name, name == "German" ? 1.0 : s.scale());
+    const CauSumXConfig base = ConfigFor(ds, PaperDefaultConfig());
 
     // CauSumX (LP rounding last step).
     {
       Timer timer;
       const CauSumXResult r =
           RunCauSumX(ds.table, ds.default_query, ds.dag, base);
-      Print({name, "CauSumX", timer.Seconds(),
-             r.summary.total_explainability, r.summary.CoverageFraction()});
+      row(name, "CauSumX", timer.Seconds(), r.summary);
     }
     // Greedy-Last-Step.
     {
@@ -67,8 +46,7 @@ int main() {
       Timer timer;
       const CauSumXResult r =
           RunCauSumX(ds.table, ds.default_query, ds.dag, config);
-      Print({name, "Greedy-Last-Step", timer.Seconds(),
-             r.summary.total_explainability, r.summary.CoverageFraction()});
+      row(name, "Greedy-Last-Step", timer.Seconds(), r.summary);
     }
     // Brute-Force variants: only feasible on German (paper's finding);
     // elsewhere the evaluation budget models the paper's time cutoff.
@@ -84,14 +62,12 @@ int main() {
       Timer timer;
       const BruteForceResult r =
           RunBruteForce(ds.table, ds.default_query, ds.dag, bf);
-      Row row{name, lp ? "Brute-Force-LP" : "Brute-Force", timer.Seconds(),
-              r.summary.total_explainability,
-              r.summary.num_groups == 0
-                  ? 0.0
-                  : static_cast<double>(r.summary.covered_groups) /
-                        static_cast<double>(r.summary.num_groups)};
-      row.finished = !r.hit_evaluation_cap;
-      Print(row);
+      const char* variant = lp ? "Brute-Force-LP" : "Brute-Force";
+      if (r.hit_evaluation_cap) {
+        s.Row({name, variant, "cutoff", "-", "-"});
+      } else {
+        row(name, variant, timer.Seconds(), r.summary);
+      }
     }
   }
   std::printf(
@@ -99,5 +75,6 @@ int main() {
       "magnitude faster than Brute-Force; Brute-Force finishes only on\n"
       "German with slightly higher explainability; CauSumX matches Greedy\n"
       "on explainability while satisfying coverage more reliably.\n");
-  return 0;
 }
+
+}  // namespace causumx::bench

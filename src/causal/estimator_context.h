@@ -66,6 +66,20 @@ struct EstimatorCacheStats {
   uint64_t gram_builds = 0;  ///< Gram blocks built (cached or one-off)
   uint64_t gram_hits = 0;  ///< memo misses served by a cached Gram block
   size_t gram_bytes = 0;  ///< accounted Gram-block bytes resident now
+
+  /// Field-wise sum (a table's contexts add up in DescribeTables).
+  EstimatorCacheStats& operator+=(const EstimatorCacheStats& o) {
+    memo_hits += o.memo_hits;
+    memo_misses += o.memo_misses;
+    memo_evicted += o.memo_evicted;
+    memo_migrated += o.memo_migrated;
+    memo_entries += o.memo_entries;
+    memo_bytes += o.memo_bytes;
+    gram_builds += o.gram_builds;
+    gram_hits += o.gram_hits;
+    gram_bytes += o.gram_bytes;
+    return *this;
+  }
 };
 
 /// Minimum table rows before EstimateCate dispatches its per-shard /

@@ -1,8 +1,8 @@
 // HTTP/1.1 message framing, dependency-free: an incremental request
 // parser, a response serializer, and a minimal blocking client used by
-// the tests and bench_server. Transport (sockets, accept loop, worker
-// dispatch) lives in server/http_server.h; this file knows nothing
-// about file descriptors except for the client helper.
+// the tests and causumx_bench's server gate. Transport (sockets, accept
+// loop, worker dispatch) lives in server/http_server.h; this file knows
+// nothing about file descriptors except for the client helper.
 //
 // Supported subset: request line + headers + Content-Length bodies.
 // Transfer-Encoding (chunked uploads) is rejected with 501, header
@@ -126,8 +126,9 @@ class HttpRequestParser {
 std::string UrlDecode(const std::string& s, bool query_mode = false);
 
 /// A minimal blocking HTTP/1.1 client over one TCP connection, for the
-/// server tests and bench_server. Connections persist across Request
-/// calls (keep-alive) until the server closes or Close() is called.
+/// server tests and causumx_bench's server gate. Connections persist
+/// across Request calls (keep-alive) until the server closes or Close()
+/// is called.
 class HttpClient {
  public:
   /// Connects lazily on the first Request.

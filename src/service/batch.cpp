@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "core/json_export.h"
+#include "service/stats_json.h"
 #include "storage/storage_error.h"
 #include "util/json.h"
 #include "util/string_utils.h"
@@ -144,18 +145,10 @@ RequestResult ExecuteQueryRequest(ExplanationService& service,
         .Key("elapsed_ms").Raw(JsonNumberToken(elapsed_ms, 3))
         .Key("summary").Raw(SummaryToJson(run.summary, &bound.query));
     if (options.emit_cache_stats) {
-      const EvalEngineStats& e = run.cache_stats.eval;
-      const EstimatorCacheStats& m = run.cache_stats.estimator;
-      w.Key("cache").BeginObject()
-          .Key("bitset_hits").Uint(e.bitset_hits)
-          .Key("bitsets_materialized").Uint(e.bitsets_materialized)
-          .Key("bitset_bytes").Uint(e.bitset_bytes)
-          .Key("memo_hits").Uint(m.memo_hits)
-          .Key("memo_misses").Uint(m.memo_misses)
-          .Key("memo_bytes").Uint(m.memo_bytes)
-          .Key("gram_builds").Uint(m.gram_builds)
-          .Key("gram_hits").Uint(m.gram_hits)
-          .EndObject();
+      w.Key("cache").BeginObject();
+      WriteStatsMembers(w, run.cache_stats.eval);
+      WriteStatsMembers(w, run.cache_stats.estimator);
+      w.EndObject();
     }
     w.EndObject();
     return RequestResult{true, w.str()};

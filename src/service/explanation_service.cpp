@@ -331,17 +331,7 @@ std::vector<TableDescription> ExplanationService::DescribeTables() const {
     d.version = entry.table->version();
     d.engine = entry.engine->Stats();
     for (const auto& [key, slot] : entry.contexts) {
-      const EstimatorCacheStats s = slot.context->Stats();
-      EstimatorCacheStats& e = d.estimator;
-      e.memo_hits += s.memo_hits;
-      e.memo_misses += s.memo_misses;
-      e.memo_evicted += s.memo_evicted;
-      e.memo_migrated += s.memo_migrated;
-      e.memo_entries += s.memo_entries;
-      e.memo_bytes += s.memo_bytes;
-      e.gram_builds += s.gram_builds;
-      e.gram_hits += s.gram_hits;
-      e.gram_bytes += s.gram_bytes;
+      d.estimator += slot.context->Stats();
     }
     out.push_back(std::move(d));
   }

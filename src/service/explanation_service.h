@@ -6,7 +6,7 @@
 // with one long-lived shared EvalEngine and one EstimatorContext per
 // (DAG, estimator-options) pair — so repeated and overlapping queries
 // against the same table are served warm: the second identical query
-// costs memo lookups instead of OLS solves (see bench_service).
+// costs memo lookups instead of OLS solves (see causumx_bench service).
 //
 // Each context also keeps the mined candidates (phases 1 + 2) per
 // MiningKey, so a query that changes only k, theta or the solver re-runs

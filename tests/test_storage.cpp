@@ -1039,6 +1039,11 @@ TEST(ServicePersistenceTest, BatchCsvLineRestoresWarm) {
   // Gram blocks are not snapshotted, and a warm run fits nothing.
   EXPECT_EQ(cache->GetNumber("gram_builds", -1), 0.0);
   EXPECT_EQ(cache->GetNumber("gram_hits", -1), 0.0);
+  // The object carries every engine and estimator counter /v1/stats has.
+  for (const char* key : {"predicates_interned", "bitsets_retracted",
+                          "num_shards", "memo_entries", "gram_bytes"}) {
+    EXPECT_NE(cache->Find(key), nullptr) << key;
+  }
   EXPECT_EQ(summary_of(warm), summary_of(cold));
 }
 

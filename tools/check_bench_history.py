@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Schema check for the committed perf-history files.
 
-A history file is `BENCH_<n>.json` at the repository root (the outputs of
-tools/run_bench.sh, such as BENCH_micro.json, are not history). Each one
+A history file is `BENCH_<n>.json` at the repository root (other
+`BENCH_*.json` dumps, such as bench_micro's, are not history). Each one
 must parse and record, against BENCHMARK.json:
 
   * `parent` and `change`: objects naming what was compared
