@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <span>
 
 #include "util/rng.h"
 
@@ -143,7 +144,8 @@ RunExplanationTableG(const Table& table, const AggregateView& view,
                      const ExplanationTableConfig& config) {
   std::vector<std::pair<std::string, ExplanationTableResult>> out;
   for (size_t g = 0; g < view.NumGroups(); ++g) {
-    const Table sub = table.SelectRows(view.group(g).rows);
+    const std::span<const size_t> rows = view.group(g).rows;
+    const Table sub = table.SelectRows({rows.begin(), rows.end()});
     ExplanationTableConfig per_group = config;
     per_group.max_patterns = std::max<size_t>(1, config.max_patterns / 2);
     out.emplace_back(view.group(g).KeyString(),

@@ -3,7 +3,9 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <optional>
 #include <stdexcept>
+#include <unordered_map>
 #include <vector>
 
 #include "causal/ols.h"
@@ -44,17 +46,20 @@ EstimatorContext::EstimatorContext(std::shared_ptr<EvalEngine> engine,
   // queries still running on the base contend with the copy, not with
   // the O(subpops x rows) bit work below (the same lock-minimizing split
   // the EvalEngine derivation uses).
-  std::vector<std::pair<Bitset, uint32_t>> subpops;
-  std::vector<std::pair<MemoKey, MemoEntry>> entries;  // LRU, oldest first
+  std::vector<SubpopEntry> subpops;
+  // The one copy of each carried key: moved into the map below, which
+  // the LRU list then points into.
+  std::vector<std::pair<MemoKey, EffectEstimate>> entries;  // oldest first
   {
     util::MutexLock lock(base.memo_mu_);
     next_subpop_id_ = base.next_subpop_id_;
     for (const auto& [hash, bucket] : base.subpop_ids_) {
-      for (const auto& [bits, id] : bucket) subpops.emplace_back(bits, id);
+      subpops.insert(subpops.end(), bucket.begin(), bucket.end());
     }
     entries.reserve(base.memo_.size());
-    for (auto it = base.lru_.rbegin(); it != base.lru_.rend(); ++it) {
-      entries.emplace_back(*it, base.memo_.find(*it)->second);
+    for (const MemoNode* n = base.lru_back_; n != nullptr;
+         n = n->second.newer) {
+      entries.emplace_back(n->first, n->second.est);
     }
   }
   // Carry exactly the subpopulations that lost no row: their bits shift
@@ -67,32 +72,34 @@ EstimatorContext::EstimatorContext(std::shared_ptr<EvalEngine> engine,
   // both prefixes were empty, so they already differed in the surviving
   // range. A subpopulation that lost rows is invalidated with its memo
   // entries; one that grew interns a fresh id, and its stale
-  // predecessor ages out through the LRU.
+  // predecessor ages out through the LRU. A carried subpopulation keeps
+  // its outcome stats: the same values in the same row order.
   std::vector<bool> id_carried(static_cast<size_t>(next_subpop_id_), false);
   subpop_ids_.reserve(subpops.size());
-  for (auto& [bits, id] : subpops) {
+  for (SubpopEntry& entry : subpops) {
+    Bitset& bits = entry.bits;
     if (bits.size() != base_rows) continue;          // stale universe
     if (bits.CountRange(0, dropped) != 0) continue;  // lost rows
     bits.DropPrefix(dropped);
     bits.Resize(rows);
     const uint64_t h = bits.Hash();
-    subpop_bytes_ += SubpopEntryBytes(bits.size());
-    if (id < id_carried.size()) id_carried[id] = true;
-    subpop_ids_[h].emplace_back(std::move(bits), id);
+    subpop_bytes_ += SubpopEntryBytes(bits.size()) +
+                     entry.outcome_stats.size() *
+                         sizeof(std::pair<uint32_t, RunningStats>);
+    if (entry.id < id_carried.size()) id_carried[entry.id] = true;
+    subpop_ids_[h].push_back(std::move(entry));
   }
   // Carry the memo, preserving LRU order (`entries` runs least to most
-  // recent; each push_front leaves the most recent at the front). Keys
-  // are sorted, so the back is the maximum predicate id.
+  // recent; each insertion goes to the front). Keys are sorted, so the
+  // back is the maximum predicate id.
   memo_.reserve(entries.size());
-  for (auto& [key, src] : entries) {
+  util::MutexLock lock(memo_mu_);
+  for (auto& [key, est] : entries) {
     if (!key.treatment.empty() && key.treatment.back() >= known) continue;
     if (key.subpop_id >= id_carried.size() || !id_carried[key.subpop_id]) {
       continue;
     }
-    lru_.push_front(key);
-    MemoEntry entry{std::move(src.est), lru_.begin(), src.bytes};
-    memo_bytes_ += entry.bytes;
-    memo_.emplace(std::move(key), std::move(entry));
+    InsertMemoLocked(std::move(key), est);
   }
   n_migrated_.store(memo_.size(), std::memory_order_relaxed);
 }
@@ -106,53 +113,211 @@ EffectEstimate EstimatorContext::EstimateCate(const Pattern& treatment,
                                               const std::string& outcome,
                                               const Bitset& subpopulation) {
   if (treatment.IsEmpty()) return EffectEstimate{};
-  if (!engine_->cache_enabled()) {
-    n_misses_.fetch_add(1, std::memory_order_relaxed);
-    return ComputeCate(treatment, outcome, subpopulation, kNoSubpop);
-  }
-  MemoKey key;
-  key.treatment.reserve(treatment.predicates().size());
-  for (const auto& p : treatment.predicates()) {
-    key.treatment.push_back(engine_->Intern(p));
-  }
-  std::sort(key.treatment.begin(), key.treatment.end());
-  key.outcome = outcome;
-  const uint64_t subpop_hash = subpopulation.Hash();  // O(rows), unlocked
-  {
-    util::MutexLock lock(memo_mu_);
-    key.subpop_id = InternSubpopLocked(subpop_hash, subpopulation);
-    auto it = memo_.find(key);
-    if (it != memo_.end()) {
-      n_hits_.fetch_add(1, std::memory_order_relaxed);
-      lru_.splice(lru_.begin(), lru_, it->second.lru_it);
-      return it->second.est;
-    }
-  }
-  // Computed outside the lock: concurrent misses on the same key may
-  // duplicate work once, but never block each other on the OLS solve.
-  const EffectEstimate est =
-      ComputeCate(treatment, outcome, subpopulation, key.subpop_id);
-  {
-    util::MutexLock lock(memo_mu_);
-    auto it = memo_.find(key);
-    if (it == memo_.end()) {
-      lru_.push_front(key);
-      MemoEntry entry{est, lru_.begin(), EntryBytes(key)};
-      memo_bytes_ += entry.bytes;
-      memo_.emplace(std::move(key), std::move(entry));
-    }
-  }
-  n_misses_.fetch_add(1, std::memory_order_relaxed);
+  std::vector<PredicateId> ids;
+  ids.reserve(treatment.predicates().size());
+  for (const auto& p : treatment.predicates()) ids.push_back(engine_->Intern(p));
+  std::sort(ids.begin(), ids.end());
+  Scope scope = Bind(subpopulation, outcome);
+  EffectEstimate est;
+  EstimateCates(scope, ids, ids.size(), &est);
   return est;
 }
 
+EstimatorContext::Scope EstimatorContext::Bind(const Bitset& subpopulation,
+                                               const std::string& outcome)
+    const {
+  Scope scope;
+  scope.subpopulation_ = &subpopulation;
+  if (auto col = engine_->table().ColumnIndex(outcome)) {
+    scope.has_outcome_ = true;
+    scope.outcome_col_ = static_cast<uint32_t>(*col);
+  }
+  if (engine_->cache_enabled()) scope.hash_ = subpopulation.Hash();
+  return scope;
+}
+
+uint32_t EstimatorContext::ScopeIdLocked(Scope& scope) {
+  if (scope.subpop_id_ == kNoSubpop || scope.epoch_ != subpop_epoch_) {
+    SubpopEntry& entry =
+        InternSubpopLocked(scope.hash_, *scope.subpopulation_);
+    KeepStatsLocked(scope, &entry);
+    scope.subpop_id_ = entry.id;
+    scope.epoch_ = subpop_epoch_;
+  }
+  return scope.subpop_id_;
+}
+
+const RunningStats& EstimatorContext::OutcomeStats(Scope& scope) {
+  if (!scope.has_outcome_) {
+    throw std::out_of_range("OutcomeStats: the outcome names no column");
+  }
+  if (scope.has_stats_) return scope.stats_;
+  const bool cached = engine_->cache_enabled();
+  if (cached) {
+    util::MutexLock lock(memo_mu_);
+    if (const SubpopEntry* entry =
+            FindSubpopLocked(scope.hash_, *scope.subpopulation_)) {
+      for (const auto& [col, stats] : entry->outcome_stats) {
+        if (col != scope.outcome_col_) continue;
+        scope.stats_ = stats;
+        scope.has_stats_ = true;
+        return scope.stats_;
+      }
+    }
+  }
+  const Bitset& rows = *scope.subpopulation_;
+  const NumericColumnView& y = engine_->Numeric(scope.outcome_col_);
+  const size_t words = std::min(rows.num_words(), y.valid.num_words());
+  for (size_t w = 0; w < words; ++w) {
+    for (uint64_t bits = rows.data()[w] & y.valid.data()[w]; bits != 0;
+         bits &= bits - 1) {
+      scope.stats_.Add(
+          y.values[w * 64 + static_cast<size_t>(std::countr_zero(bits))]);
+    }
+  }
+  scope.has_stats_ = true;
+  if (cached) {
+    // Kept now if the subpopulation is interned, else when it is.
+    util::MutexLock lock(memo_mu_);
+    KeepStatsLocked(scope,
+                    FindSubpopLocked(scope.hash_, *scope.subpopulation_));
+  }
+  return scope.stats_;
+}
+
+void EstimatorContext::KeepStatsLocked(const Scope& scope,
+                                       SubpopEntry* entry) {
+  if (!scope.has_stats_ || entry == nullptr) return;
+  for (const auto& kept : entry->outcome_stats) {
+    if (kept.first == scope.outcome_col_) return;
+  }
+  entry->outcome_stats.emplace_back(scope.outcome_col_, scope.stats_);
+  subpop_bytes_ += sizeof(std::pair<uint32_t, RunningStats>);
+}
+
+void EstimatorContext::EstimateCates(Scope& scope,
+                                     std::span<const PredicateId> ids,
+                                     size_t arity, EffectEstimate* out) {
+  const size_t k = arity == 0 ? 0 : ids.size() / arity;
+  if (k == 0) return;
+  auto treatment = [&](size_t i) { return ids.subspan(i * arity, arity); };
+  std::vector<Miss> misses;
+  // A cache-bypass engine, or an outcome that names no column (every
+  // estimate is invalid, and there is no column to key it by): no memo.
+  if (!engine_->cache_enabled() || !scope.has_outcome_) {
+    for (size_t i = 0; i < k; ++i) {
+      out[i] = EffectEstimate{};
+      misses.push_back(Miss{treatment(i), &out[i]});
+    }
+    ComputeCates(scope, kNoSubpop, misses);
+    n_misses_.fetch_add(k, std::memory_order_relaxed);
+    return;
+  }
+
+  // Probe every treatment under one lock. A treatment repeated within
+  // the batch is computed once; its repeats count as the hits they would
+  // have been one by one.
+  enum class Probe : uint8_t { kHit, kMiss, kRepeat };
+  std::vector<Probe> probe(k);
+  std::vector<size_t> repeat_of;  // per kRepeat, in batch order
+  // First miss per treatment: batch index by treatment ids.
+  std::unordered_map<MemoProbe, size_t, MemoKeyHash, MemoKeyEq> first_miss;
+  uint32_t subpop_id;
+  {
+    util::MutexLock lock(memo_mu_);
+    subpop_id = ScopeIdLocked(scope);
+    std::vector<MemoNode*> hit_entries;
+    for (size_t i = 0; i < k; ++i) {
+      const MemoProbe key{treatment(i), scope.outcome_col_, subpop_id};
+      auto it = memo_.find(key);
+      if (it != memo_.end()) {
+        probe[i] = Probe::kHit;
+        out[i] = it->second.est;
+        hit_entries.push_back(&*it);
+        continue;
+      }
+      const auto [first, inserted] = first_miss.emplace(key, i);
+      if (!inserted) {
+        probe[i] = Probe::kRepeat;
+        repeat_of.push_back(first->second);
+        continue;
+      }
+      probe[i] = Probe::kMiss;
+      out[i] = EffectEstimate{};
+      misses.push_back(Miss{treatment(i), &out[i]});
+    }
+    n_hits_.fetch_add(k - misses.size(), std::memory_order_relaxed);
+    if (misses.empty()) {
+      for (MemoNode* node : hit_entries) MoveToFrontLocked(node);
+      return;
+    }
+  }
+  // Computed outside the lock: concurrent misses on the same key may
+  // duplicate work once, but never block each other on the fits.
+  ComputeCates(scope, subpop_id, misses);
+  // Replay the LRU updates in batch order, as one-by-one calls make them:
+  // a hit (or repeat) moves to the front, a miss is inserted there. An
+  // eviction that emptied the memo meanwhile also dropped the intern
+  // table; the scope re-interns, so every entry names a stored
+  // subpopulation.
+  {
+    util::MutexLock lock(memo_mu_);
+    subpop_id = ScopeIdLocked(scope);
+    size_t r = 0;
+    for (size_t i = 0; i < k; ++i) {
+      if (probe[i] == Probe::kRepeat) out[i] = out[repeat_of[r++]];
+      auto it = memo_.find(MemoProbe{treatment(i), scope.outcome_col_,
+                                     subpop_id});
+      if (probe[i] != Probe::kMiss) {
+        if (it != memo_.end()) MoveToFrontLocked(&*it);
+      } else if (it == memo_.end()) {
+        const auto t = treatment(i);
+        InsertMemoLocked(
+            MemoKey{{t.begin(), t.end()}, scope.outcome_col_, subpop_id},
+            out[i]);
+      }
+    }
+  }
+  n_misses_.fetch_add(misses.size(), std::memory_order_relaxed);
+}
+
+void EstimatorContext::InsertMemoLocked(MemoKey key,
+                                        const EffectEstimate& est) {
+  const size_t bytes = EntryBytes(key);
+  auto it = memo_.emplace(std::move(key), MemoEntry{est, bytes}).first;
+  LinkFrontLocked(&*it);
+  memo_bytes_ += bytes;
+}
+
+void EstimatorContext::LinkFrontLocked(MemoNode* node) {
+  node->second.newer = nullptr;
+  node->second.older = lru_front_;
+  if (lru_front_ != nullptr) {
+    lru_front_->second.newer = node;
+  } else {
+    lru_back_ = node;
+  }
+  lru_front_ = node;
+}
+
+void EstimatorContext::UnlinkLocked(MemoNode* node) {
+  MemoEntry& e = node->second;
+  (e.newer != nullptr ? e.newer->second.older : lru_front_) = e.older;
+  (e.older != nullptr ? e.older->second.newer : lru_back_) = e.newer;
+}
+
+void EstimatorContext::MoveToFrontLocked(MemoNode* node) {
+  if (node == lru_front_) return;
+  UnlinkLocked(node);
+  LinkFrontLocked(node);
+}
+
 size_t EstimatorContext::EntryBytes(const MemoKey& key) {
-  // Approximate footprint: key + estimate payload, the LRU list node, and
-  // a flat allowance for the hash-map node/bucket overhead. The key is
-  // stored twice (map node + LRU list node).
-  return 2 * (sizeof(MemoKey) + key.outcome.size() +
-              key.treatment.size() * sizeof(PredicateId)) +
-         sizeof(MemoEntry) + 3 * sizeof(void*) + 64;
+  // Approximate footprint: the key (held once, in the map node), the
+  // entry with its LRU links, and a flat allowance for the hash-map
+  // node/bucket overhead.
+  return sizeof(MemoKey) + key.treatment.size() * sizeof(PredicateId) +
+         sizeof(MemoEntry) + 64;
 }
 
 size_t EstimatorContext::SubpopEntryBytes(size_t bitset_size) {
@@ -160,16 +325,25 @@ size_t EstimatorContext::SubpopEntryBytes(size_t bitset_size) {
          ((bitset_size + 63) / 64) * sizeof(uint64_t) + 32;
 }
 
-uint32_t EstimatorContext::InternSubpopLocked(uint64_t hash,
-                                              const Bitset& subpopulation) {
+EstimatorContext::SubpopEntry& EstimatorContext::InternSubpopLocked(
+    uint64_t hash, const Bitset& subpopulation) {
   auto& bucket = subpop_ids_[hash];
-  for (const auto& [bits, id] : bucket) {
-    if (bits == subpopulation) return id;
+  for (SubpopEntry& entry : bucket) {
+    if (entry.bits == subpopulation) return entry;
   }
-  const uint32_t id = next_subpop_id_++;
-  bucket.emplace_back(subpopulation, id);
+  bucket.push_back(SubpopEntry{subpopulation, next_subpop_id_++, {}});
   subpop_bytes_ += SubpopEntryBytes(subpopulation.size());
-  return id;
+  return bucket.back();
+}
+
+EstimatorContext::SubpopEntry* EstimatorContext::FindSubpopLocked(
+    uint64_t hash, const Bitset& subpopulation) {
+  auto it = subpop_ids_.find(hash);
+  if (it == subpop_ids_.end()) return nullptr;
+  for (SubpopEntry& entry : it->second) {
+    if (entry.bits == subpopulation) return &entry;
+  }
+  return nullptr;
 }
 
 size_t EstimatorContext::CacheBytes() const {
@@ -197,12 +371,12 @@ size_t EstimatorContext::EvictLru(size_t bytes_to_free) {
     }
   }
   util::MutexLock lock(memo_mu_);
-  while (freed < bytes_to_free && !lru_.empty()) {
-    auto it = memo_.find(lru_.back());
-    freed += it->second.bytes;
-    memo_bytes_ -= it->second.bytes;
-    memo_.erase(it);
-    lru_.pop_back();
+  while (freed < bytes_to_free && lru_back_ != nullptr) {
+    MemoNode* node = lru_back_;
+    UnlinkLocked(node);
+    freed += node->second.bytes;
+    memo_bytes_ -= node->second.bytes;
+    memo_.erase(memo_.find(node->first));
     n_evicted_.fetch_add(1, std::memory_order_relaxed);
   }
   // Once no memo entry references a subpopulation id, the intern table's
@@ -211,6 +385,7 @@ size_t EstimatorContext::EvictLru(size_t bytes_to_free) {
     freed += subpop_bytes_;
     subpop_bytes_ = 0;
     subpop_ids_.clear();
+    ++subpop_epoch_;
   }
   return freed;
 }
@@ -305,12 +480,26 @@ struct EstimatorContext::GramBlock {
              const NumericColumnView& y_view, const EstimatorOptions& options,
              ThreadPool* pool);
 
-  // Fits Y ~ 1 + T + Z from the block and `treated` (the treated rows,
-  // a superset of the block's treated estimation rows) into `est`;
-  // leaves it invalid when the normal equations are singular.
-  void Fit(const Bitset& treated, size_t n_treated,
-           const NumericColumnView& y_view, ThreadPool* pool,
-           EffectEstimate* est) const;
+  // Solves the normal equations of Y ~ 1 + T + Z from the block and
+  // `treated` (the treated rows, a superset of the block's treated
+  // estimation rows): writes the p = m + 2 coefficients to `beta` and
+  // returns entry (1, 1) of the inverse, or returns nullopt when the
+  // system is singular.
+  std::optional<double> Solve(const Bitset& treated, size_t n_treated,
+                              const NumericColumnView& y_view,
+                              std::vector<double>* beta) const;
+
+  // The residual sums of squares of K solved fits over the block's rows
+  // in one pass (see FitGroup): `treated[k]` and coefficients
+  // `beta_t[d * K + k]` (design column d of fit k) give `rss[k]`.
+  void ResidualPass(const std::vector<const Bitset*>& treated,
+                    const std::vector<double>& beta_t,
+                    const NumericColumnView& y_view, ThreadPool* pool,
+                    double* rss) const;
+
+  // Propensity-weighted (IPW) estimate from the block and `treated`.
+  void FitIpw(const Bitset& treated, const NumericColumnView& y_view,
+              double propensity_clip, EffectEstimate* est) const;
 
   size_t Bytes() const {
     size_t bytes = sizeof(GramBlock) + rows.num_words() * sizeof(uint64_t) +
@@ -456,11 +645,9 @@ void EstimatorContext::GramBlock::Build(
   }
 }
 
-void EstimatorContext::GramBlock::Fit(const Bitset& treated,
-                                      size_t n_treated,
-                                      const NumericColumnView& y_view,
-                                      ThreadPool* pool,
-                                      EffectEstimate* est) const {
+std::optional<double> EstimatorContext::GramBlock::Solve(
+    const Bitset& treated, size_t n_treated, const NumericColumnView& y_view,
+    std::vector<double>* beta) const {
   const size_t q = 1 + m;
   const size_t p = q + 1;  // design [1 T Z]
   const size_t num_chunks = NumChunks();
@@ -516,168 +703,81 @@ void EstimatorContext::GramBlock::Fit(const Bitset& treated,
       a[j * p + i] = v;
     }
   }
-  std::vector<double> beta(p);
-  beta[0] = gram_y[0];
-  beta[1] = t_row[0];
-  for (size_t d = 2; d < p; ++d) beta[d] = gram_y[d - 1];
+  beta->assign(p, 0.0);
+  (*beta)[0] = gram_y[0];
+  (*beta)[1] = t_row[0];
+  for (size_t d = 2; d < p; ++d) (*beta)[d] = gram_y[d - 1];
   // Only std_errors[1] is read, so only column 1 of the inverse is solved.
   std::vector<double> inv_col;
-  if (!CholeskySolve(&a, &beta, 1, &inv_col)) return;
+  if (!CholeskySolve(&a, beta, 1, &inv_col)) return std::nullopt;
+  return inv_col[1];
+}
 
-  // Residual sum of squares from the column views, in FitOls's chunks
-  // and per-row order of operations (no design is built).
-  std::vector<double> part_rss(num_chunks, 0.0);
+void EstimatorContext::GramBlock::ResidualPass(
+    const std::vector<const Bitset*>& treated,
+    const std::vector<double>& beta_t, const NumericColumnView& y_view,
+    ThreadPool* pool, double* rss) const {
+  // FitOls's residual loop, per fit: within each chunk, rows in order,
+  // each row's prediction summed over its design columns in column order,
+  // the chunk partials merged in chunk order. Fit k only ever touches its
+  // own accumulators, so running K fits side by side — the row's Z decoded
+  // once, the fits innermost — performs each fit's operations in exactly
+  // FitOls's order.
+  const size_t k_fits = treated.size();
+  const size_t num_chunks = NumChunks();
+  std::vector<double> part_rss(num_chunks * k_fits, 0.0);
   ThreadPool::RunOn(pool, num_chunks, [&](size_t c) {
     std::vector<double> zc(m);
-    double rss_c = 0.0;
+    std::vector<double> pred(k_fits);
+    double* rss_c = &part_rss[c * k_fits];
+    const double* b0 = beta_t.data();
+    const double* b1 = b0 + k_fits;
     ForEachRowOfChunk(c, [&](size_t, size_t r) {
-      const double t = treated.Test(r) ? 1.0 : 0.0;
       Encode(r, zc.data());
-      double pred = 0.0;
-      pred += 1.0 * beta[0];
-      pred += t * beta[1];
-      // causumx-lint: allow(fp-accumulation) one row's prediction, fixed column order (FitOls's)
-      for (size_t j = 0; j < m; ++j) pred += zc[j] * beta[2 + j];
-      const double e = y_view.values[r] - pred;
-      rss_c += e * e;  // causumx-lint: allow(fp-accumulation) per-chunk serial partial; fixed chunk boundaries)
+      for (size_t k = 0; k < k_fits; ++k) {
+        const double t = treated[k]->Test(r) ? 1.0 : 0.0;
+        pred[k] = 0.0;
+        pred[k] += 1.0 * b0[k];
+        pred[k] += t * b1[k];
+      }
+      for (size_t j = 0; j < m; ++j) {
+        const double z = zc[j];
+        const double* bj = &beta_t[(2 + j) * k_fits];
+        // causumx-lint: allow(fp-accumulation) one row's prediction per fit, fixed column order (FitOls's)
+        for (size_t k = 0; k < k_fits; ++k) pred[k] += z * bj[k];
+      }
+      const double y = y_view.values[r];
+      for (size_t k = 0; k < k_fits; ++k) {
+        const double e = y - pred[k];
+        rss_c[k] += e * e;  // causumx-lint: allow(fp-accumulation) per-chunk serial partial per fit; fixed chunk boundaries
+      }
     });
-    part_rss[c] = rss_c;
   });
-  double rss = 0.0;
-  // causumx-lint: allow(fp-accumulation) fixed chunk-index order, thread-count independent)
-  for (size_t c = 0; c < num_chunks; ++c) rss += part_rss[c];
-  const double dof = static_cast<double>(n - p);
-  const double var = rss / dof * inv_col[1];
-  const double se = var > 0 ? std::sqrt(var) : 0.0;
-  est->valid = true;
-  est->cate = beta[1];
-  est->std_error = se;
-  est->p_value = TwoSidedPValueT(se <= 0.0 ? 0.0 : beta[1] / se, dof);
-  est->n_used = n;
+  for (size_t k = 0; k < k_fits; ++k) rss[k] = 0.0;
+  for (size_t c = 0; c < num_chunks; ++c) {
+    // causumx-lint: allow(fp-accumulation) fixed chunk-index order per fit, thread-count independent
+    for (size_t k = 0; k < k_fits; ++k) rss[k] += part_rss[c * k_fits + k];
+  }
 }
 
-std::shared_ptr<const EstimatorContext::GramBlock>
-EstimatorContext::ResolveGramBlock(GramKey key, const Pattern& treatment,
-                                   const Bitset& subpopulation,
-                                   const NumericColumnView& y_view,
-                                   ThreadPool* pool) {
-  const bool cacheable = key.subpop_id != kNoSubpop;
-  if (cacheable) {
-    util::MutexLock lock(gram_mu_);
-    auto it = gram_.find(key);
-    if (it != gram_.end()) {
-      gram_lru_.splice(gram_lru_.begin(), gram_lru_, it->second.lru_it);
-      n_gram_hits_.fetch_add(1, std::memory_order_relaxed);
-      return it->second.block;
-    }
-  }
-  // Estimation rows: the subpopulation's rows with a non-null outcome.
-  Bitset rows = subpopulation;
-  rows &= y_view.valid;
-  // Optimization (d): sample large subpopulations for CATE estimation.
-  // The sample is seeded by the treatment, so its block serves this fit
-  // alone and is not cached.
-  bool sampled = false;
-  const size_t count = rows.Count();
-  if (options_.sample_cap > 0 && count > options_.sample_cap) {
-    const std::vector<size_t> all = rows.ToIndices();
-    Rng rng(options_.sample_seed ^ treatment.Hash());
-    Bitset chosen(rows.size());
-    for (size_t i : rng.SampleIndices(count, options_.sample_cap)) {
-      chosen.Set(all[i]);
-    }
-    rows = std::move(chosen);
-    sampled = true;
-  }
-  auto block = std::make_shared<GramBlock>();
-  block->Build(std::move(rows), engine_->table(), *engine_, key.adjustment,
-               y_view, options_, pool);
-  n_gram_builds_.fetch_add(1, std::memory_order_relaxed);
-  if (!cacheable || sampled) return block;
-
-  util::MutexLock lock(gram_mu_);
-  // A concurrent miss may have inserted the same (bit-identical) block.
-  if (gram_.find(key) == gram_.end()) {
-    gram_lru_.push_front(key);
-    // The key is held twice (map node and LRU node), plus a flat
-    // allowance for the nodes, the bucket and the shared_ptr control
-    // block.
-    const size_t bytes =
-        block->Bytes() +
-        2 * (sizeof(GramKey) + key.adjustment.size() * sizeof(uint32_t)) +
-        sizeof(GramEntry) + 3 * sizeof(void*) + 96;
-    gram_bytes_ += bytes;
-    gram_.emplace(std::move(key),
-                  GramEntry{block, gram_lru_.begin(), bytes});
-  }
-  return block;
-}
-
-EffectEstimate EstimatorContext::ComputeCate(const Pattern& treatment,
-                                             const std::string& outcome,
-                                             const Bitset& subpopulation,
-                                             uint32_t subpop_id) {
-  EffectEstimate est;
-  const Table& table = engine_->table();
-  const auto y_idx = table.ColumnIndex(outcome);
-  if (!y_idx) return est;
-  const NumericColumnView& y_view = engine_->Numeric(*y_idx);
-  // Dispatch gate: EstimateCate runs thousands of times per query, and
-  // for small tables the per-call task round trip outweighs the scan it
-  // splits. The serial branch executes the identical per-chunk
-  // computation, so results never depend on the gate.
-  ThreadPool* pool =
-      table.NumRows() >= kParallelEstimateRowThreshold ? engine_->pool()
-                                                       : nullptr;
-
-  // Backdoor adjustment set Z from the DAG (parents of the treatment
-  // attributes), as column indices in the set's name order; a DAG node
-  // without a data column (latent) is skipped.
-  GramKey key{subpop_id, static_cast<uint32_t>(*y_idx), {}};
-  for (const auto& name : AdjustmentSet(treatment, outcome)) {
-    if (auto idx = table.ColumnIndex(name)) {
-      key.adjustment.push_back(static_cast<uint32_t>(*idx));
-    }
-  }
-  const std::shared_ptr<const GramBlock> block = ResolveGramBlock(
-      std::move(key), treatment, subpopulation, y_view, pool);
-  const size_t n_rows = block->n;
-  if (n_rows < 2 * options_.min_group_size) return est;
-
-  // Treated rows from the engine's cached bitsets (bit-identical to
-  // row-at-a-time Matches; see the engine property tests); the treated
-  // estimation rows are those of the block's rows.
-  const Bitset treated = engine_->EvaluateOn(treatment, subpopulation);
-  const size_t n_treated = CountAnd(treated, block->rows);
-  const size_t n_control = n_rows - n_treated;
-  est.n_treated = n_treated;
-  est.n_control = n_control;
-  // Overlap (Eq. 4): both groups must be represented.
-  if (n_treated < options_.min_group_size ||
-      n_control < options_.min_group_size) {
-    return est;
-  }
-  const size_t p = 2 + block->m;  // intercept + T + confounders
-  if (n_rows <= p + 1) return est;
-
-  if (options_.method == EstimationMethod::kRegressionAdjustment) {
-    block->Fit(treated, n_treated, y_view, pool, &est);
-    return est;
-  }
-
-  // --- Inverse propensity weighting ---------------------------------------
+void EstimatorContext::GramBlock::FitIpw(const Bitset& treated,
+                                         const NumericColumnView& y_view,
+                                         double propensity_clip,
+                                         EffectEstimate* out) const {
   // Propensity model: logistic regression T ~ 1 + Z fit by a few IRLS
   // (Newton) steps; the Hajek estimator with clipped weights gives the
   // effect, and its influence function the standard error.
-  const size_t q = 1 + block->m;  // intercept + confounders
+  EffectEstimate& est = *out;
+  const size_t n_rows = n;
+  const size_t q = 1 + m;  // intercept + confounders
   std::vector<double> z(n_rows * q);  // row-major [1 Z]
   std::vector<uint8_t> is_treated(n_rows, 0);
   std::vector<double> y(n_rows);
-  for (size_t c = 0; c < block->NumChunks(); ++c) {
-    block->ForEachRowOfChunk(c, [&](size_t i, size_t r) {
+  for (size_t c = 0; c < NumChunks(); ++c) {
+    ForEachRowOfChunk(c, [&](size_t i, size_t r) {
       is_treated[i] = treated.Test(r) ? 1 : 0;
       z[i * q] = 1.0;
-      block->Encode(r, &z[i * q + 1]);
+      Encode(r, &z[i * q + 1]);
       y[i] = y_view.values[r];
     });
   }
@@ -713,7 +813,7 @@ EffectEstimate EstimatorContext::ComputeCate(const Pattern& treatment,
     if (max_step < 1e-8) break;
   }
 
-  const double clip = std::clamp(options_.propensity_clip, 1e-6, 0.49);
+  const double clip = std::clamp(propensity_clip, 1e-6, 0.49);
   double sw1 = 0, sw0 = 0, sy1 = 0, sy0 = 0;
   std::vector<double> prop(n_rows);
   for (size_t i = 0; i < n_rows; ++i) {
@@ -733,12 +833,12 @@ EffectEstimate EstimatorContext::ComputeCate(const Pattern& treatment,
       sy0 += w * y[i];
     }
   }
-  if (sw1 <= 0 || sw0 <= 0) return est;
+  if (sw1 <= 0 || sw0 <= 0) return;
   const double mu1 = sy1 / sw1;
   const double mu0 = sy0 / sw0;
 
   // Influence-function variance of the Hajek ATE.
-  const double n = static_cast<double>(n_rows);
+  const double nd = static_cast<double>(n_rows);
   double var_sum = 0.0;
   for (size_t i = 0; i < n_rows; ++i) {
     const double e = prop[i];
@@ -748,12 +848,203 @@ EffectEstimate EstimatorContext::ComputeCate(const Pattern& treatment,
   }
   est.valid = true;
   est.cate = mu1 - mu0;
-  est.std_error = std::sqrt(var_sum) / n;
+  est.std_error = std::sqrt(var_sum) / nd;
   est.p_value = est.std_error > 0
                     ? TwoSidedPValueZ(est.cate / est.std_error)
                     : 1.0;
   est.n_used = n_rows;
-  return est;
+}
+
+std::shared_ptr<const EstimatorContext::GramBlock>
+EstimatorContext::ResolveGramBlock(GramKey key, const Pattern& treatment,
+                                   const Bitset& subpopulation,
+                                   const NumericColumnView& y_view,
+                                   size_t uses, ThreadPool* pool) {
+  const bool cacheable = key.subpop_id != kNoSubpop;
+  if (cacheable) {
+    util::MutexLock lock(gram_mu_);
+    auto it = gram_.find(key);
+    if (it != gram_.end()) {
+      gram_lru_.splice(gram_lru_.begin(), gram_lru_, it->second.lru_it);
+      n_gram_hits_.fetch_add(uses, std::memory_order_relaxed);
+      return it->second.block;
+    }
+  }
+  // Estimation rows: the subpopulation's rows with a non-null outcome.
+  Bitset rows = subpopulation;
+  rows &= y_view.valid;
+  // Optimization (d): sample large subpopulations for CATE estimation.
+  // The sample is seeded by the treatment, so its block serves this fit
+  // alone and is not cached.
+  bool sampled = false;
+  const size_t count = rows.Count();
+  if (options_.sample_cap > 0 && count > options_.sample_cap) {
+    const std::vector<size_t> all = rows.ToIndices();
+    Rng rng(options_.sample_seed ^ treatment.Hash());
+    Bitset chosen(rows.size());
+    for (size_t i : rng.SampleIndices(count, options_.sample_cap)) {
+      chosen.Set(all[i]);
+    }
+    rows = std::move(chosen);
+    sampled = true;
+  }
+  auto block = std::make_shared<GramBlock>();
+  block->Build(std::move(rows), engine_->table(), *engine_, key.adjustment,
+               y_view, options_, pool);
+  n_gram_builds_.fetch_add(1, std::memory_order_relaxed);
+  n_gram_hits_.fetch_add(uses - 1, std::memory_order_relaxed);
+  if (!cacheable || sampled) return block;
+
+  util::MutexLock lock(gram_mu_);
+  // A concurrent miss may have inserted the same (bit-identical) block.
+  if (gram_.find(key) == gram_.end()) {
+    gram_lru_.push_front(key);
+    // The key is held twice (map node and LRU node), plus a flat
+    // allowance for the nodes, the bucket and the shared_ptr control
+    // block.
+    const size_t bytes =
+        block->Bytes() +
+        2 * (sizeof(GramKey) + key.adjustment.size() * sizeof(uint32_t)) +
+        sizeof(GramEntry) + 3 * sizeof(void*) + 96;
+    gram_bytes_ += bytes;
+    gram_.emplace(std::move(key),
+                  GramEntry{block, gram_lru_.begin(), bytes});
+  }
+  return block;
+}
+
+void EstimatorContext::ComputeCates(const Scope& scope, uint32_t subpop_id,
+                                    const std::vector<Miss>& misses) {
+  if (!scope.has_outcome_) return;  // every estimate stays invalid
+  const Table& table = engine_->table();
+  const Bitset& subpopulation = *scope.subpopulation_;
+  const NumericColumnView& y_view = engine_->Numeric(scope.outcome_col_);
+  // Dispatch gate: estimates run thousands of times per query, and for
+  // small tables the per-call task round trip outweighs the scan it
+  // splits. The serial branch executes the identical per-chunk
+  // computation, so results never depend on the gate.
+  ThreadPool* pool =
+      table.NumRows() >= kParallelEstimateRowThreshold ? engine_->pool()
+                                                       : nullptr;
+  // Every fit over one subpopulation and outcome is sampled, or none is;
+  // sampled and cache-bypass fits each build a block of their own.
+  const bool shared =
+      subpop_id != kNoSubpop &&
+      !(options_.sample_cap > 0 &&
+        CountAnd(subpopulation, y_view.valid) > options_.sample_cap);
+
+  // Group the misses by Gram key, in order of first appearance. The
+  // backdoor adjustment set Z comes from the DAG (parents of the
+  // treatment attributes), as column indices in the set's name order; a
+  // DAG node without a data column (latent) is skipped.
+  struct Group {
+    GramKey key;
+    Pattern treatment;  // the group's first (seeds a sampled block)
+    std::vector<Miss> misses;
+  };
+  const std::string& outcome = table.column(scope.outcome_col_).name();
+  std::vector<Group> groups;
+  std::unordered_map<GramKey, size_t, GramKeyHash> group_of;
+  for (const Miss& miss : misses) {
+    std::vector<SimplePredicate> preds;
+    preds.reserve(miss.treatment.size());
+    for (PredicateId id : miss.treatment) {
+      preds.push_back(engine_->Predicate(id));
+    }
+    Pattern treatment(std::move(preds));
+    GramKey key{subpop_id, scope.outcome_col_, {}};
+    for (const auto& name : AdjustmentSet(treatment, outcome)) {
+      if (auto idx = table.ColumnIndex(name)) {
+        key.adjustment.push_back(static_cast<uint32_t>(*idx));
+      }
+    }
+    if (shared) {
+      const auto [it, inserted] = group_of.emplace(key, groups.size());
+      if (!inserted) {
+        groups[it->second].misses.push_back(miss);
+        continue;
+      }
+    }
+    groups.push_back(Group{std::move(key), std::move(treatment), {miss}});
+  }
+  for (Group& group : groups) {
+    const std::shared_ptr<const GramBlock> block =
+        ResolveGramBlock(std::move(group.key), group.treatment, subpopulation,
+                         y_view, group.misses.size(), pool);
+    FitGroup(*block, scope, group.misses, y_view, pool);
+  }
+}
+
+void EstimatorContext::FitGroup(const GramBlock& block, const Scope& scope,
+                                const std::vector<Miss>& group,
+                                const NumericColumnView& y_view,
+                                ThreadPool* pool) {
+  const size_t n_rows = block.n;
+  if (n_rows < 2 * options_.min_group_size) return;
+  const size_t p = 2 + block.m;  // intercept + T + confounders
+  // The treated rows are materialized for at most kFitsPerPass misses at
+  // a time and released after their residual pass.
+  constexpr size_t kFitsPerPass = 64;
+  for (size_t begin = 0; begin < group.size(); begin += kFitsPerPass) {
+    const size_t end = std::min(group.size(), begin + kFitsPerPass);
+    std::vector<Bitset> treated(end - begin);
+    std::vector<const Bitset*> fit_treated;
+    std::vector<EffectEstimate*> fit_est;
+    std::vector<double> fit_beta;  // p per solved fit, fit-major
+    std::vector<double> fit_inv;  // entry (1, 1) of each inverse
+    for (size_t i = begin; i < end; ++i) {
+      EffectEstimate& est = *group[i].est;
+      // Treated rows from the engine's cached bitsets (bit-identical to
+      // row-at-a-time Matches; see the engine property tests); the
+      // treated estimation rows are those of the block's rows.
+      Bitset& rows = treated[i - begin];
+      rows = engine_->EvaluateOn(group[i].treatment, *scope.subpopulation_);
+      const size_t n_treated = CountAnd(rows, block.rows);
+      const size_t n_control = n_rows - n_treated;
+      est.n_treated = n_treated;
+      est.n_control = n_control;
+      // Overlap (Eq. 4): both groups must be represented.
+      if (n_treated < options_.min_group_size ||
+          n_control < options_.min_group_size) {
+        continue;
+      }
+      if (n_rows <= p + 1) continue;
+      if (options_.method != EstimationMethod::kRegressionAdjustment) {
+        block.FitIpw(rows, y_view, options_.propensity_clip, &est);
+        continue;
+      }
+      std::vector<double> beta;
+      const std::optional<double> inv11 =
+          block.Solve(rows, n_treated, y_view, &beta);
+      if (!inv11) continue;  // singular: the estimate stays invalid
+      fit_treated.push_back(&rows);
+      fit_est.push_back(&est);
+      fit_beta.insert(fit_beta.end(), beta.begin(), beta.end());
+      fit_inv.push_back(*inv11);
+    }
+    const size_t k_fits = fit_treated.size();
+    if (k_fits == 0) continue;
+    // The coefficients transposed, design column-major, for the pass.
+    std::vector<double> beta_t(p * k_fits);
+    for (size_t k = 0; k < k_fits; ++k) {
+      for (size_t d = 0; d < p; ++d) beta_t[d * k_fits + k] = fit_beta[k * p + d];
+    }
+    std::vector<double> rss(k_fits);
+    block.ResidualPass(fit_treated, beta_t, y_view, pool, rss.data());
+    n_fit_passes_.fetch_add(1, std::memory_order_relaxed);
+    const double dof = static_cast<double>(n_rows - p);
+    for (size_t k = 0; k < k_fits; ++k) {
+      const double beta1 = fit_beta[k * p + 1];
+      const double var = rss[k] / dof * fit_inv[k];
+      const double se = var > 0 ? std::sqrt(var) : 0.0;
+      EffectEstimate& est = *fit_est[k];
+      est.valid = true;
+      est.cate = beta1;
+      est.std_error = se;
+      est.p_value = TwoSidedPValueT(se <= 0.0 ? 0.0 : beta1 / se, dof);
+      est.n_used = n_rows;
+    }
+  }
 }
 
 EstimatorCacheStats EstimatorContext::Stats() const {
@@ -764,6 +1055,7 @@ EstimatorCacheStats EstimatorContext::Stats() const {
   s.memo_migrated = n_migrated_.load(std::memory_order_relaxed);
   s.gram_builds = n_gram_builds_.load(std::memory_order_relaxed);
   s.gram_hits = n_gram_hits_.load(std::memory_order_relaxed);
+  s.fit_passes = n_fit_passes_.load(std::memory_order_relaxed);
   {
     util::MutexLock lock(gram_mu_);
     s.gram_bytes = gram_bytes_;
@@ -812,11 +1104,11 @@ std::string EstimatorContext::ExportMemoState() const {
     util::MutexLock lock(memo_mu_);
     next_id = next_subpop_id_;
     for (const auto& [hash, bucket] : subpop_ids_) {
-      for (const auto& [bits, id] : bucket) subpops.emplace_back(id, bits);
+      for (const SubpopEntry& e : bucket) subpops.emplace_back(e.id, e.bits);
     }
     entries.reserve(memo_.size());
-    for (auto it = lru_.rbegin(); it != lru_.rend(); ++it) {
-      entries.emplace_back(*it, memo_.find(*it)->second.est);
+    for (const MemoNode* n = lru_back_; n != nullptr; n = n->second.newer) {
+      entries.emplace_back(n->first, n->second.est);
     }
   }
   // The intern table iterates in unordered_map order; sort by id so the
@@ -837,7 +1129,7 @@ std::string EstimatorContext::ExportMemoState() const {
   for (const auto& [key, est] : entries) {
     w.PutVarint(key.treatment.size());
     for (PredicateId id : key.treatment) w.PutVarint(id);
-    w.PutString(key.outcome);
+    w.PutString(engine_->table().column(key.outcome_col).name());
     w.PutVarint(key.subpop_id);
     w.PutU8(est.valid ? 1 : 0);
     w.PutDouble(est.cate);
@@ -897,8 +1189,8 @@ size_t EstimatorContext::ImportMemoState(const std::string& bytes) {
     }
     const uint64_t h = bits.Hash();
     subpop_bytes_ += SubpopEntryBytes(bits.size());
-    subpop_ids_[h].emplace_back(std::move(bits),
-                                static_cast<uint32_t>(id));
+    subpop_ids_[h].push_back(
+        SubpopEntry{std::move(bits), static_cast<uint32_t>(id), {}});
   }
   next_subpop_id_ = static_cast<uint32_t>(next_id);
 
@@ -924,7 +1216,7 @@ size_t EstimatorContext::ImportMemoState(const std::string& bytes) {
       }
       key.treatment.push_back(static_cast<PredicateId>(id));
     }
-    key.outcome = r.GetString();
+    const auto outcome_col = engine_->table().ColumnIndex(r.GetString());
     const uint64_t subpop = r.GetVarint();
     if (!std::binary_search(subpop_ids_seen.begin(), subpop_ids_seen.end(),
                             subpop)) {
@@ -941,16 +1233,17 @@ size_t EstimatorContext::ImportMemoState(const std::string& bytes) {
     est.n_treated = static_cast<size_t>(r.GetVarint());
     est.n_control = static_cast<size_t>(r.GetVarint());
     est.n_used = static_cast<size_t>(r.GetVarint());
-
-    // Entries arrive oldest first; push_front keeps the newest at the
-    // front, reproducing the exported LRU order.
-    lru_.push_front(key);
-    MemoEntry entry{est, lru_.begin(), EntryBytes(key)};
-    memo_bytes_ += entry.bytes;
-    if (!memo_.emplace(std::move(key), std::move(entry)).second) {
+    // An outcome that names no column can only have memoized an invalid
+    // estimate, which every lookup recomputes for free: not restored.
+    if (!outcome_col) continue;
+    key.outcome_col = static_cast<uint32_t>(*outcome_col);
+    if (memo_.count(key) != 0) {
       throw StorageError(StorageErrorKind::kCorrupt,
                          "memo state: duplicate entry");
     }
+    // Entries arrive oldest first; inserting each at the front
+    // reproduces the exported LRU order.
+    InsertMemoLocked(std::move(key), est);
   }
   if (!r.AtEnd()) {
     throw StorageError(StorageErrorKind::kCorrupt,

@@ -133,9 +133,9 @@ CandidateMiningResult MineExplanationCandidates(
   // Optimization (a) and the level-1 atoms depend on the query only:
   // build them once, and every walk reads the list (none without walks,
   // so an empty phase 1 builds no column views).
-  const std::vector<SimplePredicate> atoms =
+  const TreatmentAtoms atoms =
       grouping.empty()
-          ? std::vector<SimplePredicate>{}
+          ? TreatmentAtoms{}
           : CausalTreatmentAtoms(*estimator_ctx, query.avg_attribute,
                                  treatment_attrs, config.treatment);
 

@@ -95,7 +95,7 @@ class GroupIndex {
     keys_.insert(keys_.end(), key, key + kc_);
     ids_[slot] = id;
     hashes_[slot] = h;
-    if (2 * size_ > ids_.size()) Rehash(2 * ids_.size());
+    if (2 * size_ > ids_.size()) Rehash(4 * ids_.size());
     *inserted = true;
     return id;
   }
@@ -167,9 +167,10 @@ AggregateView AggregateView::Evaluate(const Table& table,
                                       const GroupByAvgQuery& query,
                                       const ShardPlan& plan,
                                       ThreadPool* pool) {
-  AggregateView view;
-  view.query_ = query;
-  view.row_group_.assign(table.NumRows(), -1);
+  auto data = std::make_shared<Data>();
+  Data& view = *data;
+  view.query = query;
+  view.row_group.assign(table.NumRows(), -1);
 
   std::vector<const Column*> key_cols;
   key_cols.reserve(query.group_by.size());
@@ -247,7 +248,7 @@ AggregateView AggregateView::Evaluate(const Table& table,
         scan.partials.push_back({gid, block, KahanSum()});
       }
       scan.partials[open].sum.Add(avg_col.GetNumeric(r));
-      view.row_group_[r] = static_cast<int32_t>(gid);
+      view.row_group[r] = static_cast<int32_t>(gid);
     }
   });
 
@@ -262,7 +263,8 @@ AggregateView AggregateView::Evaluate(const Table& table,
   std::vector<KahanSum> sums;
   size_t local_groups = 0;  // bounds the global group count
   for (const ShardScan& scan : scans) local_groups += scan.counts.size();
-  view.groups_.reserve(local_groups);
+  view.groups.reserve(local_groups);
+  view.keys.reserve(local_groups * kc);
   sums.reserve(local_groups);
   for (size_t s = 0; s < num_shards; ++s) {
     ShardScan& scan = scans[s];
@@ -281,14 +283,12 @@ AggregateView AggregateView::Evaluate(const Table& table,
         gid = index.FindOrInsert(key.data(), scan.hashes[lg], &inserted);
       }
       if (inserted) {
-        GroupResult g;
-        g.key.reserve(kc);
-        for (const Column* c : key_cols) g.key.push_back(c->GetValue(first));
-        view.groups_.push_back(std::move(g));
+        for (const Column* c : key_cols) view.keys.push_back(c->GetValue(first));
+        view.groups.emplace_back();
         sums.emplace_back();
       }
       scan.to_global[lg] = static_cast<int32_t>(gid);
-      GroupResult& g = view.groups_[gid];
+      GroupResult& g = view.groups[gid];
       scan.row_offsets[lg] = g.count;
       g.count += scan.counts[lg];
     }
@@ -297,34 +297,44 @@ AggregateView AggregateView::Evaluate(const Table& table,
     }
   }
 
-  // Member rows, allocated once at their exact size, then the global-id
-  // rewrite: each shard writes its rows into its own slice of every
-  // group's row list (parallel, disjoint ranges).
-  for (GroupResult& g : view.groups_) g.rows.resize(g.count);
+  // Member rows, one flat array with each group's rows contiguous, then
+  // the global-id rewrite: each shard writes its rows into its own slice
+  // of every group's range (parallel, disjoint ranges).
+  std::vector<size_t> first_row(view.groups.size());
+  size_t total_rows = 0;
+  for (size_t g = 0; g < view.groups.size(); ++g) {
+    first_row[g] = total_rows;
+    total_rows += view.groups[g].count;
+  }
+  view.member_rows.resize(total_rows);
   ThreadPool::RunOn(pool, num_shards, [&](size_t s) {
     ShardScan& scan = scans[s];
     const size_t end = plan.ShardEnd(s);
     for (size_t r = plan.ShardBegin(s); r < end; ++r) {
-      const int32_t lg = view.row_group_[r];
+      const int32_t lg = view.row_group[r];
       if (lg < 0) continue;
       const int32_t gid = scan.to_global[lg];
-      view.row_group_[r] = gid;
-      view.groups_[gid].rows[scan.row_offsets[lg]++] = r;
+      view.row_group[r] = gid;
+      view.member_rows[first_row[gid] + scan.row_offsets[lg]++] = r;
     }
   });
+  view.Link(kc, first_row);
 
-  for (size_t i = 0; i < view.groups_.size(); ++i) {
-    GroupResult& g = view.groups_[i];
+  for (size_t i = 0; i < view.groups.size(); ++i) {
+    GroupResult& g = view.groups[i];
     if (g.count > 0) g.average = sums[i].Sum() / static_cast<double>(g.count);
   }
-  return view;
+  AggregateView out;
+  out.data_ = std::move(data);
+  return out;
 }
 
 AggregateView AggregateView::EvaluateReference(const Table& table,
                                                const GroupByAvgQuery& query) {
-  AggregateView view;
-  view.query_ = query;
-  view.row_group_.assign(table.NumRows(), -1);
+  auto data = std::make_shared<Data>();
+  Data& view = *data;
+  view.query = query;
+  view.row_group.assign(table.NumRows(), -1);
 
   std::vector<const Column*> key_cols;
   key_cols.reserve(query.group_by.size());
@@ -342,6 +352,7 @@ AggregateView AggregateView::EvaluateReference(const Table& table,
   // merges shard partials with, so the averages agree bit for bit.
   std::map<std::string, size_t> key_to_group;
   std::vector<BlockedKahan> sums;
+  std::vector<std::vector<size_t>> group_rows;
   for (size_t r = 0; r < table.NumRows(); ++r) {
     if (!query.where.IsEmpty() && !where_mask.Test(r)) continue;
     if (avg_col.IsNull(r)) continue;
@@ -358,31 +369,52 @@ AggregateView AggregateView::EvaluateReference(const Table& table,
     if (null_key) continue;
 
     auto [it, inserted] =
-        key_to_group.try_emplace(key_str, view.groups_.size());
+        key_to_group.try_emplace(key_str, view.groups.size());
     if (inserted) {
-      GroupResult g;
-      g.key.reserve(key_cols.size());
-      for (const Column* c : key_cols) g.key.push_back(c->GetValue(r));
-      view.groups_.push_back(std::move(g));
+      for (const Column* c : key_cols) view.keys.push_back(c->GetValue(r));
+      view.groups.emplace_back();
       sums.emplace_back();
+      group_rows.emplace_back();
     }
-    GroupResult& g = view.groups_[it->second];
+    GroupResult& g = view.groups[it->second];
     sums[it->second].Add(r, avg_col.GetNumeric(r));
     g.count += 1;
-    g.rows.push_back(r);
-    view.row_group_[r] = static_cast<int32_t>(it->second);
+    group_rows[it->second].push_back(r);
+    view.row_group[r] = static_cast<int32_t>(it->second);
   }
-  for (size_t i = 0; i < view.groups_.size(); ++i) {
-    GroupResult& g = view.groups_[i];
+  std::vector<size_t> first_row;
+  for (const std::vector<size_t>& rows : group_rows) {
+    first_row.push_back(view.member_rows.size());
+    view.member_rows.insert(view.member_rows.end(), rows.begin(), rows.end());
+  }
+  view.Link(key_cols.size(), first_row);
+  for (size_t i = 0; i < view.groups.size(); ++i) {
+    GroupResult& g = view.groups[i];
     if (g.count > 0) g.average = sums[i].Sum() / static_cast<double>(g.count);
   }
-  return view;
+  AggregateView out;
+  out.data_ = std::move(data);
+  return out;
+}
+
+void AggregateView::Data::Link(size_t kc,
+                               const std::vector<size_t>& first_row) {
+  for (size_t g = 0; g < groups.size(); ++g) {
+    groups[g].key = {keys.data() + g * kc, kc};
+    groups[g].rows = {member_rows.data() + first_row[g], groups[g].count};
+  }
+}
+
+const AggregateView::Data& AggregateView::Get() const {
+  static const Data kEmpty;
+  return data_ ? *data_ : kEmpty;
 }
 
 std::vector<size_t> AggregateView::ActiveRows() const {
+  const std::vector<int32_t>& row_group = Get().row_group;
   std::vector<size_t> rows;
-  for (size_t r = 0; r < row_group_.size(); ++r) {
-    if (row_group_[r] >= 0) rows.push_back(r);
+  for (size_t r = 0; r < row_group.size(); ++r) {
+    if (row_group[r] >= 0) rows.push_back(r);
   }
   return rows;
 }

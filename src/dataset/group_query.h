@@ -4,6 +4,8 @@
 #ifndef CAUSUMX_DATASET_GROUP_QUERY_H_
 #define CAUSUMX_DATASET_GROUP_QUERY_H_
 
+#include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -29,12 +31,15 @@ struct GroupByAvgQuery {
   std::string ToSql(const std::string& relation = "D") const;
 };
 
-/// One output group: its key values, the AVG, and the member rows.
+/// One output group: its key values, the AVG, and the member rows. The
+/// key and rows are views into the AggregateView that holds the group
+/// (every group's share one flat array each), valid while that view or a
+/// copy of it lives.
 struct GroupResult {
-  std::vector<Value> key;       ///< values of A_gb, in query order.
+  std::span<const Value> key;   ///< values of A_gb, in query order.
   double average = 0.0;         ///< AVG(A_avg) over the group's rows.
   size_t count = 0;             ///< number of contributing tuples.
-  std::vector<size_t> rows;     ///< row indices in the (filtered) table.
+  std::span<const size_t> rows;  ///< row indices (ascending) in the table.
 
   /// "US" or "US|Engineering" composite-key rendering.
   std::string KeyString() const;
@@ -75,21 +80,36 @@ class AggregateView {
   static AggregateView EvaluateReference(const Table& table,
                                          const GroupByAvgQuery& query);
 
-  const GroupByAvgQuery& query() const { return query_; }
-  size_t NumGroups() const { return groups_.size(); }
-  const std::vector<GroupResult>& groups() const { return groups_; }
-  const GroupResult& group(size_t i) const { return groups_[i]; }
+  const GroupByAvgQuery& query() const { return Get().query; }
+  size_t NumGroups() const { return Get().groups.size(); }
+  const std::vector<GroupResult>& groups() const { return Get().groups; }
+  const GroupResult& group(size_t i) const { return Get().groups[i]; }
 
   /// Group index that a table row belongs to, or -1 if filtered out.
-  int32_t GroupOfRow(size_t row) const { return row_group_[row]; }
+  int32_t GroupOfRow(size_t row) const { return Get().row_group[row]; }
 
   /// All row indices that participate in some group.
   std::vector<size_t> ActiveRows() const;
 
  private:
-  GroupByAvgQuery query_;
-  std::vector<GroupResult> groups_;
-  std::vector<int32_t> row_group_;
+  // A view never changes after evaluation, so copies share one
+  // immutable body (a copy costs a reference count, not the groups).
+  // Group g's key is keys[g * |A_gb|, ...) and its rows a contiguous
+  // range of member_rows; the groups' spans point into both.
+  struct Data {
+    GroupByAvgQuery query;
+    std::vector<GroupResult> groups;
+    std::vector<Value> keys;
+    std::vector<size_t> member_rows;
+    std::vector<int32_t> row_group;
+
+    // Points each group's spans into `keys` and `member_rows`, where
+    // group g's rows start at offset `first_row[g]`.
+    void Link(size_t kc, const std::vector<size_t>& first_row);
+  };
+  const Data& Get() const;
+
+  std::shared_ptr<const Data> data_;
 };
 
 }  // namespace causumx

@@ -219,7 +219,7 @@ std::string SerializeTable(const Table& table) {
   return out.Serialize();
 }
 
-Table DeserializeTable(const std::string& bytes) {
+Table DeserializeTable(const std::string& bytes, uint64_t* content_hash) {
   const SnapshotReader snap =
       SnapshotReader::Parse(bytes, kTableKind, kTableFormatVersion);
 
@@ -330,10 +330,11 @@ Table DeserializeTable(const std::string& bytes) {
   // recomputing over what we decoded closes the loop on any damage the
   // per-page CRCs cannot see (e.g. a tampered dictionary with a fixed-up
   // checksum).
-  if (TableKey(table, TableContentHash(table)).substr(0, 17) !=
-      snap.key().substr(0, 17)) {
+  const uint64_t hash = TableContentHash(table);
+  if (TableKey(table, hash).substr(0, 17) != snap.key().substr(0, 17)) {
     Corrupt("content hash does not match stored key");
   }
+  if (content_hash != nullptr) *content_hash = hash;
   return table;
 }
 

@@ -40,7 +40,9 @@ std::string SerializeTable(const Table& table);
 /// kCorrupt for structural damage (bad magic/CRC/encoding, or a content
 /// hash that does not match the stored key), kStale for format-version
 /// skew. The returned table has version 0, like a freshly parsed CSV.
-Table DeserializeTable(const std::string& bytes);
+/// `content_hash` (optional) receives its verified TableContentHash.
+Table DeserializeTable(const std::string& bytes,
+                       uint64_t* content_hash = nullptr);
 
 }  // namespace causumx
 

@@ -328,6 +328,29 @@ std::shared_ptr<const Bitset> EvalEngine::PredicateBits(PredicateId id) {
   return std::make_shared<const Bitset>(std::move(whole));
 }
 
+std::vector<std::shared_ptr<const Bitset>> EvalEngine::PredicateSegments(
+    PredicateId id) {
+  if (cache_enabled_) return SegmentsOf(id);
+  const Bitset whole = Evaluate(Pattern({Predicate(id)}));
+  std::vector<std::shared_ptr<const Bitset>> segs(plan_.NumShards());
+  for (size_t s = 0; s < segs.size(); ++s) {
+    segs[s] = std::make_shared<const Bitset>(
+        whole.ExtractRange(plan_.ShardBegin(s), plan_.ShardEnd(s)));
+  }
+  return segs;
+}
+
+namespace {
+
+std::vector<PredicateId> InternAll(EvalEngine& engine, const Pattern& p) {
+  std::vector<PredicateId> ids;
+  ids.reserve(p.predicates().size());
+  for (const auto& pred : p.predicates()) ids.push_back(engine.Intern(pred));
+  return ids;
+}
+
+}  // namespace
+
 Bitset EvalEngine::Evaluate(const Pattern& pattern) {
   if (!cache_enabled_) {
     n_bypass_evals_.fetch_add(1, std::memory_order_relaxed);
@@ -335,7 +358,7 @@ Bitset EvalEngine::Evaluate(const Pattern& pattern) {
   }
   Bitset out(table_->NumRows());
   out.SetAll();
-  AndPatternInto(pattern, &out);
+  AndIdsInto(InternAll(*this, pattern), &out);
   return out;
 }
 
@@ -345,20 +368,34 @@ Bitset EvalEngine::EvaluateOn(const Pattern& pattern, const Bitset& mask) {
     out &= mask;
     return out;
   }
+  return EvaluateOn(InternAll(*this, pattern), mask);
+}
+
+Bitset EvalEngine::EvaluateOn(std::span<const PredicateId> ids,
+                              const Bitset& mask) {
+  if (!cache_enabled_) {
+    std::vector<SimplePredicate> preds;
+    preds.reserve(ids.size());
+    for (PredicateId id : ids) preds.push_back(Predicate(id));
+    return EvaluateOn(Pattern(std::move(preds)), mask);
+  }
   // AND is exact and commutative: starting from the mask gives the same
-  // bits as Evaluate(pattern) & mask, with one pass fewer.
+  // bits as Evaluate & mask, with one pass fewer.
   Bitset out = mask;
-  AndPatternInto(pattern, &out);
+  AndIdsInto(ids, &out);
   return out;
 }
 
-void EvalEngine::AndPatternInto(const Pattern& pattern, Bitset* out) {
+SimplePredicate EvalEngine::Predicate(PredicateId id) const {
+  util::ReaderMutexLock lock(intern_mu_);
+  return slots_[id].pred;
+}
+
+void EvalEngine::AndIdsInto(std::span<const PredicateId> ids, Bitset* out) {
   n_pattern_evals_.fetch_add(1, std::memory_order_relaxed);
   std::vector<std::vector<std::shared_ptr<const Bitset>>> atoms;
-  atoms.reserve(pattern.predicates().size());
-  for (const auto& p : pattern.predicates()) {
-    atoms.push_back(SegmentsOf(Intern(p)));
-  }
+  atoms.reserve(ids.size());
+  for (PredicateId id : ids) atoms.push_back(SegmentsOf(id));
   // Shard-wise AND-accumulate into the (word-aligned, disjoint) output
   // ranges. Deliberately serial: the expensive O(rows) work — segment
   // materialization — already ran pool-parallel inside SegmentsOf, and

@@ -48,6 +48,7 @@
 #include <deque>
 #include <functional>
 #include <memory>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -121,9 +122,10 @@ struct EvalEngineOptions {
 
 /// Pattern-evaluation engine bound to one table.
 ///
-/// Thread-safe: Intern/PredicateBits/Evaluate/EvaluateOn/Numeric/EvictLru
-/// may be called concurrently; each predicate segment and column view is
-/// materialized at most once between evictions.
+/// Thread-safe: Intern/PredicateBits/PredicateSegments/Evaluate/
+/// EvaluateOn/Numeric/EvictLru may be called concurrently; each predicate
+/// segment and column view is materialized at most once between
+/// evictions.
 class EvalEngine {
  public:
   /// Binds a fresh engine to `table`, which it keeps alive, so owners
@@ -194,6 +196,15 @@ class EvalEngine {
   /// segments directly and is the hot path.
   std::shared_ptr<const Bitset> PredicateBits(PredicateId id);
 
+  /// The matching rows of an interned predicate as one bitset per shard
+  /// of plan(): segment s holds rows [ShardBegin(s), ShardEnd(s)). These
+  /// are the cached segments themselves (materialized on first use, no
+  /// copy), so holding them costs no memory beyond the cache's. A
+  /// cache-bypass engine evaluates the predicate row by row on every
+  /// call and caches nothing.
+  std::vector<std::shared_ptr<const Bitset>> PredicateSegments(
+      PredicateId id);
+
   /// Batched pattern evaluation. Cached path: shard-wise AND-accumulate
   /// of cached atom segments (pool-parallel across shards). Bypass
   /// path: Pattern::Evaluate. Bit-identical either way.
@@ -201,6 +212,14 @@ class EvalEngine {
 
   /// Evaluate restricted to rows where `mask` is set.
   Bitset EvaluateOn(const Pattern& pattern, const Bitset& mask);
+
+  /// EvaluateOn for the conjunction of interned predicates `ids`:
+  /// bit-identical to EvaluateOn over a Pattern of those predicates,
+  /// without interning them again.
+  Bitset EvaluateOn(std::span<const PredicateId> ids, const Bitset& mask);
+
+  /// The predicate interned as `id`.
+  SimplePredicate Predicate(PredicateId id) const;
 
   /// Cached numeric view of column `col` (by index), built on first use
   /// (pool-parallel across shards).
@@ -296,9 +315,9 @@ class EvalEngine {
 
   static size_t BitsetBytes(const Bitset& bits);
 
-  /// ANDs the pattern's cached predicate segments into `out` (a
+  /// ANDs the cached segments of predicates `ids` into `out` (a
   /// table-sized bitset); the cached-path body of Evaluate/EvaluateOn.
-  void AndPatternInto(const Pattern& pattern, Bitset* out);
+  void AndIdsInto(std::span<const PredicateId> ids, Bitset* out);
 
   /// Copies every slot's predicate and segment pointers (no bit work).
   std::vector<SlotState> SnapshotSlotsLocked() const

@@ -1,7 +1,9 @@
 #include "lp/rounding.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <map>
 #include <set>
 
@@ -55,16 +57,48 @@ LinearProgram SelectionProblem::BuildReducedLp(
   const size_t l = candidates.size();
   // Signature of group i = the set of candidates covering it. Groups
   // covered by no candidate contribute nothing and are dropped (their
-  // t_i is forced to 0 anyway).
-  std::map<std::vector<uint32_t>, size_t> sig_count;
+  // t_i is forced to 0 anyway). Groups are partitioned by signature by
+  // refinement over the candidates' set bits: candidate j moves the
+  // covered members of each class into a class of their own, so two
+  // groups share a class iff the same candidates cover them, and class 0
+  // holds the uncovered ones. Each class's signature is then read off
+  // one member.
+  std::vector<uint32_t> class_of(num_groups, 0);
+  std::vector<uint32_t> split_by = {UINT32_MAX};  // per class: candidate
+  std::vector<uint32_t> split_to = {0};           // per class: its split
+  for (size_t j = 0; j < l; ++j) {
+    const Bitset& cov = candidates[j].coverage;
+    const size_t words = std::min(cov.num_words(), (num_groups + 63) / 64);
+    for (size_t w = 0; w < words; ++w) {
+      for (uint64_t bits = cov.data()[w]; bits != 0; bits &= bits - 1) {
+        const size_t i = w * 64 + static_cast<size_t>(std::countr_zero(bits));
+        if (i >= num_groups) break;
+        const uint32_t c = class_of[i];
+        if (split_by[c] != j) {
+          split_by[c] = static_cast<uint32_t>(j);
+          split_to[c] = static_cast<uint32_t>(split_by.size());
+          split_by.push_back(UINT32_MAX);
+          split_to.push_back(0);
+        }
+        class_of[i] = split_to[c];
+      }
+    }
+  }
+  std::vector<size_t> class_count(split_by.size(), 0);
+  std::vector<size_t> member(split_by.size(), 0);
   for (size_t i = 0; i < num_groups; ++i) {
+    if (class_count[class_of[i]]++ == 0) member[class_of[i]] = i;
+  }
+  std::map<std::vector<uint32_t>, size_t> sig_count;
+  for (size_t c = 1; c < class_count.size(); ++c) {
+    if (class_count[c] == 0) continue;
     std::vector<uint32_t> sig;
     for (size_t j = 0; j < l; ++j) {
-      if (candidates[j].coverage.Test(i)) {
+      if (candidates[j].coverage.Test(member[c])) {
         sig.push_back(static_cast<uint32_t>(j));
       }
     }
-    if (!sig.empty()) ++sig_count[sig];
+    sig_count[sig] += class_count[c];
   }
   std::vector<std::vector<uint32_t>> sigs;
   signature_counts->clear();

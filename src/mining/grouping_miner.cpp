@@ -1,5 +1,6 @@
 #include "mining/grouping_miner.h"
 
+#include <bit>
 #include <map>
 #include <unordered_map>
 
@@ -10,19 +11,24 @@ namespace {
 // Computes Cov(P_g): group s is covered iff all its tuples match. Because
 // grouping attributes are FD-determined by A_gb, either all tuples of a
 // group match or none do; checking one representative suffices, but we
-// verify all to stay exact on dirty data.
-Bitset ComputeGroupCoverage(const AggregateView& view, const Bitset& rows) {
+// verify all to stay exact on dirty data: each matching row counts
+// toward its group, and a group is covered when every one of its rows
+// counted. `hits` is a zeroed per-group scratch array, left zeroed.
+Bitset ComputeGroupCoverage(const AggregateView& view, const Bitset& rows,
+                            std::vector<uint32_t>* hits) {
   Bitset covered(view.NumGroups());
-  for (size_t g = 0; g < view.NumGroups(); ++g) {
-    const auto& group = view.group(g);
-    bool all = !group.rows.empty();
-    for (size_t r : group.rows) {
-      if (!rows.Test(r)) {
-        all = false;
-        break;
-      }
+  std::vector<uint32_t> touched;
+  for (size_t w = 0; w < rows.num_words(); ++w) {
+    for (uint64_t bits = rows.data()[w]; bits != 0; bits &= bits - 1) {
+      const int32_t g =
+          view.GroupOfRow(w * 64 + static_cast<size_t>(std::countr_zero(bits)));
+      if (g < 0) continue;
+      if ((*hits)[g]++ == 0) touched.push_back(static_cast<uint32_t>(g));
     }
-    if (all) covered.Set(g);
+  }
+  for (uint32_t g : touched) {
+    if ((*hits)[g] == view.group(g).rows.size()) covered.Set(g);
+    (*hits)[g] = 0;
   }
   return covered;
 }
@@ -39,12 +45,13 @@ std::vector<GroupingPattern> MineGroupingPatterns(
   const std::vector<FrequentPattern> frequent =
       MineFrequentPatterns(table, grouping_attributes, opt.apriori, engine);
   candidates.reserve(frequent.size());
+  std::vector<uint32_t> hits(view.NumGroups(), 0);
   for (const auto& fp : frequent) {
     GroupingPattern gp;
     gp.pattern = fp.pattern;
     gp.rows = fp.rows;
     gp.support = fp.support;
-    gp.group_coverage = ComputeGroupCoverage(view, fp.rows);
+    gp.group_coverage = ComputeGroupCoverage(view, fp.rows, &hits);
     if (gp.group_coverage.Any()) candidates.push_back(std::move(gp));
   }
 

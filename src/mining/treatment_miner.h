@@ -20,6 +20,7 @@
 #ifndef CAUSUMX_MINING_TREATMENT_MINER_H_
 #define CAUSUMX_MINING_TREATMENT_MINER_H_
 
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -75,13 +76,38 @@ std::vector<SimplePredicate> GenerateAtomicTreatments(
     EvalEngine& engine, const std::vector<std::string>& attributes,
     const TreatmentMinerOptions& options);
 
+/// The level-1 atoms of a query's lattice walks, interned once in one
+/// engine: per atom, its predicate, its dense id and its matching rows
+/// as the engine's shard segments (EvalEngine::PredicateSegments — the
+/// cached bitsets, shared, not copied — held for the query). Every walk
+/// of the query reads them.
+struct TreatmentAtoms {
+  TreatmentAtoms() = default;
+  /// Interns `predicates` in `engine` and fetches their segments.
+  TreatmentAtoms(EvalEngine& engine, std::vector<SimplePredicate> predicates);
+
+  /// Number of atoms.
+  size_t size() const { return predicates.size(); }
+  /// True when there are no atoms.
+  bool empty() const { return predicates.empty(); }
+
+  /// The atoms, in generation order.
+  std::vector<SimplePredicate> predicates;
+  /// ids[i]: the engine's dense id of predicates[i].
+  std::vector<PredicateId> ids;
+  /// segments[i][s]: the rows of shard s of the engine's plan that
+  /// predicates[i] matches.
+  std::vector<std::vector<std::shared_ptr<const Bitset>>> segments;
+};
+
 /// The level-1 atoms of every lattice walk for one query: applies
 /// optimization (a) to `treatment_attributes` (attributes in the DAG that
 /// are not causal ancestors of `outcome` are pruned; attributes missing
-/// from the DAG are kept) and calls GenerateAtomicTreatments on the rest,
-/// in the given attribute order. Build it once per query and pass it to
-/// every MineTopTreatment / MineTopKTreatments call of that query.
-std::vector<SimplePredicate> CausalTreatmentAtoms(
+/// from the DAG are kept), calls GenerateAtomicTreatments on the rest, in
+/// the given attribute order, and interns the result in the estimator's
+/// engine. Build it once per query and pass it to every MineTopTreatment
+/// / MineTopKTreatments call of that query.
+TreatmentAtoms CausalTreatmentAtoms(
     EstimatorContext& estimator, const std::string& outcome,
     const std::vector<std::string>& treatment_attributes,
     const TreatmentMinerOptions& options);
@@ -96,13 +122,14 @@ struct TreatmentMiningStats {
 
 /// Mines the best treatment pattern of the requested sign for the
 /// subpopulation (Algorithm 2), starting from `atoms` (the query's
-/// CausalTreatmentAtoms). Returns nullopt when nothing valid and
-/// significant exists; throws std::out_of_range on an unknown `outcome`.
+/// CausalTreatmentAtoms, interned in the estimator's engine). Returns
+/// nullopt when nothing valid and significant exists; throws
+/// std::out_of_range on an unknown `outcome`.
 /// `stats` (optional) adds this walk's evaluations to
 /// `patterns_evaluated` and records its depth in `levels_explored`.
 std::optional<ScoredTreatment> MineTopTreatment(
     EstimatorContext& estimator, const Bitset& subpopulation,
-    const std::string& outcome, const std::vector<SimplePredicate>& atoms,
+    const std::string& outcome, const TreatmentAtoms& atoms,
     TreatmentSign sign, const TreatmentMinerOptions& options = {},
     TreatmentMiningStats* stats = nullptr);
 
@@ -114,7 +141,7 @@ std::optional<ScoredTreatment> MineTopTreatment(
 /// entries, possibly fewer, in descending effect magnitude.
 std::vector<ScoredTreatment> MineTopKTreatments(
     EstimatorContext& estimator, const Bitset& subpopulation,
-    const std::string& outcome, const std::vector<SimplePredicate>& atoms,
+    const std::string& outcome, const TreatmentAtoms& atoms,
     TreatmentSign sign, size_t k, const TreatmentMinerOptions& options = {});
 
 }  // namespace causumx

@@ -51,9 +51,13 @@ std::string ContextKey(const CausalDag& dag, const EstimatorOptions& opt) {
 // restore warm.
 constexpr char kEngineConfigSuffix[] = "|s0|c1|z0";
 
-// The content part of a warm-snapshot key.
+// The content part of a warm-snapshot key, from the TableContentHash.
+std::string HashTag(uint64_t content_hash) {
+  return StrFormat("h%016llx", (unsigned long long)content_hash);
+}
+
 std::string HashTag(const Table& table) {
-  return StrFormat("h%016llx", (unsigned long long)TableContentHash(table));
+  return HashTag(TableContentHash(table));
 }
 
 // A warm snapshot's identity: its rows, then the engine configuration.
@@ -62,11 +66,10 @@ std::string WarmSnapshotKey(const Table& table) {
   return HashTag(table) + kEngineConfigSuffix;
 }
 
-// The one key check: `key` starts with `table`'s `h<content hash>` and
-// ends with the config suffix (so older `h…|vN|s…` keys match).
-bool KeyMatches(const std::string& key, const Table& table) {
-  return key.starts_with(HashTag(table)) &&
-         key.ends_with(kEngineConfigSuffix);
+// The one key check: `key` starts with the table's `h<content hash>`
+// and ends with the config suffix (so older `h…|vN|s…` keys match).
+bool KeyMatches(const std::string& key, const std::string& hash_tag) {
+  return key.starts_with(hash_tag) && key.ends_with(kEngineConfigSuffix);
 }
 
 // Warm-state snapshot container identity (storage/snapshot.h).
@@ -255,15 +258,19 @@ std::shared_ptr<const Table> ExplanationService::EnsureCsv(
 
 std::shared_ptr<const Table> ExplanationService::InstallTable(
     const std::string& name, std::shared_ptr<const Table> table,
-    const SnapshotReader* snap, InstallMode mode) {
+    const SnapshotReader* snap, InstallMode mode,
+    const uint64_t* content_hash) {
   TableEntry entry;
   entry.table = std::move(table);
   entry.engine = std::make_shared<EvalEngine>(entry.table, EngineOptions());
   if (snap != nullptr) {
+    const std::string hash_tag = content_hash != nullptr
+                                     ? HashTag(*content_hash)
+                                     : HashTag(*entry.table);
     bool warm = false;
     try {
       // Never trust a snapshot of other rows or engine configuration.
-      if (KeyMatches(snap->key(), *entry.table)) {
+      if (KeyMatches(snap->key(), hash_tag)) {
         ImportWarmSections(*snap, &entry);
         warm = true;
       }
@@ -278,7 +285,7 @@ std::shared_ptr<const Table> ExplanationService::InstallTable(
     // A restore keeps the rows cold when only the warm sections are
     // unusable: the key still names this table's content.
     if (!warm && mode == InstallMode::kRestore &&
-        !snap->key().starts_with(HashTag(*entry.table))) {
+        !snap->key().starts_with(hash_tag)) {
       return nullptr;
     }
   }
@@ -578,18 +585,19 @@ bool ExplanationService::RestoreTable(const std::string& name) {
   const std::unique_ptr<SnapshotReader> snap = ReadWarmSnapshot(name);
   if (snap == nullptr) return false;
   std::shared_ptr<const Table> table;
+  uint64_t content_hash = 0;
   try {
     // The embedded table self-verifies against its own container key;
     // InstallTable's key check then binds the warm sections to it, so
     // an engine section spliced onto another table cannot pass.
     table = std::make_shared<const Table>(
-        DeserializeTable(snap->Section("table")));
+        DeserializeTable(snap->Section("table"), &content_hash));
   } catch (const std::runtime_error&) {
     n_snapshots_rejected_.fetch_add(1, std::memory_order_relaxed);
     return false;
   }
   return InstallTable(name, std::move(table), snap.get(),
-                      InstallMode::kRestore) != nullptr;
+                      InstallMode::kRestore, &content_hash) != nullptr;
 }
 
 size_t ExplanationService::RestoreAll() {
@@ -697,7 +705,7 @@ std::vector<ScoredTreatment> ExplanationService::TopTreatments(
       config.treatment_attribute_allowlist.empty()
           ? mined->partition.treatment_attributes
           : config.treatment_attribute_allowlist;
-  const std::vector<SimplePredicate> atoms =
+  const TreatmentAtoms atoms =
       CausalTreatmentAtoms(*entry.context, query.avg_attribute,
                            treatment_attrs, config.treatment);
   std::vector<ScoredTreatment> top =

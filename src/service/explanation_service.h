@@ -430,12 +430,13 @@ class ExplanationService {
   /// The one path that builds and installs an entry: a fresh engine over
   /// `table`, warmed all-or-nothing from `snap` (if given) when the key
   /// matches and the sections import; counts the snapshot either way.
+  /// `content_hash` is `table`'s TableContentHash when the caller already
+  /// has it (a restore verified it while decoding), else null.
   /// Returns the registered table, or null when nothing was installed.
-  std::shared_ptr<const Table> InstallTable(const std::string& name,
-                                            std::shared_ptr<const Table> table,
-                                            const SnapshotReader* snap,
-                                            InstallMode mode)
-      CAUSUMX_EXCLUDES(mu_);
+  std::shared_ptr<const Table> InstallTable(
+      const std::string& name, std::shared_ptr<const Table> table,
+      const SnapshotReader* snap, InstallMode mode,
+      const uint64_t* content_hash = nullptr) CAUSUMX_EXCLUDES(mu_);
 
   /// Imports the engine + context sections of a validated snapshot into
   /// `entry` (whose engine must be freshly built over the snapshot's

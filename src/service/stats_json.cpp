@@ -28,6 +28,7 @@ void WriteStatsMembers(JsonWriter& w, const EstimatorCacheStats& m) {
       .Key("memo_bytes").Uint(m.memo_bytes)
       .Key("gram_builds").Uint(m.gram_builds)
       .Key("gram_hits").Uint(m.gram_hits)
+      .Key("fit_passes").Uint(m.fit_passes)
       .Key("gram_bytes").Uint(m.gram_bytes);
 }
 

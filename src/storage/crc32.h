@@ -1,7 +1,7 @@
 // CRC32 (IEEE 802.3 polynomial, reflected) for page and segment
-// headers in the on-disk formats. Table-driven software implementation:
-// deterministic across platforms and fast enough for snapshot-sized
-// payloads (~500 MB/s), which is far from the bottleneck next to fsync.
+// headers in the on-disk formats. Table-driven software implementation
+// (slicing-by-8): deterministic across platforms, and a restore reads
+// every page through it, so it is on the warm-restart path.
 
 #ifndef CAUSUMX_STORAGE_CRC32_H_
 #define CAUSUMX_STORAGE_CRC32_H_

@@ -10,21 +10,6 @@ namespace causumx {
 
 Bitset::Bitset(size_t size) : size_(size), words_((size + 63) / 64, 0) {}
 
-void Bitset::Set(size_t i) {
-  assert(i < size_);
-  words_[i >> 6] |= (uint64_t{1} << (i & 63));
-}
-
-void Bitset::Clear(size_t i) {
-  assert(i < size_);
-  words_[i >> 6] &= ~(uint64_t{1} << (i & 63));
-}
-
-bool Bitset::Test(size_t i) const {
-  if (i >= size_) return false;
-  return (words_[i >> 6] >> (i & 63)) & 1;
-}
-
 size_t Bitset::Count() const {
   return kernels::PopcountWords(words_.data(), words_.size());
 }

@@ -5,6 +5,7 @@
 #ifndef CAUSUMX_UTIL_BITSET_H_
 #define CAUSUMX_UTIL_BITSET_H_
 
+#include <cassert>
 #include <cstddef>
 #include <cstdint>
 #include <unordered_map>
@@ -21,9 +22,18 @@ class Bitset {
 
   size_t size() const { return size_; }
 
-  void Set(size_t i);
-  void Clear(size_t i);
-  bool Test(size_t i) const;
+  void Set(size_t i) {
+    assert(i < size_);
+    words_[i >> 6] |= uint64_t{1} << (i & 63);
+  }
+  void Clear(size_t i) {
+    assert(i < size_);
+    words_[i >> 6] &= ~(uint64_t{1} << (i & 63));
+  }
+  /// False for an index past the universe.
+  bool Test(size_t i) const {
+    return i < size_ && ((words_[i >> 6] >> (i & 63)) & 1) != 0;
+  }
 
   /// Number of set bits.
   size_t Count() const;

@@ -6,9 +6,11 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <stdexcept>
 
 #include "causal/estimator_context.h"
 #include "util/rng.h"
+#include "util/stats.h"
 
 namespace causumx {
 namespace {
@@ -232,6 +234,54 @@ TEST(EstimatorTest, DeterministicAcrossRuns) {
   ASSERT_TRUE(e1.valid && e2.valid);
   EXPECT_DOUBLE_EQ(e1.cate, e2.cate);
   EXPECT_DOUBLE_EQ(e1.p_value, e2.p_value);
+}
+
+TEST(EstimatorTest, OutcomeStatsAreKeptWithTheSubpopulation) {
+  const Table base = MakeConfoundedTable(2.0, 800, 21);
+  auto table = std::make_shared<const Table>(base.Clone());
+  auto engine = std::make_shared<EvalEngine>(table);
+  EstimatorContext ctx(engine, MakeConfoundedDag(), EstimatorOptions{});
+  const Bitset z1 = engine->Evaluate(
+      Pattern({SimplePredicate("Z", CompareOp::kEq, Value("1"))}));
+  RunningStats want;
+  for (size_t r : z1.ToIndices()) want.Add(table->column("Y").GetNumeric(r));
+  auto same = [&want](const RunningStats& got) {
+    EXPECT_EQ(got.Count(), want.Count());
+    EXPECT_EQ(got.Mean(), want.Mean());
+    EXPECT_EQ(got.Variance(), want.Variance());
+  };
+
+  EstimatorContext::Scope first = ctx.Bind(z1, "Y");
+  same(ctx.OutcomeStats(first));
+  const size_t before = ctx.CacheBytes();
+  // Interning the subpopulation keeps the stats with it.
+  ctx.EstimateCate(TreatYes(), "Y", z1);
+  EXPECT_GT(ctx.CacheBytes(), before);
+  EstimatorContext::Scope second = ctx.Bind(z1, "Y");
+  same(ctx.OutcomeStats(second));
+
+  // An append that adds no Z = 1 row carries the subpopulation, and its
+  // stats, into the derived context.
+  Table grown = base.Clone();
+  grown.AddRow({Value("0"), Value("no"), Value(3.0)});
+  auto grown_table = std::make_shared<const Table>(std::move(grown));
+  auto grown_engine = std::make_shared<EvalEngine>(grown_table, *engine, 0);
+  EstimatorContext derived(grown_engine, ctx, 0);
+  Bitset z1_grown = z1;
+  z1_grown.Resize(grown_table->NumRows());
+  EstimatorContext::Scope carried = derived.Bind(z1_grown, "Y");
+  same(derived.OutcomeStats(carried));
+}
+
+TEST(EstimatorTest, OutcomeStatsOfAnUnknownOutcomeThrows) {
+  const Table base = MakeConfoundedTable(2.0, 200, 22);
+  auto engine = std::make_shared<EvalEngine>(
+      std::make_shared<const Table>(base.Clone()));
+  EstimatorContext ctx(engine, MakeConfoundedDag(), EstimatorOptions{});
+  Bitset all(base.NumRows());
+  all.SetAll();
+  EstimatorContext::Scope scope = ctx.Bind(all, "NoSuchColumn");
+  EXPECT_THROW(ctx.OutcomeStats(scope), std::out_of_range);
 }
 
 }  // namespace

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include <cmath>
 
 #include "dataset/group_query.h"
@@ -137,7 +139,8 @@ void ExpectViewsIdentical(const AggregateView& fast,
   for (size_t g = 0; g < fast.NumGroups(); ++g) {
     EXPECT_EQ(fast.group(g).KeyString(), ref.group(g).KeyString()) << g;
     EXPECT_EQ(fast.group(g).count, ref.group(g).count) << g;
-    EXPECT_EQ(fast.group(g).rows, ref.group(g).rows) << g;
+    EXPECT_TRUE(std::ranges::equal(fast.group(g).rows, ref.group(g).rows))
+        << g;
     // Bit-identical, not just close.
     EXPECT_EQ(fast.group(g).average, ref.group(g).average) << g;
   }

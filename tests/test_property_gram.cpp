@@ -6,7 +6,10 @@
 // the IPW model over the same design). Covered: the five paper datasets,
 // engine plans of 1-16 shards, contexts derived by append and by
 // retraction, sampled fits, a table large enough for the pool branch and
-// several OLS chunks, a cache-bypass engine, eviction, and IPW.
+// several OLS chunks, a cache-bypass engine, eviction, and IPW — one
+// estimate at a time (EstimateCate) and as level batches (EstimateCates:
+// batches of 1..n misses sharing one residual pass, a singular fit among
+// them, sampled and unsampled batches in one context).
 
 #include <gtest/gtest.h>
 
@@ -522,6 +525,270 @@ TEST(GramPropertyTest, IpwMatchesTheReference) {
                           Subpopulations(*engine, d.default_query.group_by[0], 3),
                           d.default_query.avg_attribute, name);
   }
+}
+
+// ---- level batches ------------------------------------------------------
+
+// `treatments` estimated as EstimateCates batches over `subpop` — one
+// batch per arity, in list order — each estimate compared with the
+// reference. Returns the number of compared estimates.
+size_t CheckBatchAgainstReference(EstimatorContext& ctx,
+                                  const std::vector<Pattern>& treatments,
+                                  const Bitset& subpop,
+                                  const std::string& outcome,
+                                  const std::string& label) {
+  EstimatorContext::Scope scope = ctx.Bind(subpop, outcome);
+  size_t compared = 0;
+  for (size_t arity = 1; arity <= 3; ++arity) {
+    std::vector<PredicateId> ids;
+    std::vector<const Pattern*> batch;
+    for (const Pattern& t : treatments) {
+      if (t.Size() != arity) continue;
+      std::vector<PredicateId> one;
+      for (const auto& p : t.predicates()) {
+        one.push_back(ctx.engine()->Intern(p));
+      }
+      std::sort(one.begin(), one.end());
+      ids.insert(ids.end(), one.begin(), one.end());
+      batch.push_back(&t);
+    }
+    if (batch.empty()) continue;
+    std::vector<EffectEstimate> out(batch.size());
+    ctx.EstimateCates(scope, ids, arity, out.data());
+    for (size_t i = 0; i < batch.size(); ++i) {
+      ExpectIdentical(out[i],
+                      ReferenceCate(ctx.table(), ctx.dag(), ctx.options(),
+                                    *batch[i], outcome, subpop),
+                      label + " batch " + batch[i]->ToString());
+      ++compared;
+    }
+  }
+  return compared;
+}
+
+TEST(GramPropertyTest, BatchesOfOneToNMatchTheReference) {
+  GeneratedDataset d = MakeDatasetByName("SO", 0.05);
+  const auto table = BorrowTable(d.table);
+  const std::string outcome = d.default_query.avg_attribute;
+  auto probe = std::make_shared<EvalEngine>(table);
+  const auto treatments = Treatments(*probe, TreatmentAttributes(d), 12);
+  const auto subpops = Subpopulations(*probe, d.default_query.group_by[0], 3);
+  for (size_t k = 1; k <= treatments.size(); k += (k < 4 ? 1 : 5)) {
+    SCOPED_TRACE(k);
+    // A fresh context per width: every estimate of the batch misses.
+    auto engine = std::make_shared<EvalEngine>(table);
+    EstimatorContext ctx(engine, d.dag, EstimatorOptions{});
+    const std::vector<Pattern> batch(treatments.begin(),
+                                     treatments.begin() + k);
+    size_t n = 0;
+    for (const Bitset& subpop : subpops) {
+      n += CheckBatchAgainstReference(ctx, batch, subpop, outcome, "cold");
+    }
+    const EstimatorCacheStats cold = ctx.Stats();
+    EXPECT_EQ(cold.memo_misses, n);
+    EXPECT_EQ(cold.memo_hits, 0u);
+    // The fits of one batch that share a Gram block share one pass.
+    EXPECT_LE(cold.fit_passes, cold.gram_builds + subpops.size() * 3);
+    // The same batches again: all hits, bit-identical.
+    for (const Bitset& subpop : subpops) {
+      CheckBatchAgainstReference(ctx, batch, subpop, outcome, "warm");
+    }
+    EXPECT_EQ(ctx.Stats().memo_hits, n);
+    EXPECT_EQ(ctx.Stats().fit_passes, cold.fit_passes);
+  }
+}
+
+// T is "x" exactly where Z is "a": with Z adjusted for, T = x is the
+// one-hot column of Z = a, so its normal equations are singular (the
+// solver's diagonal jitter regularizes them, as it does in FitOls).
+Table MakeCollinearTable(size_t n, uint64_t seed) {
+  Table t;
+  t.AddColumn("Z", ColumnType::kCategorical);
+  t.AddColumn("T", ColumnType::kCategorical);
+  t.AddColumn("Y", ColumnType::kDouble);
+  Rng rng(seed);
+  const char* levels[] = {"a", "b", "b", "c"};  // "b" is the baseline
+  for (size_t i = 0; i < n; ++i) {
+    const char* z = levels[rng.NextBounded(4)];
+    const char* arm = z[0] == 'a' ? "x" : (rng.NextBool(0.5) ? "y" : "w");
+    t.AddRow({Value(z), Value(arm),
+              Value(2.0 * (arm[0] == 'y') + rng.NextGaussian(0, 1.0))});
+  }
+  return t;
+}
+
+TEST(GramPropertyTest, SingularFitInsideABatchMatchesTheReference) {
+  const Table table = MakeCollinearTable(3000, 7);
+  CausalDag dag;
+  dag.AddEdge("Z", "T");
+  dag.AddEdge("Z", "Y");
+  dag.AddEdge("T", "Y");
+  auto engine = std::make_shared<EvalEngine>(BorrowTable(table));
+  EstimatorContext ctx(engine, dag, EstimatorOptions{});
+  std::vector<Pattern> treatments;
+  for (const char* arm : {"y", "x", "w"}) {
+    treatments.push_back(
+        Pattern({SimplePredicate("T", CompareOp::kEq, Value(arm))}));
+  }
+  Bitset all(table.NumRows());
+  all.SetAll();
+  EXPECT_EQ(CheckBatchAgainstReference(ctx, treatments, all, "Y", "collinear"),
+            3u);
+  EXPECT_GT(ctx.EstimateCate(treatments[1], "Y", all).n_treated, 0u);
+  // The singular fit shares the pass of the two regular ones.
+  EXPECT_EQ(ctx.Stats().memo_misses, 3u);
+  EXPECT_EQ(ctx.Stats().fit_passes, 1u);
+}
+
+TEST(GramPropertyTest, SampledAndUnsampledBatchesMatchTheReference) {
+  GeneratedDataset d = MakeDatasetByName("Adult", 0.05);
+  auto engine = std::make_shared<EvalEngine>(BorrowTable(d.table));
+  EstimatorOptions options;
+  options.sample_cap = 300;
+  EstimatorContext ctx(engine, d.dag, options);
+  const auto treatments = Treatments(*engine, TreatmentAttributes(d), 8);
+  const std::string outcome = d.default_query.avg_attribute;
+  // Every row is over the cap (sampled, one block per fit); a small
+  // group is under it (one shared block).
+  const auto subpops = Subpopulations(*engine, d.default_query.group_by[0], 6);
+  size_t sampled = 0;
+  size_t unsampled = 0;
+  for (const Bitset& subpop : subpops) {
+    const bool over = subpop.Count() > options.sample_cap;
+    const size_t n = CheckBatchAgainstReference(ctx, treatments, subpop,
+                                                outcome, "mixed");
+    (over ? sampled : unsampled) += n;
+  }
+  EXPECT_GT(sampled, 0u);
+  EXPECT_GT(unsampled, 0u);
+}
+
+TEST(GramPropertyTest, PoolBranchBatchesMatchTheReference) {
+  const Table table = MakeLargeTable(kParallelEstimateRowThreshold + 7000, 6);
+  CausalDag dag;
+  dag.AddEdge("Z1", "T");
+  dag.AddEdge("Z2", "T");
+  dag.AddEdge("Z1", "Y");
+  dag.AddEdge("Z2", "Y");
+  dag.AddEdge("T", "Y");
+  EvalEngineOptions options;
+  options.num_shards = 5;
+  options.pool = std::make_shared<ThreadPool>(3);
+  auto engine = std::make_shared<EvalEngine>(BorrowTable(table), options);
+  EstimatorContext ctx(engine, dag, EstimatorOptions{});
+  std::vector<Pattern> treatments;
+  for (const char* arm : {"x", "y", "z"}) {
+    treatments.push_back(
+        Pattern({SimplePredicate("T", CompareOp::kEq, Value(arm))}));
+  }
+  for (const Bitset& subpop : Subpopulations(*engine, "Z1", 2)) {
+    EXPECT_EQ(CheckBatchAgainstReference(ctx, treatments, subpop, "Y", "pool"),
+              3u);
+  }
+  // Three fits per subpopulation, one pass each.
+  EXPECT_EQ(ctx.Stats().fit_passes, 3u);
+}
+
+TEST(GramPropertyTest, BypassAndIpwBatchesMatchTheReference) {
+  GeneratedDataset d = MakeDatasetByName("German", 0.5);
+  const std::string outcome = d.default_query.avg_attribute;
+  {
+    EvalEngineOptions options;
+    options.cache_enabled = false;
+    auto engine = std::make_shared<EvalEngine>(BorrowTable(d.table), options);
+    EstimatorContext ctx(engine, d.dag, EstimatorOptions{});
+    const auto treatments = Treatments(*engine, TreatmentAttributes(d), 8);
+    size_t n = 0;
+    for (const Bitset& subpop :
+         Subpopulations(*engine, d.default_query.group_by[0], 2)) {
+      n += CheckBatchAgainstReference(ctx, treatments, subpop, outcome,
+                                      "bypass");
+    }
+    // Nothing is shared or kept: one block and one pass per fit.
+    EXPECT_EQ(ctx.Stats().memo_misses, n);
+    EXPECT_EQ(ctx.Stats().gram_builds, n);
+    EXPECT_EQ(ctx.CacheBytes(), 0u);
+  }
+  {
+    auto engine = std::make_shared<EvalEngine>(BorrowTable(d.table));
+    EstimatorOptions options;
+    options.method = EstimationMethod::kIpw;
+    EstimatorContext ctx(engine, d.dag, options);
+    for (const Bitset& subpop :
+         Subpopulations(*engine, d.default_query.group_by[0], 2)) {
+      CheckBatchAgainstReference(ctx,
+                                 Treatments(*engine, TreatmentAttributes(d), 6),
+                                 subpop, outcome, "ipw");
+    }
+    EXPECT_EQ(ctx.Stats().fit_passes, 0u);  // no regression residuals
+  }
+}
+
+TEST(GramPropertyTest, RepeatsInsideABatchCountAsHits) {
+  GeneratedDataset d = MakeDatasetByName("Adult", 0.05);
+  auto engine = std::make_shared<EvalEngine>(BorrowTable(d.table));
+  EstimatorContext ctx(engine, d.dag, EstimatorOptions{});
+  const auto atoms = GenerateAtomicTreatments(
+      *engine, TreatmentAttributes(d), TreatmentMinerOptions{});
+  ASSERT_GE(atoms.size(), 2u);
+  const PredicateId a = engine->Intern(atoms[0]);
+  const PredicateId b = engine->Intern(atoms[1]);
+  Bitset all(d.table.NumRows());
+  all.SetAll();
+  const std::string outcome = d.default_query.avg_attribute;
+  EstimatorContext::Scope scope = ctx.Bind(all, outcome);
+  const std::vector<PredicateId> ids = {a, b, a};
+  std::vector<EffectEstimate> out(3);
+  ctx.EstimateCates(scope, ids, 1, out.data());
+  // As three EstimateCate calls: two misses, then a hit.
+  EXPECT_EQ(ctx.Stats().memo_misses, 2u);
+  EXPECT_EQ(ctx.Stats().memo_hits, 1u);
+  ExpectIdentical(out[2], out[0], "repeat");
+  ExpectIdentical(out[0], ctx.EstimateCate(Pattern({atoms[0]}), outcome, all),
+                  "first");
+}
+
+TEST(GramPropertyTest, BatchLeavesTheMemoAsOneByOneCallsWould) {
+  GeneratedDataset d = MakeDatasetByName("Adult", 0.05);
+  const auto table = BorrowTable(d.table);
+  auto engine = std::make_shared<EvalEngine>(table);
+  auto twin_engine = std::make_shared<EvalEngine>(table);
+  EstimatorContext batched(engine, d.dag, EstimatorOptions{});
+  EstimatorContext one_by_one(twin_engine, d.dag, EstimatorOptions{});
+  const auto atoms = GenerateAtomicTreatments(
+      *engine, TreatmentAttributes(d), TreatmentMinerOptions{});
+  ASSERT_GE(atoms.size(), 6u);
+  std::vector<PredicateId> ids;
+  for (const auto& a : atoms) {
+    ids.push_back(engine->Intern(a));
+    twin_engine->Intern(a);
+  }
+  Bitset all(d.table.NumRows());
+  all.SetAll();
+  const std::string outcome = d.default_query.avg_attribute;
+  // Warm atoms 1 and 3, then a batch that interleaves misses and hits.
+  for (size_t warm : {1, 3}) {
+    EstimatorContext::Scope scope = batched.Bind(all, outcome);
+    EffectEstimate out;
+    batched.EstimateCates(scope, {&ids[warm], 1}, 1, &out);
+    one_by_one.EstimateCate(Pattern({atoms[warm]}), outcome, all);
+  }
+  const std::vector<size_t> order = {0, 1, 2, 3, 4, 0, 5};
+  std::vector<PredicateId> batch;
+  for (size_t i : order) batch.push_back(ids[i]);
+  EstimatorContext::Scope scope = batched.Bind(all, outcome);
+  std::vector<EffectEstimate> out(order.size());
+  batched.EstimateCates(scope, batch, 1, out.data());
+  for (size_t j = 0; j < order.size(); ++j) {
+    ExpectIdentical(
+        out[j],
+        one_by_one.EstimateCate(Pattern({atoms[order[j]]}), outcome, all),
+        "atom " + std::to_string(order[j]));
+  }
+  EXPECT_EQ(batched.Stats().memo_hits, one_by_one.Stats().memo_hits);
+  EXPECT_EQ(batched.Stats().memo_misses, one_by_one.Stats().memo_misses);
+  // Same entries in the same LRU order.
+  EXPECT_EQ(batched.ExportMemoState(), one_by_one.ExportMemoState());
 }
 
 }  // namespace

@@ -12,6 +12,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include <memory>
 #include <string>
 #include <vector>
@@ -106,7 +108,8 @@ void ExpectViewsIdentical(const AggregateView& a, const AggregateView& b,
     // and serial paths produce the same doubles, not just close ones.
     EXPECT_EQ(a.group(g).average, b.group(g).average)
         << context << " group " << g;
-    EXPECT_EQ(a.group(g).rows, b.group(g).rows) << context << " group " << g;
+    EXPECT_TRUE(std::ranges::equal(a.group(g).rows, b.group(g).rows))
+        << context << " group " << g;
   }
   for (size_t r = 0; r < num_rows; ++r) {
     ASSERT_EQ(a.GroupOfRow(r), b.GroupOfRow(r)) << context << " row " << r;

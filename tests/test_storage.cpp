@@ -34,6 +34,7 @@
 #include "storage/snapshot.h"
 #include "storage/storage_error.h"
 #include "util/json.h"
+#include "util/rng.h"
 #include "util/string_utils.h"
 
 namespace causumx {
@@ -116,6 +117,38 @@ TEST(Crc32Test, KnownVector) {
   // The standard CRC-32 check value for "123456789".
   EXPECT_EQ(Crc32("123456789", 9), 0xCBF43926u);
   EXPECT_EQ(Crc32("", 0), 0u);
+}
+
+// The byte-at-a-time definition the sliced implementation must match.
+uint32_t BytewiseCrc32(const unsigned char* p, size_t len, uint32_t seed) {
+  uint32_t c = seed ^ 0xFFFFFFFFu;
+  for (size_t i = 0; i < len; ++i) {
+    c ^= p[i];
+    for (int k = 0; k < 8; ++k) c = (c & 1u) ? 0xEDB88320u ^ (c >> 1) : c >> 1;
+  }
+  return c ^ 0xFFFFFFFFu;
+}
+
+TEST(Crc32Test, SlicedMatchesBytewiseAtEveryLengthAndAlignment) {
+  Rng rng(31);
+  std::vector<unsigned char> bytes(4096 + 16);
+  for (auto& b : bytes) b = static_cast<unsigned char>(rng.NextBounded(256));
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t len = 0; len <= 80; ++len) {
+      ASSERT_EQ(Crc32(bytes.data() + offset, len),
+                BytewiseCrc32(bytes.data() + offset, len, 0))
+          << offset << " " << len;
+    }
+  }
+  const uint32_t whole = Crc32(bytes.data(), 4096);
+  EXPECT_EQ(whole, BytewiseCrc32(bytes.data(), 4096, 0));
+  // Chunked continuation, split off any alignment.
+  for (size_t split : {1, 7, 8, 13, 4000}) {
+    EXPECT_EQ(Crc32(bytes.data() + split, 4096 - split,
+                    Crc32(bytes.data(), split)),
+              whole)
+        << split;
+  }
 }
 
 // ---- file primitives -------------------------------------------------------

@@ -2,11 +2,15 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <stdexcept>
 
 #include "core/causumx.h"
 #include "datagen/registry.h"
+#include "mining/grouping_miner.h"
 #include "mining/treatment_miner.h"
+#include "sequential_walk_oracle.h"
 #include "util/rng.h"
 
 namespace causumx {
@@ -268,8 +272,9 @@ TEST(TreatmentMinerTest, CausalTreatmentAtomsPrunesNonAncestors) {
   g.AddNode("D");
   EstimatorContext est = MakeEstimator(t, g);
   TreatmentMinerOptions opt;
-  const auto atoms =
+  const TreatmentAtoms interned =
       CausalTreatmentAtoms(est, "Y", {"X", "D", "Z", "A", "M"}, opt);
+  const std::vector<SimplePredicate>& atoms = interned.predicates;
 
   // Kept: the ancestors A, M, Z and the DAG-less X; pruned: D. The atoms
   // are GenerateAtomicTreatments' over the kept attributes, in the order
@@ -283,6 +288,19 @@ TEST(TreatmentMinerTest, CausalTreatmentAtomsPrunesNonAncestors) {
   for (const auto& a : atoms) EXPECT_NE(a.attribute, "D");
   EXPECT_EQ(atoms.front().attribute, "X");
   EXPECT_EQ(atoms.back().attribute, "M");
+  // Interned once, with each atom's rows as the engine's shard segments.
+  ASSERT_EQ(interned.ids.size(), atoms.size());
+  ASSERT_EQ(interned.segments.size(), atoms.size());
+  const ShardPlan& plan = est.engine()->plan();
+  for (size_t i = 0; i < atoms.size(); ++i) {
+    EXPECT_EQ(interned.ids[i], est.engine()->Intern(atoms[i]));
+    const Bitset want = Pattern({atoms[i]}).Evaluate(t);
+    ASSERT_EQ(interned.segments[i].size(), plan.NumShards());
+    for (size_t s = 0; s < plan.NumShards(); ++s) {
+      EXPECT_TRUE(*interned.segments[i][s] ==
+                  want.ExtractRange(plan.ShardBegin(s), plan.ShardEnd(s)));
+    }
+  }
 }
 
 TEST(TreatmentMinerTest, UnknownOutcomeThrows) {
@@ -393,6 +411,179 @@ TEST(TreatmentMinerTest, AtomsOncePerQueryMatchesAtomsPerWalk) {
     EXPECT_EQ(mined.cache_stats.estimator.memo_hits, ref.stats.memo_hits);
     EXPECT_EQ(mined.cache_stats.estimator.memo_misses,
               ref.stats.memo_misses);
+  }
+}
+
+// ---- the level-batched walk against the sequential oracle ----------------
+
+void ExpectSameEstimate(const EffectEstimate& a, const EffectEstimate& b,
+                        const std::string& what) {
+  EXPECT_EQ(a.valid, b.valid) << what;
+  EXPECT_EQ(std::bit_cast<uint64_t>(a.cate), std::bit_cast<uint64_t>(b.cate))
+      << what;
+  EXPECT_EQ(std::bit_cast<uint64_t>(a.std_error),
+            std::bit_cast<uint64_t>(b.std_error))
+      << what;
+  EXPECT_EQ(std::bit_cast<uint64_t>(a.p_value),
+            std::bit_cast<uint64_t>(b.p_value))
+      << what;
+  EXPECT_EQ(a.n_treated, b.n_treated) << what;
+  EXPECT_EQ(a.n_control, b.n_control) << what;
+  EXPECT_EQ(a.n_used, b.n_used) << what;
+}
+
+// MineTopKTreatments' ranking and treated-set dedup over the oracle's
+// survivors.
+std::vector<ScoredTreatment> OracleTopK(EstimatorContext& est,
+                                        const Bitset& subpopulation,
+                                        std::vector<ScoredTreatment> all,
+                                        size_t k) {
+  std::sort(all.begin(), all.end(),
+            [](const ScoredTreatment& a, const ScoredTreatment& b) {
+              return std::fabs(a.effect.cate) > std::fabs(b.effect.cate);
+            });
+  std::vector<ScoredTreatment> out;
+  BitsetDedup seen_rows;
+  for (auto& st : all) {
+    if (out.size() >= k) break;
+    if (!seen_rows.Insert(
+            est.engine()->EvaluateOn(st.pattern, subpopulation))) {
+      continue;
+    }
+    out.push_back(std::move(st));
+  }
+  return out;
+}
+
+// Every grouping pattern of `name`'s default query, both signs, walked
+// by MineTopTreatment and MineTopKTreatments over one context and by the
+// oracle over a twin context (same table, same atom ids): evaluation
+// counts, depths, results and top-k survivors must match, and so must
+// the two contexts' memo and Gram-block counters. After every walk the
+// two exported memo states (entries in LRU order) must be equal: each
+// estimate request moves its node to the front, so the walk's estimated
+// nodes appear in the order it visited them.
+void CheckAgainstSequentialOracle(const std::string& name,
+                                  const TreatmentMinerOptions& opt,
+                                  size_t* nodes_checked) {
+  SCOPED_TRACE(name);
+  const GeneratedDataset ds = MakeDatasetByName(name, 0.05);
+  CauSumXConfig config;
+  config.num_threads = 1;
+  config.grouping_attribute_allowlist = ds.grouping_attribute_hint;
+  const CandidateMiningResult mined =
+      MineExplanationCandidates(ds.table, ds.default_query, ds.dag, config);
+  const GroupByAvgQuery& query = ds.default_query;
+  const std::vector<std::string>& attrs =
+      mined.partition.treatment_attributes;
+
+  // The walk reads atom rows from shard segments: give it several.
+  EvalEngineOptions sharded;
+  sharded.num_shards = 3;
+  auto engine = std::make_shared<EvalEngine>(BorrowTable(ds.table), sharded);
+  auto oracle_engine = std::make_shared<EvalEngine>(BorrowTable(ds.table));
+  EstimatorContext batched(engine, ds.dag, config.estimator);
+  EstimatorContext oracle(oracle_engine, ds.dag, config.estimator);
+  const AggregateView view = AggregateView::Evaluate(ds.table, query);
+  GroupingMinerOptions gopt = config.grouping;
+  gopt.apriori.min_support = config.apriori_support;
+  const std::vector<GroupingPattern> grouping = MineGroupingPatterns(
+      ds.table, view, mined.partition.grouping_attributes, gopt,
+      engine.get());
+  MineGroupingPatterns(ds.table, view, mined.partition.grouping_attributes,
+                       gopt, oracle_engine.get());
+  const TreatmentAtoms atoms =
+      CausalTreatmentAtoms(batched, query.avg_attribute, attrs, opt);
+  // Interning the same list in the same order gives the twin the same ids.
+  const TreatmentAtoms oracle_atoms =
+      CausalTreatmentAtoms(oracle, query.avg_attribute, attrs, opt);
+  ASSERT_EQ(atoms.ids, oracle_atoms.ids);
+  // The atoms hold the engine's cached segments, not copies.
+  for (size_t i = 0; i < atoms.size(); ++i) {
+    const auto cached = engine->PredicateSegments(atoms.ids[i]);
+    ASSERT_GT(cached.size(), 1u);
+    ASSERT_EQ(atoms.segments[i].size(), cached.size());
+    for (size_t s = 0; s < cached.size(); ++s) {
+      ASSERT_EQ(atoms.segments[i][s].get(), cached[s].get());
+    }
+  }
+  ASSERT_FALSE(grouping.empty());
+
+  for (size_t g = 0; g < grouping.size(); ++g) {
+    const Bitset& rows = grouping[g].rows;
+    for (TreatmentSign sign :
+         {TreatmentSign::kPositive, TreatmentSign::kNegative}) {
+      const std::string what =
+          "group " + std::to_string(g) +
+          (sign == TreatmentSign::kPositive ? " +" : " -");
+      TreatmentMiningStats stats;
+      const auto got = MineTopTreatment(batched, rows, query.avg_attribute,
+                                        atoms, sign, opt, &stats);
+      const SequentialWalkTrace want = SequentialWalk(
+          oracle, rows, query.avg_attribute, oracle_atoms.predicates, sign,
+          opt);
+      EXPECT_EQ(batched.ExportMemoState(), oracle.ExportMemoState()) << what;
+      EXPECT_EQ(stats.patterns_evaluated, want.patterns_evaluated) << what;
+      EXPECT_EQ(stats.levels_explored, want.levels_explored) << what;
+      ASSERT_EQ(got.has_value(), want.result.has_value()) << what;
+      if (got) {
+        EXPECT_EQ(got->pattern, want.result->pattern) << what;
+        ExpectSameEstimate(got->effect, want.result->effect, what);
+      }
+      *nodes_checked += want.patterns_evaluated;
+
+      const size_t k = want.survivors.size() + 1;
+      const std::vector<ScoredTreatment> top = MineTopKTreatments(
+          batched, rows, query.avg_attribute, atoms, sign, k, opt);
+      const SequentialWalkTrace again = SequentialWalk(
+          oracle, rows, query.avg_attribute, oracle_atoms.predicates, sign,
+          opt);
+      EXPECT_EQ(batched.ExportMemoState(), oracle.ExportMemoState()) << what;
+      const std::vector<ScoredTreatment> want_top =
+          OracleTopK(oracle, rows, again.survivors, k);
+      ASSERT_EQ(top.size(), want_top.size()) << what;
+      for (size_t i = 0; i < top.size(); ++i) {
+        EXPECT_EQ(top[i].pattern, want_top[i].pattern) << what << " #" << i;
+        ExpectSameEstimate(top[i].effect, want_top[i].effect,
+                           what + " #" + std::to_string(i));
+      }
+    }
+  }
+  const EstimatorCacheStats a = batched.Stats();
+  const EstimatorCacheStats b = oracle.Stats();
+  EXPECT_EQ(a.memo_hits, b.memo_hits);
+  EXPECT_EQ(a.memo_misses, b.memo_misses);
+  EXPECT_EQ(a.memo_entries, b.memo_entries);
+  EXPECT_EQ(a.gram_builds, b.gram_builds);
+  EXPECT_EQ(a.gram_hits, b.gram_hits);
+  // Batching shares residual passes: never more passes than the oracle's
+  // one per fitted miss.
+  EXPECT_LE(a.fit_passes, b.fit_passes);
+  EXPECT_EQ(batched.ExportMemoState(), oracle.ExportMemoState());
+}
+
+TEST(TreatmentMinerTest, LevelBatchedWalkMatchesSequentialOracle) {
+  size_t nodes = 0;
+  for (const char* name :
+       {"German", "Adult", "SO", "IMPUS-CPS", "Accidents"}) {
+    CheckAgainstSequentialOracle(name, TreatmentMinerOptions{}, &nodes);
+  }
+  EXPECT_GT(nodes, 1000u);
+}
+
+TEST(TreatmentMinerTest, BindingWidthCapCutsAtTheOraclesChild) {
+  // A cap small enough to bind on every dataset's wider levels, and one
+  // that binds in the middle of a level's batch.
+  for (size_t width : {1, 3, 7}) {
+    SCOPED_TRACE(width);
+    TreatmentMinerOptions opt;
+    opt.max_level_width = width;
+    opt.level_keep_fraction = 1.0;
+    size_t nodes = 0;
+    for (const char* name : {"Adult", "SO", "Accidents"}) {
+      CheckAgainstSequentialOracle(name, opt, &nodes);
+    }
+    EXPECT_GT(nodes, 0u);
   }
 }
 

@@ -14,8 +14,8 @@ must parse and record, against BENCHMARK.json:
     medians;
   * `work_counts`: per dataset, integer `memo_hits`, `memo_misses` and
     `treatment_patterns_evaluated`; the optional phase-3, candidate
-    cache and Gram-block counts (OPTIONAL_COUNT_FIELDS), where present,
-    are integers too.
+    cache, Gram-block and residual-pass counts (OPTIONAL_COUNT_FIELDS),
+    where present, are integers too.
 
 It checks the shape only and puts no bound on any wall-time figure.
 Exit 1 with one line per problem. Usage:
@@ -35,11 +35,13 @@ COUNT_FIELDS = ("memo_hits", "memo_misses", "treatment_patterns_evaluated")
 # Recorded from BENCH_23 on: the selection LP's size and pivots (pivots
 # plus bound flips) at the default k and theta, and warm-mix's candidate
 # cache hits and misses per round of its requests. From BENCH_27 on: the
-# Gram blocks a cold run builds and the memo misses they serve.
+# Gram blocks a cold run builds and the memo misses they serve. From
+# BENCH_30 on: the regression residual passes a cold run makes (memo
+# misses / fit_passes is the mean level-batch width).
 OPTIONAL_COUNT_FIELDS = ("lp_rows", "lp_columns", "lp_pivots",
                          "warm_mix_candidate_hits_per_round",
                          "warm_mix_candidate_misses_per_round",
-                         "gram_builds", "gram_hits")
+                         "gram_builds", "gram_hits", "fit_passes")
 
 
 def is_number(v) -> bool:
